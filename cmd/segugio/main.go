@@ -680,7 +680,9 @@ func loadDayEnv(dir string, day int, pslPath string) (*dayEnv, error) {
 
 	b := graph.NewBuilder("cli", day, env.suffixes)
 	if err := readFile(filepath.Join(dir, fmt.Sprintf("queries-%d.tsv", day)), func(f *os.File) error {
-		return logio.ReadQueryLog(bufio.NewReader(f), b.AddQuery)
+		return logio.ReadQueryLog(bufio.NewReader(f), func(machine, domain string) {
+			b.AddQuery(machine, domain)
+		})
 	}); err != nil {
 		return nil, err
 	}

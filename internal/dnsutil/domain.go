@@ -127,51 +127,53 @@ func (s *SuffixList) Add(rule string) {
 func (s *SuffixList) Len() int { return len(s.exact) + len(s.wildcard) + len(s.exceptions) }
 
 // PublicSuffix returns the longest public suffix of domain, or "" if no rule
-// matches. domain must be normalized.
+// matches. domain must be normalized. Every candidate is a suffix of the
+// input, so the scan slices at dot offsets and allocates nothing.
 func (s *SuffixList) PublicSuffix(domain string) string {
-	labels := Labels(domain)
 	// Exception rules prevail over every other rule: the public suffix is
 	// the exception with its leftmost label removed.
 	if len(s.exceptions) > 0 {
-		for i := 0; i < len(labels)-1; i++ {
-			cand := strings.Join(labels[i:], ".")
-			if _, ok := s.exceptions[cand]; ok {
-				return strings.Join(labels[i+1:], ".")
+		for cand := domain; ; {
+			dot := strings.IndexByte(cand, '.')
+			if dot < 0 {
+				break
 			}
+			if _, ok := s.exceptions[cand]; ok {
+				return cand[dot+1:]
+			}
+			cand = cand[dot+1:]
 		}
 	}
 	// Scan from the longest candidate suffix to the shortest so the longest
 	// rule wins, then fall back to the TLD-as-suffix default rule.
-	for i := 0; i < len(labels); i++ {
-		cand := strings.Join(labels[i:], ".")
+	for cand := domain; ; {
 		if _, ok := s.exact[cand]; ok {
 			return cand
 		}
-		// A wildcard rule "*.foo" makes "<anything>.foo" a public suffix.
-		if i+1 < len(labels) {
-			parent := strings.Join(labels[i+1:], ".")
-			if _, ok := s.wildcard[parent]; ok {
-				return cand
-			}
+		dot := strings.IndexByte(cand, '.')
+		if dot < 0 {
+			// Default rule: the bare TLD is a public suffix.
+			return cand
 		}
+		// A wildcard rule "*.foo" makes "<anything>.foo" a public suffix.
+		if _, ok := s.wildcard[cand[dot+1:]]; ok {
+			return cand
+		}
+		cand = cand[dot+1:]
 	}
-	// Default rule: the bare TLD is a public suffix.
-	return labels[len(labels)-1]
 }
 
 // E2LD returns the effective second-level domain of a normalized domain
 // name: the public suffix plus one label. If the domain is itself a public
-// suffix (or a bare TLD), E2LD returns the domain unchanged.
+// suffix (or a bare TLD), E2LD returns the domain unchanged. The result is
+// always a suffix of domain and shares its storage.
 func (s *SuffixList) E2LD(domain string) string {
 	suffix := s.PublicSuffix(domain)
 	if len(suffix) >= len(domain) {
 		return domain
 	}
 	rest := domain[:len(domain)-len(suffix)-1] // strip ".suffix"
-	if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-		return rest[i+1:] + "." + suffix
-	}
-	return rest + "." + suffix
+	return domain[strings.LastIndexByte(rest, '.')+1:]
 }
 
 // defaultRules is a curated subset of the Mozilla Public Suffix List plus

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"slices"
-	"sort"
 
 	"segugio/internal/dnsutil"
 )
@@ -87,13 +86,28 @@ type Builder struct {
 	ipLogIP   []dnsutil.IPv4
 	ipLogBase int
 
-	// Drain cursors for DrainFresh: absolute positions of the last drained
-	// log prefix. Only builders that are actually drained (the per-shard
-	// builders behind a sharded ingester) set drainActive, so ordinary
-	// builders keep trimming their logs as before.
-	drainActive bool
-	drainFresh  int
-	drainIP     int
+	// Drain state for DrainInto: absolute positions of the last drained
+	// log prefix, the destination builder, and the shard id -> destination
+	// id translation tables (one entry per interned node, extended only
+	// when this builder interned a new name). Only builders that are
+	// actually drained (the per-shard builders behind a sharded ingester)
+	// set drainActive, so ordinary builders keep trimming their logs as
+	// before.
+	drainActive    bool
+	drainFresh     int
+	drainIP        int
+	drainDst       *Builder
+	drainM, drainD []int32
+	// adjStale is set when a drain grew the base run without folding the
+	// fresh edges into the CSR/overlay: nobody reads a shard's adjacency
+	// between checkpoints, so the next snapshot rebuilds it instead.
+	adjStale bool
+
+	// Scratch for the per-snapshot dirty computations: node-id sets that
+	// reset in O(1), so a snapshot's bookkeeping costs what its delta
+	// touches rather than a hash insert per touched node.
+	domainSet, machineSet idSet
+	machineScratch        []int32
 
 	// Per-domain "queried at least once this window" flags and per-e2LD
 	// grouping, used to propagate first-query activity dirt to e2LD
@@ -114,20 +128,42 @@ type Builder struct {
 	frozenDPubGen            uint64
 }
 
-type edge struct{ m, d int32 }
+// edge packs a (machine, domain) id pair into one word, machine in the
+// high half. Node ids are non-negative, so integer order is (machine,
+// domain) order and the edge runs sort and search as plain integers.
+type edge uint64
 
-func edgeLess(a, b edge) bool {
-	if a.m != b.m {
-		return a.m < b.m
-	}
-	return a.d < b.d
+func newEdge(m, d int32) edge { return edge(uint64(uint32(m))<<32 | uint64(uint32(d))) }
+
+func (e edge) m() int32 { return int32(e >> 32) }
+func (e edge) d() int32 { return int32(uint32(e)) }
+
+// idSet is a reusable set of node ids: a generation-stamped slice, so
+// emptying it is one increment and membership costs no hashing.
+type idSet struct {
+	stamp []uint32
+	gen   uint32
 }
 
-func edgeCmp(a, b edge) int {
-	if a.m != b.m {
-		return int(a.m) - int(b.m)
+// reset empties the set and sizes it for ids below n.
+func (s *idSet) reset(n int) {
+	if len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
 	}
-	return int(a.d) - int(b.d)
+	s.gen++
+	if s.gen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(s.stamp)
+		s.gen = 1
+	}
+}
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id int32) bool {
+	if s.stamp[id] == s.gen {
+		return false
+	}
+	s.stamp[id] = s.gen
+	return true
 }
 
 type e2ldEntry struct {
@@ -193,17 +229,38 @@ func (b *Builder) DomainNamesSince(n int) []string {
 	return b.domains[n:len(b.domains):len(b.domains)]
 }
 
-// AddQuery records that machineID queried domain during the window.
-func (b *Builder) AddQuery(machineID, domain string) {
-	m := b.machine(machineID)
+// AddQuery records that machineID queried domain during the window. It
+// returns the domain's effective 2LD as interned and whether this is the
+// first query of the domain in this builder's window — the edge on which
+// per-(day, name) bookkeeping such as activity marks needs to run once.
+func (b *Builder) AddQuery(machineID, domain string) (e2ld string, first bool) {
 	d := b.domain(domain)
-	b.pending = append(b.pending, edge{m: m, d: d})
-	if !b.domainQueried[d] {
-		b.domainQueried[d] = true
-		ent := b.e2lds[b.domainE2LD[d]]
-		if !ent.queried {
-			ent.queried = true
-			b.e2ldPending = append(b.e2ldPending, ent)
+	return b.domainE2LD[d], b.addEdge(b.machine(machineID), d)
+}
+
+// addEdge is AddQuery on interned ids; it reports the domain's first query.
+func (b *Builder) addEdge(m, d int32) (first bool) {
+	b.pending = append(b.pending, newEdge(m, d))
+	if b.domainQueried[d] {
+		return false
+	}
+	b.domainQueried[d] = true
+	ent := b.e2lds[b.domainE2LD[d]]
+	if !ent.queried {
+		ent.queried = true
+		b.e2ldPending = append(b.e2ldPending, ent)
+	}
+	return true
+}
+
+// EachQueriedDomain calls fn with the name and e2LD of every domain
+// queried at least once this window, in intern order. A restored builder
+// reports its recovered domains too, which is how a restart re-marks the
+// day's activity without replaying the day.
+func (b *Builder) EachQueriedDomain(fn func(domain, e2ld string)) {
+	for d, queried := range b.domainQueried {
+		if queried {
+			fn(b.domains[d], b.domainE2LD[d])
 		}
 	}
 }
@@ -212,7 +269,10 @@ func (b *Builder) AddQuery(machineID, domain string) {
 // the window. Duplicate addresses are ignored. This is the streaming
 // counterpart of SetDomainIPs: one resolution event at a time.
 func (b *Builder) AddResolution(domain string, ip dnsutil.IPv4) {
-	d := b.domain(domain)
+	b.addResolution(b.domain(domain), ip)
+}
+
+func (b *Builder) addResolution(d int32, ip dnsutil.IPv4) {
 	ips := b.domainIPs[d]
 	if set, ok := b.ipSets[d]; ok {
 		if _, dup := set[ip]; dup {
@@ -297,10 +357,15 @@ func (b *Builder) domain(name string) int32 {
 	if d, ok := b.lookupDomain(name); ok {
 		return d
 	}
+	return b.internDomain(name, b.suffixes.E2LD(name))
+}
+
+// internDomain appends a domain known to be absent. The e2LD is taken as
+// given so a merged builder can reuse the one its shard already derived.
+func (b *Builder) internDomain(name, e2 string) int32 {
 	d := int32(len(b.domains))
 	b.domainRecent[name] = d
 	b.domains = append(b.domains, name)
-	e2 := b.suffixes.E2LD(name)
 	b.domainE2LD = append(b.domainE2LD, e2)
 	b.domainIPs = append(b.domainIPs, nil)
 	b.domainQueried = append(b.domainQueried, false)
@@ -329,7 +394,7 @@ func (b *Builder) Snapshot() *Graph { return b.snapshot(false) }
 func (b *Builder) snapshot(forceCompact bool) *Graph {
 	fresh := b.mergePending()
 	b.freshLog = append(b.freshLog, fresh...)
-	if forceCompact || b.csrMOff == nil || b.ovEdges+len(fresh) > len(b.base)/4+overlaySlackMin {
+	if forceCompact || b.adjStale || b.csrMOff == nil || b.ovEdges+len(fresh) > len(b.base)/4+overlaySlackMin {
 		b.compact()
 	} else if len(fresh) > 0 {
 		b.applyOverlay(fresh)
@@ -352,7 +417,7 @@ func (b *Builder) mergePending() []edge {
 		return nil
 	}
 	p := b.pending
-	slices.SortFunc(p, edgeCmp)
+	slices.Sort(p)
 	w := 0
 	for i, e := range p {
 		if i > 0 && e == p[i-1] {
@@ -373,8 +438,8 @@ func (b *Builder) mergePending() []edge {
 }
 
 func (b *Builder) baseContains(e edge) bool {
-	i := sort.Search(len(b.base), func(i int) bool { return !edgeLess(b.base[i], e) })
-	return i < len(b.base) && b.base[i] == e
+	_, ok := slices.BinarySearch(b.base, e)
+	return ok
 }
 
 // mergeIntoBase merges the sorted fresh run into the sorted base run with
@@ -393,7 +458,7 @@ func (b *Builder) mergeIntoBase(fresh []edge) {
 	b.base = b.base[:need]
 	i, j, k := old-1, len(fresh)-1, need-1
 	for j >= 0 {
-		if i >= 0 && edgeLess(fresh[j], b.base[i]) {
+		if i >= 0 && fresh[j] < b.base[i] {
 			b.base[k] = b.base[i]
 			i--
 		} else {
@@ -409,8 +474,8 @@ func (b *Builder) mergeIntoBase(fresh []edge) {
 func (b *Builder) applyOverlay(fresh []edge) {
 	b.ensureOverlay()
 	for _, e := range fresh {
-		b.overlayAddM(e.m, e.d)
-		b.overlayAddD(e.d, e.m)
+		b.overlayAddM(e.m(), e.d())
+		b.overlayAddD(e.d(), e.m())
 	}
 	b.ovEdges += len(fresh)
 	b.ovMut++
@@ -475,19 +540,19 @@ func (b *Builder) compact() {
 	nm, nd, ne := len(b.machineIDs), len(b.domains), len(b.base)
 	mOff := make([]int32, nm+1)
 	for _, e := range b.base {
-		mOff[e.m+1]++
+		mOff[e.m()+1]++
 	}
 	for m := 0; m < nm; m++ {
 		mOff[m+1] += mOff[m]
 	}
 	mAdj := make([]int32, ne)
 	for i, e := range b.base {
-		mAdj[i] = e.d
+		mAdj[i] = e.d()
 	}
 
 	dOff := make([]int32, nd+1)
 	for _, e := range b.base {
-		dOff[e.d+1]++
+		dOff[e.d()+1]++
 	}
 	for d := 0; d < nd; d++ {
 		dOff[d+1] += dOff[d]
@@ -496,8 +561,8 @@ func (b *Builder) compact() {
 	cursor := make([]int32, nd)
 	copy(cursor, dOff[:nd])
 	for _, e := range b.base {
-		dAdj[cursor[e.d]] = e.m
-		cursor[e.d]++
+		dAdj[cursor[e.d()]] = e.m()
+		cursor[e.d()]++
 	}
 
 	b.csrMOff, b.csrMAdj, b.csrDOff, b.csrDAdj = mOff, mAdj, dOff, dAdj
@@ -505,6 +570,7 @@ func (b *Builder) compact() {
 	b.ovM, b.ovD, b.ovMAdj, b.ovDAdj = nil, nil, nil, nil
 	b.ovEdges = 0
 	b.ovMut++
+	b.adjStale = false
 }
 
 // freeze assembles an immutable Graph over the current builder state.
@@ -552,9 +618,12 @@ func (b *Builder) freeze() *Graph {
 		copy(ips, b.domainIPs)
 	}
 
+	// Nodes interned since the last compaction lie past the base CSR even
+	// when no edge has touched the overlay yet (a resolution-only domain):
+	// the snapshot still needs overlay slots to report them edgeless.
 	var ovM, ovD []int32
 	var ovMAdj, ovDAdj [][]int32
-	if b.ovM != nil {
+	if b.ovM != nil || nm > b.csrNM || nd > b.csrND {
 		if prev != nil && prev.ovM != nil && nm == b.frozenNM && nd == b.frozenND && b.ovMut == b.frozenOvMut {
 			ovM, ovD = prev.ovM, prev.ovD
 			ovMAdj, ovDAdj = prev.ovMAdj, prev.ovDAdj
@@ -625,38 +694,38 @@ func (b *Builder) computeDirty(g *Graph) {
 		return
 	}
 	g.deltaExact = true
-	set := make(map[int32]struct{})
-	var machines map[int32]struct{}
-	for _, e := range b.freshLog[b.lastSnapFresh-b.freshBase:] {
-		set[e.d] = struct{}{}
-		if machines == nil {
-			machines = make(map[int32]struct{})
+	b.domainSet.reset(len(b.domains))
+	b.machineSet.reset(len(b.machineIDs))
+	var dirty []int32
+	add := func(d int32) {
+		if b.domainSet.add(d) {
+			dirty = append(dirty, d)
 		}
-		machines[e.m] = struct{}{}
+	}
+	machines := b.machineScratch[:0]
+	for _, e := range b.freshLog[b.lastSnapFresh-b.freshBase:] {
+		add(e.d())
+		if b.machineSet.add(e.m()) {
+			machines = append(machines, e.m())
+		}
 	}
 	for _, d := range b.ipLog[b.lastSnapIP-b.ipLogBase:] {
-		set[d] = struct{}{}
+		add(d)
 	}
 	for d := b.lastSnapND; d < len(b.domains); d++ {
-		set[int32(d)] = struct{}{}
+		add(int32(d))
 	}
 	for _, ent := range b.e2ldPending {
 		for _, d := range ent.domains {
-			set[d] = struct{}{}
+			add(d)
 		}
 	}
-	for m := range machines {
+	for _, m := range machines {
 		for _, d := range g.DomainsOf(m) {
-			set[d] = struct{}{}
+			add(d)
 		}
 	}
-	if len(set) == 0 {
-		return
-	}
-	dirty := make([]int32, 0, len(set))
-	for d := range set {
-		dirty = append(dirty, d)
-	}
+	b.machineScratch = machines
 	slices.Sort(dirty)
 	g.dirtyDomains = dirty
 }
@@ -670,16 +739,17 @@ func (b *Builder) computeLabelDelta(g *Graph) {
 		return
 	}
 	g.labelBase = base
-	set := make(map[int32]struct{})
+	b.machineSet.reset(len(b.machineIDs))
+	dirty := []int32{}
 	for _, e := range b.freshLog[base.snapFreshPos-b.freshBase:] {
-		set[e.m] = struct{}{}
+		if b.machineSet.add(e.m()) {
+			dirty = append(dirty, e.m())
+		}
 	}
 	for m := base.NumMachines(); m < len(b.machineIDs); m++ {
-		set[int32(m)] = struct{}{}
-	}
-	dirty := make([]int32, 0, len(set))
-	for m := range set {
-		dirty = append(dirty, m)
+		if b.machineSet.add(int32(m)) {
+			dirty = append(dirty, int32(m))
+		}
 	}
 	slices.Sort(dirty)
 	g.labelDirtyMachines = dirty
@@ -698,29 +768,12 @@ func (b *Builder) finishSnapshot(g *Graph) {
 	b.trimLogs()
 }
 
-// DrainFresh folds the pending buffer into the base run and replays every
-// not-yet-drained deduplicated edge and first-time (domain, address) pair
-// to the callbacks, in apply order. It is the shard-to-merged feed of the
-// sharded ingest backend: each shard builder absorbs raw events on the hot
-// path, and the snapshot coordinator drains the per-shard deltas into one
-// merged Builder whose Snapshot carries the exact global dirty set.
-//
-// Because query events route by machine and resolution events by domain
-// (see ShardOf), per-shard deduplication equals global deduplication: no
-// two shards ever see the same (machine, domain) or (domain, address)
-// pair, so the drained deltas compose without cross-shard duplicates.
-//
-// The first DrainFresh must happen before any log trimming (in practice:
-// immediately after NewBuilder or DecodeSnapshot, both of which start the
-// logs at position zero); from then on trimLogs keeps the undrained
-// suffix alive. Callers must serialize DrainFresh with other Builder
-// calls.
-// BeginDrain activates the DrainFresh cursor at the current log base
+// BeginDrain activates the DrainInto cursor at the current log base
 // without replaying anything. A builder that will be drained later but
 // must be snapshotted first (the rehash path checkpoints redistributed
 // shard builders before the ingester's seed drain) calls this right
 // after construction: otherwise the snapshot's own baseline lets
-// trimLogs discard the not-yet-drained prefix and the first DrainFresh
+// trimLogs discard the not-yet-drained prefix and the first DrainInto
 // silently emits nothing. Do not call it on builders that are never
 // drained — a pinned cursor keeps the logs alive forever.
 func (b *Builder) BeginDrain() {
@@ -731,31 +784,63 @@ func (b *Builder) BeginDrain() {
 	}
 }
 
-func (b *Builder) DrainFresh(edgeFn func(machineID, domain string), resFn func(domain string, ip dnsutil.IPv4)) {
-	fresh := b.mergePending()
-	b.freshLog = append(b.freshLog, fresh...)
-	// Keep the CSR/overlay invariant: mergePending grew the base run, so
-	// the adjacency must absorb the fresh edges exactly as snapshot() does
-	// or a later applyOverlay-path snapshot would miss them.
-	if b.csrMOff == nil || b.ovEdges+len(fresh) > len(b.base)/4+overlaySlackMin {
-		b.compact()
-	} else if len(fresh) > 0 {
-		b.applyOverlay(fresh)
+// DrainInto folds the pending buffer into the base run and appends every
+// not-yet-drained deduplicated edge and first-time (domain, address)
+// pair to dst, in apply order. It is the shard-to-merged feed of the
+// sharded ingest backend: each shard builder absorbs raw events on the
+// hot path, and the snapshot coordinator drains the per-shard deltas
+// into one merged Builder whose Snapshot carries the exact global dirty
+// set.
+//
+// The feed is integer work: names cross only once, when the translation
+// tables grow to cover nodes this builder interned since the last drain
+// (dst looks each up, interning it with this builder's e2LD if new);
+// edges and addresses then cross as translated ids. The tables live and
+// die with the builder, so replacing the shard and merged builders
+// together (rotation, restore) resets them; a builder drains into one
+// destination for its whole life.
+//
+// Because query events route by machine and resolution events by domain
+// (see ShardOf), per-shard deduplication equals global deduplication: no
+// two shards ever see the same (machine, domain) or (domain, address)
+// pair, so the drained deltas compose without cross-shard duplicates.
+//
+// The drain leaves this builder's own CSR/overlay behind the base run;
+// its next Snapshot rebuilds the adjacency. The first DrainInto must
+// happen before any log trimming (immediately after NewBuilder or
+// DecodeSnapshot, or after BeginDrain); from then on trimLogs keeps the
+// undrained suffix alive. Callers must serialize DrainInto with other
+// calls on both builders.
+func (b *Builder) DrainInto(dst *Builder) {
+	if fresh := b.mergePending(); len(fresh) > 0 {
+		b.freshLog = append(b.freshLog, fresh...)
+		b.adjStale = true
 	}
 	b.pending = b.pending[:0]
+	b.BeginDrain()
+	if b.drainDst == nil {
+		b.drainDst = dst
+	} else if b.drainDst != dst {
+		panic("graph: DrainInto: builder already drains into another destination")
+	}
 
-	if !b.drainActive {
-		b.drainActive = true
-		b.drainFresh = b.freshBase
-		b.drainIP = b.ipLogBase
+	for _, id := range b.machineIDs[len(b.drainM):] {
+		b.drainM = append(b.drainM, dst.machine(id))
+	}
+	for i := len(b.drainD); i < len(b.domains); i++ {
+		d, ok := dst.lookupDomain(b.domains[i])
+		if !ok {
+			d = dst.internDomain(b.domains[i], b.domainE2LD[i])
+		}
+		b.drainD = append(b.drainD, d)
 	}
 	for _, e := range b.freshLog[b.drainFresh-b.freshBase:] {
-		edgeFn(b.machineIDs[e.m], b.domains[e.d])
+		dst.addEdge(b.drainM[e.m()], b.drainD[e.d()])
 	}
 	b.drainFresh = b.freshBase + len(b.freshLog)
 	tail := b.drainIP - b.ipLogBase
 	for i, d := range b.ipLog[tail:] {
-		resFn(b.domains[d], b.ipLogIP[tail+i])
+		dst.addResolution(b.drainD[d], b.ipLogIP[tail+i])
 	}
 	b.drainIP = b.ipLogBase + len(b.ipLog)
 	b.trimLogs()
@@ -763,7 +848,7 @@ func (b *Builder) DrainFresh(edgeFn func(machineID, domain string), resFn func(d
 
 // trimLogs drops log prefixes no outstanding baseline can reference: the
 // last snapshot's dirty baseline, the last labeled snapshot's relabel
-// baseline, and (for drained shard builders) the DrainFresh cursor.
+// baseline, and (for drained shard builders) the DrainInto cursor.
 func (b *Builder) trimLogs() {
 	minFresh, haveFresh := 0, false
 	lower := func(pos int) {

@@ -110,7 +110,7 @@ func DecodeSnapshot(r io.Reader, suffixes *dnsutil.SuffixList) (*Builder, error)
 			// Snapshot sorts and deduplicates them into the base run, and
 			// the domain-queried flags keep e2LD activity propagation from
 			// re-reporting recovered domains as freshly queried.
-			b.pending = append(b.pending, edge{m: int32(m), d: d})
+			b.pending = append(b.pending, newEdge(int32(m), d))
 			if !b.domainQueried[d] {
 				b.domainQueried[d] = true
 				b.e2lds[b.domainE2LD[d]].queried = true

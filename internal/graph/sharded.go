@@ -14,7 +14,7 @@ import "segugio/internal/dnsutil"
 //   - every (domain, address) pair lands in shard(domain), so per-shard
 //     address deduplication equals global deduplication;
 //   - per-shard edge deduplication equals global deduplication, so the
-//     per-shard fresh deltas drained by Builder.DrainFresh compose into
+//     per-shard fresh deltas drained by Builder.DrainInto compose into
 //     one exact global delta with no cross-shard duplicates.
 func ShardOf(key string, n int) int {
 	if n <= 1 {

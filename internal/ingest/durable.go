@@ -541,10 +541,8 @@ func replayShardWAL(l *wal.Log, pos wal.Pos, b *graph.Builder, cfg Config, dc *D
 			}
 			switch e.Kind {
 			case logio.EventQuery:
-				b.AddQuery(e.Machine, e.Domain)
-				if cfg.Activity != nil {
-					cfg.Activity.MarkDomain(e.Day, e.Domain)
-					cfg.Activity.MarkE2LD(e.Day, cfg.Suffixes.E2LD(e.Domain))
+				if e2ld, first := b.AddQuery(e.Machine, e.Domain); first && cfg.Activity != nil {
+					markActive(cfg.Activity, day, e.Domain, e2ld)
 				}
 			case logio.EventResolution:
 				for _, ip := range e.IPs {
@@ -664,13 +662,21 @@ func createGeneration(dc *DurableConfig, cfg Config, old []*graph.Builder, gen u
 	for _, ob := range old {
 		// Rehash-on-replay: route every recovered edge by machine and
 		// every resolution by domain, the same invariants live dispatch
-		// uses. DrainFresh on a freshly decoded/replayed builder emits
-		// its whole content.
-		ob.DrainFresh(func(machineID, domain string) {
-			builders[graph.ShardOf(machineID, shards)].AddQuery(machineID, domain)
-		}, func(domain string, ip dnsutil.IPv4) {
-			builders[graph.ShardOf(domain, shards)].AddResolution(domain, ip)
-		})
+		// uses.
+		g := ob.Build()
+		for m := int32(0); m < int32(g.NumMachines()); m++ {
+			id := g.MachineID(m)
+			dst := builders[graph.ShardOf(id, shards)]
+			for _, d := range g.DomainsOf(m) {
+				dst.AddQuery(id, g.DomainName(d))
+			}
+		}
+		for d := int32(0); d < int32(g.NumDomains()); d++ {
+			if ips := g.DomainIPs(d); len(ips) > 0 {
+				name := g.DomainName(d)
+				builders[graph.ShardOf(name, shards)].SetDomainIPs(name, ips)
+			}
+		}
 	}
 	if err := os.MkdirAll(dc.genDir, 0o755); err != nil {
 		return nil, nil, err

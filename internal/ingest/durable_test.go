@@ -4,15 +4,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"segugio/internal/activity"
+	"segugio/internal/core"
 	"segugio/internal/dnsutil"
 	"segugio/internal/faultinject"
 	"segugio/internal/graph"
 	"segugio/internal/logio"
 	"segugio/internal/metrics"
+	"segugio/internal/ml"
 	"segugio/internal/wal"
 )
 
@@ -582,5 +586,83 @@ func TestCheckpointOnNonDurableIngester(t *testing.T) {
 	defer in.Shutdown()
 	if err := in.Checkpoint(); err != ErrNotDurable {
 		t.Fatalf("err = %v, want ErrNotDurable", err)
+	}
+}
+
+// TestDurableRestoreRemarksActivity pins the restore half of first-query
+// activity marking. A checkpointed builder comes back with its domains
+// already flagged as queried, so replaying the WAL tail alone would never
+// mark them: a process that died after a checkpoint would forget the
+// day's activity for everything the checkpoint covers. The restore path
+// re-marks the day for every queried domain of every restored shard, so
+// the new process's activity log — and a cold classify-all over it —
+// must equal a reference that marked every acknowledged query.
+func TestDurableRestoreRemarksActivity(t *testing.T) {
+	dir := t.TempDir()
+	suffixes := dnsutil.DefaultSuffixList()
+	src, _, _ := equivLabelSources()
+	open := func(act *activity.Log) (*Ingester, *Metrics, *RecoveryInfo) {
+		m, _ := newMetrics()
+		cfg, dc := durableCfg(dir, m, newDurableMetrics())
+		cfg.GraphShards = 2
+		cfg.Suffixes = suffixes
+		cfg.Activity = act
+		cfg.PrepareSnapshot = func(g *graph.Graph) { g.ApplyLabels(src(g.Day())) }
+		in, info, err := OpenDurable(cfg, dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in, m, info
+	}
+
+	in, m, _ := open(activity.NewLog())
+	head := genEquivEvents(5)
+	feed(t, in, m, head)
+	if err := in.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The tail repeats checkpointed names (no first query left to see) and
+	// adds new ones (first queries found by the replay).
+	tail := head[:200:200]
+	for i := 0; i < 40; i++ {
+		tail = append(tail, logio.Event{
+			Kind: logio.EventQuery, Day: 5,
+			Machine: fmt.Sprintf("inf%02d", i%12), Domain: fmt.Sprintf("tail%d.late.example", i%9),
+		})
+	}
+	feed(t, in, m, tail)
+	// Unclean death: no Shutdown, no final checkpoint.
+
+	act2 := activity.NewLog()
+	in2, _, info := open(act2)
+	defer in2.Shutdown()
+	if !info.CheckpointLoaded || info.ReplayedEvents != len(tail) {
+		t.Fatalf("recovery info = %+v, want checkpoint + %d replayed events", info, len(tail))
+	}
+
+	all := slices.Concat(head, tail)
+	refAct := activity.NewLog()
+	markEveryQuery(refAct, suffixes, all)
+	requireActivityEquivalent(t, refAct, act2, suffixes, all, 5, 5)
+
+	want := refReplay("net", 5, suffixes, all).Snapshot()
+	want.ApplyLabels(src(5))
+	got, _ := in2.Snapshot()
+	requireGraphsEquivalent(t, want, got, refAct)
+	cfg := core.DefaultConfig()
+	cfg.NewModel = func(benign, malware int) ml.Model {
+		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
+	}
+	det, _, err := core.Train(cfg, core.TrainInput{Graph: want, Activity: refAct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDets := classifyAllSorted(t, det, want, refAct)
+	gotDets := classifyAllSorted(t, det, got, act2)
+	if len(wantDets) == 0 {
+		t.Fatal("classify-all found nothing; fixture too weak to prove equivalence")
+	}
+	if !slices.Equal(wantDets, gotDets) {
+		t.Fatalf("cold classify-all over the recovered state differs:\nrecovered %v\nreference %v", gotDets, wantDets)
 	}
 }

@@ -141,8 +141,9 @@ type Config struct {
 	// the default keeps the text format byte-identical to prior
 	// releases.
 	BinaryWAL bool
-	// Activity, when non-nil, receives per-day domain/e2LD activity marks
-	// for every applied query, keeping F2 features live.
+	// Activity, when non-nil, receives a per-day domain/e2LD activity mark
+	// for every queried name (on its first query per shard and day, and
+	// again for a restored day at startup), keeping F2 features live.
 	Activity *activity.Log
 	// ActivityKeepDays bounds the activity log's history after a rotation
 	// (default 30 days; 0 keeps everything only if Activity is nil).
@@ -290,8 +291,9 @@ type Ingester struct {
 	// its worker sweeps. shardRings[s] is swapped copy-on-write under
 	// ringMu when sources attach or retire, so workers read it with one
 	// atomic load and no lock on the hot path. wake[s] is a one-slot
-	// doorbell: producers ring it on an empty→nonempty transition, the
-	// only publish a blocked worker can miss.
+	// doorbell: producers ring it when a publish finds the consumer caught
+	// up with the ring (see eventRing.publish1), the only publish a
+	// parked worker can miss.
 	shardRings  []atomic.Pointer[[]*eventRing]
 	wake        []chan struct{}
 	stopWorkers chan struct{}
@@ -487,6 +489,9 @@ func New(cfg Config) *Ingester {
 	if cfg.restoredShards != nil {
 		in.day = in.shards[0].builder.Day()
 		in.version.Store(cfg.restoredVersion)
+		// The shards own the restored builders now; a second reference here
+		// would keep the recovered day's graph alive past its rotation.
+		in.cfg.restoredShards = nil
 	}
 	// Seed the merged builder, the size mirrors, and the global domain
 	// set from the (possibly checkpoint-restored) shards, so a recovered
@@ -494,11 +499,19 @@ func New(cfg Config) *Ingester {
 	// batch lands.
 	in.merged = graph.NewBuilder(cfg.Network, in.day, cfg.Suffixes)
 	for _, sh := range in.shards {
-		sh.builder.DrainFresh(in.merged.AddQuery, in.merged.AddResolution)
+		sh.builder.DrainInto(in.merged)
 		sh.machines.Store(int64(sh.builder.NumMachines()))
 		sh.observations.Store(int64(sh.builder.NumObservations()))
 		if sh.builder.NumDomains() > 0 {
 			in.noteNewDomains(sh.builder.DomainNamesSince(0))
+		}
+		// Activity is marked on a domain's first query, and a restored
+		// builder has seen its domains' first queries already: re-mark the
+		// day for every one of them, or a restart would forget the day.
+		if cfg.Activity != nil {
+			sh.builder.EachQueriedDomain(func(domain, e2ld string) {
+				markActive(cfg.Activity, in.day, domain, e2ld)
+			})
 		}
 	}
 	in.lastSnapVer = in.version.Load()
@@ -776,8 +789,8 @@ func eventKey(e logio.Event) string {
 func (s *eventSource) dispatch(e logio.Event) {
 	s.wm.Advance(e.Day)
 	shard := s.shardOf(e)
-	if ok, wasEmpty := s.rings[shard].publish1(e); ok {
-		if wasEmpty {
+	if ok, wake := s.rings[shard].publish1(e); ok {
+		if wake {
 			s.in.notify(shard)
 		}
 		return
@@ -813,8 +826,8 @@ func (s *eventSource) flushAll() {
 // fit goes through the shed policy one event at a time.
 func (s *eventSource) flushShard(shard int) {
 	pend := s.pend[shard]
-	n, wasEmpty := s.rings[shard].publish(pend)
-	if wasEmpty {
+	n, wake := s.rings[shard].publish(pend)
+	if wake {
 		s.in.notify(shard)
 	}
 	for _, e := range pend[n:] {
@@ -878,8 +891,8 @@ func (s *eventSource) dispatchSlow(shard int, e logio.Event) {
 func (s *eventSource) blockPublish(shard int, e logio.Event) {
 	r := s.rings[shard]
 	for spin := 0; ; spin++ {
-		if ok, wasEmpty := r.publish1(e); ok {
-			if wasEmpty {
+		if ok, wake := r.publish1(e); ok {
+			if wake {
 				s.in.notify(shard)
 			}
 			return
@@ -966,21 +979,24 @@ func (in *Ingester) sweepShard(shard int, buf []logio.Event, scratch *applyScrat
 	rings := *in.shardRings[shard].Load()
 	retire := false
 	for _, r := range rings {
-		// Serve the producer's eviction request only while the ring is
-		// actually full; a request that drained on its own is stale.
-		if ev := r.evict.Load(); ev > 0 {
-			if r.full() {
-				n := r.shedOldest(ev)
-				if n > 0 {
-					in.shedN(ShedDropOldest, int64(n))
-					r.evict.Add(^uint64(n - 1)) // subtract n
-					handled += n
-				}
-			} else {
-				r.evict.Store(0)
-			}
-		}
 		for {
+			// Serve the producer's eviction request only while the ring is
+			// actually full; a request that drained on its own is stale.
+			// Checked before every batch, not once per sweep: a producer
+			// that refills the ring as fast as it drains keeps the worker
+			// in this loop for the whole burst, and its requests with it.
+			if ev := r.evict.Load(); ev > 0 {
+				if r.full() {
+					n := r.shedOldest(ev)
+					if n > 0 {
+						in.shedN(ShedDropOldest, int64(n))
+						r.evict.Add(^uint64(n - 1)) // subtract n
+						handled += n
+					}
+				} else {
+					r.evict.Store(0)
+				}
+			}
 			n := r.consume(buf)
 			if n == 0 {
 				break
@@ -1126,12 +1142,19 @@ func (in *Ingester) applySegment(events []logio.Event, ringShard int, scratch *a
 	return n, applied, walOK
 }
 
+// markActive records that domain, and with it its e2LD, was queried on day.
+func markActive(act *activity.Log, day int, domain, e2ld string) {
+	act.MarkDomain(day, domain)
+	act.MarkE2LD(day, e2ld)
+}
+
 // shardApply is one shard's apply critical section: builder appends,
-// activity marks, and the shard's WAL stripe move together under the
-// shard lock. The unlock is deferred so a panic inside a builder append
-// cannot leave the shard mutex held when the worker's recovery kicks
-// in. Callers hold epochMu for read; day is the epoch day they read
-// under it. walOK reports whether every stripe append succeeded.
+// first-query activity marks, and the shard's WAL stripe move together
+// under the shard lock. The unlock is deferred so a panic inside a
+// builder append cannot leave the shard mutex held when the worker's
+// recovery kicks in. Callers hold epochMu for read; day is the epoch day
+// they read under it. walOK reports whether every stripe append
+// succeeded.
 func (in *Ingester) shardApply(sh *graphShard, events []logio.Event, day int, span *obs.Span) (applied int64, walOK bool) {
 	start := time.Now() // before the lock: contention is part of apply latency
 	sh.mu.Lock()
@@ -1146,10 +1169,10 @@ func (in *Ingester) shardApply(sh *graphShard, events []logio.Event, day int, sp
 		}
 		switch e.Kind {
 		case logio.EventQuery:
-			sh.builder.AddQuery(e.Machine, e.Domain)
-			if in.cfg.Activity != nil {
-				in.cfg.Activity.MarkDomain(e.Day, e.Domain)
-				in.cfg.Activity.MarkE2LD(e.Day, in.cfg.Suffixes.E2LD(e.Domain))
+			// A mark is idempotent per (day, name): only the domain's first
+			// query in this shard's window pays for it.
+			if e2ld, first := sh.builder.AddQuery(e.Machine, e.Domain); first && in.cfg.Activity != nil {
+				markActive(in.cfg.Activity, day, e.Domain, e2ld)
 			}
 		case logio.EventResolution:
 			for _, ip := range e.IPs {
@@ -1225,7 +1248,8 @@ func (in *Ingester) rotate(newDay int) *rotation {
 }
 
 // drainShardsLocked folds every shard's fresh delta since its last drain
-// into the merged builder. The per-shard deltas are already deduplicated
+// into the merged builder, as translated node ids (see
+// graph.Builder.DrainInto). The per-shard deltas are already deduplicated
 // and — by the ShardOf routing invariants — disjoint across shards, so
 // the merged builder receives each new edge and address exactly once.
 // Callers must hold epochMu (read side plus snapMu, or write side), so
@@ -1233,7 +1257,7 @@ func (in *Ingester) rotate(newDay int) *rotation {
 func (in *Ingester) drainShardsLocked() {
 	for _, sh := range in.shards {
 		sh.mu.Lock()
-		sh.builder.DrainFresh(in.merged.AddQuery, in.merged.AddResolution)
+		sh.builder.DrainInto(in.merged)
 		sh.mu.Unlock()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"segugio/internal/activity"
 	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
 	"segugio/internal/logio"
@@ -64,40 +65,52 @@ func benchShardBatches(total, batch, shards int) [][][]logio.Event {
 	return out
 }
 
-// BenchmarkIngestApply measures raw event-application throughput: one op
-// applies one 256-event batch to the live builder (no snapshots).
-func BenchmarkIngestApply(b *testing.B) {
+// benchConfig configures the apply path the way segugiod does: metrics
+// and a live activity log. An apply benchmark without the activity log
+// measures a pipeline the daemon never runs (it once advertised 4.3M
+// events/s where the daemon, marking activity per event, sustained 0.35M).
+func benchConfig(workers int) Config {
 	m, _ := newMetrics()
-	in := New(Config{Network: "bench", StartDay: 1, Workers: 1, Metrics: m})
+	return Config{Network: "bench", StartDay: 1, Workers: workers, Metrics: m, Activity: activity.NewLog()}
+}
+
+func benchApply(b *testing.B, in *Ingester, snapshotEvery int) {
 	defer in.Shutdown()
 	batches := benchBatches(1<<20, 256)
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.apply(batches[i%len(batches)], "bench", 0, nil)
+		if snapshotEvery > 0 && i%snapshotEvery == snapshotEvery-1 {
+			in.Snapshot()
+		}
 	}
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkIngestApply measures raw event-application throughput: one op
+// applies one 256-event batch to the live builder (no snapshots). Gated
+// in scripts/bench-allocs.sh (events/s floor).
+func BenchmarkIngestApply(b *testing.B) {
+	benchApply(b, New(benchConfig(1)), 0)
 }
 
 // BenchmarkIngestApplyWithSnapshots is the deployment mix: continuous
 // ingestion with a snapshot (merge + publish) every 16 batches, the
 // pattern the checkpointer and classify-all path impose on the builder.
 func BenchmarkIngestApplyWithSnapshots(b *testing.B) {
-	m, _ := newMetrics()
-	in := New(Config{Network: "bench", StartDay: 1, Workers: 1, Metrics: m})
-	defer in.Shutdown()
-	batches := benchBatches(1<<20, 256)
+	benchApply(b, New(benchConfig(1)), 16)
+}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in.apply(batches[i%len(batches)], "bench", 0, nil)
-		if i%16 == 15 {
-			in.Snapshot()
-		}
+// BenchmarkIngestApplyDurable is BenchmarkIngestApply with the WAL the
+// daemon runs under -state: every batch is also encoded and appended to
+// the shard's stripe, fsynced at the default cadence.
+func BenchmarkIngestApplyDurable(b *testing.B) {
+	in, _, err := OpenDurable(benchConfig(1), DurableConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "events/s")
+	benchApply(b, in, 0)
 }
 
 // BenchmarkIngestApplyShards is the sharding scaling curve: N appliers,
@@ -108,8 +121,7 @@ func BenchmarkIngestApplyWithSnapshots(b *testing.B) {
 func BenchmarkIngestApplyShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m, _ := newMetrics()
-			in := New(Config{Network: "bench", StartDay: 1, Workers: shards, Metrics: m})
+			in := New(benchConfig(shards))
 			defer in.Shutdown()
 			perShard := benchShardBatches(1<<20, 256, shards)
 

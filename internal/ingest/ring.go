@@ -45,6 +45,11 @@ type eventRing struct {
 	// closed marks that the producer is done; once also empty, the ring
 	// is retired from its shard.
 	closed atomic.Bool
+
+	// beforeTailStore is a test seam: when set, the producer calls it
+	// after filling its slots and before publishing them, the window in
+	// which a consumer can drain the ring behind the producer's back.
+	beforeTailStore func()
 }
 
 // newEventRing builds a ring holding at least depth events (rounded up
@@ -58,23 +63,34 @@ func newEventRing(depth int) *eventRing {
 }
 
 // publish1 appends one event; reports whether it fit and whether the
-// ring was empty beforehand (the wake-the-consumer signal: the worker
-// only blocks after seeing every ring empty, so only an empty→nonempty
-// transition can need a wakeup). Producer-side only.
-func (r *eventRing) publish1(e logio.Event) (ok, wasEmpty bool) {
+// consumer's doorbell must be rung. The worker only parks after a sweep
+// that saw every ring empty, so a wakeup is needed exactly when the
+// consumer may have caught up with the tail this publish is replacing.
+// That is judged from a head load taken AFTER the tail store: either the
+// consumer loads tail after the store (it sees the event and does not
+// park), or it loaded the old tail first — then its head store to that
+// tail precedes the load, and the head read here, later still, equals
+// the pre-store tail. A head read taken before the store can miss the
+// consumer draining the ring in between, and the doorbell with it. A
+// spurious ring (the consumer caught up but is still sweeping) costs one
+// empty sweep. Producer-side only.
+func (r *eventRing) publish1(e logio.Event) (ok, wake bool) {
 	t := r.tail.Load()
 	h := r.head.Load()
 	if t-h >= uint64(len(r.buf)) {
 		return false, false
 	}
 	r.buf[t&r.mask] = e
+	if r.beforeTailStore != nil {
+		r.beforeTailStore()
+	}
 	r.tail.Store(t + 1)
-	return true, t == h
+	return true, r.head.Load() == t
 }
 
 // publish appends as many of events as fit, returning how many and
-// whether the ring was empty beforehand. Producer-side only.
-func (r *eventRing) publish(events []logio.Event) (n int, wasEmpty bool) {
+// whether the doorbell must be rung (see publish1). Producer-side only.
+func (r *eventRing) publish(events []logio.Event) (n int, wake bool) {
 	t := r.tail.Load()
 	h := r.head.Load()
 	free := uint64(len(r.buf)) - (t - h)
@@ -82,13 +98,17 @@ func (r *eventRing) publish(events []logio.Event) (n int, wasEmpty bool) {
 	if uint64(n) > free {
 		n = int(free)
 	}
+	if n == 0 {
+		return 0, false
+	}
 	for i := 0; i < n; i++ {
 		r.buf[(t+uint64(i))&r.mask] = events[i]
 	}
-	if n > 0 {
-		r.tail.Store(t + uint64(n))
+	if r.beforeTailStore != nil {
+		r.beforeTailStore()
 	}
-	return n, n > 0 && t == h
+	r.tail.Store(t + uint64(n))
+	return n, r.head.Load() == t
 }
 
 // consume copies up to len(dst) queued events out and frees their

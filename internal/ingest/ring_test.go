@@ -1,9 +1,12 @@
 package ingest
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"segugio/internal/logio"
 )
@@ -189,4 +192,84 @@ func TestRingEvictProtocol(t *testing.T) {
 	if r.evict.Load() != 0 {
 		t.Fatal("stale evict request must clear")
 	}
+}
+
+// TestRingDoorbellSurvivesDrainBehindProducer forces the interleaving
+// that used to lose the doorbell: the producer reads head while the ring
+// still holds a backlog, the consumer then drains that backlog (and, in
+// the daemon, finds every ring empty and parks), and only then does the
+// producer's tail store land. A wake decision taken from the early head
+// read says "not empty, no doorbell" and the event sits behind a parked
+// worker forever; the post-store head re-read must ask for the doorbell.
+func TestRingDoorbellSurvivesDrainBehindProducer(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		r := newEventRing(8)
+		r.publish1(ringEvent(0)) // backlog the producer's first head read will see
+		r.beforeTailStore = func() {
+			r.beforeTailStore = nil
+			drained := make(chan int)
+			go func() { // the consumer side runs on its own goroutine, as in the daemon
+				n := r.consume(make([]logio.Event, 8))
+				if !r.empty() {
+					n = -1
+				}
+				drained <- n
+			}()
+			if n := <-drained; n != 1 {
+				t.Errorf("consumer drained %d events behind the producer, want exactly the backlog of 1", n)
+			}
+		}
+		var wake bool
+		if batch {
+			_, wake = r.publish([]logio.Event{ringEvent(1), ringEvent(2)})
+		} else {
+			_, wake = r.publish1(ringEvent(1))
+		}
+		if !wake {
+			t.Fatalf("batch=%v: consumer drained the ring between the producer's head read and tail store, and no doorbell was requested", batch)
+		}
+		if r.empty() {
+			t.Fatalf("batch=%v: published event not visible", batch)
+		}
+	}
+}
+
+// TestDoorbellWakesParkedWorker is the same interleaving against a live
+// worker under the block policy: the worker drains the backlog and parks
+// while the producer sits between its head read and its tail store. The
+// event published into that window must still be applied.
+func TestDoorbellWakesParkedWorker(t *testing.T) {
+	m, _ := newMetrics()
+	gate := make(chan struct{})
+	var gated atomic.Bool
+	in := New(Config{Network: "bell", StartDay: 1, Workers: 1, ShedPolicy: ShedBlock, Metrics: m,
+		ApplyHook: func() {
+			if gated.CompareAndSwap(false, true) {
+				<-gate // hold the worker inside its first batch
+			}
+		}})
+	defer in.Shutdown()
+	src := in.newSource("test")
+	defer src.close()
+	ev := func(i int) logio.Event {
+		return logio.Event{Kind: logio.EventQuery, Day: 1, Machine: "m", Domain: fmt.Sprintf("d%d.example.com", i)}
+	}
+	src.dispatch(ev(0))
+	waitFor(t, "worker to pick up the first event", gated.Load)
+	src.dispatch(ev(1)) // queued behind the held worker: the backlog
+	r := src.rings[0]
+	r.beforeTailStore = func() {
+		r.beforeTailStore = nil
+		close(gate)
+		// The worker applies both queued events, spends the doorbell token
+		// the second dispatch left, sweeps once more and parks.
+		waitFor(t, "worker to drain the backlog", func() bool {
+			return m.EventsIngested.Value() == 2 && r.empty() && len(in.wake[0]) == 0
+		})
+		time.Sleep(20 * time.Millisecond) // let the final empty sweep reach the park
+	}
+	src.dispatch(ev(2))
+	waitFor(t, "event published behind the parked worker to be applied", func() bool {
+		return m.EventsIngested.Value() == 3
+	})
 }

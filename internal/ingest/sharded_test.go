@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"segugio/internal/activity"
 	"segugio/internal/core"
@@ -104,6 +105,56 @@ func refReplay(network string, startDay int, suffixes *dnsutil.SuffixList, evs [
 	return b
 }
 
+// markEveryQuery is the reference activity semantics: one mark per query
+// event, for the domain and for its e2LD. Ingestion marks only a
+// domain's first query per shard and day (and re-marks a restored day at
+// startup); since a mark is idempotent per (day, name), the logs must
+// come out identical.
+func markEveryQuery(act *activity.Log, suffixes *dnsutil.SuffixList, evs []logio.Event) {
+	for _, e := range evs {
+		if e.Kind == logio.EventQuery {
+			act.MarkDomain(e.Day, e.Domain)
+			act.MarkE2LD(e.Day, suffixes.E2LD(e.Domain))
+		}
+	}
+}
+
+// requireActivityEquivalent compares two activity logs on every name the
+// stream mentions (queried or merely resolved) over days [from, to].
+func requireActivityEquivalent(t *testing.T, want, got *activity.Log, suffixes *dnsutil.SuffixList, evs []logio.Event, from, to int) {
+	t.Helper()
+	seen := make(map[string]struct{})
+	for _, e := range evs {
+		if _, dup := seen[e.Domain]; dup {
+			continue
+		}
+		seen[e.Domain] = struct{}{}
+		name, e2ld := e.Domain, suffixes.E2LD(e.Domain)
+		if w, g := want.DomainActiveDays(name, from, to), got.DomainActiveDays(name, from, to); w != g {
+			t.Fatalf("DomainActiveDays(%s, %d, %d) = %d, reference %d", name, from, to, g, w)
+		}
+		if w, g := want.E2LDActiveDays(e2ld, from, to), got.E2LDActiveDays(e2ld, from, to); w != g {
+			t.Fatalf("E2LDActiveDays(%s, %d, %d) = %d, reference %d", e2ld, from, to, g, w)
+		}
+		for day := from; day <= to; day++ {
+			if w, g := want.DomainStreak(name, day), got.DomainStreak(name, day); w != g {
+				t.Fatalf("DomainStreak(%s, %d) = %d, reference %d", name, day, g, w)
+			}
+			if w, g := want.E2LDStreak(e2ld, day), got.E2LDStreak(e2ld, day); w != g {
+				t.Fatalf("E2LDStreak(%s, %d) = %d, reference %d", e2ld, day, g, w)
+			}
+		}
+		wd, wok := want.FirstSeenDay(name)
+		gd, gok := got.FirstSeenDay(name)
+		if wd != gd || wok != gok {
+			t.Fatalf("FirstSeenDay(%s) = (%d, %v), reference (%d, %v)", name, gd, gok, wd, wok)
+		}
+	}
+	if w, g := want.Domains(), got.Domains(); w != g {
+		t.Fatalf("activity log tracks %d domains, reference %d", g, w)
+	}
+}
+
 // requireGraphsEquivalent compares two labeled graphs by name — intern
 // order differs between a sharded merge and a sequential build, so
 // indices are meaningless across the two — down to per-domain feature
@@ -175,18 +226,25 @@ func classifyAllSorted(t *testing.T, det *core.Detector, g *graph.Graph, act *ac
 // and rotation must degrade deltas to inexact. Run under -race it also
 // exercises the concurrent shard-apply path. Both the aligned
 // (shards == workers) and repartitioning (shards != workers) dispatch
-// paths are covered.
+// paths are covered. Throughout, the activity log the ingester marks on
+// first queries must equal a reference marked on every query event; the
+// durable case ends with an unclean death and checks that a WAL-replay
+// reopen rebuilds the same log from nothing.
 func TestShardedEquivalence(t *testing.T) {
-	for _, tc := range []struct{ workers, shards int }{
+	for _, tc := range []struct {
+		workers, shards int
+		durable         bool
+	}{
 		{workers: 4, shards: 4},
 		{workers: 4, shards: 3},
+		{workers: 4, shards: 3, durable: true},
 	} {
-		t.Run(fmt.Sprintf("workers=%d_shards=%d", tc.workers, tc.shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("workers=%d_shards=%d_durable=%v", tc.workers, tc.shards, tc.durable), func(t *testing.T) {
 			suffixes := dnsutil.DefaultSuffixList()
 			src, _, _ := equivLabelSources()
-			act := activity.NewLog()
+			act, refAct := activity.NewLog(), activity.NewLog()
 			m, _ := newMetrics()
-			in := New(Config{
+			icfg := Config{
 				Network:     "equiv",
 				StartDay:    5,
 				Workers:     tc.workers,
@@ -197,8 +255,19 @@ func TestShardedEquivalence(t *testing.T) {
 				PrepareSnapshot: func(g *graph.Graph) {
 					g.ApplyLabels(src(g.Day()))
 				},
-			})
-			defer in.Shutdown()
+			}
+			dc := DurableConfig{Dir: t.TempDir(), SyncEvery: 1, CheckpointEvery: time.Hour}
+			var in *Ingester
+			if tc.durable {
+				var err error
+				if in, _, err = OpenDurable(icfg, dc); err != nil {
+					t.Fatal(err)
+				}
+				// No Shutdown: the case ends in an unclean death.
+			} else {
+				in = New(icfg)
+				defer in.Shutdown()
+			}
 			if in.NumShards() != tc.shards {
 				t.Fatalf("NumShards = %d, want %d", in.NumShards(), tc.shards)
 			}
@@ -206,6 +275,8 @@ func TestShardedEquivalence(t *testing.T) {
 			day5 := genEquivEvents(5)
 			feed(t, in, m, day5)
 			got5, v5 := in.Snapshot()
+			markEveryQuery(refAct, suffixes, day5)
+			requireActivityEquivalent(t, refAct, act, suffixes, day5, 5, 6)
 
 			ref5 := refReplay("equiv", 5, suffixes, day5)
 			want5 := ref5.Snapshot()
@@ -245,6 +316,7 @@ func TestShardedEquivalence(t *testing.T) {
 				})
 			}
 			feed(t, in, m, deltaEvs)
+			markEveryQuery(refAct, suffixes, deltaEvs)
 			_, v6, delta := in.SnapshotSince(v5)
 			if v6 <= v5 {
 				t.Fatalf("version did not advance: %d -> %d", v5, v6)
@@ -297,6 +369,32 @@ func TestShardedEquivalence(t *testing.T) {
 			want6 := ref6.Snapshot()
 			want6.ApplyLabels(src(6))
 			requireGraphsEquivalent(t, want6, got6, act)
+			markEveryQuery(refAct, suffixes, day6)
+			all := slices.Concat(day5, deltaEvs, day6)
+			requireActivityEquivalent(t, refAct, act, suffixes, all, 5, 6)
+
+			if !tc.durable {
+				return
+			}
+			// Unclean death, no checkpoint ever taken: a new process with an
+			// empty activity log replays both days from the WAL stripes and
+			// must mark exactly what live ingestion marked.
+			act2 := activity.NewLog()
+			cfg2 := icfg
+			cfg2.Activity = act2
+			m2, _ := newMetrics()
+			cfg2.Metrics = m2
+			in2, info, err := OpenDurable(cfg2, dc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in2.Shutdown()
+			if info.CheckpointLoaded || info.ReplayedEvents != len(all) {
+				t.Fatalf("reopen info = %+v, want a WAL-only replay of %d events", info, len(all))
+			}
+			requireActivityEquivalent(t, refAct, act2, suffixes, all, 5, 6)
+			re6, _ := in2.Snapshot()
+			requireGraphsEquivalent(t, want6, re6, act2)
 		})
 	}
 }

@@ -223,7 +223,7 @@ func (env *shardedBenchEnv) addResolution(domain string, ip dnsutil.IPv4) {
 // the sharded delta benchmark bounds.
 func (env *shardedBenchEnv) mergeSnapshot() *graph.Graph {
 	for _, sh := range env.shards {
-		sh.DrainFresh(env.merged.AddQuery, env.merged.AddResolution)
+		sh.DrainInto(env.merged)
 	}
 	g := env.merged.Snapshot()
 	g.ApplyLabels(env.src)

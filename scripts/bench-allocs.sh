@@ -9,7 +9,8 @@
 # re-introduction of a full-graph rebuild shows up in CI as a hard error
 # rather than a silent slowdown. It also gates the segb1 wire format:
 # decode allocation budget, binary-vs-text parse speedup, and the ingest
-# frontend events/s floor (see the wire-format section below).
+# frontend events/s floor (see the wire-format section below), and holds
+# the graph-apply events/s floor and the 0-alloc E2LD budget.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,6 +68,33 @@ gate BenchmarkClassifyAllDelta ./internal/server "$BUDGET"
 gate BenchmarkClassifyAllDeltaSharded ./internal/server "$BUDGET"
 gate BenchmarkLBPResidual ./internal/belief "$LBP_BUDGET"
 gate BenchmarkScrape ./internal/tsdb "$TSDB_SCRAPE_BUDGET"
+# E2LD runs once per interned name in every builder, in snapshot decode
+# and in the batch oracle; every candidate suffix is a slice of the
+# input, so it must not allocate at all.
+gate BenchmarkE2LD ./internal/dnsutil 0
+
+# --- Graph-apply floor --------------------------------------------------
+#
+# BenchmarkIngestApply configures what the daemon configures (metrics
+# and a live activity log) and applies 256-event batches through
+# shardApply. The shard lock must guard integer work only: activity
+# marks and e2LD derivation are paid on a domain's first query, not per
+# event. With per-event marking this benchmark ran at ~0.7M events/s on
+# the 2-vCPU bench host; first-query marking runs at ~3.7M. The floor
+# sits between the two so a per-event cost cannot hide here again.
+APPLY_EVENTS_FLOOR=${BENCH_APPLY_EVENTS_FLOOR:-1500000}
+apply_out=$(go test -run '^$' -bench 'BenchmarkIngestApply$' -benchmem -benchtime 2s ./internal/ingest)
+echo "$apply_out"
+apply_rate=$(metric "$apply_out" "BenchmarkIngestApply-" events/s)
+if [ -z "$apply_rate" ]; then
+    echo "bench-allocs: could not parse events/s from BenchmarkIngestApply output" >&2
+    exit 1
+fi
+if ! awk -v r="$apply_rate" -v f="$APPLY_EVENTS_FLOOR" 'BEGIN { exit !(r >= f) }'; then
+    echo "bench-allocs: activity-on graph apply sustained $apply_rate events/s, floor is $APPLY_EVENTS_FLOOR" >&2
+    exit 1
+fi
+echo "bench-allocs: activity-on graph apply $apply_rate events/s (floor $APPLY_EVENTS_FLOOR)"
 
 # --- Graph-apply scaling gate -----------------------------------------
 #
