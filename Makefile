@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-allocs bench-short bench-all obs-smoke chaos clean
+.PHONY: build test race vet check bench bench-allocs bench-short bench-all obs-smoke chaos loc clean
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,12 @@ chaos:
 # /v1/audit, /healthz). Fails if any endpoint is missing or broken.
 obs-smoke:
 	./scripts/obs-smoke.sh
+
+# loc prints non-test and test Go lines per package plus the segugiod
+# flag count (see scripts/loc.sh): run it on a change and on its parent to
+# read the net line and knob delta instead of estimating it.
+loc:
+	./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -118,7 +118,6 @@ func TestDaemonChaosOverloadRecovery(t *testing.T) {
 		// (2 shards x 1024 > the ~1400 baseline events) while the 20k
 		// flood against fsync-stalled workers must.
 		queue:        1024,
-		window:       14,
 		keepDays:     30,
 		stateDir:     t.TempDir(),
 		ckptInterval: time.Hour, // no background checkpoints mid-chaos
@@ -288,9 +287,6 @@ func TestDaemonChaosOverloadRecovery(t *testing.T) {
 	if v, _ := metricValue(t, base, "segugiod_ingest_dropped_total"); v != 0 {
 		t.Fatalf("legacy drop counter = %v under drop-oldest policy, want 0", v)
 	}
-	if v, _ := metricValue(t, base, `segugiod_ingest_shed_total{reason="sample"}`); v != 0 {
-		t.Fatalf("sample shed counter = %v under drop-oldest policy, want 0", v)
-	}
 	// One completed pass clears the watchdog; the TTL signals decay.
 	if code, _ := classify(); code != http.StatusOK {
 		t.Fatalf("recovery classify: %d", code)
@@ -449,7 +445,6 @@ func TestDaemonChaosKillUnderOverload(t *testing.T) {
 		startDay:     e2eDay,
 		workers:      2,
 		queue:        16384,
-		window:       14,
 		keepDays:     30,
 		stateDir:     state,
 		ckptInterval: time.Hour,
@@ -522,7 +517,6 @@ func TestDaemonChaosFreshnessSLOBurn(t *testing.T) {
 		startDay:      e2eDay,
 		workers:       2,
 		queue:         1024,
-		window:        14,
 		keepDays:      30,
 		statsInterval: 25 * time.Millisecond,
 		sloConfig:     sloPath,

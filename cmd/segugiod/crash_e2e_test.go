@@ -187,9 +187,9 @@ func TestDaemonCrashRecovery(t *testing.T) {
 
 	// Phase 2: restart on the same state directory, in-process this time
 	// so the recovered daemon's internals are inspectable. The victim ran
-	// with the default 4 graph shards; restarting with 2 forces recovery
-	// to rehash the per-shard checkpoints and WAL stripes into the new
-	// partition — the flag may change across any restart, crashes
+	// with the default 4 shards; restarting with -workers 2 forces
+	// recovery to rehash the per-shard checkpoints and WAL stripes into
+	// the new partition — the flag may change across any restart, crashes
 	// included.
 	logBuf := &logBuffer{}
 	logger, err := obs.NewLogger(logBuf, obs.FormatText, 0)
@@ -201,10 +201,8 @@ func TestDaemonCrashRecovery(t *testing.T) {
 		events:       "tcp://127.0.0.1:0",
 		network:      "crash",
 		startDay:     e2eDay,
-		workers:      4,
-		graphShards:  2,
+		workers:      2,
 		queue:        16384,
-		window:       14,
 		keepDays:     30,
 		stateDir:     state,
 		ckptInterval: time.Hour, // only the shutdown checkpoint

@@ -221,7 +221,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 		startDay: e2eDay,
 		workers:  4,
 		queue:    8192,
-		window:   14,
 		keepDays: 30,
 	}, logger)
 	if err != nil {
@@ -543,5 +542,14 @@ func TestParseFlagsRejectsExtraArgs(t *testing.T) {
 	}
 	if opts.listen != "127.0.0.1:1234" || opts.events != "tcp://127.0.0.1:9" {
 		t.Fatalf("opts = %+v", opts)
+	}
+	// Retired knobs fail parsing instead of being silently ignored.
+	for _, args := range [][]string{
+		{"-graph-shards", "2"}, {"-wal-binary"}, {"-window", "7"},
+		{"-lbp-threshold", "0.8"}, {"-shed-policy", "sample"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Fatalf("parseFlags(%v) succeeded, want an error", args)
+		}
 	}
 }

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"segugio/internal/activity"
-	"segugio/internal/belief"
 	"segugio/internal/core"
 	"segugio/internal/detector"
 	"segugio/internal/dnsutil"
@@ -88,19 +87,13 @@ type options struct {
 	startDay int
 	workers  int
 	queue    int
-	window   int
 	keepDays int
-
-	// graphShards partitions the live graph by machine/domain hash; 0
-	// follows -workers so each ingest shard feeds its own graph shard.
-	graphShards int
 
 	// Durability and hardening knobs. A zero value disables the feature
 	// (no -state means a purely in-memory daemon, as before).
 	stateDir         string
 	ckptInterval     time.Duration
 	walSyncEvery     int
-	walBinary        bool
 	maxEventConns    int
 	eventIdleTimeout time.Duration
 
@@ -139,16 +132,11 @@ type options struct {
 	statsRetention time.Duration
 	sloConfig      string
 
-	// Detector-plugin knobs: which plugins the classify pass drives, the
-	// LBP engine's tuning, and an optional JSON file layered over the
-	// flags and re-read on every reload (POST /v1/reload or SIGHUP).
+	// Detector-plugin knobs: which plugins the classify pass drives, and
+	// an optional JSON tuning file re-read on every reload (POST
+	// /v1/reload or SIGHUP).
 	detectors      string
 	detectorConfig string
-	lbpEpsilon     float64
-	lbpDamping     float64
-	lbpMaxIter     int
-	lbpTolerance   float64
-	lbpThreshold   float64
 }
 
 func parseFlags(args []string) (options, error) {
@@ -161,20 +149,17 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&opts.pslPath, "psl", "", "public-suffix list file (optional)")
 	fs.StringVar(&opts.network, "network", "isp", "network name stamped on live graphs")
 	fs.IntVar(&opts.startDay, "start-day", 0, "initial epoch day; earlier events are dropped as stale")
-	fs.IntVar(&opts.workers, "workers", 4, "ingest worker shards")
-	fs.IntVar(&opts.graphShards, "graph-shards", 0, "machine-hash graph shards, each with its own apply lock and WAL stripe (0 = -workers; a restart with a different value rehashes the recovered state)")
+	fs.IntVar(&opts.workers, "workers", 4, "ingest shards: one worker, one machine-hash graph shard with its own apply lock, and one WAL stripe each (a restart with a different value rehashes the recovered state)")
 	fs.IntVar(&opts.queue, "queue", 4096, "per-shard event queue depth")
-	fs.IntVar(&opts.window, "window", 14, "activity look-back window in days (F2 features)")
 	fs.IntVar(&opts.keepDays, "keep-days", 30, "days of activity history kept across rotations")
 	fs.StringVar(&opts.stateDir, "state", "", "state directory for the write-ahead log and checkpoints (empty: in-memory only)")
 	fs.DurationVar(&opts.ckptInterval, "checkpoint-interval", 30*time.Second, "how often to checkpoint the live graph (with -state)")
 	fs.IntVar(&opts.walSyncEvery, "wal-sync-every", 256, "fsync the WAL after this many records (with -state; 1 = every record)")
-	fs.BoolVar(&opts.walBinary, "wal-binary", false, "append WAL records in the segb1 binary framing instead of text (with -state; replay auto-detects either, so the flag can change across restarts)")
 	fs.IntVar(&opts.maxEventConns, "max-event-conns", 64, "concurrent tcp:// event connections accepted (0 = unlimited)")
 	fs.DurationVar(&opts.eventIdleTimeout, "event-idle-timeout", 5*time.Minute, "drop a tcp:// event connection idle this long (0 = never)")
 	fs.DurationVar(&opts.classifyEvery, "classify-every", 0, "run a periodic classify-all and feed detections to the /v1/tracker history (0 = disabled; needs -model)")
 	fs.DurationVar(&opts.passDeadline, "pass-deadline", 0, "cancel a classify/tracker pass running longer than this and serve last-good cached scores stale-marked (0 = unbounded)")
-	fs.StringVar(&opts.shedPolicy, "shed-policy", "drop", `full ingest shard policy: "drop" (legacy drop-newest), "block" (backpressure), "drop-oldest" or "sample" (shed only while overloaded)`)
+	fs.StringVar(&opts.shedPolicy, "shed-policy", "drop", `full ingest shard policy: "drop" (legacy drop-newest), "block" (backpressure), "drop-oldest" (shed only while overloaded)`)
 	fs.IntVar(&opts.maxInflight, "max-inflight", 0, "per-endpoint concurrent request cap; excess requests get 429/503 with Retry-After (0 = unlimited)")
 	fs.IntVar(&opts.memWatermarkMB, "mem-watermark-mb", 0, "heap-in-use megabytes above which the daemon reports overloaded (0 = disabled)")
 	fs.BoolVar(&opts.pprof, "pprof", true, "serve net/http/pprof under /debug/pprof/ on the API listener")
@@ -189,12 +174,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&opts.detectors, "detectors", "forest",
 		`comma-separated detector plugins driven by the classify pass (e.g. "forest,lbp")`)
 	fs.StringVar(&opts.detectorConfig, "detector-config", "",
-		"JSON detector tuning file layered over the -lbp-* flags, re-read on every reload")
-	fs.Float64Var(&opts.lbpEpsilon, "lbp-epsilon", 0, "LBP homophily strength epsilon (0 = default)")
-	fs.Float64Var(&opts.lbpDamping, "lbp-damping", 0, "LBP message damping factor in [0,1)")
-	fs.IntVar(&opts.lbpMaxIter, "lbp-max-iter", 0, "LBP iteration budget per pass (0 = default)")
-	fs.Float64Var(&opts.lbpTolerance, "lbp-tolerance", 0, "LBP convergence tolerance (0 = default)")
-	fs.Float64Var(&opts.lbpThreshold, "lbp-threshold", 0, "LBP detection threshold (0 = default)")
+		"JSON detector tuning file layered over the plugin defaults, re-read on every reload")
 	if err := fs.Parse(args); err != nil {
 		return opts, err
 	}
@@ -202,7 +182,7 @@ func parseFlags(args []string) (options, error) {
 		return opts, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	if !ingest.ValidShedPolicy(opts.shedPolicy) {
-		return opts, fmt.Errorf("-shed-policy: unknown policy %q (have drop, block, drop-oldest, sample)", opts.shedPolicy)
+		return opts, fmt.Errorf("-shed-policy: unknown policy %q (have drop, block, drop-oldest)", opts.shedPolicy)
 	}
 	if _, err := opts.detectorNames(); err != nil {
 		return opts, err
@@ -230,27 +210,18 @@ func (opts *options) detectorNames() ([]string, error) {
 	return names, nil
 }
 
-// detectorTuning resolves the effective plugin tuning: the -lbp-* flags
-// first, then the -detector-config file layered on top.
+// detectorTuning resolves the startup plugin tuning: the defaults, or
+// the -detector-config file layered over them.
 func (opts *options) detectorTuning() (detector.Tuning, error) {
-	tuning := detector.Tuning{
-		LBP: belief.Config{
-			Epsilon:       opts.lbpEpsilon,
-			Damping:       opts.lbpDamping,
-			MaxIterations: opts.lbpMaxIter,
-			Tolerance:     opts.lbpTolerance,
-		},
-		LBPThreshold: opts.lbpThreshold,
-	}
 	if opts.detectorConfig == "" {
-		return tuning, nil
+		return detector.Tuning{}, nil
 	}
 	f, err := os.Open(opts.detectorConfig)
 	if err != nil {
-		return tuning, err
+		return detector.Tuning{}, err
 	}
 	defer f.Close()
-	return detector.LoadTuning(f, tuning)
+	return detector.LoadTuning(f)
 }
 
 func run(ctx context.Context, args []string, stdin io.Reader, logw io.Writer) error {
@@ -478,22 +449,17 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 			"Latency of taking one live-graph snapshot (incremental merge + labeling).", "", nil),
 		DirtyDomains: d.reg.NewGauge("segugiod_dirty_domains",
 			"Domains whose evidence changed between the last two snapshots.", ""),
-		EventsShed: map[string]*metrics.Counter{},
-	}
-	// Pre-register every shed reason so the series scrape as zeros from
-	// the first exposition, whatever policy is active.
-	for _, reason := range []string{ingest.ShedDropOldest, ingest.ShedSample} {
-		ingMetrics.EventsShed[reason] = d.reg.NewCounter("segugiod_ingest_shed_total",
-			"Unacknowledged events shed by the overload policy, by reason.",
-			metrics.Labels("reason", reason))
+		// Registered whatever policy is active, so the series scrapes as
+		// zero from the first exposition.
+		EventsShed: map[string]*metrics.Counter{
+			ingest.ShedDropOldest: d.reg.NewCounter("segugiod_ingest_shed_total",
+				"Unacknowledged events shed by the overload policy, by reason.",
+				metrics.Labels("reason", ingest.ShedDropOldest)),
+		},
 	}
 	// Per-shard apply instrumentation: one series per graph shard, so a
 	// hot or stalled shard is visible in isolation.
-	graphShards := opts.graphShards
-	if graphShards <= 0 {
-		graphShards = opts.workers
-	}
-	for s := 0; s < graphShards; s++ {
+	for s := 0; s < opts.workers; s++ {
 		lbl := metrics.Labels("shard", strconv.Itoa(s))
 		ingMetrics.ShardEvents = append(ingMetrics.ShardEvents, d.reg.NewCounter(
 			"segugiod_shard_events_total",
@@ -509,7 +475,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 		StartDay:         opts.startDay,
 		Suffixes:         suffixes,
 		Workers:          opts.workers,
-		GraphShards:      opts.graphShards,
 		QueueDepth:       opts.queue,
 		Activity:         act,
 		ActivityKeepDays: opts.keepDays,
@@ -524,7 +489,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 		Tracer:     d.tracer,
 		Health:     d.health,
 		ShedPolicy: opts.shedPolicy,
-		BinaryWAL:  opts.walBinary,
 		Watermarks: d.wm,
 		ApplyHook:  opts.applyHook,
 	}
@@ -658,7 +622,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 		Detector:     d.handle,
 		Activity:     act,
 		Abuse:        abuse,
-		Window:       opts.window,
 		Registry:     d.reg,
 		Panics:       d.panics,
 		Tracker:      d.trk,

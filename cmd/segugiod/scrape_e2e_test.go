@@ -51,18 +51,17 @@ func TestMetricsScrapeLints(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := newDaemon(options{
-		listen:       "127.0.0.1:0",
-		events:       "-",
-		model:        model,
-		dataDir:      dir,
-		network:      "scrape",
-		startDay:     e2eDay,
-		workers:      2,
-		queue:        16384,
-		window:       14,
-		keepDays:     30,
-		stateDir:     t.TempDir(),
-		ckptInterval: 50 * time.Millisecond,
+		listen:        "127.0.0.1:0",
+		events:        "-",
+		model:         model,
+		dataDir:       dir,
+		network:       "scrape",
+		startDay:      e2eDay,
+		workers:       2,
+		queue:         16384,
+		keepDays:      30,
+		stateDir:      t.TempDir(),
+		ckptInterval:  50 * time.Millisecond,
 		walSyncEvery:  1,
 		detectors:     "forest,lbp",
 		statsInterval: 50 * time.Millisecond,
@@ -144,7 +143,6 @@ func TestMetricsScrapeLints(t *testing.T) {
 		`segugiod_detector_pass_errors_total{detector="lbp"}`,
 		"segugiod_health_state",
 		`segugiod_ingest_shed_total{reason="drop-oldest"}`,
-		`segugiod_ingest_shed_total{reason="sample"}`,
 		"segugiod_pass_deadline_exceeded_total",
 		`segugiod_http_rejected_total{code="429"}`,
 		`segugiod_http_rejected_total{code="503"}`,

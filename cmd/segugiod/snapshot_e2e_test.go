@@ -33,7 +33,6 @@ func runSnapshotDaemon(t *testing.T, state string) {
 		startDay:      e2eDay,
 		workers:       2,
 		queue:         1024,
-		window:        14,
 		keepDays:      30,
 		stateDir:      state,
 		ckptInterval:  time.Hour,

@@ -187,6 +187,11 @@ func (d *Detector) SetThreshold(t float64) { d.threshold = t }
 // Threshold returns the current detection threshold.
 func (d *Detector) Threshold() float64 { return d.threshold }
 
+// ActivityWindow returns the F2 look-back in days the detector was
+// trained with and scores with; anything that shows an analyst the
+// features behind a score must extract them with the same window.
+func (d *Detector) ActivityWindow() int { return d.cfg.ActivityWindow }
+
 // PruneConfig exposes the detector's pruning thresholds and whether
 // pruning is enabled at all. Score caches keyed by per-domain dirty sets
 // need this: combined with graph.PruneSignature it detects the global

@@ -255,19 +255,20 @@ func TestFuse(t *testing.T) {
 }
 
 func TestLoadTuning(t *testing.T) {
-	base := detector.Tuning{LBP: belief.Config{MaxIterations: 20}}
 	tun, err := detector.LoadTuning(strings.NewReader(
-		`{"lbp": {"epsilon": 0.05, "threshold": 0.8}}`), base)
+		`{"lbp": {"epsilon": 0.05, "threshold": 0.8}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tun.LBP.Epsilon != 0.05 || tun.LBP.MaxIterations != 20 || tun.LBPThreshold != 0.8 {
-		t.Fatalf("tuning = %+v", tun)
+	// Absent knobs stay zero, which every consumer reads as "default".
+	want := detector.Tuning{LBP: belief.Config{Epsilon: 0.05}, LBPThreshold: 0.8}
+	if tun != want {
+		t.Fatalf("tuning = %+v, want %+v", tun, want)
 	}
-	if _, err := detector.LoadTuning(strings.NewReader(`{"nope": 1}`), base); err == nil {
+	if _, err := detector.LoadTuning(strings.NewReader(`{"nope": 1}`)); err == nil {
 		t.Fatal("unknown fields must error")
 	}
-	if _, err := detector.LoadTuning(strings.NewReader(`{`), base); err == nil {
+	if _, err := detector.LoadTuning(strings.NewReader(`{`)); err == nil {
 		t.Fatal("truncated JSON must error")
 	}
 }

@@ -49,34 +49,23 @@ type tuningFile struct {
 	} `json:"lbp"`
 }
 
-// LoadTuning parses the -detector-config JSON. Values layer on top of
-// base (flag-provided tuning), so the file only needs the knobs it
-// changes.
-func LoadTuning(r io.Reader, base Tuning) (Tuning, error) {
+// LoadTuning parses the -detector-config JSON. A zero or absent field
+// selects its default, so the file only needs the knobs it changes.
+func LoadTuning(r io.Reader) (Tuning, error) {
 	var f tuningFile
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
-		return base, fmt.Errorf("detector: tuning config: %w", err)
+		return Tuning{}, fmt.Errorf("detector: tuning config: %w", err)
 	}
-	t := base
-	if f.LBP.Epsilon != 0 {
-		t.LBP.Epsilon = f.LBP.Epsilon
-	}
-	if f.LBP.Damping != 0 {
-		t.LBP.Damping = f.LBP.Damping
-	}
-	if f.LBP.MaxIterations != 0 {
-		t.LBP.MaxIterations = f.LBP.MaxIterations
-	}
-	if f.LBP.Tolerance != 0 {
-		t.LBP.Tolerance = f.LBP.Tolerance
-	}
-	if f.LBP.PriorMalware != 0 {
-		t.LBP.PriorMalware = f.LBP.PriorMalware
-	}
-	if f.LBP.Threshold != 0 {
-		t.LBPThreshold = f.LBP.Threshold
-	}
-	return t, nil
+	return Tuning{
+		LBP: belief.Config{
+			Epsilon:       f.LBP.Epsilon,
+			Damping:       f.LBP.Damping,
+			MaxIterations: f.LBP.MaxIterations,
+			Tolerance:     f.LBP.Tolerance,
+			PriorMalware:  f.LBP.PriorMalware,
+		},
+		LBPThreshold: f.LBP.Threshold,
+	}, nil
 }

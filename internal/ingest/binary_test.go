@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,114 +150,52 @@ func TestConsumeBinaryTruncatedStream(t *testing.T) {
 	}
 }
 
-// TestDurableBinaryWAL runs the WAL-only crash recovery path with
-// binary WAL records: events fed through the binary stream, appended to
-// the WAL as self-contained segb1 payloads, and replayed after an
-// unclean death.
-func TestDurableBinaryWAL(t *testing.T) {
+// TestDurableMixedFormatWAL: WAL records are text event lines. A
+// CRC-intact record that starts with the segb1 magic (a stripe written by
+// a build that had a binary record format) is version skew like any other
+// unparseable record: skipped and counted, with the records after it
+// still replayed.
+func TestDurableMixedFormatWAL(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	cfg.BinaryWAL = true
-	in, _, err := OpenDurable(cfg, dc)
+	in, m, _ := openShards(t, dir, 1)
+	head := genDurableEvents(5, 300)
+	feed(t, in, m, head)
+	// Unclean death: no Shutdown, no checkpoint. Append a segb1 record and
+	// then a text record to the dead process's stripe.
+	stripe, err := wal.Open(filepath.Join(dir, genDirName(1), shardWALDir(0)), wal.Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := genDurableEvents(5, 1200)
-	for i := 0; i < 40; i++ { // some resolutions so both opcodes hit the WAL
-		evs = append(evs, logio.Event{Kind: logio.EventResolution, Day: 5,
-			Domain: fmt.Sprintf("h%d.zone%d.net", i%29, i%11),
-			IPs:    []dnsutil.IPv4{dnsutil.MakeIPv4(10, 9, byte(i), 1)}})
+	skewed := binStream(t, genDurableEvents(5, 50))
+	if !bytes.HasPrefix(skewed, []byte(logio.BinaryMagic)) {
+		t.Fatal("fixture record does not start with the segb1 magic")
 	}
-	before := m.EventsIngested.Value()
-	if err := in.Consume(bytes.NewReader(binStream(t, evs))); err != nil {
+	tail := []logio.Event{{Kind: logio.EventQuery, Day: 5, Machine: "after", Domain: "after-skew.example.org"}}
+	for _, payload := range [][]byte{skewed, []byte(stream(t, tail))} {
+		if _, err := stripe.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := stripe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "events applied", func() bool {
-		return m.EventsIngested.Value() == before+int64(len(evs))
-	})
-	want, _ := in.Snapshot()
-	// Unclean death: no Shutdown, no checkpoint.
 
 	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	cfg2.BinaryWAL = true
-	in2, info2, err := OpenDurable(cfg2, dc2)
+	dm2 := newDurableMetrics()
+	cfg2, dc2 := durableCfg(dir, m2, dm2)
+	in2, info, err := OpenDurable(cfg2, dc2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in2.Shutdown()
-	if info2.ReplayedEvents != len(evs) {
-		t.Fatalf("replayed %d events, want %d (replay errors %d)", info2.ReplayedEvents, len(evs), info2.ReplayErrors)
+	if info.ReplayErrors != 1 || dm2.ReplayErrors.Value() != 1 {
+		t.Fatalf("replay errors = %d (counter %d), want 1 for the segb1 record", info.ReplayErrors, dm2.ReplayErrors.Value())
 	}
-	if info2.ReplayErrors != 0 {
-		t.Fatalf("replay errors = %d", info2.ReplayErrors)
+	if want := len(head) + len(tail); info.ReplayedEvents != want {
+		t.Fatalf("replayed %d events, want %d (every text record, none from the segb1 one)", info.ReplayedEvents, want)
 	}
-	got, _ := in2.Snapshot()
-	if graphShape(got) != graphShape(want) {
-		t.Fatalf("recovered shape %v, want %v", graphShape(got), graphShape(want))
-	}
-}
-
-// TestDurableMixedFormatWAL: a WAL written partly with text records and
-// partly with binary records (a restart that flipped the flag) must
-// replay fully — the format is sniffed per record.
-func TestDurableMixedFormatWAL(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	textEvs := genDurableEvents(5, 300)
-	feed(t, in, m, textEvs)
-	in.Shutdown()
-
-	// Shutdown wrote a checkpoint, so reopen with BinaryWAL and append
-	// events on top: the dirty WAL tail now holds binary records while
-	// the checkpointed prefix came from text ones.
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	cfg2.BinaryWAL = true
-	in2, _, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binEvs := genDurableEvents(5, 400)[100:] // overlapping machines, new volume
-	before := m2.EventsIngested.Value()
-	if err := in2.Consume(bytes.NewReader(binStream(t, binEvs))); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "binary tail applied", func() bool {
-		return m2.EventsIngested.Value() == before+int64(len(binEvs))
-	})
-	want, _ := in2.Snapshot()
-	// Unclean death.
-
-	m3, _ := newMetrics()
-	cfg3, dc3 := durableCfg(dir, m3, newDurableMetrics())
-	in3, info3, err := OpenDurable(cfg3, dc3) // replayer does not need the flag
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in3.Shutdown()
-	if info3.ReplayedEvents != len(binEvs) {
-		t.Fatalf("replayed %d events from the binary tail, want %d (errors %d)",
-			info3.ReplayedEvents, len(binEvs), info3.ReplayErrors)
-	}
-	got, _ := in3.Snapshot()
-	if graphShape(got) != graphShape(want) {
-		t.Fatalf("recovered shape %v, want %v", graphShape(got), graphShape(want))
-	}
-}
-
-// TestBinaryWALRecordFitsCap: the WAL flush threshold plus one maximal
-// binary frame must stay under the WAL's record-size cap, or a flush
-// could build an unappendable record.
-func TestBinaryWALRecordFitsCap(t *testing.T) {
-	if walFlushBytes+logio.MaxFrameBytes >= wal.MaxRecordBytes {
-		t.Fatalf("walFlushBytes(%d) + MaxFrameBytes(%d) >= wal.MaxRecordBytes(%d)",
-			walFlushBytes, logio.MaxFrameBytes, wal.MaxRecordBytes)
+	g, _ := in2.Snapshot()
+	if _, ok := g.DomainIndex("after-skew.example.org"); !ok {
+		t.Fatal("the record after the skipped one was not replayed")
 	}
 }

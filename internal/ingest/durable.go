@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"segugio/internal/core"
@@ -39,31 +40,25 @@ import (
 // only reclaimed up to the position of the checkpoint one generation
 // back.
 //
-// When -graph-shards changes across a restart (or a legacy
-// single-builder state directory is found), recovery rehashes: the old
-// partition is loaded in full — checkpoints plus WAL replay — then every
-// edge and resolution is re-routed through graph.ShardOf into the new
-// partition, and the redistributed state is written as a fresh layout
-// generation (new checkpoints, empty stripes) before the old one is
-// deleted. The manifest flips to the new generation atomically, so a
-// crash mid-migration simply re-runs it; generation directories the
-// manifest does not name are orphans and are swept at the next open.
+// When the shard count (-workers) changes across a restart, recovery
+// rehashes: the old partition is loaded in full — checkpoints plus WAL
+// replay — then every edge and resolution is re-routed through
+// graph.ShardOf into the new partition, and the redistributed state is
+// written as a fresh layout generation (new checkpoints, empty stripes)
+// before the old one is deleted. The manifest flips to the new generation
+// atomically, so a crash mid-migration simply re-runs it; generation
+// directories the manifest does not name are orphans and are swept at the
+// next open.
 
-// State-directory layout names. Legacy (pre-sharding) layouts keep a
-// single checkpoint pair and WAL at the root; sharded layouts live in a
-// per-generation directory named by the manifest.
+// State-directory layout names: the manifest at the root names the live
+// per-generation directory.
 const (
-	manifestFile       = "MANIFEST.json"
-	checkpointFile     = "checkpoint.gob"      // legacy layout
-	checkpointPrevFile = "checkpoint.prev.gob" // legacy layout
-	walDirName         = "wal"                 // legacy layout
-	genDirPrefix       = "gen-"
+	manifestFile = "MANIFEST.json"
+	genDirPrefix = "gen-"
 )
 
 // CheckpointFormatVersion is the current checkpoint file format. The
-// per-shard files of the sharded layout carry the same format as the
-// legacy single checkpoint; the manifest, not the checkpoint, describes
-// the partition.
+// manifest, not the checkpoint, describes the partition.
 const CheckpointFormatVersion = 1
 
 // ManifestFormatVersion is the current MANIFEST.json format.
@@ -172,8 +167,7 @@ type RecoveryInfo struct {
 	// was corrupt and its previous generation was used instead.
 	UsedFallback bool
 	// Rehashed is true when the on-disk shard count differed from the
-	// requested one (or a legacy layout was found) and the state was
-	// redistributed through graph.ShardOf.
+	// requested one and the state was redistributed through graph.ShardOf.
 	Rehashed bool
 	// Shards is the shard count the recovered ingester runs with.
 	Shards int
@@ -213,10 +207,11 @@ func (ri *RecoveryInfo) String() string {
 // recovers every shard's newest intact checkpoint from dc.Dir, replays
 // each WAL stripe's tail on top, and returns an ingester that logs every
 // applied event to its shard's stripe and checkpoints periodically. If
-// the on-disk shard count differs from cfg.GraphShards the recovered
+// the on-disk shard count differs from cfg.Workers the recovered
 // state is rehashed into the requested partition first. The
 // RecoveryInfo describes what was rebuilt (a fresh start on an empty
-// directory is not an error).
+// directory is not an error). A directory holding the pre-manifest
+// layout is refused with an error naming the files, untouched.
 func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error) {
 	if dc.Dir == "" {
 		return nil, nil, errors.New("ingest: DurableConfig.Dir is required")
@@ -236,17 +231,18 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.GraphShards <= 0 {
-		cfg.GraphShards = cfg.Workers
-	}
 	if err := os.MkdirAll(dc.Dir, 0o755); err != nil {
 		return nil, nil, err
 	}
 
-	info := &RecoveryInfo{Shards: cfg.GraphShards}
+	info := &RecoveryInfo{Shards: cfg.Workers}
 	man, err := readManifest(dc.Dir)
 	if err != nil {
 		return nil, nil, err
+	}
+	if found := preManifestLayout(dc.Dir); man == nil && len(found) > 0 {
+		return nil, nil, fmt.Errorf("ingest: %s holds a pre-manifest state layout (%s) this build does not read; move it aside or pick another state directory",
+			dc.Dir, strings.Join(found, ", "))
 	}
 	// Sweep generation directories the manifest does not name: they are
 	// leftovers of a migration that crashed before (orphan new gen) or
@@ -263,30 +259,17 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 		logs     []*wal.Log
 		version  uint64
 	)
-	switch {
-	case man == nil && !legacyLayoutPresent(dc.Dir):
+	if man == nil {
 		// Fresh state directory: create generation 1 directly at the
 		// requested shard count.
 		builders, logs, err = createGeneration(&dc, cfg, nil, 1, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-	case man == nil:
-		// Legacy single-builder layout: load it, then rehash into a
-		// first-generation sharded layout.
-		b, v := loadLegacy(&dc, cfg, info)
-		old := []*graph.Builder{b}
-		builders, logs, err = createGeneration(&dc, cfg, old, 1, v)
-		if err != nil {
-			return nil, nil, err
-		}
-		version = v
-		info.Rehashed = true
-		removeLegacyLayout(dc.Dir)
-	default:
+	} else {
 		old, v, pos := loadGeneration(&dc, cfg, man, info)
 		version = v
-		if man.Shards == cfg.GraphShards {
+		if man.Shards == cfg.Workers {
 			// Same partition: reopen the stripes in place and carry on.
 			dc.genDir = filepath.Join(dc.Dir, genDirName(man.Gen))
 			logs = make([]*wal.Log, man.Shards)
@@ -379,47 +362,18 @@ func sweepOrphanGens(dir string, live uint64) {
 	}
 }
 
-// legacyLayoutPresent reports whether dir holds a pre-sharding state
-// layout (single checkpoint pair and WAL at the root, no manifest).
-func legacyLayoutPresent(dir string) bool {
-	for _, name := range []string{checkpointFile, checkpointPrevFile, walDirName} {
+// preManifestLayout lists what dir holds of the state layout that predates
+// the manifest (one checkpoint pair and one WAL at the root). Without a
+// manifest such a directory is refused: treating it as fresh would start
+// an empty graph beside real state.
+func preManifestLayout(dir string) []string {
+	var found []string
+	for _, name := range []string{"checkpoint.gob", "checkpoint.prev.gob", "wal"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
+			found = append(found, name)
 		}
 	}
-	return false
-}
-
-func removeLegacyLayout(dir string) {
-	os.Remove(filepath.Join(dir, checkpointFile))
-	os.Remove(filepath.Join(dir, checkpointPrevFile))
-	os.RemoveAll(filepath.Join(dir, walDirName))
-}
-
-// loadLegacy recovers a pre-sharding layout: one checkpoint pair plus
-// one WAL, replayed in place. The WAL is opened read-replay-close; the
-// migration that follows writes fresh stripes.
-func loadLegacy(dc *DurableConfig, cfg Config, info *RecoveryInfo) (*graph.Builder, uint64) {
-	b, version, pos := loadCheckpointPair(
-		filepath.Join(dc.Dir, checkpointFile),
-		filepath.Join(dc.Dir, checkpointPrevFile),
-		dc, cfg, info)
-	if b == nil {
-		b = graph.NewBuilder(cfg.Network, cfg.StartDay, cfg.Suffixes)
-	}
-	l, err := wal.Open(filepath.Join(dc.Dir, walDirName), wal.Options{
-		SegmentBytes: dc.SegmentBytes,
-		SyncEvery:    dc.SyncEvery,
-		Metrics:      &dc.m.WAL,
-		Hooks:        dc.WALHooks,
-	})
-	if err != nil {
-		return b, version
-	}
-	b, replayed := replayShardWAL(l, pos, b, cfg, dc, info)
-	l.Close()
-	info.WALStart = pos
-	return b, version + uint64(replayed)
+	return found
 }
 
 // loadGeneration recovers every shard of the manifest's generation:
@@ -554,19 +508,7 @@ func replayShardWAL(l *wal.Log, pos wal.Pos, b *graph.Builder, cfg Config, dc *D
 			inc(dc.m.ReplayedEvents)
 			return nil
 		}
-		// Records sniff their own format: binary WAL records are
-		// self-contained segb1 streams (the record encoder's symbol
-		// table resets per record), text records are event lines.
-		var perr error
-		if bytes.HasPrefix(payload, []byte(logio.BinaryMagic)) {
-			perr = logio.ReadEventsBinary(bytes.NewReader(payload), apply, func(error) {
-				info.ReplayErrors++
-				inc(dc.m.ReplayErrors)
-			})
-		} else {
-			perr = logio.ReadEvents(bytes.NewReader(payload), apply)
-		}
-		if perr != nil {
+		if perr := logio.ReadEvents(bytes.NewReader(payload), apply); perr != nil {
 			info.ReplayErrors++
 			inc(dc.m.ReplayErrors)
 		}
@@ -637,7 +579,7 @@ func closeAll(logs []*wal.Log) {
 	}
 }
 
-// createGeneration writes a new layout generation at cfg.GraphShards
+// createGeneration writes a new layout generation at cfg.Workers
 // shards: old state (if any) is rehashed through graph.ShardOf into
 // fresh builders, each shard gets an initial checkpoint and an empty WAL
 // stripe, and the manifest flips to the new generation as the final,
@@ -646,7 +588,7 @@ func closeAll(logs []*wal.Log) {
 // open to sweep.
 func createGeneration(dc *DurableConfig, cfg Config, old []*graph.Builder, gen uint64, version uint64) ([]*graph.Builder, []*wal.Log, error) {
 	dc.genDir = filepath.Join(dc.Dir, genDirName(gen))
-	shards := cfg.GraphShards
+	shards := cfg.Workers
 	day := cfg.StartDay
 	if len(old) > 0 {
 		alignShardDays(old, cfg)

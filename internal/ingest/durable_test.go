@@ -10,13 +10,11 @@ import (
 	"time"
 
 	"segugio/internal/activity"
-	"segugio/internal/core"
 	"segugio/internal/dnsutil"
 	"segugio/internal/faultinject"
 	"segugio/internal/graph"
 	"segugio/internal/logio"
 	"segugio/internal/metrics"
-	"segugio/internal/ml"
 	"segugio/internal/wal"
 )
 
@@ -40,17 +38,31 @@ func newDurableMetrics() *DurableMetrics {
 
 // durableCfg builds a durable ingester config pair with fast, test-sized
 // knobs: every WAL record synced immediately, checkpoints only on
-// demand (interval far in the future). A single graph shard keeps the
+// demand (interval far in the future). A single shard keeps the
 // on-disk layout deterministic for the fault-injection tests (which
 // corrupt specific files); the multi-shard layout has its own tests.
 func durableCfg(dir string, m *Metrics, dm *DurableMetrics) (Config, DurableConfig) {
-	return Config{Network: "net", StartDay: 5, Workers: 2, GraphShards: 1, Metrics: m},
+	return Config{Network: "net", StartDay: 5, Workers: 1, Metrics: m},
 		DurableConfig{
 			Dir:             dir,
 			SyncEvery:       1,
 			CheckpointEvery: time.Hour,
 			Metrics:         dm,
 		}
+}
+
+// openShards opens dir durably (durableCfg knobs) at the given shard
+// count.
+func openShards(t *testing.T, dir string, workers int) (*Ingester, *Metrics, *RecoveryInfo) {
+	t.Helper()
+	m, _ := newMetrics()
+	cfg, dc := durableCfg(dir, m, newDurableMetrics())
+	cfg.Workers = workers
+	in, info, err := OpenDurable(cfg, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, m, info
 }
 
 // Shard 0's file locations in the first-generation sharded layout.
@@ -103,12 +115,7 @@ func graphShape(g *graph.Graph) [3]int {
 // back from the WAL alone.
 func TestDurableRecoveryFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, info, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, info := openShards(t, dir, 1)
 	if info.CheckpointLoaded || info.ReplayedEvents != 0 {
 		t.Fatalf("fresh start info = %+v", info)
 	}
@@ -118,12 +125,7 @@ func TestDurableRecoveryFromWALOnly(t *testing.T) {
 	// Unclean death: no Shutdown, no checkpoint. SyncEvery=1 means every
 	// applied record is already durable.
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	in2, info2, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, _, info2 := openShards(t, dir, 1)
 	defer in2.Shutdown()
 	if info2.CheckpointLoaded {
 		t.Fatalf("no checkpoint was written, info = %+v", info2)
@@ -193,12 +195,7 @@ func TestDurableRecoveryFromCheckpointAndTail(t *testing.T) {
 // must keep every intact record and drop only the torn one.
 func TestDurableRecoveryTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, _ := openShards(t, dir, 1)
 	// Two separate consumes -> at least two WAL records (one per batch).
 	feed(t, in, m, genDurableEvents(5, 300))
 	feed(t, in, m, []logio.Event{{Kind: logio.EventQuery, Day: 5, Machine: "victim", Domain: "torn.example.com"}})
@@ -234,12 +231,7 @@ func TestDurableRecoveryTornWALTail(t *testing.T) {
 // WAL replay and still converge on the same graph.
 func TestDurableRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, _ := openShards(t, dir, 1)
 	feed(t, in, m, genDurableEvents(5, 500))
 	if err := in.Checkpoint(); err != nil { // generation 1 (becomes .prev)
 		t.Fatal(err)
@@ -293,23 +285,13 @@ func TestDurableRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 // checkpoint: a restart after a clean exit replays nothing.
 func TestDurableCleanShutdownLeavesEmptyReplay(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, _ := openShards(t, dir, 1)
 	feed(t, in, m, genDurableEvents(5, 400))
 	want, _ := in.Snapshot()
 	in.Shutdown()
 	in.Shutdown() // idempotent with durability attached
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	in2, info, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, _, info := openShards(t, dir, 1)
 	defer in2.Shutdown()
 	if !info.CheckpointLoaded || info.ReplayedEvents != 0 {
 		t.Fatalf("after clean shutdown: %+v, want checkpoint-only recovery", info)
@@ -324,12 +306,7 @@ func TestDurableCleanShutdownLeavesEmptyReplay(t *testing.T) {
 // checkpoint of the earlier day; recovery must end up on the later day.
 func TestDurableRotationAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, _ := openShards(t, dir, 1)
 	feed(t, in, m, genDurableEvents(5, 100))
 	if err := in.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -338,12 +315,7 @@ func TestDurableRotationAcrossRestart(t *testing.T) {
 	feed(t, in, m, day6)
 	// Unclean death.
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	in2, info, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, _, info := openShards(t, dir, 1)
 	defer in2.Shutdown()
 	if info.Day != 6 {
 		t.Fatalf("recovered day %d, want 6", info.Day)
@@ -396,12 +368,7 @@ func TestDurableWALTruncationKeepsFallbackWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	in2, info, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, _, info := openShards(t, dir, 1)
 	defer in2.Shutdown()
 	if !info.UsedFallback {
 		t.Fatalf("info = %+v, want fallback", info)
@@ -435,7 +402,6 @@ func TestDurableLargeBatchKeepsDurability(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := newMetrics()
 	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	cfg.Workers = 1
 	cfg.QueueDepth = 1024
 	in, _, err := OpenDurable(cfg, dc)
 	if err != nil {
@@ -479,12 +445,7 @@ func TestDurableLargeBatchKeepsDurability(t *testing.T) {
 	// Unclean death: recovery must replay every event, including the fat
 	// resolution line.
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	in2, info, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, _, info := openShards(t, dir, 1)
 	defer in2.Shutdown()
 	if info.ReplayedEvents != len(evs) {
 		t.Fatalf("replayed %d events, want %d", info.ReplayedEvents, len(evs))
@@ -505,12 +466,7 @@ func TestDurableLargeBatchKeepsDurability(t *testing.T) {
 // therefore still recover through a valid previous generation.
 func TestDurableFallbackSurvivesNextCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, _ := openShards(t, dir, 1)
 	feed(t, in, m, genDurableEvents(5, 500))
 	if err := in.Checkpoint(); err != nil { // generation A (becomes .prev)
 		t.Fatal(err)
@@ -529,12 +485,7 @@ func TestDurableFallbackSurvivesNextCheckpoint(t *testing.T) {
 	}
 
 	// Recovery #1 falls back to generation A.
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	in2, info, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, m2, info := openShards(t, dir, 1)
 	if !info.UsedFallback {
 		t.Fatalf("info = %+v, want fallback", info)
 	}
@@ -546,9 +497,7 @@ func TestDurableFallbackSurvivesNextCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := in2.Snapshot()
-	cfgRead := cfg2
-	cfgRead.Suffixes = dnsutil.DefaultSuffixList()
-	if _, _, _, err := readCheckpoint(shard0CheckpointPrev(dir), cfgRead); err != nil {
+	if _, _, _, err := readCheckpoint(shard0CheckpointPrev(dir), Config{Suffixes: dnsutil.DefaultSuffixList()}); err != nil {
 		t.Fatalf("previous checkpoint generation unreadable after post-fallback checkpoint: %v", err)
 	}
 
@@ -561,12 +510,7 @@ func TestDurableFallbackSurvivesNextCheckpoint(t *testing.T) {
 	if err := faultinject.FlipByte(cur, fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	m3, _ := newMetrics()
-	cfg3, dc3 := durableCfg(dir, m3, newDurableMetrics())
-	in3, info3, err := OpenDurable(cfg3, dc3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in3, _, info3 := openShards(t, dir, 1)
 	defer in3.Shutdown()
 	if !info3.CheckpointLoaded || !info3.UsedFallback {
 		t.Fatalf("info = %+v, want successful fallback recovery", info3)
@@ -604,7 +548,7 @@ func TestDurableRestoreRemarksActivity(t *testing.T) {
 	open := func(act *activity.Log) (*Ingester, *Metrics, *RecoveryInfo) {
 		m, _ := newMetrics()
 		cfg, dc := durableCfg(dir, m, newDurableMetrics())
-		cfg.GraphShards = 2
+		cfg.Workers = 2
 		cfg.Suffixes = suffixes
 		cfg.Activity = act
 		cfg.PrepareSnapshot = func(g *graph.Graph) { g.ApplyLabels(src(g.Day())) }
@@ -649,20 +593,5 @@ func TestDurableRestoreRemarksActivity(t *testing.T) {
 	want.ApplyLabels(src(5))
 	got, _ := in2.Snapshot()
 	requireGraphsEquivalent(t, want, got, refAct)
-	cfg := core.DefaultConfig()
-	cfg.NewModel = func(benign, malware int) ml.Model {
-		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
-	}
-	det, _, err := core.Train(cfg, core.TrainInput{Graph: want, Activity: refAct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDets := classifyAllSorted(t, det, want, refAct)
-	gotDets := classifyAllSorted(t, det, got, act2)
-	if len(wantDets) == 0 {
-		t.Fatal("classify-all found nothing; fixture too weak to prove equivalence")
-	}
-	if !slices.Equal(wantDets, gotDets) {
-		t.Fatalf("cold classify-all over the recovered state differs:\nrecovered %v\nreference %v", gotDets, wantDets)
-	}
+	requireClassifyAllEquivalent(t, want, refAct, got, act2)
 }

@@ -3,10 +3,12 @@
 // queries and resolutions) from any reader — stdin, a tailed file, or a
 // TCP connection — shards them by machine-ID hash across worker
 // goroutines, and applies them incrementally to a live behavior-graph
-// Builder. Bounded per-shard channels give explicit backpressure: when a
-// shard falls behind, events are dropped and counted rather than ever
-// blocking the accept loop, which is how an ISP tap has to behave (the
-// resolver will not wait for us).
+// Builder. Each (source, shard) pair is a bounded SPSC ring; what happens
+// when a ring fills is Config.ShedPolicy's call: drop and count the newest
+// event (the default, how an ISP tap has to behave — the resolver will
+// not wait for us), block the source so TCP pushes back on the sender, or
+// block until the daemon is overloaded and then evict the oldest queued
+// event.
 //
 // Epochs rotate at day boundaries: an event stamped with a later day than
 // the current epoch finalizes the old graph (handing a snapshot to the
@@ -81,7 +83,7 @@ type Metrics struct {
 	// (the whole domain count when the delta was inexact).
 	DirtyDomains *metrics.Gauge
 	// EventsShed counts unacknowledged events shed by the overload
-	// policy, keyed by reason ("drop-oldest", "sample"). Shedding only
+	// policy, keyed by reason ("drop-oldest"). Shedding only
 	// happens in the overloaded health state under an explicit policy;
 	// a missing reason key is simply not recorded.
 	EventsShed map[string]*metrics.Counter
@@ -119,28 +121,17 @@ type Config struct {
 	// Suffixes annotates domains with effective 2LDs; defaults to
 	// dnsutil.DefaultSuffixList.
 	Suffixes *dnsutil.SuffixList
-	// Workers is the ring shard count (default 4). Events are sharded by
+	// Workers is the shard count (default 4): one worker goroutine, one
+	// machine-hash-partitioned graph builder with its own apply lock, and
+	// (when durable) one WAL stripe per shard. Events are sharded by
 	// machine-ID hash (queries) or domain hash (resolutions), so one
-	// machine's events stay ordered relative to each other.
+	// machine's events stay ordered relative to each other and every ring
+	// feeds exactly one builder. A durable restart with a different value
+	// rehashes the recovered state.
 	Workers int
-	// GraphShards is the number of machine-hash-partitioned graph
-	// builders behind the rings (default = Workers). Each shard has its
-	// own apply lock; when GraphShards == Workers (the default) every
-	// ring feeds its shard's builder directly, with no repartition step
-	// and zero cross-shard contention on the hot path.
-	GraphShards int
 	// QueueDepth bounds each (source, shard) ring (default 4096, rounded
-	// up to a power of two). A full ring drops events instead of
-	// blocking the accept loop (see ShedPolicy for the alternatives).
+	// up to a power of two). What a full ring does is ShedPolicy's call.
 	QueueDepth int
-	// BinaryWAL, when true, encodes WAL records with the segb1 binary
-	// event framing instead of text lines (each record is
-	// self-contained: the encoder's symbol table resets per record, so
-	// replay can decode any record in isolation). Replay auto-detects
-	// the format per record, so flipping this across restarts is safe;
-	// the default keeps the text format byte-identical to prior
-	// releases.
-	BinaryWAL bool
 	// Activity, when non-nil, receives a per-day domain/e2LD activity mark
 	// for every queried name (on its first query per shard and day, and
 	// again for a restored day at startup), keeping F2 features live.
@@ -180,7 +171,6 @@ type Config struct {
 	//
 	//	ShedBlock      never shed — block until the shard drains
 	//	ShedDropOldest evict the oldest queued event to admit the newest
-	//	ShedSample     admit 1 in shedSampleKeep events, shed the rest
 	ShedPolicy string
 	// Watermarks, when non-nil, receives event-time freshness marks:
 	// every source advances its day frontier at dispatch (before any
@@ -195,7 +185,7 @@ type Config struct {
 	ApplyHook func()
 
 	// Durability wiring, set by OpenDurable: restored per-shard builders
-	// to resume from (one per graph shard, all on the same day), the
+	// to resume from (one per shard, all on the same day), the
 	// graph version they were checkpointed at, and the open per-shard
 	// WAL stripes that apply() feeds.
 	restoredShards  []*graph.Builder
@@ -209,14 +199,7 @@ const (
 	ShedDrop       = "drop"        // legacy: drop the newest event whenever a shard is full
 	ShedBlock      = "block"       // never shed: block the source until the shard drains
 	ShedDropOldest = "drop-oldest" // overloaded only: evict the oldest queued event
-	ShedSample     = "sample"      // overloaded only: keep 1 in shedSampleKeep events
 )
-
-// shedSampleKeep is ShedSample's admission rate: 1 in this many events
-// bound for a full shard is admitted (blocking if needed); the rest are
-// shed. A uniform thinning keeps the live graph a representative sample
-// of the stream instead of a prefix of it.
-const shedSampleKeep = 8
 
 // Health signal names and decay windows asserted by the ingester.
 const (
@@ -238,7 +221,7 @@ const (
 // ShedDrop).
 func ValidShedPolicy(p string) bool {
 	switch p {
-	case "", ShedDrop, ShedBlock, ShedDropOldest, ShedSample:
+	case "", ShedDrop, ShedBlock, ShedDropOldest:
 		return true
 	}
 	return false
@@ -250,8 +233,8 @@ var ErrShuttingDown = errors.New("ingest: shutting down")
 // graphShard is one machine-hash partition of the live graph: a builder
 // with its own apply lock, an optional WAL stripe, and per-shard
 // instrumentation mirrors. Sharding is what lets N ingest workers apply
-// batches with zero cross-shard contention — each worker's ring feeds
-// exactly one shard when the ring and graph shard counts match.
+// batches with zero cross-shard contention — each worker's rings feed
+// exactly one shard.
 type graphShard struct {
 	// mu guards the shard's builder and its WAL stripe buffers: appends
 	// happen inside shardApply's critical section, so a checkpoint
@@ -261,8 +244,7 @@ type graphShard struct {
 	builder *graph.Builder
 	wal     *wal.Log
 	walBuf  bytes.Buffer
-	walLine bytes.Buffer        // scratch for one encoded event line (text WAL)
-	walEnc  *logio.EventEncoder // binary WAL record encoder (BinaryWAL only)
+	walLine bytes.Buffer // scratch for one encoded event line
 	// walBatchErr records a WAL append failure inside the current apply
 	// segment so the wal_append watermark holds back (guarded by mu;
 	// reset at the top of each shardApply).
@@ -304,15 +286,8 @@ type Ingester struct {
 	closing   chan struct{}
 	closeOnce sync.Once
 
-	// sampleSeq sequences full-shard events under ShedSample so exactly
-	// 1 in shedSampleKeep is admitted.
-	sampleSeq atomic.Uint64
-
-	// aligned is true when the ring shard count equals the graph shard
-	// count, so a ring's batch feeds exactly one graph shard with no
-	// repartition step. hasWAL is set when OpenDurable wired WAL stripes.
-	aligned bool
-	hasWAL  bool
+	// hasWAL is set when OpenDurable wired WAL stripes.
+	hasWAL bool
 
 	// epochMu orders epoch rotation against everything that reads the
 	// current day or walks the shard set: batch appliers, delta drains,
@@ -443,13 +418,6 @@ func New(cfg Config) *Ingester {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.GraphShards <= 0 {
-		cfg.GraphShards = cfg.Workers
-	}
-	if cfg.restoredShards != nil {
-		// OpenDurable already partitioned the restored state.
-		cfg.GraphShards = len(cfg.restoredShards)
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4096
 	}
@@ -460,13 +428,12 @@ func New(cfg Config) *Ingester {
 		cfg:       cfg,
 		closing:   make(chan struct{}),
 		day:       cfg.StartDay,
-		aligned:   cfg.GraphShards == cfg.Workers,
 		domainSet: make(map[string]struct{}),
 	}
 	if cfg.Metrics != nil {
 		in.m = *cfg.Metrics
 	}
-	in.shards = make([]*graphShard, cfg.GraphShards)
+	in.shards = make([]*graphShard, cfg.Workers)
 	for s := range in.shards {
 		sh := &graphShard{wmSource: "shard-" + strconv.Itoa(s)}
 		if cfg.restoredShards != nil {
@@ -767,9 +734,7 @@ func (in *Ingester) consumeBinary(r io.Reader, src *eventSource) error {
 
 // shardOf routes an event by machine hash (queries) or domain hash
 // (resolutions), so one machine's events stay ordered. The hash is
-// graph.ShardOf — the same routing the graph shards use — so when the
-// ring and graph shard counts match, a ring's events belong to exactly
-// one graph shard.
+// graph.ShardOf, so a ring's events all belong to its shard's builder.
 func (s *eventSource) shardOf(e logio.Event) int {
 	return graph.ShardOf(eventKey(e), len(s.rings))
 }
@@ -868,16 +833,6 @@ func (s *eventSource) dispatchSlow(shard int, e logio.Event) {
 		s.rings[shard].evict.Add(1)
 		in.notify(shard)
 		s.blockPublish(shard, e)
-	case ShedSample:
-		if !overloaded {
-			s.blockPublish(shard, e)
-			return
-		}
-		if in.sampleSeq.Add(1)%shedSampleKeep == 0 {
-			s.blockPublish(shard, e)
-		} else {
-			in.shedN(ShedSample, 1)
-		}
 	default:
 		// Legacy tap behavior: the newest event is dropped and counted,
 		// the source never blocks.
@@ -922,14 +877,6 @@ func (in *Ingester) shedN(reason string, n int64) {
 // acquisition, amortizing the per-batch bookkeeping.
 const batchSize = 512
 
-// applyScratch is a worker's reusable repartition buffer for the
-// misaligned case (ring shard count != graph shard count): one pending
-// slice per graph shard, refilled per segment. The partition is stable,
-// so per-machine event order survives repartitioning.
-type applyScratch struct {
-	byShard [][]logio.Event
-}
-
 // worker drains one shard until shutdown. A panic anywhere in the
 // drain path (apply, a rotation hook, a metrics callback) is recovered
 // and counted, and the worker resumes draining: one poisonous batch
@@ -937,11 +884,7 @@ type applyScratch struct {
 func (in *Ingester) worker(shard int) {
 	defer in.workers.Done()
 	buf := make([]logio.Event, batchSize)
-	var scratch *applyScratch
-	if !in.aligned {
-		scratch = &applyScratch{byShard: make([][]logio.Event, len(in.shards))}
-	}
-	for !in.drainShard(shard, buf, scratch) {
+	for !in.drainShard(shard, buf) {
 	}
 }
 
@@ -949,14 +892,14 @@ func (in *Ingester) worker(shard int) {
 // everything is empty, and returns true once shutdown has begun and the
 // rings are drained. It returns false when a recovered panic aborted
 // the loop; the caller restarts it.
-func (in *Ingester) drainShard(shard int, buf []logio.Event, scratch *applyScratch) (done bool) {
+func (in *Ingester) drainShard(shard int, buf []logio.Event) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			inc(in.m.Panics)
 		}
 	}()
 	for {
-		if in.sweepShard(shard, buf, scratch) > 0 {
+		if in.sweepShard(shard, buf) > 0 {
 			continue
 		}
 		select {
@@ -964,7 +907,7 @@ func (in *Ingester) drainShard(shard int, buf []logio.Event, scratch *applyScrat
 		case <-in.stopWorkers:
 			// Producers are gone (Shutdown waits for them before closing
 			// stopWorkers): once a sweep comes up empty, so is the shard.
-			if in.sweepShard(shard, buf, scratch) == 0 {
+			if in.sweepShard(shard, buf) == 0 {
 				return true
 			}
 		}
@@ -975,7 +918,7 @@ func (in *Ingester) drainShard(shard int, buf []logio.Event, scratch *applyScrat
 // eviction requests, applying queued events in batches, and retiring
 // rings whose producer closed and whose queue drained. Returns how many
 // events it handled (applied or shed) — zero means the shard was idle.
-func (in *Ingester) sweepShard(shard int, buf []logio.Event, scratch *applyScratch) (handled int) {
+func (in *Ingester) sweepShard(shard int, buf []logio.Event) (handled int) {
 	rings := *in.shardRings[shard].Load()
 	retire := false
 	for _, r := range rings {
@@ -1001,7 +944,7 @@ func (in *Ingester) sweepShard(shard int, buf []logio.Event, scratch *applyScrat
 			if n == 0 {
 				break
 			}
-			in.apply(buf[:n], r.source, shard, scratch)
+			in.apply(buf[:n], r.source, shard)
 			handled += n
 		}
 		if r.isClosed() && r.empty() {
@@ -1030,14 +973,13 @@ const walFlushBytes = 256 << 10
 
 // apply folds a batch of events into the live epoch, rotating when a
 // later day appears. The batch is cut into day segments: each segment
-// applies under the epoch read lock (plus exactly one shard lock per
-// touched shard), and a later-day boundary rotates the epoch under the
-// write lock before the next segment runs. Each batch is one
-// graph_apply trace; the WAL flushes inside it appear as wal_append
-// child spans. source names the producer kind the batch came from and
-// ringShard the ring the batch was swept from — when ring and graph
-// shards are aligned, that is also the graph shard it feeds.
-func (in *Ingester) apply(batch []logio.Event, source string, ringShard int, scratch *applyScratch) {
+// applies under the epoch read lock plus its shard's lock, and a
+// later-day boundary rotates the epoch under the write lock before the
+// next segment runs. Each batch is one graph_apply trace; the WAL flushes
+// inside it appear as wal_append child spans. source names the producer
+// kind the batch came from and shard the shard whose ring it was swept
+// from, which is the shard whose builder it feeds.
+func (in *Ingester) apply(batch []logio.Event, source string, shard int) {
 	if in.cfg.ApplyHook != nil {
 		in.cfg.ApplyHook()
 	}
@@ -1048,7 +990,7 @@ func (in *Ingester) apply(batch []logio.Event, source string, ringShard int, scr
 		walOK     = true
 	)
 	for off := 0; off < len(batch); {
-		n, segApplied, segWALOK := in.applySegment(batch[off:], ringShard, scratch, span)
+		n, segApplied, segWALOK := in.applySegment(batch[off:], in.shards[shard], span)
 		off += n
 		applied += segApplied
 		walOK = walOK && segWALOK
@@ -1102,10 +1044,8 @@ func (in *Ingester) apply(batch []logio.Event, source string, ringShard int, scr
 // applySegment applies the longest batch prefix that belongs to the
 // current epoch (events at or before the epoch day) and reports how many
 // events it consumed; a shorter-than-batch return means the next event
-// starts a later day and the caller must rotate. Aligned batches go
-// straight to the ring's graph shard; otherwise the segment is
-// repartitioned by graph.ShardOf through scratch.
-func (in *Ingester) applySegment(events []logio.Event, ringShard int, scratch *applyScratch, span *obs.Span) (n int, applied int64, walOK bool) {
+// starts a later day and the caller must rotate.
+func (in *Ingester) applySegment(events []logio.Event, sh *graphShard, span *obs.Span) (n int, applied int64, walOK bool) {
 	in.epochMu.RLock()
 	defer in.epochMu.RUnlock()
 	day := in.day
@@ -1119,26 +1059,7 @@ func (in *Ingester) applySegment(events []logio.Event, ringShard int, scratch *a
 	if n == 0 {
 		return 0, 0, true
 	}
-	seg := events[:n]
-	if in.aligned {
-		applied, walOK = in.shardApply(in.shards[ringShard], seg, day, span)
-		return n, applied, walOK
-	}
-	for _, e := range seg {
-		s := graph.ShardOf(eventKey(e), len(in.shards))
-		scratch.byShard[s] = append(scratch.byShard[s], e)
-	}
-	walOK = true
-	for s, evs := range scratch.byShard {
-		if len(evs) == 0 {
-			continue
-		}
-		a, ok := in.shardApply(in.shards[s], evs, day, span)
-		applied += a
-		walOK = walOK && ok
-		clear(evs) // release event references before reuse
-		scratch.byShard[s] = evs[:0]
-	}
+	applied, walOK = in.shardApply(sh, events[:n], day, span)
 	return n, applied, walOK
 }
 
@@ -1295,33 +1216,10 @@ func (in *Ingester) publishGauges() {
 	}
 }
 
-// appendShardWAL stages one event into the shard's WAL record being
-// built, in the configured format, cutting a record whenever the buffer
-// crosses walFlushBytes. Callers hold the shard lock.
+// appendShardWAL stages one event line into the shard's WAL record being
+// built, cutting a record whenever the buffer crosses walFlushBytes.
+// Callers hold the shard lock.
 func (in *Ingester) appendShardWAL(sh *graphShard, e logio.Event, span *obs.Span) {
-	if in.cfg.BinaryWAL {
-		if sh.walEnc == nil {
-			sh.walEnc = logio.NewEventEncoder(&sh.walBuf)
-		}
-		if sh.walBuf.Len() == 0 && sh.walEnc.Buffered() == 0 {
-			// Record start: fresh symbol table, so every WAL record is a
-			// self-contained segb1 stream replay can decode in isolation.
-			sh.walEnc.Reset(&sh.walBuf)
-		}
-		if err := sh.walEnc.Encode(e); err != nil {
-			// An event too large for one frame cannot be made durable;
-			// count it like any other failed append and keep serving.
-			inc(in.m.WALAppendFailures)
-			sh.walBatchErr = true
-			return
-		}
-		// Worst case here is walFlushBytes plus one maximum-size frame,
-		// comfortably under wal.MaxRecordBytes (asserted in tests).
-		if sh.walBuf.Len()+sh.walEnc.Buffered() >= walFlushBytes {
-			in.flushShardWAL(sh, span)
-		}
-		return
-	}
 	sh.walLine.Reset()
 	logio.WriteEvent(&sh.walLine, e)
 	// Flush first if this line would push the buffered record
@@ -1345,11 +1243,6 @@ func (in *Ingester) appendShardWAL(sh *graphShard, e logio.Event, span *obs.Span
 // disk. The append shows up as a wal_append child of the batch's
 // graph_apply span. Callers hold the shard lock.
 func (in *Ingester) flushShardWAL(sh *graphShard, span *obs.Span) {
-	if sh.walEnc != nil && sh.walEnc.Buffered() > 0 {
-		// Complete the in-progress binary frame; writing into a
-		// bytes.Buffer cannot fail.
-		sh.walEnc.Flush()
-	}
 	if sh.walBuf.Len() == 0 {
 		return
 	}
@@ -1384,14 +1277,13 @@ func (in *Ingester) Version() uint64 {
 	return in.version.Load()
 }
 
-// NumShards reports the graph shard count.
+// NumShards reports the shard count.
 func (in *Ingester) NumShards() int {
 	return len(in.shards)
 }
 
-// QueueDepths reports the queued-event count per ring shard, summed
-// across each shard's source rings — the shard_queue_depth gauge. With
-// the default aligned configuration, ring shard s feeds graph shard s.
+// QueueDepths reports the queued-event count per shard, summed across
+// each shard's source rings — the shard_queue_depth gauge.
 func (in *Ingester) QueueDepths() []int64 {
 	out := make([]int64, len(in.shardRings))
 	for s := range in.shardRings {
@@ -1443,37 +1335,6 @@ func (in *Ingester) Snapshot() (*graph.Graph, uint64) {
 	in.snap, in.snapVersion, in.snapDay = g, v, day
 	in.cfg.Watermarks.Ack(obs.WatermarkSnapshot, obs.WatermarkSourceAll, day)
 	return g, v
-}
-
-// ShardSnapshots is Snapshot plus per-shard views: the merged graph the
-// production consumers run on, wrapped with snapshots of every shard
-// taken in parallel for scatter-gather reads (graph.ShardedSnapshot's
-// MachineFractions, DomainIPs) and shard introspection. PrepareSnapshot
-// runs on each shard view, so shard-local labels are in place. Under
-// concurrent ingestion the shard views may include events newer than the
-// merged view; quiesce ingestion first when exact agreement matters.
-func (in *Ingester) ShardSnapshots() (*graph.ShardedSnapshot, uint64) {
-	g, v := in.Snapshot()
-	in.epochMu.RLock()
-	defer in.epochMu.RUnlock()
-	shards := make([]*graph.Graph, len(in.shards))
-	var wg sync.WaitGroup
-	for i, sh := range in.shards {
-		wg.Add(1)
-		go func(i int, sh *graphShard) {
-			defer wg.Done()
-			sh.mu.Lock()
-			shards[i] = sh.builder.Snapshot()
-			sh.mu.Unlock()
-		}(i, sh)
-	}
-	wg.Wait()
-	if in.cfg.PrepareSnapshot != nil {
-		for _, sg := range shards {
-			in.cfg.PrepareSnapshot(sg)
-		}
-	}
-	return graph.NewShardedSnapshot(g, shards), v
 }
 
 // SnapshotSince is Snapshot plus the delta against an earlier version the
@@ -1554,18 +1415,6 @@ func (in *Ingester) Shutdown() {
 			}
 		}
 	})
-}
-
-// TailFile consumes a file in follow mode: it reads to EOF, then polls
-// for appended data every interval until ctx is canceled (returning nil)
-// or the file errors. A rotated file (new inode at the same path) is
-// reopened from the start, and an in-place truncation (size below the
-// read offset) rewinds to zero — so logrotate-style deployments never
-// leave the daemon silently tailing a deleted fd. This is the "tail -f"
-// ingestion source for deployments that drop event files next to the
-// daemon; it is shorthand for NewTailer(path, interval).Run(ctx).
-func (in *Ingester) TailFile(ctx context.Context, path string, interval time.Duration) error {
-	return in.NewTailer(path, interval).Run(ctx)
 }
 
 // Tailer follows one event file at line granularity and remembers how

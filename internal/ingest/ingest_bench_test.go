@@ -45,7 +45,7 @@ func benchBatches(total, batch int) [][]logio.Event {
 
 // benchShardBatches routes the benchBatches stream the way the dispatch
 // layer would — by machine/domain hash — and re-batches per shard, so
-// the sharded benchmarks exercise the aligned (zero-repartition) path.
+// each applier feeds only its own shard.
 func benchShardBatches(total, batch, shards int) [][][]logio.Event {
 	perShard := make([][]logio.Event, shards)
 	for _, events := range benchBatches(total, batch) {
@@ -80,7 +80,7 @@ func benchApply(b *testing.B, in *Ingester, snapshotEvery int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.apply(batches[i%len(batches)], "bench", 0, nil)
+		in.apply(batches[i%len(batches)], "bench", 0)
 		if snapshotEvery > 0 && i%snapshotEvery == snapshotEvery-1 {
 			in.Snapshot()
 		}
@@ -142,7 +142,7 @@ func BenchmarkIngestApplyShards(b *testing.B) {
 					}
 					for i := 0; next.Add(1) <= int64(b.N); i++ {
 						batch := batches[i%len(batches)]
-						in.apply(batch, "bench", s, nil)
+						in.apply(batch, "bench", s)
 						applied.Add(int64(len(batch)))
 					}
 				}(s)

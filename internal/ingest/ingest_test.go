@@ -317,6 +317,27 @@ func TestConsumeMalformedStream(t *testing.T) {
 	}
 }
 
+// startTail tails path into a fresh ingester. The returned stop cancels
+// the tail, requires that it ended cleanly, and returns the final graph.
+func startTail(t *testing.T, path string) (m *Metrics, stop func() *graph.Graph) {
+	t.Helper()
+	m, _ = newMetrics()
+	in := New(Config{Network: "net", StartDay: 1, Workers: 1, Metrics: m})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- in.NewTailer(path, 5*time.Millisecond).Run(ctx) }()
+	return m, func() *graph.Graph {
+		t.Helper()
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("tail ended with %v, want a clean stop", err)
+		}
+		in.Shutdown()
+		g, _ := in.Snapshot()
+		return g
+	}
+}
+
 func TestTailFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "events.log")
@@ -326,12 +347,7 @@ func TestTailFile(t *testing.T) {
 	}
 	io.WriteString(f, "q\t1\tm1\ta.example.com\n")
 	f.Sync()
-
-	m, _ := newMetrics()
-	in := New(Config{Network: "net", StartDay: 1, Workers: 1, Metrics: m})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- in.TailFile(ctx, path, 10*time.Millisecond) }()
+	m, stop := startTail(t, path)
 
 	waitFor(t, "first event", func() bool { return m.EventsIngested.Value() == 1 })
 	// Append while tailing.
@@ -340,13 +356,7 @@ func TestTailFile(t *testing.T) {
 	waitFor(t, "appended event", func() bool { return m.EventsIngested.Value() == 2 })
 	f.Close()
 
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("tail: %v", err)
-	}
-	in.Shutdown()
-	g, _ := in.Snapshot()
-	if g.NumMachines() != 2 {
+	if g := stop(); g.NumMachines() != 2 {
 		t.Fatalf("machines = %d", g.NumMachines())
 	}
 }
@@ -360,12 +370,7 @@ func TestTailFileRotation(t *testing.T) {
 	if err := os.WriteFile(path, []byte("q\t1\tm1\ta.example.com\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	m, _ := newMetrics()
-	in := New(Config{Network: "net", StartDay: 1, Workers: 1, Metrics: m})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- in.TailFile(ctx, path, 5*time.Millisecond) }()
+	m, stop := startTail(t, path)
 	waitFor(t, "pre-rotation event", func() bool { return m.EventsIngested.Value() == 1 })
 
 	// Rotate: the old file moves aside, a new one appears at the path.
@@ -380,13 +385,7 @@ func TestTailFileRotation(t *testing.T) {
 		t.Fatalf("tail reopens = %d, want 1", m.TailReopens.Value())
 	}
 
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("tail: %v", err)
-	}
-	in.Shutdown()
-	g, _ := in.Snapshot()
-	if _, ok := g.DomainIndex("b.example.com"); !ok {
+	if _, ok := stop().DomainIndex("b.example.com"); !ok {
 		t.Fatal("rotated-in file's event missing")
 	}
 }
@@ -400,12 +399,7 @@ func TestTailFileTruncation(t *testing.T) {
 	if err := os.WriteFile(path, []byte("q\t1\tm1\tlong-first-machine.example.com\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	m, _ := newMetrics()
-	in := New(Config{Network: "net", StartDay: 1, Workers: 1, Metrics: m})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- in.TailFile(ctx, path, 5*time.Millisecond) }()
+	m, stop := startTail(t, path)
 	waitFor(t, "pre-truncation event", func() bool { return m.EventsIngested.Value() == 1 })
 
 	// Same inode, shorter content: size drops below the consumed offset.
@@ -417,13 +411,7 @@ func TestTailFileTruncation(t *testing.T) {
 		t.Fatal("truncation must count a tail reopen")
 	}
 
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("tail: %v", err)
-	}
-	in.Shutdown()
-	g, _ := in.Snapshot()
-	if _, ok := g.DomainIndex("b.example.com"); !ok {
+	if _, ok := stop().DomainIndex("b.example.com"); !ok {
 		t.Fatal("post-truncation event missing")
 	}
 }
@@ -441,24 +429,13 @@ func TestTailFileSkipsMalformedLines(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	m, _ := newMetrics()
-	in := New(Config{Network: "net", StartDay: 1, Workers: 1, Metrics: m})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- in.TailFile(ctx, path, 5*time.Millisecond) }()
+	m, stop := startTail(t, path)
 
 	waitFor(t, "events past the garbage line", func() bool { return m.EventsIngested.Value() == 2 })
 	if m.ParseErrors.Value() != 1 {
 		t.Fatalf("parse errors = %d, want 1", m.ParseErrors.Value())
 	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("tail must not abort on a malformed line: %v", err)
-	}
-	in.Shutdown()
-	g, _ := in.Snapshot()
-	if _, ok := g.DomainIndex("b.example.com"); !ok {
+	if _, ok := stop().DomainIndex("b.example.com"); !ok {
 		t.Fatal("event after the malformed line missing")
 	}
 }

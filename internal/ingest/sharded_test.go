@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -206,17 +208,35 @@ func requireGraphsEquivalent(t *testing.T, want, got *graph.Graph, act *activity
 	}
 }
 
-// classifyAllSorted runs a full classify pass and returns the detections
-// sorted by name for order-independent comparison.
-func classifyAllSorted(t *testing.T, det *core.Detector, g *graph.Graph, act *activity.Log) []core.Detection {
+// requireClassifyAllEquivalent trains one detector on the reference graph
+// and runs classify-all over both graphs (each with its own activity
+// log): identical detections, domain by domain.
+func requireClassifyAllEquivalent(t *testing.T, want *graph.Graph, wantAct *activity.Log, got *graph.Graph, gotAct *activity.Log) {
 	t.Helper()
-	dets, _, err := det.Classify(core.ClassifyInput{Graph: g, Activity: act})
+	cfg := core.DefaultConfig()
+	cfg.NewModel = func(benign, malware int) ml.Model {
+		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
+	}
+	det, _, err := core.Train(cfg, core.TrainInput{Graph: want, Activity: wantAct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dets = slices.Clone(dets)
-	sort.Slice(dets, func(i, j int) bool { return dets[i].Domain < dets[j].Domain })
-	return dets
+	classifyAll := func(g *graph.Graph, act *activity.Log) []core.Detection {
+		dets, _, err := det.Classify(core.ClassifyInput{Graph: g, Activity: act})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets = slices.Clone(dets)
+		sort.Slice(dets, func(i, j int) bool { return dets[i].Domain < dets[j].Domain })
+		return dets
+	}
+	wantDets, gotDets := classifyAll(want, wantAct), classifyAll(got, gotAct)
+	if len(wantDets) == 0 {
+		t.Fatal("classify-all found nothing; fixture too weak to prove equivalence")
+	}
+	if !slices.Equal(wantDets, gotDets) {
+		t.Fatalf("classify-all differs:\ngot  %v\nwant %v", gotDets, wantDets)
+	}
 }
 
 // TestShardedEquivalence is the acceptance test for the sharded graph
@@ -224,34 +244,33 @@ func classifyAllSorted(t *testing.T, det *core.Detector, g *graph.Graph, act *ac
 // must be feature-for-feature and detection-for-detection identical to a
 // single unsharded builder, the within-epoch delta sets must stay exact,
 // and rotation must degrade deltas to inexact. Run under -race it also
-// exercises the concurrent shard-apply path. Both the aligned
-// (shards == workers) and repartitioning (shards != workers) dispatch
-// paths are covered. Throughout, the activity log the ingester marks on
-// first queries must equal a reference marked on every query event; the
-// durable case ends with an unclean death and checks that a WAL-replay
-// reopen rebuilds the same log from nothing.
+// exercises the concurrent shard-apply path, at a power-of-two and an odd
+// shard count. Throughout, the activity log the ingester marks on first
+// queries must equal a reference marked on every query event; the durable
+// case ends with an unclean death and checks that a WAL-replay reopen
+// rebuilds the same log from nothing.
 func TestShardedEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		workers, shards int
-		durable         bool
+		workers int
+		durable bool
 	}{
-		{workers: 4, shards: 4},
-		{workers: 4, shards: 3},
-		{workers: 4, shards: 3, durable: true},
+		{workers: 4},
+		{workers: 3},
+		{workers: 3, durable: true},
 	} {
-		t.Run(fmt.Sprintf("workers=%d_shards=%d_durable=%v", tc.workers, tc.shards, tc.durable), func(t *testing.T) {
+		// N workers are N shards; the name spells out both.
+		t.Run(fmt.Sprintf("workers=%d_shards=%d_durable=%v", tc.workers, tc.workers, tc.durable), func(t *testing.T) {
 			suffixes := dnsutil.DefaultSuffixList()
 			src, _, _ := equivLabelSources()
 			act, refAct := activity.NewLog(), activity.NewLog()
 			m, _ := newMetrics()
 			icfg := Config{
-				Network:     "equiv",
-				StartDay:    5,
-				Workers:     tc.workers,
-				GraphShards: tc.shards,
-				Suffixes:    suffixes,
-				Activity:    act,
-				Metrics:     m,
+				Network:  "equiv",
+				StartDay: 5,
+				Workers:  tc.workers,
+				Suffixes: suffixes,
+				Activity: act,
+				Metrics:  m,
 				PrepareSnapshot: func(g *graph.Graph) {
 					g.ApplyLabels(src(g.Day()))
 				},
@@ -268,8 +287,8 @@ func TestShardedEquivalence(t *testing.T) {
 				in = New(icfg)
 				defer in.Shutdown()
 			}
-			if in.NumShards() != tc.shards {
-				t.Fatalf("NumShards = %d, want %d", in.NumShards(), tc.shards)
+			if in.NumShards() != tc.workers {
+				t.Fatalf("NumShards = %d, want %d", in.NumShards(), tc.workers)
 			}
 
 			day5 := genEquivEvents(5)
@@ -283,24 +302,7 @@ func TestShardedEquivalence(t *testing.T) {
 			want5.ApplyLabels(src(5))
 			requireGraphsEquivalent(t, want5, got5, act)
 
-			// Classify-all over both graphs with one detector trained on
-			// the reference: identical detections, domain by domain.
-			cfg := core.DefaultConfig()
-			cfg.NewModel = func(benign, malware int) ml.Model {
-				return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
-			}
-			det, _, err := core.Train(cfg, core.TrainInput{Graph: want5, Activity: act})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantDets := classifyAllSorted(t, det, want5, act)
-			gotDets := classifyAllSorted(t, det, got5, act)
-			if len(wantDets) == 0 {
-				t.Fatal("classify-all found nothing; fixture too weak to prove equivalence")
-			}
-			if !slices.Equal(wantDets, gotDets) {
-				t.Fatalf("classify-all differs:\nsharded %v\nsingle  %v", gotDets, wantDets)
-			}
+			requireClassifyAllEquivalent(t, want5, act, got5, act)
 
 			// Within-epoch delta exactness: brand-new edges must surface as
 			// exactly their domains in the next delta, composed across every
@@ -329,31 +331,6 @@ func TestShardedEquivalence(t *testing.T) {
 			slices.Sort(wantDirty)
 			if !slices.Equal(gotDirty, wantDirty) {
 				t.Fatalf("dirty set %v, want %v", gotDirty, wantDirty)
-			}
-
-			// Scatter-gather F1: the per-shard machine fractions must
-			// compose into exactly the merged graph's own tallies.
-			ss, _ := in.ShardSnapshots()
-			if ss.NumShards() != tc.shards {
-				t.Fatalf("ShardSnapshots has %d shards, want %d", ss.NumShards(), tc.shards)
-			}
-			merged := ss.Merged()
-			for d := int32(0); d < int32(merged.NumDomains()); d++ {
-				name := merged.DomainName(d)
-				var inf, unk, total int
-				for _, mm := range merged.MachinesOf(d) {
-					total++
-					switch merged.MachineLabelHiding(mm, d) {
-					case graph.LabelMalware:
-						inf++
-					case graph.LabelUnknown:
-						unk++
-					}
-				}
-				gi, gu, gt := ss.MachineFractions(name)
-				if gt != total || gi != float64(inf)/float64(max(total, 1)) && total > 0 || gu != float64(unk)/float64(max(total, 1)) && total > 0 {
-					t.Fatalf("domain %s fractions (%v,%v,%d), merged says (%d,%d,%d)", name, gi, gu, gt, inf, unk, total)
-				}
 			}
 
 			// Epoch rotation: day 6 arrives, the delta against any pre-
@@ -399,19 +376,137 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointBesideIngestEquivalence pins what no benchmark workload
+// runs: checkpoints and snapshots taken while several producers ingest,
+// across a day rotation. At quiescence the merged snapshot and the
+// activity log must equal the batch build over the same events — and so
+// must the state a new process recovers from the checkpoints and WAL
+// tail an unclean death leaves behind.
+func TestCheckpointBesideIngestEquivalence(t *testing.T) {
+	suffixes := dnsutil.DefaultSuffixList()
+	src, _, _ := equivLabelSources()
+	act, refAct := activity.NewLog(), activity.NewLog()
+	m, _ := newMetrics()
+	dm := newDurableMetrics()
+	icfg := Config{
+		Network: "equiv", StartDay: 5, Workers: 3, Suffixes: suffixes, Activity: act, Metrics: m,
+		// Small rings under backpressure: producers, workers, checkpoints
+		// and snapshots interleave in many small batches, and none is lost.
+		QueueDepth: 64, ShedPolicy: ShedBlock,
+		PrepareSnapshot: func(g *graph.Graph) { g.ApplyLabels(src(g.Day())) },
+	}
+	dc := DurableConfig{Dir: t.TempDir(), SyncEvery: 1, CheckpointEvery: time.Hour, Metrics: dm}
+	in, _, err := OpenDurable(icfg, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Shutdown: the test ends in an unclean death.
+
+	stop := make(chan struct{})
+	var loops sync.WaitGroup
+	loop := func(step func()) {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			for {
+				step()
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	loop(func() {
+		if err := in.Checkpoint(); err != nil {
+			t.Errorf("checkpoint beside ingest: %v", err)
+		}
+	})
+	var since uint64
+	loop(func() { _, since, _ = in.SnapshotSince(since) })
+
+	// feedConcurrently deals evs out to four producers, one Consume each,
+	// and waits until every event is applied.
+	feedConcurrently := func(evs []logio.Event) {
+		t.Helper()
+		before := m.EventsIngested.Value()
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			var part []logio.Event
+			for i := p; i < len(evs); i += 4 {
+				part = append(part, evs[i])
+			}
+			wire := stream(t, part)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := in.Consume(strings.NewReader(wire)); err != nil {
+					t.Errorf("consume: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+		waitFor(t, "events applied", func() bool {
+			return m.EventsIngested.Value() == before+int64(len(evs))
+		})
+	}
+	day5, day6 := genEquivEvents(5), genEquivEvents(6)
+	feedConcurrently(day5)
+	feedConcurrently(day6) // rotates while the loops run
+	close(stop)
+	loops.Wait()
+	if m.EventsDropped.Value() != 0 || m.EventsStale.Value() != 0 || m.WALAppendFailures.Value() != 0 {
+		t.Fatalf("dropped/stale/WAL failures = %d/%d/%d, want a lossless run",
+			m.EventsDropped.Value(), m.EventsStale.Value(), m.WALAppendFailures.Value())
+	}
+	// A tail after the last checkpoint, so recovery needs both halves.
+	tail := []logio.Event{
+		{Kind: logio.EventQuery, Day: 6, Machine: "inf00", Domain: "tail.after-ckpt.example"},
+		{Kind: logio.EventResolution, Day: 6, Domain: "tail.after-ckpt.example", IPs: []dnsutil.IPv4{0x0d000001}},
+	}
+	feed(t, in, m, tail)
+
+	all := slices.Concat(day5, day6, tail)
+	markEveryQuery(refAct, suffixes, all)
+	want := refReplay("equiv", 5, suffixes, all).Build()
+	want.ApplyLabels(src(6))
+	got, _ := in.Snapshot()
+	requireGraphsEquivalent(t, want, got, act)
+	requireActivityEquivalent(t, refAct, act, suffixes, all, 5, 6)
+
+	// Unclean death; a new process recovers from disk alone.
+	act2 := activity.NewLog()
+	cfg2 := icfg
+	cfg2.Activity = act2
+	cfg2.Metrics, _ = newMetrics()
+	in2, info, err := OpenDurable(cfg2, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in2.Shutdown()
+	if !info.CheckpointLoaded || info.ReplayedEvents < len(tail) || info.ReplayErrors != 0 {
+		t.Fatalf("recovery info = %+v, want checkpoints plus a WAL tail", info)
+	}
+	re, _ := in2.Snapshot()
+	requireGraphsEquivalent(t, want, re, act)
+	// Which day-5 records follow the last checkpoint depends on timing, so
+	// only the recovered day's marks are comparable.
+	for _, e := range all {
+		if e.Kind == logio.EventQuery && e.Day == 6 &&
+			(act2.DomainActiveDays(e.Domain, 6, 6) != 1 || act2.E2LDActiveDays(suffixes.E2LD(e.Domain), 6, 6) != 1) {
+			t.Fatalf("recovered activity log lost day 6 for %s", e.Domain)
+		}
+	}
+}
+
 // TestDurableRehashOnShardCountChange kills a 4-shard durable ingester
 // (checkpoint plus WAL tail on disk) and restarts it with 2 shards: the
 // recovered state must be rehashed into the new partition with nothing
 // lost, and the new layout must itself survive a further unclean death.
 func TestDurableRehashOnShardCountChange(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newMetrics()
-	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	cfg.GraphShards = 4
-	in, info, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in, m, info := openShards(t, dir, 4)
 	if info.Rehashed || info.Shards != 4 {
 		t.Fatalf("fresh 4-shard info = %+v", info)
 	}
@@ -427,13 +522,7 @@ func TestDurableRehashOnShardCountChange(t *testing.T) {
 	want, _ := in.Snapshot()
 	// Unclean death: no Shutdown, no final checkpoint.
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	cfg2.GraphShards = 2
-	in2, info2, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, m2, info2 := openShards(t, dir, 2)
 	if !info2.Rehashed || info2.Shards != 2 {
 		t.Fatalf("flipped-shards info = %+v, want rehash to 2", info2)
 	}
@@ -460,13 +549,7 @@ func TestDurableRehashOnShardCountChange(t *testing.T) {
 	feed(t, in2, m2, extra)
 	want2, _ := in2.Snapshot()
 
-	m3, _ := newMetrics()
-	cfg3, dc3 := durableCfg(dir, m3, newDurableMetrics())
-	cfg3.GraphShards = 2
-	in3, info3, err := OpenDurable(cfg3, dc3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in3, _, info3 := openShards(t, dir, 2)
 	defer in3.Shutdown()
 	if info3.Rehashed {
 		t.Fatalf("same shard count must not rehash: %+v", info3)
@@ -477,57 +560,41 @@ func TestDurableRehashOnShardCountChange(t *testing.T) {
 	}
 }
 
-// TestDurableLegacyLayoutMigration plants a pre-sharding state directory
-// (root checkpoint + WAL, no manifest) and opens it sharded: the legacy
-// state must migrate into a first-generation sharded layout and the
-// legacy files must be gone afterwards.
-func TestDurableLegacyLayoutMigration(t *testing.T) {
+// TestDurableLegacyLayoutRefused plants the pre-manifest state layout
+// (root-level checkpoint pair and WAL, no MANIFEST.json): OpenDurable must
+// fail with an error naming the files — not start an empty graph beside
+// them — and leave the directory exactly as it found it.
+func TestDurableLegacyLayoutRefused(t *testing.T) {
 	dir := t.TempDir()
+	planted := []string{"checkpoint.gob", "checkpoint.prev.gob", "wal/wal-00000001.seg"}
+	if err := os.Mkdir(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range planted {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old "+name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Build legacy state by hand: a single-shard generation's files moved
-	// to the legacy root locations, manifest removed.
 	m, _ := newMetrics()
 	cfg, dc := durableCfg(dir, m, newDurableMetrics())
 	in, _, err := OpenDurable(cfg, dc)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		in.Shutdown()
+		t.Fatal("OpenDurable accepted a pre-manifest state directory")
 	}
-	feed(t, in, m, genDurableEvents(5, 500))
-	if err := in.Checkpoint(); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"checkpoint.gob", "checkpoint.prev.gob", "wal"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not name %s", err, name)
+		}
 	}
-	want, _ := in.Snapshot()
-	in.Shutdown()
-	if err := os.Rename(shard0Checkpoint(dir), filepath.Join(dir, checkpointFile)); err != nil {
-		t.Fatal(err)
+	for _, name := range planted {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != "old "+name {
+			t.Fatalf("%s after the refusal = %q, %v; want it untouched", name, got, err)
+		}
 	}
-	if err := os.Rename(filepath.Join(dir, genDirName(1), shardWALDir(0)), filepath.Join(dir, walDirName)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, manifestFile)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, genDirName(1))); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	cfg2.GraphShards = 3
-	in2, info, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in2.Shutdown()
-	if !info.Rehashed || info.Shards != 3 || !info.CheckpointLoaded {
-		t.Fatalf("legacy migration info = %+v", info)
-	}
-	got, _ := in2.Snapshot()
-	if graphShape(got) != graphShape(want) {
-		t.Fatalf("migrated shape %v, want %v", graphShape(got), graphShape(want))
-	}
-	if legacyLayoutPresent(dir) {
-		t.Fatal("legacy files still present after migration")
+	if entries, _ := os.ReadDir(dir); len(entries) != 3 {
+		t.Fatalf("refused open left %v in the state directory, want only the 3 planted entries", entries)
 	}
 }
 
@@ -543,7 +610,7 @@ func TestDurableRehashSurvivesLogTrim(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := newMetrics()
 	cfg, dc := durableCfg(dir, m, newDurableMetrics())
-	cfg.GraphShards = 4
+	cfg.Workers = 4
 	// The fixture is ~15k events in one burst: size the rings to take it
 	// losslessly, and skip per-record fsync — the recovery under test is
 	// checkpoint-based, so WAL-tail durability is irrelevant here.
@@ -580,13 +647,7 @@ func TestDurableRehashSurvivesLogTrim(t *testing.T) {
 	want, _ := in.Snapshot()
 	// Unclean death: no Shutdown.
 
-	m2, _ := newMetrics()
-	cfg2, dc2 := durableCfg(dir, m2, newDurableMetrics())
-	cfg2.GraphShards = 2
-	in2, info2, err := OpenDurable(cfg2, dc2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2, _, info2 := openShards(t, dir, 2)
 	defer in2.Shutdown()
 	if !info2.Rehashed || info2.Shards != 2 {
 		t.Fatalf("info = %+v, want rehash to 2 shards", info2)

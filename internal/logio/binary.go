@@ -24,8 +24,7 @@
 // Only a frame length outside (0, MaxFrameBytes] — after which record
 // boundaries cannot be trusted — or an I/O error aborts the stream. A
 // truncated frame at EOF is reported as a frame error and the stream
-// ends cleanly, so a torn tail (crashed writer, torn WAL record) never
-// wedges a source.
+// ends cleanly, so a torn tail (crashed writer) never wedges a source.
 package logio
 
 import (
@@ -41,10 +40,8 @@ import (
 	"segugio/internal/dnsutil"
 )
 
-// BinaryMagic opens every binary event stream (and, because the WAL
-// encoder resets per record, every binary WAL record payload) — the
-// sniffing handle for auto-detecting text vs binary sources and replay
-// payloads.
+// BinaryMagic opens every binary event stream — the sniffing handle for
+// auto-detecting text vs binary sources.
 const BinaryMagic = "segb1"
 
 // MaxFrameBytes bounds one frame's payload. A frame length outside
@@ -119,8 +116,7 @@ func NewEventEncoder(w io.Writer) *EventEncoder {
 }
 
 // Reset discards all encoder state — symbol table included — and
-// retargets w. Each WAL record is encoded after a Reset so its payload
-// is self-contained and replayable in isolation.
+// retargets w, so the next stream is self-contained.
 func (enc *EventEncoder) Reset(w io.Writer) {
 	enc.w = w
 	enc.payload = enc.payload[:0]
@@ -128,9 +124,6 @@ func (enc *EventEncoder) Reset(w io.Writer) {
 	enc.symBytes = 0
 	enc.started = false
 }
-
-// Buffered returns the bytes of the in-progress frame not yet flushed.
-func (enc *EventEncoder) Buffered() int { return len(enc.payload) }
 
 // Encode appends one event to the stream, flushing a frame whenever the
 // payload reaches FrameTargetBytes.
@@ -357,7 +350,7 @@ func (d *EventDecoder) frameError(err error) {
 // DecodeFrame decodes one CRC-verified frame payload, invoking fn per
 // record, and returns how many records were delivered. Errors wrapping
 // ErrBadFrame mean the rest of the frame is undecodable; any other
-// error came from fn. Exported for the fuzzer and for WAL replay.
+// error came from fn. Exported for the fuzzer.
 func (d *EventDecoder) DecodeFrame(payload []byte, fn func(*Event) error) (int, error) {
 	recs := 0
 	for len(payload) > 0 {

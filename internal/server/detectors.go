@@ -195,7 +195,7 @@ func (s *Server) reloadTuning() error {
 		if err != nil {
 			return err
 		}
-		tuning, err = detector.LoadTuning(f, s.cfg.Tuning)
+		tuning, err = detector.LoadTuning(f)
 		f.Close()
 		if err != nil {
 			return err

@@ -207,7 +207,7 @@ func TestTuningReloadRebuildsAuxPlugins(t *testing.T) {
 	}
 
 	// Startup builds from cfg.Tuning; the file only applies on reload
-	// (the daemon resolves flags+file itself and passes the result in).
+	// (the daemon loads the file itself and passes the result in).
 	before := auxPlugin()
 	if got := before.Threshold(); got != detector.DefaultLBPThreshold {
 		t.Fatalf("startup lbp threshold = %v, want default %v", got, detector.DefaultLBPThreshold)

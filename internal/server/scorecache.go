@@ -365,7 +365,7 @@ func (s *Server) classifyAll(ctx context.Context, det *core.Detector, loadedAt t
 	// The caller holds c.mu, so passes serialize and the state cannot
 	// race.
 	if s.cfg.Audit != nil {
-		s.auditNewDetections(c, res, threshold)
+		s.auditNewDetections(c, res, det)
 	}
 	newState := make(map[string]bool, len(res.rows))
 	for _, row := range res.rows {
@@ -440,9 +440,11 @@ const auditMaxMachines = maxMachinesInResponse
 // detected in this pass, not detected in the previous one. The feature
 // vector is extracted from the labeled live snapshot the pass classified
 // against (the pre-prune graph, so pruned-away context is still visible
-// to the analyst); evidence machines are capped at auditMaxMachines.
-func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, threshold float64) {
+// to the analyst) with the F2 window of det, the detector that scored the
+// pass; evidence machines are capped at auditMaxMachines.
+func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, det *core.Detector) {
 	var ex *features.Extractor
+	threshold := det.Threshold()
 	aux := s.auxVerdicts(res.version)
 	for _, row := range res.rows {
 		if !row.Detected || c.detected[row.Domain] {
@@ -450,7 +452,7 @@ func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, thres
 		}
 		if ex == nil {
 			var err error
-			ex, err = features.NewExtractor(res.graph, s.cfg.Activity, s.cfg.Abuse, s.cfg.Window)
+			ex, err = features.NewExtractor(res.graph, s.cfg.Activity, s.cfg.Abuse, det.ActivityWindow())
 			if err != nil {
 				s.auditLog.Warn("audit extractor failed", "err", err)
 				return

@@ -126,8 +126,6 @@ type Config struct {
 	Activity *activity.Log
 	// Abuse backs the F3 features; may be nil.
 	Abuse *pdns.AbuseIndex
-	// Window is the F2 look-back in days (default 14).
-	Window int
 	// Registry receives the server's own metrics and is rendered by
 	// GET /metrics; required.
 	Registry *metrics.Registry
@@ -159,12 +157,12 @@ type Config struct {
 	// beside it each classify-all pass; its scores ride along in
 	// responses under "detectors" and in dual-verdict audit records.
 	Detectors []string
-	// Tuning parameterizes the auxiliary detector plugins.
+	// Tuning parameterizes the auxiliary detector plugins at startup.
 	Tuning detector.Tuning
 	// TuningPath, when non-empty, is a JSON tuning file (see
 	// detector.LoadTuning) re-read on every reload (POST /v1/reload or
-	// SIGHUP), layered over Tuning; auxiliary plugins are rebuilt with
-	// the new knobs.
+	// SIGHUP) in place of Tuning; auxiliary plugins are rebuilt with the
+	// new knobs.
 	TuningPath string
 	// PassDeadline bounds one classify/tracker pass. A pass that blows
 	// the deadline is cancelled mid-sweep; classify-all then serves the
@@ -243,9 +241,6 @@ var errNotLabeled = errors.New("live graph is not labeled yet")
 
 // New builds the server and registers its metrics.
 func New(cfg Config) *Server {
-	if cfg.Window <= 0 {
-		cfg.Window = 14
-	}
 	if cfg.MaxClassifyDomains <= 0 {
 		cfg.MaxClassifyDomains = 10000
 	}
@@ -709,7 +704,8 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "domain %q not observed in the current window", name)
 		return
 	}
-	ex, err := features.NewExtractor(g, s.cfg.Activity, s.cfg.Abuse, s.cfg.Window)
+	det, _ := s.detector()
+	ex, err := features.NewExtractor(g, s.cfg.Activity, s.cfg.Abuse, f2Window(det))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "extractor: %v", err)
 		return
@@ -745,7 +741,7 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	// pruned deployment graph, so a pruned-away domain has no score. A
 	// classify-all cache entry that is current for this snapshot answers
 	// without re-running the pipeline.
-	if det, _ := s.detector(); det != nil && g.DomainLabel(d) == graph.LabelUnknown {
+	if det != nil && g.DomainLabel(d) == graph.LabelUnknown {
 		if e, ok := s.cachedScore(name, version); ok {
 			score := e.score
 			detected := score >= det.Threshold()
@@ -1055,6 +1051,16 @@ func (s *Server) ReloadForSignal() error {
 	}
 	s.reloads.Inc()
 	return nil
+}
+
+// f2Window is the F2 look-back that lookup responses and audit records
+// extract features with: the serving detector's own, so the vector shown
+// is the one it scored; the paper's 14 days while no model is loaded.
+func f2Window(det *core.Detector) int {
+	if det == nil {
+		return core.DefaultConfig().ActivityWindow
+	}
+	return det.ActivityWindow()
 }
 
 // detector returns the current detector, or nil when none is configured.

@@ -9,16 +9,20 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"segugio/internal/activity"
 	"segugio/internal/core"
 	"segugio/internal/dnsutil"
+	"segugio/internal/features"
 	"segugio/internal/graph"
 	"segugio/internal/intel"
 	"segugio/internal/metrics"
 	"segugio/internal/ml"
+	"segugio/internal/obs"
 )
 
 // staticSource is a GraphSource over one fixed snapshot.
@@ -93,16 +97,25 @@ func testGraphParts(t *testing.T, day int) (*graph.Builder, graph.LabelSources) 
 // graph and saves it to dir, returning the file path.
 func testDetector(t *testing.T, g *graph.Graph, dir string) string {
 	t.Helper()
+	path := filepath.Join(dir, "detector.gob")
+	saveTestDetector(t, g, nil, core.DefaultConfig().ActivityWindow, path)
+	return path
+}
+
+// saveTestDetector trains the test detector with the given activity log
+// and F2 window and writes it to path.
+func saveTestDetector(t *testing.T, g *graph.Graph, act *activity.Log, window int, path string) {
+	t.Helper()
 	cfg := core.DefaultConfig()
+	cfg.ActivityWindow = window
 	cfg.DisablePruning = true
 	cfg.NewModel = func(benign, malware int) ml.Model {
 		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
 	}
-	det, _, err := core.Train(cfg, core.TrainInput{Graph: g})
+	det, _, err := core.Train(cfg, core.TrainInput{Graph: g, Activity: act})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "detector.gob")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +126,6 @@ func testDetector(t *testing.T, g *graph.Graph, dir string) string {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
 }
 
 type testServer struct {
@@ -329,6 +341,90 @@ func TestDomainEvidence(t *testing.T) {
 	code, _ = getJSON(t, ts.URL+"/v1/domains/never.seen.example", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("absent domain: status %d, want 404", code)
+	}
+}
+
+// TestLookupAndAuditUseModelWindow serves a detector trained with a 7-day
+// F2 window over an activity history in which the unknown domains were
+// active for 13 of the last 14 days. The feature vectors an analyst sees —
+// in GET /v1/domains/{name} and in the audit record — must be the ones the
+// model scored (7-day look-back), and must follow a reload to a model with
+// a different window.
+func TestLookupAndAuditUseModelWindow(t *testing.T) {
+	const day, name = 42, "unk1.gray.org"
+	g := testGraph(t, day)
+	act := activity.NewLog()
+	for i := 0; i < 4; i++ {
+		for d := day - 12; d <= day; d++ {
+			act.MarkDomain(d, fmt.Sprintf("unk%d.gray.org", i))
+			act.MarkE2LD(d, "gray.org")
+		}
+	}
+	path := filepath.Join(t.TempDir(), "detector.gob")
+	saveTestDetector(t, g, act, 7, path)
+	handle, err := OpenDetector(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit, err := obs.OpenAudit(obs.AuditConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, func(cfg *Config) {
+		cfg.Graphs = &staticSource{g: g, version: 7}
+		cfg.Detector, cfg.Activity, cfg.Audit = handle, act, audit
+	})
+
+	// scored is the vector the model scored a domain on: pruning is off in
+	// the test detector, so it is the live graph's vector at that window.
+	scored := func(domain string, window int) []float64 {
+		t.Helper()
+		ex, err := features.NewExtractor(g, act, nil, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := g.DomainIndex(domain)
+		return ex.Vector(d)
+	}
+	want := scored(name, 7)
+	if slices.Equal(want, scored(name, 14)) {
+		t.Fatal("fixture cannot tell a 7-day window from a 14-day one")
+	}
+	lookupActiveDays := func() int {
+		t.Helper()
+		var resp DomainResponse
+		if code, raw := getJSON(t, ts.URL+"/v1/domains/"+name, &resp); code != http.StatusOK {
+			t.Fatalf("lookup: %d %s", code, raw)
+		}
+		return resp.ActiveDays
+	}
+	if got := lookupActiveDays(); got != int(want[features.FDomainActiveDays]) {
+		t.Fatalf("lookup activeDays = %d, the model scored %v", got, want[features.FDomainActiveDays])
+	}
+
+	if code, raw := postJSON(t, ts.URL+"/v1/classify", nil, nil); code != http.StatusOK {
+		t.Fatalf("classify: %d %s", code, raw)
+	}
+	var audited AuditResponse
+	if code, raw := getJSON(t, ts.URL+"/v1/audit", &audited); code != http.StatusOK || len(audited.Records) == 0 {
+		t.Fatalf("audit: %d %s, want audited detections", code, raw)
+	}
+	for _, rec := range audited.Records {
+		vec := scored(rec.Domain, 7)
+		for i, fname := range features.Names() {
+			if rec.Features[fname] != vec[i] {
+				t.Fatalf("audit record for %s: %s = %v, the model scored %v", rec.Domain, fname, rec.Features[fname], vec[i])
+			}
+		}
+	}
+
+	// Reload to a 14-day model: the lookup follows it.
+	saveTestDetector(t, g, act, 14, path)
+	if code, raw := postJSON(t, ts.URL+"/v1/reload", nil, nil); code != http.StatusOK {
+		t.Fatalf("reload: %d %s", code, raw)
+	}
+	if got, want := lookupActiveDays(), scored(name, 14)[features.FDomainActiveDays]; got != int(want) {
+		t.Fatalf("after reload activeDays = %d, the 14-day model scored %v", got, want)
 	}
 }
 
