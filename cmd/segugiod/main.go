@@ -801,11 +801,8 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 		}()
 	}
 
-	// Periodic tracker pass: classify-all through the delta cache, fold
-	// the detections into the cross-day tracker, and log the day diff.
-	// Failures (e.g. the graph not labeled yet at startup) only log.
+	// Periodic tracker pass (see trackerTick).
 	if d.opts.classifyEvery > 0 && d.handle != nil {
-		trkLog := obs.Component(d.logger, "tracker")
 		sources.Add(1)
 		go func() {
 			defer sources.Done()
@@ -817,16 +814,7 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 					return
 				case <-tick.C:
 				}
-				diff, err := d.srv.RunTrackerPass(srcCtx)
-				if err != nil {
-					trkLog.Warn("tracker pass failed", "err", err)
-					continue
-				}
-				if len(diff.New) > 0 || len(diff.Dormant) > 0 {
-					trkLog.Info("tracker day diff", "day", diff.Day,
-						"new", len(diff.New), "recurring", len(diff.Recurring),
-						"dormant", len(diff.Dormant))
-				}
+				d.trackerTick(srcCtx)
 			}
 		}()
 	}
@@ -958,6 +946,33 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 	return serveErr
 }
 
+// trackerTick is one beat of -classify-every: classify-all through the
+// delta cache, fold the detections into the cross-day tracker, and log
+// the day diff. Failures (e.g. the graph not labeled yet at startup)
+// only log. After a rotation the pass is handed the finished day's last
+// graph (see ingest.SnapshotSince); the new day's first pass then runs at
+// once instead of waiting out another interval — one follow-up per tick
+// at most, so a pass that keeps reporting an old day (served stale after
+// a deadline overrun) cannot turn the ticker into a spin.
+func (d *daemon) trackerTick(ctx context.Context) {
+	log := obs.Component(d.logger, "tracker")
+	for passes := 0; passes < 2; passes++ {
+		diff, err := d.srv.RunTrackerPass(ctx)
+		if err != nil {
+			log.Warn("tracker pass failed", "err", err)
+			return
+		}
+		if len(diff.New) > 0 || len(diff.Dormant) > 0 {
+			log.Info("tracker day diff", "day", diff.Day,
+				"new", len(diff.New), "recurring", len(diff.Recurring),
+				"dormant", len(diff.Dormant))
+		}
+		if diff.Day >= d.ing.Day() {
+			return
+		}
+	}
+}
+
 // writeTraceSnapshot dumps the flight recorder to state/traces.json so a
 // graceful stop preserves the recent and slowest traces for post-mortem
 // inspection. core.WriteAtomic gives the same torn-write guarantees as
@@ -1038,7 +1053,7 @@ func (d *daemon) acceptEvents(ctx context.Context) error {
 			}
 			r := io.Reader(conn)
 			if d.opts.eventIdleTimeout > 0 {
-				r = &deadlineReader{conn: conn, timeout: d.opts.eventIdleTimeout, health: d.health}
+				r = &deadlineReader{conn: conn, timeout: d.opts.eventIdleTimeout}
 			}
 			if err := d.ing.Consume(r); err != nil &&
 				!errors.Is(err, ingest.ErrShuttingDown) && ctx.Err() == nil {
@@ -1049,26 +1064,17 @@ func (d *daemon) acceptEvents(ctx context.Context) error {
 	}
 }
 
-// overloadReadDelay throttles each event-stream read while the daemon is
-// overloaded: the read loop slows, the kernel receive buffer fills, and
-// TCP flow control pushes back on the sender — backpressure propagated
-// all the way to the source instead of an unbounded in-daemon backlog.
-const overloadReadDelay = 5 * time.Millisecond
-
 // deadlineReader arms a fresh read deadline before every read, turning a
 // silent idle peer into a timeout error that releases the connection.
-// Under overload it additionally delays each read (see
-// overloadReadDelay).
+// It never slows a read down: what a full shard ring does to its source
+// is -shed-policy's call alone (block parks the reader inside the
+// ingester, and the unread socket is the backpressure the sender feels).
 type deadlineReader struct {
 	conn    net.Conn
 	timeout time.Duration
-	health  *health.Tracker
 }
 
 func (r *deadlineReader) Read(p []byte) (int, error) {
-	if r.health != nil && r.health.Overloaded() {
-		time.Sleep(overloadReadDelay)
-	}
 	r.conn.SetReadDeadline(time.Now().Add(r.timeout))
 	return r.conn.Read(p)
 }

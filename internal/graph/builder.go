@@ -234,12 +234,15 @@ func (b *Builder) DomainNamesSince(n int) []string {
 // first query of the domain in this builder's window — the edge on which
 // per-(day, name) bookkeeping such as activity marks needs to run once.
 func (b *Builder) AddQuery(machineID, domain string) (e2ld string, first bool) {
-	d := b.domain(domain)
-	return b.domainE2LD[d], b.addEdge(b.machine(machineID), d)
+	d := b.Domain(domain)
+	return b.domainE2LD[d], b.AddEdge(b.Machine(machineID), d)
 }
 
-// addEdge is AddQuery on interned ids; it reports the domain's first query.
-func (b *Builder) addEdge(m, d int32) (first bool) {
+// AddEdge is AddQuery on node ids this builder handed out (Machine,
+// Domain); it reports the domain's first query. A caller that sees the
+// same names over and over — the ingester's per-connection symbol tables,
+// DrainInto's translation tables — resolves each once and appends ids.
+func (b *Builder) AddEdge(m, d int32) (first bool) {
 	b.pending = append(b.pending, newEdge(m, d))
 	if b.domainQueried[d] {
 		return false
@@ -269,10 +272,11 @@ func (b *Builder) EachQueriedDomain(fn func(domain, e2ld string)) {
 // the window. Duplicate addresses are ignored. This is the streaming
 // counterpart of SetDomainIPs: one resolution event at a time.
 func (b *Builder) AddResolution(domain string, ip dnsutil.IPv4) {
-	b.addResolution(b.domain(domain), ip)
+	b.AddAddress(b.Domain(domain), ip)
 }
 
-func (b *Builder) addResolution(d int32, ip dnsutil.IPv4) {
+// AddAddress is AddResolution on a domain id this builder handed out.
+func (b *Builder) AddAddress(d int32, ip dnsutil.IPv4) {
 	ips := b.domainIPs[d]
 	if set, ok := b.ipSets[d]; ok {
 		if _, dup := set[ip]; dup {
@@ -343,7 +347,10 @@ func (b *Builder) lookupDomain(name string) (int32, bool) {
 	return d, ok
 }
 
-func (b *Builder) machine(id string) int32 {
+// Machine returns the node id of the machine named id, interning it on
+// first sight. Ids are dense, start at 0 and never change for the life
+// of the builder.
+func (b *Builder) Machine(id string) int32 {
 	if m, ok := b.lookupMachine(id); ok {
 		return m
 	}
@@ -353,12 +360,18 @@ func (b *Builder) machine(id string) int32 {
 	return m
 }
 
-func (b *Builder) domain(name string) int32 {
+// Domain returns the node id of the (normalized) domain name, interning
+// it — and deriving its effective 2LD — on first sight. Ids are dense,
+// start at 0 and never change for the life of the builder.
+func (b *Builder) Domain(name string) int32 {
 	if d, ok := b.lookupDomain(name); ok {
 		return d
 	}
 	return b.internDomain(name, b.suffixes.E2LD(name))
 }
+
+// E2LD returns the effective 2LD of domain id d.
+func (b *Builder) E2LD(d int32) string { return b.domainE2LD[d] }
 
 // internDomain appends a domain known to be absent. The e2LD is taken as
 // given so a merged builder can reuse the one its shard already derived.
@@ -825,7 +838,7 @@ func (b *Builder) DrainInto(dst *Builder) {
 	}
 
 	for _, id := range b.machineIDs[len(b.drainM):] {
-		b.drainM = append(b.drainM, dst.machine(id))
+		b.drainM = append(b.drainM, dst.Machine(id))
 	}
 	for i := len(b.drainD); i < len(b.domains); i++ {
 		d, ok := dst.lookupDomain(b.domains[i])
@@ -835,12 +848,12 @@ func (b *Builder) DrainInto(dst *Builder) {
 		b.drainD = append(b.drainD, d)
 	}
 	for _, e := range b.freshLog[b.drainFresh-b.freshBase:] {
-		dst.addEdge(b.drainM[e.m()], b.drainD[e.d()])
+		dst.AddEdge(b.drainM[e.m()], b.drainD[e.d()])
 	}
 	b.drainFresh = b.freshBase + len(b.freshLog)
 	tail := b.drainIP - b.ipLogBase
 	for i, d := range b.ipLog[tail:] {
-		dst.addResolution(b.drainD[d], b.ipLogIP[tail+i])
+		dst.AddAddress(b.drainD[d], b.ipLogIP[tail+i])
 	}
 	b.drainIP = b.ipLogBase + len(b.ipLog)
 	b.trimLogs()

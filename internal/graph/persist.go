@@ -92,10 +92,10 @@ func DecodeSnapshot(r io.Reader, suffixes *dnsutil.SuffixList) (*Builder, error)
 	// Interning machines and domains in wire order keeps the rebuilt
 	// builder's indices aligned with the serialized adjacency.
 	for _, id := range wire.Machines {
-		b.machine(id)
+		b.Machine(id)
 	}
 	for _, name := range wire.Domains {
-		b.domain(name)
+		b.Domain(name)
 	}
 	for m := 0; m < nm; m++ {
 		lo, hi := wire.EdgeOff[m], wire.EdgeOff[m+1]

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,18 +84,102 @@ func TestSnapshotSinceRotationIsInexact(t *testing.T) {
 	waitFor(t, "day-1 event", func() bool { return m.EventsIngested.Value() == 1 })
 	_, v1, _ := in.SnapshotSince(0)
 
-	// Crossing a day boundary rotates the epoch; per-domain deltas from
-	// the old day are meaningless and the span must degrade to inexact.
+	// Crossing a day boundary rotates the epoch. A caller still on day 1
+	// is first handed the finished day, at a version of its own ...
 	if err := in.Consume(strings.NewReader("q\t2\tm1\tb.example.com\n")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "rotation", func() bool { return m.Rotations.Value() == 1 })
-	g, _, delta := in.SnapshotSince(v1)
+	g, vFinal, delta := in.SnapshotSince(v1)
+	if g.Day() != 1 || vFinal <= v1 || !delta.Exact || len(delta.Domains) != 0 {
+		t.Fatalf("first call after the rotation = day %d, version %d (was %d), delta %+v; want day 1's last graph with an exact empty delta",
+			g.Day(), vFinal, v1, delta)
+	}
+	// ... and then crosses into day 2: per-domain deltas from the old day
+	// are meaningless there and the span must degrade to inexact.
+	g, _, delta = in.SnapshotSince(vFinal)
 	if delta.Exact {
 		t.Fatalf("delta across rotation = %+v, want inexact", delta)
 	}
 	if g.Day() != 2 {
 		t.Fatalf("day = %d, want 2", g.Day())
+	}
+	if live, _ := in.Snapshot(); live != g {
+		t.Fatal("Snapshot and the post-rotation SnapshotSince disagree on the live graph")
+	}
+}
+
+// TestSnapshotSinceHandsOverFinishedDay pins the end-of-day handoff: what
+// is applied after a reader's last snapshot and before the rotation is
+// reported as an exact delta on the finished day's own graph, until the
+// reader comes back at that graph's version; Snapshot keeps serving the live epoch throughout; and an ingester
+// nobody ever asked for a delta keeps no finished day at all.
+func TestSnapshotSinceHandsOverFinishedDay(t *testing.T) {
+	m, _ := newMetrics()
+	var (
+		mu       sync.Mutex
+		prepared = make(map[*graph.Graph]int) // the rotating worker and a reader both want the finished day labeled
+	)
+	in := New(Config{Network: "net", StartDay: 1, Workers: 2, Metrics: m,
+		PrepareSnapshot: func(g *graph.Graph) {
+			mu.Lock()
+			prepared[g]++
+			mu.Unlock()
+			g.ApplyLabels(graph.LabelSources{AsOf: g.Day()})
+		}})
+	defer in.Shutdown()
+	feedLines := func(want int64, lines string) {
+		t.Helper()
+		if err := in.Consume(strings.NewReader(lines)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "events applied", func() bool { return m.EventsIngested.Value() == want })
+	}
+
+	feedLines(1, "q\t1\tm1\ta.example.com\n")
+	in.Snapshot()
+	feedLines(2, "q\t2\tm1\tb.example.com\n") // rotates; no SnapshotSince so far
+	in.deltaMu.Lock()
+	kept := in.finished
+	in.deltaMu.Unlock()
+	if kept != nil {
+		t.Fatal("a finished day is kept although nobody reads deltas")
+	}
+
+	_, v, _ := in.SnapshotSince(0)
+	feedLines(4, "q\t2\tm2\tlate.example.com\nr\t2\tlate.example.com\t10.0.0.9\n")
+	feedLines(5, "q\t3\tm1\tc.example.com\n") // rotates day 2 out
+	if live, _ := in.Snapshot(); live.Day() != 3 {
+		t.Fatalf("Snapshot serves day %d after the rotation, want the live day 3", live.Day())
+	}
+	g, vFinal, delta := in.SnapshotSince(v)
+	if g.Day() != 2 || !g.Labeled() {
+		t.Fatalf("finished day: day %d, labeled %v; want day 2's last graph, labeled", g.Day(), g.Labeled())
+	}
+	if !delta.Exact || len(delta.Domains) != 1 || delta.Domains[0] != "late.example.com" {
+		t.Fatalf("finished day's delta = %+v, want exactly [late.example.com]", delta)
+	}
+	if d, ok := g.DomainIndex("late.example.com"); !ok || g.DomainDegree(d) != 1 || len(g.DomainIPs(d)) != 1 {
+		t.Fatal("finished day's graph lacks the late domain's edge or address")
+	}
+	// A caller whose pass over it did not complete comes back with its old
+	// version and must find the same graph and delta waiting.
+	if again, vAgain, dAgain := in.SnapshotSince(v); again != g || vAgain != vFinal || !slices.Equal(dAgain.Domains, delta.Domains) {
+		t.Fatalf("retry with the old version = day %d at %d, delta %+v; want the finished day again", again.Day(), vAgain, dAgain)
+	}
+	if g2, _, d2 := in.SnapshotSince(vFinal); g2.Day() != 3 || d2.Exact {
+		t.Fatalf("call after a completed pass = day %d, delta %+v; want the live day 3, inexact", g2.Day(), d2)
+	}
+	if g3, _, _ := in.SnapshotSince(v); g3.Day() != 3 {
+		t.Fatalf("an old version after the handover completed = day %d, want the live day 3", g3.Day())
+	}
+	in.Shutdown() // the rotating worker is done with its own prepare call
+	mu.Lock()
+	defer mu.Unlock()
+	for pg, n := range prepared {
+		if n != 1 {
+			t.Fatalf("PrepareSnapshot ran %d times on the day-%d graph, want once", n, pg.Day())
+		}
 	}
 }
 

@@ -8,18 +8,38 @@
 // event (the default, how an ISP tap has to behave — the resolver will
 // not wait for us), block the source so TCP pushes back on the sender, or
 // block until the daemon is overloaded and then evict the oldest queued
-// event.
+// event. That policy is the whole of the ingester's backpressure: nothing
+// else slows a source down.
+//
+// A segb1 stream numbers its names (logio.Event.MachineSym/DomainSym), and
+// the ingester resolves each number once instead of hashing two strings
+// per event. Symbol → shard lives with the producer: each eventSource
+// caches graph.ShardOf per symbol, one table per routing key (a query
+// routes by its machine, a resolution by its normalized domain, and one
+// symbol can be both). Symbol → node id lives with the consumer: each
+// (source, shard) eventRing owns a table pair that shardApply consults
+// under the shard lock — a hit is two slice loads and an id-level
+// Builder.AddEdge/AddAddress; a miss, a literal, or any event of a source
+// that numbers nothing (text, tail, trace_dns: symbol 0) interns the
+// string and fills the slot. The id tables belong to the shard's builder
+// of one epoch day and are cleared by the first batch after a rotation
+// (the only time a shard swaps builders under a live ring); they are keyed
+// on the day, not the builder, so an idle ring pins nothing. Every table
+// has exactly one reader-writer goroutine, so none has a lock, grows only
+// to the highest symbol its ring or source has seen (logio caps a stream
+// at 2^18 symbols: at most 1 MiB per table, 2 MiB per ring), and dies
+// with the connection.
 //
 // Epochs rotate at day boundaries: an event stamped with a later day than
 // the current epoch finalizes the old graph (handing a snapshot to the
-// OnRotate hook) and starts a fresh one, so the live graph always covers
-// exactly the current observation window, mirroring the paper's
-// one-day-at-a-time deployment loop.
+// OnRotate hook, and once to the next SnapshotSince caller so the day's
+// last events are still classified) and starts a fresh one, so the live
+// graph always covers exactly the current observation window, mirroring
+// the paper's one-day-at-a-time deployment loop.
 package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -243,8 +263,7 @@ type graphShard struct {
 	mu      sync.Mutex
 	builder *graph.Builder
 	wal     *wal.Log
-	walBuf  bytes.Buffer
-	walLine bytes.Buffer // scratch for one encoded event line
+	walBuf  []byte // event lines of the WAL record being built
 	// walBatchErr records a WAL append failure inside the current apply
 	// segment so the wal_append watermark holds back (guarded by mu;
 	// reset at the top of each shardApply).
@@ -338,6 +357,13 @@ type Ingester struct {
 	deltaMu     sync.Mutex
 	ring        deltaRing
 	lastSnapVer uint64
+	// finished is the newest rotated-out epoch no SnapshotSince caller has
+	// completed a pass over yet: kept until a call's since reaches its
+	// version or the next rotation replaces it (guarded by deltaMu; nil
+	// when there is none, and always nil until somebody has asked for a
+	// delta — see rotate).
+	finished     *finishedEpoch
+	deltaReaders bool
 }
 
 // deltaEntry records the dirty domains between two consecutive snapshot
@@ -376,9 +402,10 @@ func (r *deltaRing) push(e deltaEntry) {
 	}
 }
 
-// since accumulates the dirty domains between version v and the current
-// version cur by walking entries newest-first. It reports ok=false when
-// the span crosses an inexact entry or history no longer reaches v.
+// since accumulates the dirty domains between version v and the snapshot
+// version cur by walking entries newest-first, past any recorded after
+// cur. It reports ok=false when the span crosses an inexact entry or
+// history no longer reaches v.
 func (r *deltaRing) since(v, cur uint64) ([]string, bool) {
 	if v == cur {
 		return nil, true
@@ -387,6 +414,9 @@ func (r *deltaRing) since(v, cur uint64) ([]string, bool) {
 	var out []string
 	for i := len(r.entries) - 1; i >= 0; i-- {
 		e := r.entries[i]
+		if e.to > cur {
+			continue
+		}
 		if e.to <= v {
 			break
 		}
@@ -528,6 +558,12 @@ type eventSource struct {
 	in    *Ingester
 	rings []*eventRing
 	pend  [][]logio.Event
+	// machineShard and domainShard cache graph.ShardOf per stream symbol,
+	// so a name the segb1 stream numbered is hashed once per connection.
+	// One table per routing key: queries route by machine, resolutions by
+	// the normalized domain, and one symbol may serve as both. Only the
+	// source's own goroutine touches them.
+	machineShard, domainShard symTable
 	// wm is the source's watermark frontier (nil when watermarks are
 	// off); advanced on every dispatch.
 	wm *obs.SourceMark
@@ -719,7 +755,7 @@ func (in *Ingester) consumeBinary(r io.Reader, src *eventSource) error {
 			return ErrShuttingDown
 		default:
 		}
-		src.dispatchBatched(*e)
+		src.dispatchBatched(e)
 		return nil
 	})
 	// Flush whatever the aborted frame staged, so every decoded event is
@@ -734,15 +770,26 @@ func (in *Ingester) consumeBinary(r io.Reader, src *eventSource) error {
 
 // shardOf routes an event by machine hash (queries) or domain hash
 // (resolutions), so one machine's events stay ordered. The hash is
-// graph.ShardOf, so a ring's events all belong to its shard's builder.
-func (s *eventSource) shardOf(e logio.Event) int {
-	return graph.ShardOf(eventKey(e), len(s.rings))
+// graph.ShardOf, so a ring's events all belong to its shard's builder;
+// it runs once per stream symbol, and per event only for names the
+// stream did not number.
+func (s *eventSource) shardOf(e *logio.Event) int {
+	sym, cache := e.MachineSym, &s.machineShard
+	if e.Kind == logio.EventResolution {
+		sym, cache = e.DomainSym, &s.domainShard
+	}
+	if shard, ok := cache.get(sym); ok {
+		return int(shard)
+	}
+	shard := graph.ShardOf(eventKey(e), len(s.rings))
+	cache.put(sym, int32(shard))
+	return shard
 }
 
 // eventKey is the routing key of an event: machine for queries, domain
 // for resolutions (see graph.ShardOf for the partition invariants this
 // buys).
-func eventKey(e logio.Event) string {
+func eventKey(e *logio.Event) string {
 	if e.Kind == logio.EventResolution {
 		return e.Domain
 	}
@@ -753,14 +800,16 @@ func eventKey(e logio.Event) string {
 // lock-free publish; a full ring falls through to the shed policy.
 func (s *eventSource) dispatch(e logio.Event) {
 	s.wm.Advance(e.Day)
-	shard := s.shardOf(e)
-	if ok, wake := s.rings[shard].publish1(e); ok {
+	shard := s.shardOf(&e)
+	for {
+		ok, wake := s.rings[shard].publish1(e)
 		if wake {
 			s.in.notify(shard)
 		}
-		return
+		if ok || !s.awaitRoom(shard, 1) {
+			return
+		}
 	}
-	s.dispatchSlow(shard, e)
 }
 
 // dispatchBatchSize caps a per-shard pending buffer between frame
@@ -769,10 +818,10 @@ const dispatchBatchSize = 256
 
 // dispatchBatched stages one event for batch publication; the batch
 // flushes when full or at the next frame boundary.
-func (s *eventSource) dispatchBatched(e logio.Event) {
+func (s *eventSource) dispatchBatched(e *logio.Event) {
 	s.wm.Advance(e.Day)
 	shard := s.shardOf(e)
-	s.pend[shard] = append(s.pend[shard], e)
+	s.pend[shard] = append(s.pend[shard], *e)
 	if len(s.pend[shard]) >= dispatchBatchSize {
 		s.flushShard(shard)
 	}
@@ -787,75 +836,66 @@ func (s *eventSource) flushAll() {
 	}
 }
 
-// flushShard batch-publishes shard's pending events; whatever does not
-// fit goes through the shed policy one event at a time.
+// flushShard batch-publishes shard's pending events. When the ring fills
+// mid-batch the remainder waits on the shed policy once per refill — not
+// once per event — and goes out in as few publishes as the ring allows.
 func (s *eventSource) flushShard(shard int) {
 	pend := s.pend[shard]
-	n, wake := s.rings[shard].publish(pend)
-	if wake {
-		s.in.notify(shard)
-	}
-	for _, e := range pend[n:] {
-		s.dispatchSlow(shard, e)
+	for rest := pend; ; {
+		n, wake := s.rings[shard].publish(rest)
+		if wake {
+			s.in.notify(shard)
+		}
+		if rest = rest[n:]; len(rest) == 0 || !s.awaitRoom(shard, len(rest)) {
+			break
+		}
 	}
 	// Release references before reuse so shed events do not linger.
 	clear(pend)
 	s.pend[shard] = pend[:0]
 }
 
-// dispatchSlow handles an event whose shard ring is full. Every full
-// ring asserts the ingest_queue overload signal (self-arming: sustained
-// pressure keeps re-asserting it, a burst decays after queuePressureTTL),
-// then the shed policy decides the event's fate. Shedding unacknowledged
-// events is reserved for the overloaded state under an explicit policy;
-// otherwise the source blocks, which is the backpressure a TCP sender
-// feels as a stalled read loop.
-func (s *eventSource) dispatchSlow(shard int, e logio.Event) {
-	in := s.in
-	overloaded := false
+// awaitRoom handles a full shard ring with n events still to publish: it
+// reports true once the ring has a free slot again, or false when the n
+// events are accounted for as dropped and the caller must let them go.
+// Every full ring asserts the ingest_queue overload signal (self-arming:
+// sustained pressure keeps re-asserting it, a burst decays after
+// queuePressureTTL), then the shed policy decides. Shedding
+// unacknowledged events is reserved for the overloaded state under an
+// explicit policy; otherwise the source blocks, which is the backpressure
+// a TCP sender feels as a stalled read loop — and the only throttle there
+// is. Shutdown ends the wait: the events are then counted as dropped
+// rather than wedging the Consume loop forever.
+func (s *eventSource) awaitRoom(shard, n int) bool {
+	in, r := s.in, s.rings[shard]
 	if h := in.cfg.Health; h != nil {
 		h.SetFor(healthSignalQueue, health.Overloaded, "shard queue full", queuePressureTTL)
-		overloaded = h.State() == health.Overloaded
 	}
 	switch in.cfg.ShedPolicy {
 	case ShedBlock:
-		s.blockPublish(shard, e)
 	case ShedDropOldest:
-		if !overloaded {
-			s.blockPublish(shard, e)
-			return
-		}
 		// Ask the worker to evict the oldest queued event (the producer
-		// cannot pop an SPSC ring), then wait for the slot: under
-		// overload the most recent observation is the one that keeps the
-		// live graph current. The worker clears the request unserved if
+		// cannot pop an SPSC ring), then wait for the slot: under overload
+		// the most recent observation is the one that keeps the live graph
+		// current. One per wait, however many events are waiting — the
+		// worker frees a whole batch behind the eviction, and a ring that
+		// fills again asks again. The worker clears the request unserved if
 		// the ring drained on its own first.
-		s.rings[shard].evict.Add(1)
-		in.notify(shard)
-		s.blockPublish(shard, e)
-	default:
-		// Legacy tap behavior: the newest event is dropped and counted,
-		// the source never blocks.
-		inc(in.m.EventsDropped)
-	}
-}
-
-// blockPublish parks the caller until the ring has room — the
-// backpressure path. Shutdown unblocks it; the event is then counted as
-// dropped rather than wedging the Consume loop forever.
-func (s *eventSource) blockPublish(shard int, e logio.Event) {
-	r := s.rings[shard]
-	for spin := 0; ; spin++ {
-		if ok, wake := r.publish1(e); ok {
-			if wake {
-				s.in.notify(shard)
-			}
-			return
+		if h := in.cfg.Health; h != nil && h.Overloaded() {
+			r.evict.Add(1)
+			in.notify(shard)
 		}
+	default:
+		// Legacy tap behavior: the newest events are dropped and counted,
+		// the source never blocks.
+		addN(in.m.EventsDropped, int64(n))
+		return false
+	}
+	for spin := 0; r.full(); spin++ {
 		select {
-		case <-s.in.closing:
-			inc(s.in.m.EventsDropped)
-			return
+		case <-in.closing:
+			addN(in.m.EventsDropped, int64(n))
+			return false
 		default:
 		}
 		if spin < 64 {
@@ -864,6 +904,7 @@ func (s *eventSource) blockPublish(shard int, e logio.Event) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
+	return true
 }
 
 // shedN counts n events shed by the overload policy.
@@ -944,7 +985,7 @@ func (in *Ingester) sweepShard(shard int, buf []logio.Event) (handled int) {
 			if n == 0 {
 				break
 			}
-			in.apply(buf[:n], r.source, shard)
+			in.apply(buf[:n], r, shard)
 			handled += n
 		}
 		if r.isClosed() && r.empty() {
@@ -957,10 +998,24 @@ func (in *Ingester) sweepShard(shard int, buf []logio.Event) (handled int) {
 	return handled
 }
 
-// rotation is one finalized epoch handed to the OnRotate hook.
-type rotation struct {
-	day   int
-	final *graph.Graph
+// finishedEpoch is the last graph of a day that rotated out, at the
+// version its delta-ring entry ends on. rotate keeps the newest one for
+// SnapshotSince, so the events applied after the day's last pass still
+// reach a classify pass; apply hands the same graph to OnRotate.
+type finishedEpoch struct {
+	day     int
+	g       *graph.Graph
+	version uint64
+	// prepared runs PrepareSnapshot on g exactly once, whichever of the
+	// rotating worker and a SnapshotSince caller gets there first; the
+	// other waits for it.
+	prepared sync.Once
+}
+
+func (f *finishedEpoch) prepare(hook func(*graph.Graph)) {
+	if hook != nil {
+		f.prepared.Do(func() { hook(f.g) })
+	}
 }
 
 // walFlushBytes caps one WAL record: a batch whose serialized lines
@@ -976,21 +1031,21 @@ const walFlushBytes = 256 << 10
 // applies under the epoch read lock plus its shard's lock, and a
 // later-day boundary rotates the epoch under the write lock before the
 // next segment runs. Each batch is one graph_apply trace; the WAL flushes
-// inside it appear as wal_append child spans. source names the producer
-// kind the batch came from and shard the shard whose ring it was swept
-// from, which is the shard whose builder it feeds.
-func (in *Ingester) apply(batch []logio.Event, source string, shard int) {
+// inside it appear as wal_append child spans. r is the ring the batch was
+// swept from — it names the producer kind and owns the stream's symbol
+// cache — and shard the shard it belongs to, whose builder it feeds.
+func (in *Ingester) apply(batch []logio.Event, r *eventRing, shard int) {
 	if in.cfg.ApplyHook != nil {
 		in.cfg.ApplyHook()
 	}
 	_, span := in.cfg.Tracer.StartSpan(context.Background(), obs.StageGraphApply)
 	var (
-		rotations []rotation
+		rotations []*finishedEpoch
 		applied   int64
 		walOK     = true
 	)
 	for off := 0; off < len(batch); {
-		n, segApplied, segWALOK := in.applySegment(batch[off:], in.shards[shard], span)
+		n, segApplied, segWALOK := in.applySegment(batch[off:], in.shards[shard], r, span)
 		off += n
 		applied += segApplied
 		walOK = walOK && segWALOK
@@ -999,8 +1054,8 @@ func (in *Ingester) apply(batch []logio.Event, source string, shard int) {
 			// ran under: rotate forward. rotate no-ops (and the next
 			// segment picks the event up) when another worker crossed the
 			// boundary first. A multi-day jump still causes one rotation.
-			if r := in.rotate(batch[off].Day); r != nil {
-				rotations = append(rotations, *r)
+			if f := in.rotate(batch[off].Day); f != nil {
+				rotations = append(rotations, f)
 			}
 		}
 	}
@@ -1018,25 +1073,23 @@ func (in *Ingester) apply(batch []logio.Event, source string, shard int) {
 				maxDay = e.Day
 			}
 		}
-		wm.Ack(obs.WatermarkGraphApply, source, maxDay)
+		wm.Ack(obs.WatermarkGraphApply, r.source, maxDay)
 		// The WAL ack only advances when every flush in the batch landed;
 		// a failed append leaves the wal_append watermark behind, which is
 		// exactly the durability lag the gauge should show.
 		if in.hasWAL && walOK {
-			wm.Ack(obs.WatermarkWALAppend, source, maxDay)
+			wm.Ack(obs.WatermarkWALAppend, r.source, maxDay)
 		}
 	}
 
 	addN(in.m.EventsIngested, applied)
 	in.publishGauges()
-	for _, r := range rotations {
+	for _, f := range rotations {
 		// Finalized epochs get the same preparation as served snapshots
 		// (label application), so rotation hooks can classify them.
-		if in.cfg.PrepareSnapshot != nil {
-			in.cfg.PrepareSnapshot(r.final)
-		}
+		f.prepare(in.cfg.PrepareSnapshot)
 		if in.cfg.OnRotate != nil {
-			in.cfg.OnRotate(r.day, r.final)
+			in.cfg.OnRotate(f.day, f.g)
 		}
 	}
 }
@@ -1045,7 +1098,7 @@ func (in *Ingester) apply(batch []logio.Event, source string, shard int) {
 // current epoch (events at or before the epoch day) and reports how many
 // events it consumed; a shorter-than-batch return means the next event
 // starts a later day and the caller must rotate.
-func (in *Ingester) applySegment(events []logio.Event, sh *graphShard, span *obs.Span) (n int, applied int64, walOK bool) {
+func (in *Ingester) applySegment(events []logio.Event, sh *graphShard, r *eventRing, span *obs.Span) (n int, applied int64, walOK bool) {
 	in.epochMu.RLock()
 	defer in.epochMu.RUnlock()
 	day := in.day
@@ -1059,7 +1112,7 @@ func (in *Ingester) applySegment(events []logio.Event, sh *graphShard, span *obs
 	if n == 0 {
 		return 0, 0, true
 	}
-	applied, walOK = in.shardApply(sh, events[:n], day, span)
+	applied, walOK = in.shardApply(sh, &r.nodes, events[:n], day, span)
 	return n, applied, walOK
 }
 
@@ -1076,28 +1129,40 @@ func markActive(act *activity.Log, day int, domain, e2ld string) {
 // recovery kicks in. Callers hold epochMu for read; day is the epoch day
 // they read under it. walOK reports whether every stripe append
 // succeeded.
-func (in *Ingester) shardApply(sh *graphShard, events []logio.Event, day int, span *obs.Span) (applied int64, walOK bool) {
+//
+// Names reach the builder as node ids. nodes — the cache of the ring the
+// events came from — answers for every name the segb1 stream numbered
+// and this ring has applied before; any other name (first sight of a
+// symbol on this ring, a literal, every event of a text, tail or
+// trace_dns source, whose symbols are 0) takes the builder's string
+// intern and fills its slot: one loop, with a cache in front of it.
+func (in *Ingester) shardApply(sh *graphShard, nodes *symNodes, events []logio.Event, day int, span *obs.Span) (applied int64, walOK bool) {
 	start := time.Now() // before the lock: contention is part of apply latency
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.walBuf.Reset()
+	sh.walBuf = sh.walBuf[:0]
 	sh.walBatchErr = false
-	ndBefore := sh.builder.NumDomains()
-	for _, e := range events {
+	b := sh.builder
+	nodes.bind(day)
+	ndBefore := b.NumDomains()
+	for i := range events {
+		e := &events[i]
 		if e.Day < day {
 			inc(in.m.EventsStale)
 			continue
 		}
 		switch e.Kind {
 		case logio.EventQuery:
+			d := nodes.domainID(b, e.DomainSym, e.Domain)
 			// A mark is idempotent per (day, name): only the domain's first
 			// query in this shard's window pays for it.
-			if e2ld, first := sh.builder.AddQuery(e.Machine, e.Domain); first && in.cfg.Activity != nil {
-				markActive(in.cfg.Activity, day, e.Domain, e2ld)
+			if b.AddEdge(nodes.machineID(b, e.MachineSym, e.Machine), d) && in.cfg.Activity != nil {
+				markActive(in.cfg.Activity, day, e.Domain, b.E2LD(d))
 			}
 		case logio.EventResolution:
+			d := nodes.domainID(b, e.DomainSym, e.Domain)
 			for _, ip := range e.IPs {
-				sh.builder.AddResolution(e.Domain, ip)
+				b.AddAddress(d, ip)
 			}
 		}
 		if sh.wal != nil {
@@ -1112,10 +1177,10 @@ func (in *Ingester) shardApply(sh *graphShard, events []logio.Event, day int, sp
 		// Inside the shard lock, after the appends: a drain that wins the
 		// lock next sees every event this version accounts for.
 		in.version.Add(1)
-		sh.machines.Store(int64(sh.builder.NumMachines()))
-		sh.observations.Store(int64(sh.builder.NumObservations()))
-		if nd := sh.builder.NumDomains(); nd > ndBefore {
-			in.noteNewDomains(sh.builder.DomainNamesSince(ndBefore))
+		sh.machines.Store(int64(b.NumMachines()))
+		sh.observations.Store(int64(b.NumObservations()))
+		if nd := b.NumDomains(); nd > ndBefore {
+			in.noteNewDomains(b.DomainNamesSince(ndBefore))
 		}
 		addN(sh.events, applied)
 		if sh.applySeconds != nil {
@@ -1131,15 +1196,19 @@ func (in *Ingester) shardApply(sh *graphShard, events []logio.Event, day int, sp
 // builder is finalized as the epoch's graph, and fresh shard builders
 // start the new day. Returns nil when another worker already rotated to
 // (or past) newDay.
-func (in *Ingester) rotate(newDay int) *rotation {
+func (in *Ingester) rotate(newDay int) *finishedEpoch {
 	in.epochMu.Lock()
 	defer in.epochMu.Unlock()
 	if newDay <= in.day {
 		return nil
 	}
 	in.drainShardsLocked()
-	final := in.merged.Snapshot()
-	r := &rotation{day: in.day, final: final}
+	// The day's last graph is one more snapshot of the merged builder, at
+	// a version of its own: its dirty delta goes into the ring like any
+	// other, so a pass that last looked at an earlier version of this day
+	// can still be told exactly what changed since.
+	f := &finishedEpoch{day: in.day, g: in.merged.Snapshot(), version: in.version.Add(1)}
+	in.recordSnapshot(f.g, f.version)
 	for _, sh := range in.shards {
 		sh.mu.Lock()
 		sh.builder = graph.NewBuilder(in.cfg.Network, newDay, in.cfg.Suffixes)
@@ -1156,16 +1225,22 @@ func (in *Ingester) rotate(newDay int) *rotation {
 	v := in.version.Add(1)
 	// A rotation invalidates every delta baseline: poison the ring so
 	// SnapshotSince spans crossing the boundary come back inexact and
-	// consumers re-score everything.
+	// consumers re-score everything. The finished epoch is kept for
+	// SnapshotSince (replacing an older one nobody got through) — but only
+	// if anyone ever calls it: a daemon that never classifies would carry
+	// yesterday's graph for nothing.
 	in.deltaMu.Lock()
 	in.ring.push(deltaEntry{from: v, to: v, inexact: true})
 	in.lastSnapVer = v
+	if in.deltaReaders {
+		in.finished = f
+	}
 	in.deltaMu.Unlock()
 	inc(in.m.Rotations)
 	if in.cfg.Activity != nil {
 		in.cfg.Activity.Trim(newDay - in.cfg.ActivityKeepDays)
 	}
-	return r
+	return f
 }
 
 // drainShardsLocked folds every shard's fresh delta since its last drain
@@ -1216,23 +1291,25 @@ func (in *Ingester) publishGauges() {
 	}
 }
 
-// appendShardWAL stages one event line into the shard's WAL record being
-// built, cutting a record whenever the buffer crosses walFlushBytes.
-// Callers hold the shard lock.
-func (in *Ingester) appendShardWAL(sh *graphShard, e logio.Event, span *obs.Span) {
-	sh.walLine.Reset()
-	logio.WriteEvent(&sh.walLine, e)
-	// Flush first if this line would push the buffered record
-	// past the WAL's cap: wal.Append rejects oversized records
-	// wholesale, which would silently void durability for every
-	// event already in the buffer. Unreachable while
-	// walFlushBytes + logio.MaxLineBytes fits in a record
-	// (asserted in tests), but cheap insurance against drift.
-	if sh.walBuf.Len() > 0 && sh.walBuf.Len()+sh.walLine.Len() > wal.MaxRecordBytes {
+// appendShardWAL renders one event line straight into the shard's WAL
+// record being built, cutting a record whenever the buffer crosses
+// walFlushBytes. Callers hold the shard lock.
+func (in *Ingester) appendShardWAL(sh *graphShard, e *logio.Event, span *obs.Span) {
+	before := len(sh.walBuf)
+	sh.walBuf = logio.AppendEvent(sh.walBuf, *e)
+	// If this line pushed the buffered record past the WAL's cap, cut the
+	// record before it: wal.Append rejects oversized records wholesale,
+	// which would silently void durability for every event already in
+	// the buffer. Unreachable while walFlushBytes + logio.MaxLineBytes
+	// fits in a record (asserted in tests), but cheap insurance against
+	// drift.
+	if before > 0 && len(sh.walBuf) > wal.MaxRecordBytes {
+		line := sh.walBuf[before:]
+		sh.walBuf = sh.walBuf[:before]
 		in.flushShardWAL(sh, span)
+		sh.walBuf = append(sh.walBuf, line...) // moves the line down to offset 0
 	}
-	sh.walBuf.Write(sh.walLine.Bytes())
-	if sh.walBuf.Len() >= walFlushBytes {
+	if len(sh.walBuf) >= walFlushBytes {
 		in.flushShardWAL(sh, span)
 	}
 }
@@ -1243,11 +1320,11 @@ func (in *Ingester) appendShardWAL(sh *graphShard, e logio.Event, span *obs.Span
 // disk. The append shows up as a wal_append child of the batch's
 // graph_apply span. Callers hold the shard lock.
 func (in *Ingester) flushShardWAL(sh *graphShard, span *obs.Span) {
-	if sh.walBuf.Len() == 0 {
+	if len(sh.walBuf) == 0 {
 		return
 	}
 	start := time.Now()
-	_, err := sh.wal.Append(sh.walBuf.Bytes())
+	_, err := sh.wal.Append(sh.walBuf)
 	took := time.Since(start)
 	if err != nil {
 		inc(in.m.WALAppendFailures)
@@ -1261,7 +1338,7 @@ func (in *Ingester) flushShardWAL(sh *graphShard, span *obs.Span) {
 			fmt.Sprintf("wal append took %s", took.Round(time.Millisecond)), walFaultTTL)
 	}
 	span.RecordChild(obs.StageWALAppend, took)
-	sh.walBuf.Reset()
+	sh.walBuf = sh.walBuf[:0]
 }
 
 // Day returns the current epoch day.
@@ -1342,7 +1419,30 @@ func (in *Ingester) Snapshot() (*graph.Graph, uint64) {
 // classification-relevant state changed between since and the returned
 // version. When the delta is inexact (epoch rotated, history trimmed, or
 // since is unknown) the caller must treat every domain as dirty.
+//
+// After a rotation, a call whose since predates the finished day's last
+// graph is handed that graph instead of the live one — with the exact
+// delta when since lies in the same day — so what was applied between the
+// day's last pass and its rotation is still classified and audited under
+// the day it belongs to. The handover repeats until a call arrives with
+// since at or past the finished epoch's version: only then has the caller
+// completed a pass over it (a pass that aborted or found the graph
+// unlabeled comes back with its old since and is handed the same graph
+// again). That call crosses the rotation and returns the live epoch,
+// inexact. Snapshot never returns a finished epoch.
 func (in *Ingester) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta) {
+	in.deltaMu.Lock()
+	in.deltaReaders = true
+	if f := in.finished; f != nil {
+		if since < f.version {
+			names, ok := in.ring.since(since, f.version)
+			in.deltaMu.Unlock()
+			f.prepare(in.cfg.PrepareSnapshot)
+			return f.g, f.version, graph.Delta{Exact: ok, Domains: names}
+		}
+		in.finished = nil // the caller has processed it
+	}
+	in.deltaMu.Unlock()
 	g, v := in.Snapshot()
 	if since == v {
 		return g, v, graph.Delta{Exact: true}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,7 +51,7 @@ func benchShardBatches(total, batch, shards int) [][][]logio.Event {
 	perShard := make([][]logio.Event, shards)
 	for _, events := range benchBatches(total, batch) {
 		for _, e := range events {
-			s := graph.ShardOf(eventKey(e), shards)
+			s := graph.ShardOf(eventKey(&e), shards)
 			perShard[s] = append(perShard[s], e)
 		}
 	}
@@ -74,13 +75,44 @@ func benchConfig(workers int) Config {
 	return Config{Network: "bench", StartDay: 1, Workers: workers, Metrics: m, Activity: activity.NewLog()}
 }
 
+// benchRing stands in for the (source, shard) ring a batch is swept
+// from: apply reads its source label and its symbol cache.
+func benchRing() *eventRing {
+	r := newEventRing(1)
+	r.source = "bench"
+	return r
+}
+
+// withSymbols numbers the batches' names the way one segb1 connection
+// would: a symbol per distinct string, in order of first appearance,
+// machines and domains drawing from the same sequence.
+func withSymbols(batches [][]logio.Event) [][]logio.Event {
+	syms := make(map[string]uint32)
+	sym := func(name string) uint32 {
+		if _, ok := syms[name]; !ok {
+			syms[name] = uint32(len(syms)) + 1
+		}
+		return syms[name]
+	}
+	for _, events := range batches {
+		for i := range events {
+			e := &events[i]
+			if e.Kind == logio.EventQuery {
+				e.MachineSym = sym(e.Machine)
+			}
+			e.DomainSym = sym(e.Domain)
+		}
+	}
+	return batches
+}
+
 func benchApply(b *testing.B, in *Ingester, snapshotEvery int) {
 	defer in.Shutdown()
-	batches := benchBatches(1<<20, 256)
+	batches, r := benchBatches(1<<20, 256), benchRing()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.apply(batches[i%len(batches)], "bench", 0)
+		in.apply(batches[i%len(batches)], r, 0)
 		if snapshotEvery > 0 && i%snapshotEvery == snapshotEvery-1 {
 			in.Snapshot()
 		}
@@ -88,11 +120,44 @@ func benchApply(b *testing.B, in *Ingester, snapshotEvery int) {
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// benchApplySymbols is benchApply for a long-lived segb1 connection in
+// steady state: the batches carry symbols and the ring has resolved every
+// one of them before the clock starts, so each event costs two table
+// loads and an id-level append. allocs/event must read 0.
+func benchApplySymbols(b *testing.B, in *Ingester) {
+	defer in.Shutdown()
+	batches := withSymbols(benchBatches(1<<20, 256))
+	r := benchRing()
+	for _, batch := range batches {
+		in.apply(batch, r, 0)
+	}
+	in.Snapshot() // fold the warm-up's pending edges, as the daemon's passes do
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.apply(batches[i%len(batches)], r, 0)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(256*b.N), "allocs/event")
+}
+
 // BenchmarkIngestApply measures raw event-application throughput: one op
 // applies one 256-event batch to the live builder (no snapshots). Gated
 // in scripts/bench-allocs.sh (events/s floor).
 func BenchmarkIngestApply(b *testing.B) {
 	benchApply(b, New(benchConfig(1)), 0)
+}
+
+// BenchmarkIngestApplySymbols is BenchmarkIngestApply fed by a segb1
+// connection instead of a text one: same events, names numbered. Gated in
+// scripts/bench-allocs.sh as a ratio over BenchmarkIngestApply.
+func BenchmarkIngestApplySymbols(b *testing.B) {
+	benchApplySymbols(b, New(benchConfig(1)))
 }
 
 // BenchmarkIngestApplyWithSnapshots is the deployment mix: continuous
@@ -111,6 +176,17 @@ func BenchmarkIngestApplyDurable(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchApply(b, in, 0)
+}
+
+// BenchmarkIngestApplySymbolsDurable is BenchmarkIngestApplySymbols with
+// the WAL on: what one saturated segb1 connection costs the daemon per
+// batch under -state.
+func BenchmarkIngestApplySymbolsDurable(b *testing.B) {
+	in, _, err := OpenDurable(benchConfig(1), DurableConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchApplySymbols(b, in)
 }
 
 // BenchmarkIngestApplyShards is the sharding scaling curve: N appliers,
@@ -136,13 +212,13 @@ func BenchmarkIngestApplyShards(b *testing.B) {
 				wg.Add(1)
 				go func(s int) {
 					defer wg.Done()
-					batches := perShard[s]
+					batches, r := perShard[s], benchRing()
 					if len(batches) == 0 {
 						return
 					}
 					for i := 0; next.Add(1) <= int64(b.N); i++ {
 						batch := batches[i%len(batches)]
-						in.apply(batch, "bench", s)
+						in.apply(batch, r, s)
 						applied.Add(int64(len(batch)))
 					}
 				}(s)

@@ -3,6 +3,7 @@ package ingest
 import (
 	"sync/atomic"
 
+	"segugio/internal/graph"
 	"segugio/internal/logio"
 )
 
@@ -45,6 +46,11 @@ type eventRing struct {
 	// closed marks that the producer is done; once also empty, the ring
 	// is retired from its shard.
 	closed atomic.Bool
+
+	// nodes is the consumer's symbol → node id cache for this ring's
+	// stream (see symNodes). Only the shard's worker touches it, inside
+	// shardApply, so it needs no lock; it dies with the ring.
+	nodes symNodes
 
 	// beforeTailStore is a test seam: when set, the producer calls it
 	// after filling its slots and before publishing them, the window in
@@ -165,3 +171,74 @@ func (r *eventRing) close() { r.closed.Store(true) }
 
 // isClosed reports whether the producer is done.
 func (r *eventRing) isClosed() bool { return r.closed.Load() }
+
+// symTable maps the 1-based symbol ids of one segb1 stream to small
+// non-negative integers, stored plus one so that the zero value of a
+// slot means "not seen". It grows lazily to the highest symbol put; the
+// decoder's symbol cap (logio: 2^18 per stream) bounds it at 1 MiB.
+type symTable []int32
+
+// get returns the value stored for sym; ok is false for symbol 0 (the
+// name was not numbered) and for a symbol not put yet.
+func (t symTable) get(sym uint32) (v int32, ok bool) {
+	if sym == 0 || int(sym) >= len(t) {
+		return 0, false
+	}
+	return t[sym] - 1, t[sym] != 0
+}
+
+// put stores v for sym; symbol 0 is not stored.
+func (t *symTable) put(sym uint32, v int32) {
+	if sym == 0 {
+		return
+	}
+	if grow := int(sym) + 1 - len(*t); grow > 0 {
+		*t = append(*t, make([]int32, grow)...)
+	}
+	(*t)[sym] = v + 1
+}
+
+// symNodes caches, per ring, the node id each stream symbol resolved to
+// in the shard's builder: one table per use, because a symbol used as a
+// machine id and as a domain names two different nodes. A shard has one
+// builder per epoch day (rotation is the only swap while rings exist), so
+// the ids are good for the day they were issued on; bind clears the tables
+// when the epoch has rotated since the ring's previous batch. The cache
+// holds no builder: an idle ring keeps nothing of a finished day alive.
+type symNodes struct {
+	day             int
+	machine, domain symTable
+}
+
+// bind points the cache at the epoch day of the batch about to be
+// applied, forgetting every id an earlier day's builder issued.
+func (n *symNodes) bind(day int) {
+	if n.day != day {
+		n.day = day
+		clear(n.machine)
+		clear(n.domain)
+	}
+}
+
+// machineID resolves a query's machine to its node id in b, the builder
+// of the bound day: two slice loads when this ring has met the symbol
+// that day, the builder's string intern otherwise — which then fills the
+// slot.
+func (n *symNodes) machineID(b *graph.Builder, sym uint32, name string) int32 {
+	if id, ok := n.machine.get(sym); ok {
+		return id
+	}
+	id := b.Machine(name)
+	n.machine.put(sym, id)
+	return id
+}
+
+// domainID is machineID for an event's (normalized) domain.
+func (n *symNodes) domainID(b *graph.Builder, sym uint32, name string) int32 {
+	if id, ok := n.domain.get(sym); ok {
+		return id
+	}
+	id := b.Domain(name)
+	n.domain.put(sym, id)
+	return id
+}

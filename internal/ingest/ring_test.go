@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"segugio/internal/health"
 	"segugio/internal/logio"
+	"segugio/internal/metrics"
 )
 
 func ringEvent(i int) logio.Event {
@@ -158,7 +160,7 @@ func TestRingSPSCStress(t *testing.T) {
 }
 
 // TestRingEvictProtocol exercises the producer-requests/consumer-serves
-// drop-oldest handshake the way dispatchSlow and sweepShard use it.
+// drop-oldest handshake the way awaitRoom and sweepShard use it.
 func TestRingEvictProtocol(t *testing.T) {
 	r := newEventRing(4)
 	for i := 0; i < 4; i++ {
@@ -272,4 +274,71 @@ func TestDoorbellWakesParkedWorker(t *testing.T) {
 	waitFor(t, "event published behind the parked worker to be applied", func() bool {
 		return m.EventsIngested.Value() == 3
 	})
+}
+
+// TestDropOldestEvictsOnePerWait pins what a full ring costs under
+// drop-oldest: one eviction per wait, whether the producer is waiting
+// with one event (dispatch) or with the remainder of a staged batch
+// (flushShard). The worker frees a whole batch behind the eviction, so
+// asking for one eviction per waiting event would shed most of a ring to
+// admit events that were about to fit anyway.
+func TestDropOldestEvictsOnePerWait(t *testing.T) {
+	const ringSize, waiting = 256, 200
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			m, reg := newMetrics()
+			m.EventsShed = map[string]*metrics.Counter{ShedDropOldest: reg.NewCounter("shed_total", "", "")}
+			shed := m.EventsShed[ShedDropOldest]
+			h := health.New(health.Config{})
+			h.Set("test", health.Overloaded, "forced")
+			gate := make(chan struct{})
+			var gated atomic.Bool
+			in := New(Config{Network: "evict", StartDay: 1, Workers: 1, QueueDepth: ringSize,
+				ShedPolicy: ShedDropOldest, Health: h, Metrics: m,
+				ApplyHook: func() {
+					if gated.CompareAndSwap(false, true) {
+						<-gate // hold the worker inside its first batch
+					}
+				}})
+			defer in.Shutdown()
+			src := in.newSource("test")
+			defer src.close()
+			next := 0
+			ev := func() logio.Event {
+				next++
+				return logio.Event{Kind: logio.EventQuery, Day: 1, Machine: "m", Domain: fmt.Sprintf("d%d.example.com", next)}
+			}
+			src.dispatch(ev())
+			waitFor(t, "worker to pick up the first event", gated.Load)
+			r := src.rings[0]
+			for i := 0; i < ringSize; i++ {
+				src.dispatch(ev()) // fills the ring behind the held worker
+			}
+			if !r.full() || r.evict.Load() != 0 {
+				t.Fatalf("ring holds %d of %d with %d evictions requested, want full and none", r.size(), ringSize, r.evict.Load())
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < waiting; i++ {
+					if e := ev(); batched {
+						src.dispatchBatched(&e)
+					} else {
+						src.dispatch(e)
+					}
+				}
+				src.flushAll()
+			}()
+			waitFor(t, "producer to ask for an eviction", func() bool { return r.evict.Load() > 0 })
+			close(gate)
+			<-done
+			total := int64(1 + ringSize + waiting)
+			waitFor(t, "every event to be applied or shed", func() bool {
+				return m.EventsIngested.Value()+shed.Value() == total
+			})
+			if shed.Value() != 1 || m.EventsDropped.Value() != 0 {
+				t.Fatalf("shed %d and dropped %d of %d events, want 1 and 0", shed.Value(), m.EventsDropped.Value(), total)
+			}
+		})
+	}
 }

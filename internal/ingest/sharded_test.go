@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -239,6 +240,35 @@ func requireClassifyAllEquivalent(t *testing.T, want *graph.Graph, wantAct *acti
 	}
 }
 
+// segb1Conn opens one long-lived segb1 connection into in: send encodes a
+// batch with the connection's one encoder (so its symbol table spans the
+// batches) and flushes it; hangUp ends the stream and waits for Consume.
+func segb1Conn(t *testing.T, in *Ingester) (send func([]logio.Event), hangUp func()) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- in.Consume(pr) }()
+	enc := logio.NewEventEncoder(pw)
+	send = func(evs []logio.Event) {
+		t.Helper()
+		for _, e := range evs {
+			if err := enc.Encode(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hangUp = func() {
+		pw.Close()
+		if err := <-done; err != nil {
+			t.Errorf("segb1 connection: %v", err)
+		}
+	}
+	return send, hangUp
+}
+
 // TestShardedEquivalence is the acceptance test for the sharded graph
 // backend: over the same stream, the sharded ingester's merged snapshot
 // must be feature-for-feature and detection-for-detection identical to a
@@ -249,17 +279,31 @@ func requireClassifyAllEquivalent(t *testing.T, want *graph.Graph, wantAct *acti
 // queries must equal a reference marked on every query event; the durable
 // case ends with an unclean death and checks that a WAL-replay reopen
 // rebuilds the same log from nothing.
+//
+// Every case runs twice: fed as text, a connection per batch (names reach
+// the builders as strings), and fed as segb1 on one connection for the
+// whole run (names reach them through the ring's symbol tables, which
+// the day-6 rotation must rebind: day 6 reuses day 5's symbols without
+// redefining them).
 func TestShardedEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		durable bool
+		segb1   bool
 	}{
 		{workers: 4},
 		{workers: 3},
 		{workers: 3, durable: true},
+		{workers: 4, segb1: true},
+		{workers: 3, segb1: true},
+		{workers: 3, durable: true, segb1: true},
 	} {
 		// N workers are N shards; the name spells out both.
-		t.Run(fmt.Sprintf("workers=%d_shards=%d_durable=%v", tc.workers, tc.workers, tc.durable), func(t *testing.T) {
+		name := fmt.Sprintf("workers=%d_shards=%d_durable=%v", tc.workers, tc.workers, tc.durable)
+		if tc.segb1 {
+			name += "_wire=segb1"
+		}
+		t.Run(name, func(t *testing.T) {
 			suffixes := dnsutil.DefaultSuffixList()
 			src, _, _ := equivLabelSources()
 			act, refAct := activity.NewLog(), activity.NewLog()
@@ -289,6 +333,19 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 			if in.NumShards() != tc.workers {
 				t.Fatalf("NumShards = %d, want %d", in.NumShards(), tc.workers)
+			}
+			feed := feed
+			if tc.segb1 {
+				send, hangUp := segb1Conn(t, in)
+				defer hangUp() // before Shutdown, which waits for Consume to return
+				feed = func(t *testing.T, _ *Ingester, m *Metrics, evs []logio.Event) {
+					t.Helper()
+					before := m.EventsIngested.Value()
+					send(evs)
+					waitFor(t, "events applied", func() bool {
+						return m.EventsIngested.Value() == before+int64(len(evs))
+					})
+				}
 			}
 
 			day5 := genEquivEvents(5)
@@ -333,12 +390,21 @@ func TestShardedEquivalence(t *testing.T) {
 				t.Fatalf("dirty set %v, want %v", gotDirty, wantDirty)
 			}
 
-			// Epoch rotation: day 6 arrives, the delta against any pre-
-			// rotation version must be inexact, and the post-rotation graph
-			// must again match the single-builder replay.
+			// Epoch rotation: day 6 arrives. A reader still on day 5 gets the
+			// finished day once — nothing was applied since v6, so as an exact
+			// empty delta on a graph that still equals the replay — then the
+			// delta against any pre-rotation version must be inexact, and the
+			// post-rotation graph must again match the single-builder replay.
 			day6 := genEquivEvents(6)
 			feed(t, in, m, day6)
-			got6, _, delta6 := in.SnapshotSince(v6)
+			last5, vLast5, deltaLast5 := in.SnapshotSince(v6)
+			if last5.Day() != 5 || !deltaLast5.Exact || len(deltaLast5.Domains) != 0 {
+				t.Fatalf("first delta after the rotation: day %d, %+v; want day 5's last graph, exact and empty", last5.Day(), deltaLast5)
+			}
+			wantLast5 := refReplay("equiv", 5, suffixes, slices.Concat(day5, deltaEvs)).Snapshot()
+			wantLast5.ApplyLabels(src(5))
+			requireGraphsEquivalent(t, wantLast5, last5, act)
+			got6, _, delta6 := in.SnapshotSince(vLast5)
 			if delta6.Exact {
 				t.Fatal("delta across an epoch rotation claims exactness")
 			}

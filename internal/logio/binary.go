@@ -11,6 +11,10 @@
 //	        | uvarint(1) uvarint(len) bytes      define: intern, next id
 //	        | uvarint(k) with k >= 2             symbol id k-2
 //
+// Decoded events carry the symbol each name came through (Event.MachineSym
+// and DomainSym, the id plus one; 0 for a literal), so a consumer can
+// resolve a name once per symbol instead of once per event.
+//
 // The symbol table is per stream and append-only: each define is
 // assigned the next sequential id on both sides, so steady-state frames
 // carry small integer ids instead of repeated machine/domain strings.
@@ -363,18 +367,18 @@ func (d *EventDecoder) DecodeFrame(payload []byte, fn func(*Event) error) (int, 
 		payload = payload[n:]
 		switch op {
 		case opQuery:
-			machine, rest, err := d.readRef(payload, false)
+			machine, msym, rest, err := d.readRef(payload, false)
 			if err != nil {
 				return recs, fmt.Errorf("record %d machine: %w", recs, err)
 			}
-			domain, rest, err := d.readRef(rest, true)
+			domain, dsym, rest, err := d.readRef(rest, true)
 			if err != nil {
 				return recs, fmt.Errorf("record %d domain: %w", recs, err)
 			}
 			payload = rest
-			d.ev = Event{Kind: EventQuery, Day: int(day), Machine: machine, Domain: domain}
+			d.ev = Event{Kind: EventQuery, Day: int(day), Machine: machine, MachineSym: msym, Domain: domain, DomainSym: dsym}
 		case opResolution:
-			domain, rest, err := d.readRef(payload, true)
+			domain, dsym, rest, err := d.readRef(payload, true)
 			if err != nil {
 				return recs, fmt.Errorf("record %d domain: %w", recs, err)
 			}
@@ -391,7 +395,7 @@ func (d *EventDecoder) DecodeFrame(payload []byte, fn func(*Event) error) (int, 
 				ips[i] = dnsutil.IPv4(binary.BigEndian.Uint32(rest[i*4:]))
 			}
 			payload = rest[int(nips)*4:]
-			d.ev = Event{Kind: EventResolution, Day: int(day), Domain: domain, IPs: ips}
+			d.ev = Event{Kind: EventResolution, Day: int(day), Domain: domain, DomainSym: dsym, IPs: ips}
 		default:
 			return recs, frameErrf("record %d: unknown opcode %#02x", recs, op)
 		}
@@ -403,66 +407,69 @@ func (d *EventDecoder) DecodeFrame(payload []byte, fn func(*Event) error) (int, 
 	return recs, nil
 }
 
-// readRef decodes one string reference. Domain references are
-// normalized (cached per symbol); machine references are taken raw, as
-// the text parser does.
-func (d *EventDecoder) readRef(b []byte, domain bool) (string, []byte, error) {
+// readRef decodes one string reference and reports the symbol it went
+// through: the table index plus one, or 0 for a literal. Domain
+// references are normalized (cached per symbol); machine references are
+// taken raw, as the text parser does.
+func (d *EventDecoder) readRef(b []byte, domain bool) (s string, sym uint32, rest []byte, err error) {
 	tag, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", b, frameErrf("bad ref tag")
+		return "", 0, b, frameErrf("bad ref tag")
 	}
 	b = b[n:]
 	if tag >= refBase {
 		id := tag - refBase
 		if id >= uint64(len(d.syms)) {
-			return "", b, frameErrf("unknown symbol id %d (table has %d)", id, len(d.syms))
+			return "", 0, b, frameErrf("unknown symbol id %d (table has %d)", id, len(d.syms))
 		}
-		return d.symString(&d.syms[id], domain, b)
+		s, err = d.symString(&d.syms[id], domain)
+		return s, uint32(id) + 1, b, err
 	}
 	ln, n := binary.Uvarint(b)
 	if n <= 0 {
-		return "", b, frameErrf("bad ref length")
+		return "", 0, b, frameErrf("bad ref length")
 	}
 	b = b[n:]
 	if ln > uint64(len(b)) {
-		return "", b, frameErrf("ref length %d exceeds frame", ln)
+		return "", 0, b, frameErrf("ref length %d exceeds frame", ln)
 	}
 	// The payload buffer is reused frame to frame, so both literal and
 	// interned strings are copied out here — interned ones once per
 	// symbol for the life of the stream.
-	s := string(b[:ln])
+	s = string(b[:ln])
 	b = b[ln:]
 	if tag == refDefine {
 		if len(d.syms) >= maxSymbols || d.symBytes+len(s) > maxSymbolBytes {
-			return "", b, frameErrf("symbol table overflow at %d entries", len(d.syms))
+			return "", 0, b, frameErrf("symbol table overflow at %d entries", len(d.syms))
 		}
 		d.syms = append(d.syms, symEntry{raw: s})
 		d.symBytes += len(s)
-		return d.symString(&d.syms[len(d.syms)-1], domain, b)
+		s, err = d.symString(&d.syms[len(d.syms)-1], domain)
+		return s, uint32(len(d.syms)), b, err
 	}
 	if domain {
 		norm, err := dnsutil.Normalize(s)
 		if err != nil {
-			return "", b, frameErrf("bad domain: %v", err)
+			return "", 0, b, frameErrf("bad domain: %v", err)
 		}
-		return norm, b, nil
+		return norm, 0, b, nil
 	}
-	return s, b, nil
+	return s, 0, b, nil
 }
 
 // symString resolves an interned entry for machine or domain use.
-func (d *EventDecoder) symString(e *symEntry, domain bool, rest []byte) (string, []byte, error) {
+func (d *EventDecoder) symString(e *symEntry, domain bool) (string, error) {
 	if !domain {
-		return e.raw, rest, nil
+		return e.raw, nil
 	}
 	if !e.domChecked {
 		e.dom, e.domErr = dnsutil.Normalize(e.raw)
 		e.domChecked = true
 	}
 	if e.domErr != nil {
-		return "", rest, frameErrf("bad domain symbol: %v", e.domErr)
+		return "", frameErrf("bad domain symbol: %v", e.domErr)
 	}
-	return e.dom, rest, nil
+	return e.dom, nil
 }
 
 // ReadEventsBinary decodes a binary event stream into fn, mirroring

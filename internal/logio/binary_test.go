@@ -318,22 +318,104 @@ func TestBinaryLiteralFallbackPastSymbolCap(t *testing.T) {
 	}
 }
 
+// TestDecoderReportsSymbols: every name that went through the stream's
+// symbol table arrives with its 1-based symbol, a literal with 0, and one
+// symbol always with the same string per use.
+func TestDecoderReportsSymbols(t *testing.T) {
+	evs := binEvents(200)
+	got, errs, err := decodeAll(t, bytes.NewReader(encodeAll(t, evs)))
+	if err != nil || errs != 0 || len(got) != len(evs) {
+		t.Fatalf("decode: %d of %d events, err=%v frameErrs=%d", len(got), len(evs), err, errs)
+	}
+	// The encoder numbers strings in order of first appearance, machine
+	// before domain within a query.
+	want := make(map[string]uint32)
+	sym := func(s string) uint32 {
+		if _, ok := want[s]; !ok {
+			want[s] = uint32(len(want)) + 1
+		}
+		return want[s]
+	}
+	for i, e := range evs {
+		var msym uint32
+		if e.Kind == EventQuery {
+			msym = sym(e.Machine)
+		}
+		if dsym := sym(e.Domain); got[i].MachineSym != msym || got[i].DomainSym != dsym {
+			t.Fatalf("event %d: symbols (%d, %d), want (%d, %d)", i, got[i].MachineSym, got[i].DomainSym, msym, dsym)
+		}
+	}
+
+	// Literal references carry no symbol; text events never do.
+	d := NewEventDecoder(bytes.NewReader(nil))
+	defer d.Release()
+	payload := []byte{opQuery, 0x02, refLiteral, 0x02, 'm', '1', refDefine, 0x05, 'A', '.', 'c', 'o', 'm',
+		opQuery, 0x02, refBase + 0, refLiteral, 0x05, 'a', '.', 'c', 'o', 'm'}
+	var seen []Event
+	if _, err := d.DecodeFrame(payload, func(e *Event) error { seen = append(seen, *e); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0].MachineSym != 0 || seen[0].DomainSym != 1 || seen[0].Domain != "a.com" ||
+		seen[1].MachineSym != 1 || seen[1].Machine != "A.com" || seen[1].DomainSym != 0 || seen[1].Domain != "a.com" {
+		t.Fatalf("mixed literal/define/symbol frame decoded to %+v", seen)
+	}
+	if e, err := ParseEvent("q\t1\tm\ta.com"); err != nil || e.MachineSym != 0 || e.DomainSym != 0 {
+		t.Fatalf("text event carries symbols: %+v, %v", e, err)
+	}
+}
+
+// symbolInvariant returns a per-stream checker for the contract consumers
+// key their caches on: within one stream, a non-zero MachineSym always
+// arrives with the same Machine and a non-zero DomainSym with the same
+// Domain.
+func symbolInvariant(t *testing.T) func(*Event) {
+	machines, domains := make(map[uint32]string), make(map[uint32]string)
+	check := func(use string, seen map[uint32]string, sym uint32, s string) {
+		if sym == 0 {
+			return
+		}
+		if sym > maxSymbols {
+			t.Fatalf("%s symbol %d exceeds the table cap %d", use, sym, maxSymbols)
+		}
+		if prev, ok := seen[sym]; ok && prev != s {
+			t.Fatalf("%s symbol %d arrived as %q and as %q in one stream", use, sym, prev, s)
+		}
+		seen[sym] = s
+	}
+	return func(e *Event) {
+		if e.Kind == EventQuery {
+			check("machine", machines, e.MachineSym, e.Machine)
+		} else if e.MachineSym != 0 {
+			t.Fatalf("resolution carries machine symbol %d", e.MachineSym)
+		}
+		check("domain", domains, e.DomainSym, e.Domain)
+	}
+}
+
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{opQuery, 0x02, 0x01, 0x02, 'm', '1', 0x01, 0x05, 'a', '.', 'c', 'o', 'm'})
 	f.Add([]byte{opResolution, 0x02, 0x00, 0x04, 'a', '.', 'c', 'o', 0x01, 10, 0, 0, 1})
+	// One symbol as a machine (raw) and as a domain (normalized), then a
+	// literal of the same name.
+	f.Add([]byte{opQuery, 0x02, 0x01, 0x05, 'A', '.', 'c', 'o', 'm', 0x02, opQuery, 0x02, 0x02, 0x00, 0x05, 'a', '.', 'c', 'o', 'm'})
 	wire := encodeAll(f, binEvents(64))
 	f.Add(wire[len(BinaryMagic)+2:]) // roughly a real payload
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		d := NewEventDecoder(bytes.NewReader(nil))
 		defer d.Release()
-		// Must never panic or hang; errors are fine.
-		d.DecodeFrame(payload, func(e *Event) error {
-			if e.Kind != EventQuery && e.Kind != EventResolution {
-				t.Fatalf("decoded impossible kind %d", e.Kind)
-			}
-			return nil
-		})
+		// Must never panic or hang; errors are fine. A second frame on the
+		// same decoder sees the table the first one left behind.
+		check := symbolInvariant(t)
+		for pass := 0; pass < 2; pass++ {
+			d.DecodeFrame(payload, func(e *Event) error {
+				if e.Kind != EventQuery && e.Kind != EventResolution {
+					t.Fatalf("decoded impossible kind %d", e.Kind)
+				}
+				check(e)
+				return nil
+			})
+		}
 	})
 }
 
@@ -344,6 +426,7 @@ func FuzzDecodeStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		d := NewEventDecoder(bytes.NewReader(stream))
 		defer d.Release()
-		d.Run(func(*Event) error { return nil })
+		check := symbolInvariant(t)
+		d.Run(func(e *Event) error { check(e); return nil })
 	})
 }

@@ -325,6 +325,16 @@ const (
 // Event is one record of the live DNS event stream segugiod ingests.
 type Event struct {
 	Kind EventKind
+	// MachineSym and DomainSym are the 1-based per-stream symbol ids the
+	// segb1 stream gave Machine and Domain, or 0 when the name arrived as
+	// a literal or from a source that numbers nothing (text lines, a
+	// tailed file, trace_dns, WAL replay). Only EventDecoder sets them.
+	// Within one stream a non-zero MachineSym always comes with the same
+	// Machine and a non-zero DomainSym with the same Domain, so a consumer
+	// may key per-stream caches on them; the two number spaces overlap
+	// (one symbol can be a machine id in one record and a domain in
+	// another, with different strings once the domain is normalized).
+	MachineSym, DomainSym uint32
 	// Day is the observation day the event belongs to; segugiod rotates
 	// its behavior-graph epoch when it advances.
 	Day int
@@ -452,28 +462,39 @@ func ParseEvent(line string) (Event, error) {
 	}
 }
 
-// WriteEvent writes one event-stream line.
-func WriteEvent(w io.Writer, e Event) error {
+// AppendEvent appends e's event-stream line, newline included, to dst and
+// returns the extended buffer. An event of unknown kind appends nothing.
+func AppendEvent(dst []byte, e Event) []byte {
 	switch e.Kind {
 	case EventQuery:
-		return writeLine(w, func(b []byte) []byte {
-			b = append(b, 'q', '\t')
-			b = strconv.AppendInt(b, int64(e.Day), 10)
-			b = append(b, '\t')
-			b = append(b, e.Machine...)
-			b = append(b, '\t')
-			return append(b, e.Domain...)
-		})
+		dst = append(dst, 'q', '\t')
+		dst = strconv.AppendInt(dst, int64(e.Day), 10)
+		dst = append(dst, '\t')
+		dst = append(dst, e.Machine...)
+		dst = append(dst, '\t')
+		dst = append(dst, e.Domain...)
 	case EventResolution:
-		return writeLine(w, func(b []byte) []byte {
-			b = append(b, 'r', '\t')
-			b = strconv.AppendInt(b, int64(e.Day), 10)
-			b = append(b, '\t')
-			b = append(b, e.Domain...)
-			b = append(b, '\t')
-			return appendIPList(b, e.IPs)
-		})
+		dst = append(dst, 'r', '\t')
+		dst = strconv.AppendInt(dst, int64(e.Day), 10)
+		dst = append(dst, '\t')
+		dst = append(dst, e.Domain...)
+		dst = append(dst, '\t')
+		dst = appendIPList(dst, e.IPs)
 	default:
+		return dst
+	}
+	return append(dst, '\n')
+}
+
+// WriteEvent writes one event-stream line.
+func WriteEvent(w io.Writer, e Event) error {
+	if e.Kind != EventQuery && e.Kind != EventResolution {
 		return fmt.Errorf("logio: unknown event kind %d", e.Kind)
 	}
+	bp := lineBufPool.Get().(*[]byte)
+	b := AppendEvent((*bp)[:0], e)
+	_, err := w.Write(b)
+	*bp = b[:0]
+	lineBufPool.Put(bp)
+	return err
 }

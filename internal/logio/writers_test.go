@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"segugio/internal/dnsutil"
 	"segugio/internal/intel"
@@ -48,6 +49,52 @@ func TestWritersGoldenFormat(t *testing.T) {
 		"bad.example.com\tzeus\t4\n"
 	if got.String() != want {
 		t.Fatalf("writer output changed:\ngot:  %q\nwant: %q", got.String(), want)
+	}
+}
+
+// TestAppendEventMatchesWriteEvent: the ingester renders WAL records with
+// AppendEvent straight into the record buffer, recovery parses what
+// WriteEvent's format promises. A fixed event list must come out
+// byte-identical through both, appended onto whatever the buffer held;
+// symbols are a decoder-side annotation and never reach the text.
+func TestAppendEventMatchesWriteEvent(t *testing.T) {
+	events := []Event{
+		{Kind: EventQuery, Day: 17, Machine: "m1", Domain: "a.example.com"},
+		{Kind: EventQuery, Day: -2, Machine: "10.1.2.3", Domain: "xn--bcher-kva.example", MachineSym: 7, DomainSym: 1 << 17},
+		{Kind: EventResolution, Day: 17, Domain: "a.example.com", DomainSym: 3,
+			IPs: []dnsutil.IPv4{dnsutil.MakeIPv4(10, 0, 0, 1), dnsutil.MakeIPv4(192, 168, 200, 254)}},
+		{Kind: EventResolution, Day: 18, Domain: "no-ips.example.org"},
+		{Kind: EventQuery, Day: 1 << 40, Machine: strings.Repeat("m", 300), Domain: strings.Repeat("d", 63) + ".example"},
+	}
+	const golden = "q\t17\tm1\ta.example.com\n" +
+		"q\t-2\t10.1.2.3\txn--bcher-kva.example\n" +
+		"r\t17\ta.example.com\t10.0.0.1,192.168.200.254\n" +
+		"r\t18\tno-ips.example.org\t\n"
+	var written bytes.Buffer
+	appended := []byte("prefix")
+	for _, e := range events {
+		if err := WriteEvent(&written, e); err != nil {
+			t.Fatal(err)
+		}
+		appended = AppendEvent(appended, e)
+	}
+	if got := string(appended[len("prefix"):]); got != written.String() {
+		t.Fatalf("AppendEvent and WriteEvent disagree:\nappend: %q\nwrite:  %q", got, written.String())
+	}
+	if !strings.HasPrefix(written.String(), golden) {
+		t.Fatalf("event line format changed:\ngot:  %q\nwant prefix: %q", written.String(), golden)
+	}
+	if got := AppendEvent([]byte("kept"), Event{Kind: 99}); string(got) != "kept" {
+		t.Fatalf("unknown kind appended %q", got)
+	}
+}
+
+// TestEventSize: events cross two rings and a staging buffer by value, so
+// the struct's size is hot-path memory traffic. The symbol pair fits in
+// the padding-plus-one-word next to Kind.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 80 {
+		t.Fatalf("logio.Event is %d bytes, budget is 80", size)
 	}
 }
 

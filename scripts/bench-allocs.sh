@@ -10,7 +10,8 @@
 # rather than a silent slowdown. It also gates the segb1 wire format:
 # decode allocation budget, binary-vs-text parse speedup, and the ingest
 # frontend events/s floor (see the wire-format section below), and holds
-# the graph-apply events/s floor and the 0-alloc E2LD budget.
+# the graph-apply events/s floor, the symbol-path-over-string-path apply
+# ratio and the 0-alloc E2LD budget.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -82,12 +83,23 @@ gate BenchmarkE2LD ./internal/dnsutil 0
 # event. With per-event marking this benchmark ran at ~0.7M events/s on
 # the 2-vCPU bench host; first-query marking runs at ~3.7M. The floor
 # sits between the two so a per-event cost cannot hide here again.
+#
+# BenchmarkIngestApplySymbols applies the same batches as one warm segb1
+# connection delivers them: names numbered by the stream, resolved to node
+# ids through the ring's symbol tables instead of two string-map probes
+# per event. It must run at least APPLY_SYMBOLS_SPEEDUP_FLOOR x the
+# string-path rate measured in the same run (a ratio, so it holds on any
+# host; measured 2.0–2.4x on the 2-vCPU bench host). Below that the tables
+# are not being hit — a stale bind, a per-event clear, a lookup that fell
+# back to strings.
 APPLY_EVENTS_FLOOR=${BENCH_APPLY_EVENTS_FLOOR:-1500000}
-apply_out=$(go test -run '^$' -bench 'BenchmarkIngestApply$' -benchmem -benchtime 2s ./internal/ingest)
+APPLY_SYMBOLS_SPEEDUP_FLOOR=1.5
+apply_out=$(go test -run '^$' -bench 'BenchmarkIngestApply(Symbols)?$' -benchmem -benchtime 2s ./internal/ingest)
 echo "$apply_out"
 apply_rate=$(metric "$apply_out" "BenchmarkIngestApply-" events/s)
-if [ -z "$apply_rate" ]; then
-    echo "bench-allocs: could not parse events/s from BenchmarkIngestApply output" >&2
+symbols_rate=$(metric "$apply_out" "BenchmarkIngestApplySymbols-" events/s)
+if [ -z "$apply_rate" ] || [ -z "$symbols_rate" ]; then
+    echo "bench-allocs: could not parse events/s from BenchmarkIngestApply(Symbols) output" >&2
     exit 1
 fi
 if ! awk -v r="$apply_rate" -v f="$APPLY_EVENTS_FLOOR" 'BEGIN { exit !(r >= f) }'; then
@@ -95,6 +107,11 @@ if ! awk -v r="$apply_rate" -v f="$APPLY_EVENTS_FLOOR" 'BEGIN { exit !(r >= f) }
     exit 1
 fi
 echo "bench-allocs: activity-on graph apply $apply_rate events/s (floor $APPLY_EVENTS_FLOOR)"
+if ! awk -v s="$symbols_rate" -v r="$apply_rate" -v f="$APPLY_SYMBOLS_SPEEDUP_FLOOR" 'BEGIN { exit !(s >= f * r) }'; then
+    echo "bench-allocs: symbol-path graph apply is only $(awk -v s="$symbols_rate" -v r="$apply_rate" 'BEGIN { printf "%.2f", s/r }')x the string path ($symbols_rate vs $apply_rate events/s), floor is ${APPLY_SYMBOLS_SPEEDUP_FLOOR}x" >&2
+    exit 1
+fi
+echo "bench-allocs: symbol-path graph apply $(awk -v s="$symbols_rate" -v r="$apply_rate" 'BEGIN { printf "%.1f", s/r }')x the string path (floor ${APPLY_SYMBOLS_SPEEDUP_FLOOR}x)"
 
 # --- Graph-apply scaling gate -----------------------------------------
 #
