@@ -1,6 +1,12 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-allocs bench-short bench-all obs-smoke chaos loc clean
+.PHONY: build test race vet check bench bench-allocs bench-short bench-all obs-smoke chaos loc loc-check clean
+
+# Ceilings for loc-check: total non-test Go lines under internal/ + cmd/
+# and the number of segugiod flags. A PR that must grow either one raises
+# its number here, in its diff.
+LOC_MAX = 24416
+FLAGS_MAX = 31
 
 build:
 	$(GO) build ./...
@@ -14,9 +20,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-merge gate: static analysis plus the full test suite
-# under the race detector.
-check: vet race
+# check is the pre-merge gate: static analysis, the full test suite under
+# the race detector, and the line and flag ratchet.
+check: vet race loc-check
 
 # bench runs the performance suites with 5 samples per benchmark and
 # archives the aggregated results: the snapshot/apply suite as
@@ -77,6 +83,11 @@ obs-smoke:
 # read the net line and knob delta instead of estimating it.
 loc:
 	./scripts/loc.sh
+
+# loc-check is loc as a ratchet: it fails above LOC_MAX lines or FLAGS_MAX
+# flags.
+loc-check:
+	LOC_MAX=$(LOC_MAX) FLAGS_MAX=$(FLAGS_MAX) ./scripts/loc.sh -check
 
 clean:
 	$(GO) clean ./...

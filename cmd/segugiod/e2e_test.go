@@ -546,7 +546,7 @@ func TestParseFlagsRejectsExtraArgs(t *testing.T) {
 	// Retired knobs fail parsing instead of being silently ignored.
 	for _, args := range [][]string{
 		{"-graph-shards", "2"}, {"-wal-binary"}, {"-window", "7"},
-		{"-lbp-threshold", "0.8"}, {"-shed-policy", "sample"},
+		{"-lbp-threshold", "0.8"}, {"-shed-policy", "sample"}, {"-shed-policy", "drop"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Fatalf("parseFlags(%v) succeeded, want an error", args)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,18 +44,21 @@ func auditRecords(t *testing.T, base, domain string) []obs.AuditRecord {
 // one new_detection record, on the day it was seen. The tick that finds
 // the rotation behind it classifies the finished day and then, at once,
 // the new one. When that first pass overruns its deadline instead, the
-// finished day is still there for the pass after it. A daemon that
+// finished day is still there for the pass after it. When a one-off
+// POST /v1/classify is the call that is handed the finished day, the
+// tracker learns of its detections as the audit log does. A daemon that
 // rotates with nothing new audits nothing.
 func TestDaemonAuditsFinishedDay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e test")
 	}
 	for _, abort := range []bool{false, true} {
-		t.Run(fmt.Sprintf("firstPassAborts=%v", abort), func(t *testing.T) { testAuditsFinishedDay(t, abort) })
+		t.Run(fmt.Sprintf("firstPassAborts=%v", abort), func(t *testing.T) { testAuditsFinishedDay(t, abort, false) })
 	}
+	t.Run("finishedDayViaPOST", func(t *testing.T) { testAuditsFinishedDay(t, false, true) })
 }
 
-func testAuditsFinishedDay(t *testing.T, abort bool) {
+func testAuditsFinishedDay(t *testing.T, abort, viaPOST bool) {
 	dir := t.TempDir()
 	bl, wl := writeIntel(t, dir)
 	model := trainModel(t, dir, bl, wl)
@@ -122,19 +126,53 @@ func testAuditsFinishedDay(t *testing.T, abort bool) {
 
 	// The tick after the rotation runs two passes: the finished day's and
 	// the new day's — or, when the first one overruns its deadline and is
-	// served stale, that one and the finished day's again.
+	// served stale, that one and the finished day's again. A client's
+	// classify-all that gets there before the tick is the finished day's
+	// pass instead, tracker included.
 	before := passes()
-	stall.Store(abort)
-	d.trackerTick(ctx)
-	if overruns, _ := metricValue(t, base, "segugiod_pass_deadline_exceeded_total"); (overruns == 1) != abort {
-		t.Fatalf("%v passes overran their deadline, want one exactly when the test stalls one (%v)", overruns, abort)
+	if viaPOST {
+		resp, err := http.Post(base+"/v1/classify", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var classified struct {
+			Day int `json:"day"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&classified)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || classified.Day != e2eDay {
+			t.Fatalf("classify-all after the rotation: status %d, day %d (%v), want 200 for the finished day %d",
+				resp.StatusCode, classified.Day, err, e2eDay)
+		}
+		var tracked struct {
+			Entries []struct {
+				Domain       string `json:"domain"`
+				LastDetected int    `json:"lastDetected"`
+			} `json:"entries"`
+		}
+		if err := getJSONURL(base+"/v1/tracker", &tracked); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, e := range tracked.Entries {
+			found = found || e.Domain == late && e.LastDetected == e2eDay
+		}
+		if !found {
+			t.Fatalf("/v1/tracker does not list %s on day %d after the pass that audited it: %+v", late, e2eDay, tracked.Entries)
+		}
+	} else {
+		stall.Store(abort)
+		d.trackerTick(ctx)
+		if overruns, _ := metricValue(t, base, "segugiod_pass_deadline_exceeded_total"); (overruns == 1) != abort {
+			t.Fatalf("%v passes overran their deadline, want one exactly when the test stalls one (%v)", overruns, abort)
+		}
+		if got := passes() - before; got != 2 {
+			t.Fatalf("the tick after the rotation ran %v passes, want 2", got)
+		}
 	}
 	recs := auditRecords(t, base, late)
 	if len(recs) != 1 || recs[0].Reason != obs.ReasonNewDetection || recs[0].Day != e2eDay {
 		t.Fatalf("audit records for %s = %+v, want exactly one new_detection on day %d", late, recs, e2eDay)
-	}
-	if got := passes() - before; got != 2 {
-		t.Fatalf("the tick after the rotation ran %v passes, want 2", got)
 	}
 	if total := len(auditRecords(t, base, "")); total != live+1 {
 		t.Fatalf("audit log grew from %d to %d records across the rotation, want exactly the late domain's", live, total)

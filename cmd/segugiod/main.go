@@ -159,7 +159,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&opts.eventIdleTimeout, "event-idle-timeout", 5*time.Minute, "drop a tcp:// event connection idle this long (0 = never)")
 	fs.DurationVar(&opts.classifyEvery, "classify-every", 0, "run a periodic classify-all and feed detections to the /v1/tracker history (0 = disabled; needs -model)")
 	fs.DurationVar(&opts.passDeadline, "pass-deadline", 0, "cancel a classify/tracker pass running longer than this and serve last-good cached scores stale-marked (0 = unbounded)")
-	fs.StringVar(&opts.shedPolicy, "shed-policy", "drop", `full ingest shard policy: "drop" (legacy drop-newest), "block" (backpressure), "drop-oldest" (shed only while overloaded)`)
+	fs.StringVar(&opts.shedPolicy, "shed-policy", "block", `full ingest shard policy: "block" (backpressure), "drop-oldest" (block, and shed only while overloaded)`)
 	fs.IntVar(&opts.maxInflight, "max-inflight", 0, "per-endpoint concurrent request cap; excess requests get 429/503 with Retry-After (0 = unlimited)")
 	fs.IntVar(&opts.memWatermarkMB, "mem-watermark-mb", 0, "heap-in-use megabytes above which the daemon reports overloaded (0 = disabled)")
 	fs.BoolVar(&opts.pprof, "pprof", true, "serve net/http/pprof under /debug/pprof/ on the API listener")
@@ -182,7 +182,7 @@ func parseFlags(args []string) (options, error) {
 		return opts, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	if !ingest.ValidShedPolicy(opts.shedPolicy) {
-		return opts, fmt.Errorf("-shed-policy: unknown policy %q (have drop, block, drop-oldest)", opts.shedPolicy)
+		return opts, fmt.Errorf("-shed-policy: unknown policy %q (have block, drop-oldest)", opts.shedPolicy)
 	}
 	if _, err := opts.detectorNames(); err != nil {
 		return opts, err

@@ -192,15 +192,6 @@ func (d *Detector) Threshold() float64 { return d.threshold }
 // features behind a score must extract them with the same window.
 func (d *Detector) ActivityWindow() int { return d.cfg.ActivityWindow }
 
-// PruneConfig exposes the detector's pruning thresholds and whether
-// pruning is enabled at all. Score caches keyed by per-domain dirty sets
-// need this: combined with graph.PruneSignature it detects the global
-// threshold shifts (thetaD, thetaM) that can change the pruning fate of
-// domains no local mutation touched.
-func (d *Detector) PruneConfig() (graph.PruneConfig, bool) {
-	return d.cfg.Prune, !d.cfg.DisablePruning
-}
-
 // Detection is one scored domain.
 type Detection struct {
 	Domain string
@@ -316,81 +307,44 @@ func (p *prepared) fillReport(report *ClassifyReport, cached bool) {
 // Classify scores the unknown domains of a new observation window.
 // Detections are returned for every scored domain (not only those above
 // the threshold), sorted by descending score, so callers can build full
-// ROC curves.
+// ROC curves. It is a one-shot ClassifySession: callers that classify
+// successive snapshots keep a session instead.
 func (d *Detector) Classify(in ClassifyInput) ([]Detection, *ClassifyReport, error) {
-	if in.Graph == nil || !in.Graph.Labeled() {
-		return nil, nil, ErrUnlabeled
-	}
-	ctx := in.ctx()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	report := &ClassifyReport{}
-	prep, err := d.prepare(in.Graph, in.Activity, in.Abuse)
-	if err != nil {
-		return nil, nil, err
-	}
-	prep.fillReport(report, false)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	targets := in.Domains
-	if targets == nil {
-		targets = features.UnknownDomains(prep.ex)
-	}
-	dets, err := d.scoreTargets(ctx, prep.ex, targets, report)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dets, report, nil
+	return d.NewSession().Classify(in)
 }
 
-// scoreChunk bounds how many targets a cancellable pass extracts and
-// scores between context checks — the granularity at which a deadline
-// can abort a sweep mid-way.
+// scoreChunk bounds how many targets a pass extracts and scores between
+// context checks — the granularity at which a deadline can abort a sweep
+// mid-way.
 const scoreChunk = 4096
 
-// scoreTargets measures the targets' features and scores them in one
-// batch: present rows are compacted into a dense matrix (missing targets
-// recorded in report.Missing in input order), feature-column selection
-// happens once for the whole matrix, and scoring goes through
-// ml.ScoreAll — the forest's parallel batch path or a sharded fallback,
-// both bit-identical to a serial per-domain loop.
-//
-// A cancellable ctx switches the sweep to scoreChunk-sized pieces with
-// a context check between each, so a pass over a large graph can be
-// abandoned mid-sweep; an uncancellable ctx keeps the single-batch
-// fast path with zero overhead. Both orders are bit-identical.
+// scoreTargets measures the targets' features and scores them in
+// scoreChunk-sized sweeps with a context check between each, so a pass
+// over a large graph can be abandoned mid-sweep. Scoring is per row, so
+// the chunked order is bit-identical to one batch and to a serial
+// per-domain loop. Missing targets are recorded in report.Missing in
+// input order.
 func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, targets []string, report *ClassifyReport) ([]Detection, error) {
-	var dets []Detection
-	if ctx.Done() == nil {
-		dets = d.scoreSweep(ex, targets, report)
-	} else {
-		dets = make([]Detection, 0, len(targets))
-		for start := 0; start < len(targets) || start == 0; start += scoreChunk {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := start + scoreChunk
-			if end > len(targets) {
-				end = len(targets)
-			}
-			dets = append(dets, d.scoreSweep(ex, targets[start:end], report)...)
-			if end == len(targets) {
-				break
-			}
-		}
+	dets := make([]Detection, 0, len(targets))
+	for start := 0; start < len(targets); start += scoreChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		end := min(start+scoreChunk, len(targets))
+		dets = append(dets, d.scoreSweep(ex, targets[start:end], report)...)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	report.Classified = len(dets)
 	sortDetections(dets)
 	return dets, nil
 }
 
-// scoreSweep extracts and scores one contiguous run of targets,
-// accumulating timings and missing names into the report.
+// scoreSweep extracts and scores one contiguous run of targets: present
+// rows are compacted into a dense matrix, feature-column selection happens
+// once for the whole matrix, and scoring goes through ml.ScoreAll. Timings
+// and missing names accumulate into the report.
 func (d *Detector) scoreSweep(ex *features.Extractor, targets []string, report *ClassifyReport) []Detection {
 	t0 := time.Now()
 	X, ok := features.VectorsFor(ex, targets)

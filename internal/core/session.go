@@ -52,43 +52,13 @@ func (s *ClassifySession) publish(p *prepared) {
 	s.mu.Unlock()
 }
 
-// Classify is Detector.Classify with the per-snapshot preprocessing
-// memoized: when the input identity matches the session's preparation,
-// the prune pipeline and extractor are reused (report.PrunedCached) and
-// the pass costs only extraction + scoring of its targets.
+// Classify scores in.Domains (nil: every unknown domain) with the
+// per-snapshot preprocessing memoized: when the input identity matches
+// the session's preparation, the prune pipeline and extractor are reused
+// (report.PrunedCached) and the pass costs only extraction + scoring of
+// its targets.
 func (s *ClassifySession) Classify(in ClassifyInput) ([]Detection, *ClassifyReport, error) {
-	if in.Graph == nil || !in.Graph.Labeled() {
-		return nil, nil, ErrUnlabeled
-	}
-	ctx := in.ctx()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	report := &ClassifyReport{}
-	prep := s.snapshot()
-	cached := prep != nil && prep.src == in.Graph &&
-		prep.activity == in.Activity && prep.abuse == in.Abuse
-	if !cached {
-		var err error
-		prep, err = s.det.prepare(in.Graph, in.Activity, in.Abuse)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.publish(prep)
-	}
-	prep.fillReport(report, cached)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	targets := in.Domains
-	if targets == nil {
-		targets = features.UnknownDomains(prep.ex)
-	}
-	dets, err := s.det.scoreTargets(ctx, prep.ex, targets, report)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dets, report, nil
+	return s.classify(in, false)
 }
 
 // ClassifyDelta scores exactly in.Domains against the session's frozen
@@ -98,12 +68,17 @@ func (s *ClassifySession) Classify(in ClassifyInput) ([]Detection, *ClassifyRepo
 // input — first pass, new day, input identity change, or drift past the
 // plan's staleness bounds — it behaves like Classify: one full
 // preparation, report.PrunedCached=false, and the fresh plan is
-// published for the passes that follow. A nil in.Domains delegates to
-// Classify (scoring every unknown domain needs the full graph anyway).
+// published for the passes that follow. A nil in.Domains is Classify
+// (scoring every unknown domain needs the full graph anyway).
 func (s *ClassifySession) ClassifyDelta(in ClassifyInput) ([]Detection, *ClassifyReport, error) {
-	if in.Domains == nil {
-		return s.Classify(in)
-	}
+	return s.classify(in, in.Domains != nil)
+}
+
+// classify is the one snapshot-to-score path: resolve the memoized
+// preparation or build and publish a new one, pick the extractor that
+// answers for in.Graph, score the targets. delta accepts a preparation
+// made for an earlier snapshot while deltaValid allows.
+func (s *ClassifySession) classify(in ClassifyInput, delta bool) ([]Detection, *ClassifyReport, error) {
 	if in.Graph == nil || !in.Graph.Labeled() {
 		return nil, nil, ErrUnlabeled
 	}
@@ -111,24 +86,22 @@ func (s *ClassifySession) ClassifyDelta(in ClassifyInput) ([]Detection, *Classif
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	report := &ClassifyReport{}
 	prep := s.snapshot()
-	if !s.deltaValid(prep, in) {
+	cached := s.deltaValid(prep, in) && (delta || prep.src == in.Graph)
+	if !cached {
 		var err error
 		prep, err = s.det.prepare(in.Graph, in.Activity, in.Abuse)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.publish(prep)
-		prep.fillReport(report, false)
-		dets, err := s.det.scoreTargets(ctx, prep.ex, in.Domains, report)
-		if err != nil {
-			return nil, nil, err
-		}
-		return dets, report, nil
+	}
+	report := &ClassifyReport{}
+	prep.fillReport(report, cached)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 
-	prep.fillReport(report, true)
 	ex := prep.ex
 	switch {
 	case prep.src == in.Graph:
@@ -143,6 +116,8 @@ func (s *ClassifySession) ClassifyDelta(in ClassifyInput) ([]Detection, *Classif
 		}
 		report.PrunedGraph = in.Graph
 	default:
+		// Nothing is materialized for a later snapshot: the frozen plan
+		// answers through a view over the targets' neighborhood.
 		view := graph.NewPrunedView(in.Graph, prep.plan, in.Domains)
 		var err error
 		ex, err = features.NewExtractorView(view, in.Activity, in.Abuse, s.det.cfg.ActivityWindow)
@@ -151,7 +126,11 @@ func (s *ClassifySession) ClassifyDelta(in ClassifyInput) ([]Detection, *Classif
 		}
 		report.PrunedGraph = nil
 	}
-	dets, err := s.det.scoreTargets(ctx, ex, in.Domains, report)
+	targets := in.Domains
+	if targets == nil {
+		targets = features.UnknownDomains(ex)
+	}
+	dets, err := s.det.scoreTargets(ctx, ex, targets, report)
 	if err != nil {
 		return nil, nil, err
 	}

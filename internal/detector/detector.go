@@ -1,10 +1,13 @@
-// Package detector defines the plugin interface the classify pass
-// drives. Every detection model — the paper's random-forest feature
-// classifier, the incremental belief-propagation baseline, and any
-// future scenario-specific model (tunneling, DGA) — implements
-// Detector and registers a factory under a stable name; the daemon
-// enables a set of them with -detectors=forest,lbp and the server runs
-// each enabled plugin once per classify pass, fusing their verdicts.
+// Package detector defines the plugin interface for the detection models
+// that run beside the paper's forest classifier. The forest is not a
+// plugin: the server drives it through a core.ClassifySession and it owns
+// the classify pass's rows and verdict. An auxiliary model — the
+// incremental belief-propagation baseline, or a future scenario-specific
+// one (tunneling, DGA) — implements Detector and registers a factory
+// under a stable name; the daemon enables a set of them with
+// -detectors=forest,lbp and the server runs each once per classify pass
+// on the pass's snapshot and delta, carrying their scores in the pass
+// value next to the forest's and fusing the verdicts.
 package detector
 
 import (
@@ -13,10 +16,7 @@ import (
 	"sort"
 	"sync"
 
-	"segugio/internal/activity"
-	"segugio/internal/core"
 	"segugio/internal/graph"
-	"segugio/internal/pdns"
 )
 
 // Pass is one classify pass's input: the labeled live snapshot plus the
@@ -29,9 +29,6 @@ type Pass struct {
 	// to (0 for the first pass).
 	Since uint64
 	Delta graph.Delta
-
-	Activity *activity.Log
-	Abuse    *pdns.AbuseIndex
 }
 
 // Score is one scored domain.
@@ -42,8 +39,8 @@ type Score struct {
 
 // Stats describes how a detector executed its pass.
 type Stats struct {
-	// Mode is detector-specific: the forest reports "full" or "delta",
-	// the LBP engine "full", "residual", or "cached".
+	// Mode is detector-specific: the LBP engine reports "full",
+	// "residual", or "cached".
 	Mode string
 	// Iterations/Updates/PeakQueue carry propagation accounting for
 	// graph-inference detectors; zero elsewhere.
@@ -58,16 +55,7 @@ type Result struct {
 	Scores []Score
 	// Missing lists requested targets the detector could not score.
 	Missing []string
-	// Escalated reports that the pass abandoned its incremental state
-	// and recomputed from scratch for a reason the caller must observe
-	// (e.g. the forest's prune signature shifted, invalidating cached
-	// scores of untouched domains).
-	Escalated bool
-	Stats     Stats
-
-	// Report carries the forest's full classify report when the
-	// detector wraps core (nil for other plugins).
-	Report *core.ClassifyReport
+	Stats   Stats
 }
 
 // Detector is one pluggable detection model. Prepare observes a pass
@@ -93,8 +81,6 @@ type Detector interface {
 
 // Config parameterizes plugin construction.
 type Config struct {
-	// Core is the trained forest pipeline (required by "forest").
-	Core *core.Detector
 	// Tuning holds the hot-reloadable per-plugin knobs.
 	Tuning Tuning
 }

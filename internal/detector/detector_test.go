@@ -3,17 +3,16 @@ package detector_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"segugio/internal/belief"
-	"segugio/internal/core"
 	"segugio/internal/detector"
 	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
 	"segugio/internal/intel"
-	"segugio/internal/ml"
 )
 
 // testGraphParts builds the classify fixture shared by the plugin
@@ -54,19 +53,6 @@ func testGraphParts(day int) (*graph.Builder, graph.LabelSources) {
 	}
 }
 
-func trainedCore(t *testing.T, g *graph.Graph) *core.Detector {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.NewModel = func(benign, malware int) ml.Model {
-		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
-	}
-	det, _, err := core.Train(cfg, core.TrainInput{Graph: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return det
-}
-
 func labeledSnapshot(b *graph.Builder, src graph.LabelSources) (*graph.Graph, graph.Delta) {
 	g := b.Snapshot()
 	g.ApplyLabels(src)
@@ -76,100 +62,14 @@ func labeledSnapshot(b *graph.Builder, src graph.LabelSources) (*graph.Graph, gr
 }
 
 func TestRegistryNamesAndUnknown(t *testing.T) {
-	names := detector.Names()
-	want := map[string]bool{"forest": false, "lbp": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
+	// The forest is the pass's primary, driven through core directly: only
+	// auxiliary models register.
+	if names := detector.Names(); !slices.Equal(names, []string{"lbp"}) {
+		t.Fatalf("registry = %v, want [lbp]", names)
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("registry %v is missing %q", names, n)
-		}
-	}
-	if _, err := detector.New("no-such-plugin", detector.Config{}); err == nil {
-		t.Fatal("unknown plugin must error")
-	}
-	if _, err := detector.New("forest", detector.Config{}); err == nil {
-		t.Fatal("forest without a core detector must error")
-	}
-}
-
-// TestForestPluginMatchesCoreClassify: the forest plugin's full pass
-// must reproduce core.Detector.Classify byte-for-byte — the porting
-// behind the plugin interface is a pure refactor.
-func TestForestPluginMatchesCoreClassify(t *testing.T) {
-	b, src := testGraphParts(42)
-	g, delta := labeledSnapshot(b, src)
-	det := trainedCore(t, g)
-
-	ref, refReport, err := det.Classify(core.ClassifyInput{Graph: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := detector.New("forest", detector.Config{Core: det})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Name() != "forest" {
-		t.Fatalf("Name = %q", p.Name())
-	}
-	if p.Threshold() != det.Threshold() {
-		t.Fatalf("Threshold = %v, want %v", p.Threshold(), det.Threshold())
-	}
-	if _, err := p.Score(context.Background(), nil); err == nil {
-		t.Fatal("Score before Prepare must error")
-	}
-	if err := p.Prepare(context.Background(), detector.Pass{Graph: g, Version: 1, Delta: delta}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Score(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Mode != "full" {
-		t.Fatalf("mode = %q, want full", res.Stats.Mode)
-	}
-	if res.Escalated {
-		t.Fatal("first pass cannot count as an escalation")
-	}
-	if len(res.Scores) != len(ref) {
-		t.Fatalf("scored %d domains, core scored %d", len(res.Scores), len(ref))
-	}
-	for i, sc := range res.Scores {
-		if sc.Domain != ref[i].Domain || sc.Score != ref[i].Score {
-			t.Fatalf("score %d differs: %+v vs %+v", i, sc, ref[i])
-		}
-	}
-	if res.Report == nil || res.Report.PruneSig != refReport.PruneSig {
-		t.Fatalf("plugin report %+v does not match core report", res.Report)
-	}
-
-	// Delta pass on the same snapshot: targeted scores equal full scores,
-	// served from the memoized plan.
-	var targets []string
-	for _, sc := range res.Scores {
-		targets = append(targets, sc.Domain)
-	}
-	dres, err := p.Score(context.Background(), targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.Stats.Mode != "delta" {
-		t.Fatalf("mode = %q, want delta", dres.Stats.Mode)
-	}
-	if dres.Escalated {
-		t.Fatal("same-snapshot delta must not escalate")
-	}
-	if len(dres.Scores) != len(res.Scores) {
-		t.Fatalf("delta scored %d, want %d", len(dres.Scores), len(res.Scores))
-	}
-	for i := range dres.Scores {
-		if dres.Scores[i] != res.Scores[i] {
-			t.Fatalf("delta score %d differs: %+v vs %+v", i, dres.Scores[i], res.Scores[i])
+	for _, name := range []string{"no-such-plugin", "forest"} {
+		if _, err := detector.New(name, detector.Config{}); err == nil {
+			t.Fatalf("New(%q) must error", name)
 		}
 	}
 }
@@ -196,8 +96,8 @@ func TestLBPPluginScoresAndModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Mode != belief.ModeFull || !res.Escalated {
-		t.Fatalf("first pass: mode=%q escalated=%v, want full escalation", res.Stats.Mode, res.Escalated)
+	if res.Stats.Mode != belief.ModeFull {
+		t.Fatalf("first pass: mode=%q, want full", res.Stats.Mode)
 	}
 
 	ref, err := belief.Propagate(g1, belief.Config{})
@@ -230,8 +130,8 @@ func TestLBPPluginScoresAndModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Stats.Mode != belief.ModeResidual || res2.Escalated {
-		t.Fatalf("delta pass: mode=%q escalated=%v, want residual", res2.Stats.Mode, res2.Escalated)
+	if res2.Stats.Mode != belief.ModeResidual {
+		t.Fatalf("delta pass: mode=%q, want residual", res2.Stats.Mode)
 	}
 	if len(res2.Scores) != 1 || res2.Scores[0].Domain != "unk.gray0.org" {
 		t.Fatalf("targeted scores = %+v", res2.Scores)

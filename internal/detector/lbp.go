@@ -53,7 +53,6 @@ func (l *lbp) Score(ctx context.Context, targets []string) (*Result, error) {
 		return nil, errors.New("detector: lbp: Score before Prepare")
 	}
 	res := &Result{
-		Escalated: l.last.Mode == belief.ModeFull,
 		Stats: Stats{
 			Mode:       l.last.Mode,
 			Iterations: l.last.Iterations,

@@ -81,7 +81,7 @@ func reduction(before, after int) float64 {
 var ErrNotLabeled = errors.New("graph: ApplyLabels must run before Prune")
 
 // fullScans counts O(graph) scans of the prune pipeline (Prune,
-// NewPrunePlan, FindProbers, PruneSignature) process-wide. A classify
+// NewPrunePlan, FindProbers) process-wide. A classify
 // session that claims to be O(dirty) on delta passes is asserted against
 // this counter in tests: between two delta passes it must not move.
 var fullScans atomic.Uint64
@@ -297,11 +297,12 @@ func (p *PrunePlan) Stats() PruneStats { return p.stats }
 // removed, in node order.
 func (p *PrunePlan) ProbersRemoved() []string { return p.probersRemoved }
 
-// Signature condenses the plan's resolved global thresholds into one
-// comparable value, like PruneSignature but without rescanning: a score
-// cache keyed by per-domain dirty sets must flush when it moves, because
-// a threshold shift can change the pruning fate of domains no local
-// mutation touched. Zero when pruning is disabled.
+// Signature condenses the plan's resolved global thresholds — R2's
+// degree percentile thetaD and R4's machine-count threshold thetaM —
+// into one comparable value: a score cache keyed by per-domain dirty
+// sets must flush when it moves, because a threshold shift can change
+// the pruning fate of domains no local mutation touched. Zero when
+// pruning is disabled.
 func (p *PrunePlan) Signature() uint64 {
 	if p.disablePrune {
 		return 0
@@ -571,17 +572,4 @@ func materialize(g *Graph, keepM, keepD []bool) *Graph {
 	out.numEdges = len(out.mAdj)
 	out.recomputeMachineLabels()
 	return out
-}
-
-// PruneSignature condenses the graph-global pruning thresholds that
-// classification outcomes depend on — R2's degree percentile thetaD and
-// R4's machine-count threshold thetaM — into one comparable value. A
-// score cache keyed by per-domain dirty sets must also be flushed when
-// these global thresholds move, because a threshold shift can change the
-// pruning fate of domains no local mutation touched.
-func PruneSignature(g *Graph, cfg PruneConfig) uint64 {
-	fullScans.Add(1)
-	thetaD := degreePercentile(g, cfg.ProxyPercentile)
-	thetaM := thetaMFor(cfg, g.NumMachines())
-	return uint64(uint32(thetaD))<<32 | uint64(uint32(thetaM))
 }

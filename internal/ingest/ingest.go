@@ -4,12 +4,10 @@
 // TCP connection — shards them by machine-ID hash across worker
 // goroutines, and applies them incrementally to a live behavior-graph
 // Builder. Each (source, shard) pair is a bounded SPSC ring; what happens
-// when a ring fills is Config.ShedPolicy's call: drop and count the newest
-// event (the default, how an ISP tap has to behave — the resolver will
-// not wait for us), block the source so TCP pushes back on the sender, or
-// block until the daemon is overloaded and then evict the oldest queued
-// event. That policy is the whole of the ingester's backpressure: nothing
-// else slows a source down.
+// when a ring fills is Config.ShedPolicy's call: block the source so TCP
+// pushes back on the sender (the default), or block until the daemon is
+// overloaded and then evict the oldest queued event. That policy is the
+// whole of the ingester's backpressure: nothing else slows a source down.
 //
 // A segb1 stream numbers its names (logio.Event.MachineSym/DomainSym), and
 // the ingester resolves each number once instead of hashing two strings
@@ -183,13 +181,11 @@ type Config struct {
 	// (degraded). It also gates shedding — see ShedPolicy.
 	Health *health.Tracker
 	// ShedPolicy decides what happens to an event whose shard queue is
-	// full. The default (ShedDrop) is the legacy tap behavior: drop the
-	// newest event and count it, never blocking the source. Every other
-	// policy blocks the source (TCP backpressure) while the daemon is
-	// healthy or degraded; only the overloaded health state sheds
-	// unacknowledged events, and only as the policy says:
+	// full. Every policy blocks the source (TCP backpressure) while the
+	// daemon is healthy or degraded; only the overloaded health state
+	// sheds unacknowledged events, and only as the policy says:
 	//
-	//	ShedBlock      never shed — block until the shard drains
+	//	ShedBlock      never shed — block until the shard drains (default)
 	//	ShedDropOldest evict the oldest queued event to admit the newest
 	ShedPolicy string
 	// Watermarks, when non-nil, receives event-time freshness marks:
@@ -216,7 +212,6 @@ type Config struct {
 
 // Shed policies (Config.ShedPolicy).
 const (
-	ShedDrop       = "drop"        // legacy: drop the newest event whenever a shard is full
 	ShedBlock      = "block"       // never shed: block the source until the shard drains
 	ShedDropOldest = "drop-oldest" // overloaded only: evict the oldest queued event
 )
@@ -238,10 +233,10 @@ const (
 )
 
 // ValidShedPolicy reports whether p names a shed policy ("" selects
-// ShedDrop).
+// ShedBlock).
 func ValidShedPolicy(p string) bool {
 	switch p {
-	case "", ShedDrop, ShedBlock, ShedDropOldest:
+	case "", ShedBlock, ShedDropOldest:
 		return true
 	}
 	return false
@@ -856,40 +851,31 @@ func (s *eventSource) flushShard(shard int) {
 }
 
 // awaitRoom handles a full shard ring with n events still to publish: it
-// reports true once the ring has a free slot again, or false when the n
-// events are accounted for as dropped and the caller must let them go.
+// reports true once the ring has a free slot again, or false when the
+// daemon is shutting down: the n events are then counted as dropped and
+// the caller must let them go rather than wedge the Consume loop forever.
 // Every full ring asserts the ingest_queue overload signal (self-arming:
 // sustained pressure keeps re-asserting it, a burst decays after
 // queuePressureTTL), then the shed policy decides. Shedding
 // unacknowledged events is reserved for the overloaded state under an
 // explicit policy; otherwise the source blocks, which is the backpressure
 // a TCP sender feels as a stalled read loop — and the only throttle there
-// is. Shutdown ends the wait: the events are then counted as dropped
-// rather than wedging the Consume loop forever.
+// is.
 func (s *eventSource) awaitRoom(shard, n int) bool {
 	in, r := s.in, s.rings[shard]
 	if h := in.cfg.Health; h != nil {
 		h.SetFor(healthSignalQueue, health.Overloaded, "shard queue full", queuePressureTTL)
 	}
-	switch in.cfg.ShedPolicy {
-	case ShedBlock:
-	case ShedDropOldest:
-		// Ask the worker to evict the oldest queued event (the producer
-		// cannot pop an SPSC ring), then wait for the slot: under overload
-		// the most recent observation is the one that keeps the live graph
-		// current. One per wait, however many events are waiting — the
-		// worker frees a whole batch behind the eviction, and a ring that
-		// fills again asks again. The worker clears the request unserved if
-		// the ring drained on its own first.
-		if h := in.cfg.Health; h != nil && h.Overloaded() {
-			r.evict.Add(1)
-			in.notify(shard)
-		}
-	default:
-		// Legacy tap behavior: the newest events are dropped and counted,
-		// the source never blocks.
-		addN(in.m.EventsDropped, int64(n))
-		return false
+	// Under drop-oldest, ask the worker to evict the oldest queued event
+	// (the producer cannot pop an SPSC ring), then wait for the slot: under
+	// overload the most recent observation is the one that keeps the live
+	// graph current. One per wait, however many events are waiting — the
+	// worker frees a whole batch behind the eviction, and a ring that
+	// fills again asks again. The worker clears the request unserved if
+	// the ring drained on its own first.
+	if h := in.cfg.Health; in.cfg.ShedPolicy == ShedDropOldest && h != nil && h.Overloaded() {
+		r.evict.Add(1)
+		in.notify(shard)
 	}
 	for spin := 0; r.full(); spin++ {
 		select {

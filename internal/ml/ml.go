@@ -12,8 +12,6 @@ package ml
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
 // Model is a binary classifier producing a continuous malware score.
@@ -70,40 +68,16 @@ type BatchScorer interface {
 }
 
 // ScoreAll scores every row of X. Models implementing BatchScorer use
-// their own batch path; per-sample models fall back to a sharded
-// parallel loop. Both paths invoke the model's Score on each row, so the
-// result is bit-identical to a serial loop in either case.
+// their own batch path; per-sample models take a plain loop. Both invoke
+// the model's Score on each row, so the result is bit-identical either way.
 func ScoreAll(m Model, X [][]float64) []float64 {
 	if bs, ok := m.(BatchScorer); ok {
 		return bs.ScoreBatch(X)
 	}
 	out := make([]float64, len(X))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(X) {
-		workers = len(X)
+	for i, row := range X {
+		out[i] = m.Score(row)
 	}
-	if workers <= 1 {
-		for i, row := range X {
-			out[i] = m.Score(row)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(X) + workers - 1) / workers
-	for lo := 0; lo < len(X); lo += chunk {
-		hi := lo + chunk
-		if hi > len(X) {
-			hi = len(X)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = m.Score(X[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
 }
 

@@ -75,8 +75,8 @@ func BenchmarkScoreBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreAllFallback measures the sharded per-sample fallback
-// used by models without a native batch path (logistic regression).
+// BenchmarkScoreAllFallback measures the per-sample loop used by models
+// without a native batch path (logistic regression).
 func BenchmarkScoreAllFallback(b *testing.B) {
 	scoreBenchState.once.Do(scoreBenchSetup)
 	if scoreBenchState.err != nil {

@@ -17,6 +17,7 @@ package notos
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"segugio/internal/dnsutil"
@@ -108,9 +109,16 @@ func Train(cfg Config, db *pdns.DB, trainDay int, bl *intel.Blacklist, wl *intel
 		return pdns.VerdictUnknown
 	})
 
+	// The database iterates in map order; the forest's bootstrap depends
+	// on row order, so fix it or the same inputs train different models.
+	var domains []string
+	db.ForEachDomain(from, to, func(domain string, _ []dnsutil.IPv4) {
+		domains = append(domains, domain)
+	})
+	sort.Strings(domains)
 	var X [][]float64
 	var y []int
-	db.ForEachDomain(from, to, func(domain string, _ []dnsutil.IPv4) {
+	for _, domain := range domains {
 		var label int
 		switch {
 		case bl.Contains(domain, trainDay):
@@ -118,15 +126,15 @@ func Train(cfg Config, db *pdns.DB, trainDay int, bl *intel.Blacklist, wl *intel
 		case wl.ContainsDomain(domain, cfg.Suffixes):
 			label = 0
 		default:
-			return
+			continue
 		}
 		v, ok := c.features(domain, trainDay)
 		if !ok {
-			return
+			continue
 		}
 		X = append(X, v)
 		y = append(y, label)
-	})
+	}
 	if len(X) == 0 {
 		return nil, ErrNoTraining
 	}

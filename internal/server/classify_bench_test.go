@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"segugio/internal/core"
 	"segugio/internal/dnsutil"
@@ -30,12 +29,27 @@ const (
 )
 
 type classifyBenchEnv struct {
-	bld  *graph.Builder
-	src  graph.LabelSources
-	gs   *deltaSource
-	srv  *Server
-	det  *core.Detector
-	step uint32
+	bld    *graph.Builder
+	src    graph.LabelSources
+	gs     *deltaSource
+	srv    *Server
+	handle *DetectorHandle
+	step   uint32
+}
+
+// benchHandle wraps an in-memory detector in a handle, as a load from
+// disk would.
+func benchHandle(det *core.Detector) *DetectorHandle {
+	h := &DetectorHandle{}
+	h.install(det)
+	return h
+}
+
+// reinstall swaps in a fresh load of the same detector: the next pass
+// starts from an empty session (cold prune) and is a full one.
+func reinstall(h *DetectorHandle) {
+	det, _ := h.Get()
+	h.install(det)
 }
 
 var classifyBench struct {
@@ -100,11 +114,13 @@ func classifyBenchSetup() {
 	}
 
 	gs := &deltaSource{g: g, version: 1}
+	handle := benchHandle(det)
 	srv := New(Config{
 		Graphs:   gs,
+		Detector: handle,
 		Registry: metrics.NewRegistry(),
 	})
-	classifyBench.env = &classifyBenchEnv{bld: bld, src: src, gs: gs, srv: srv, det: det}
+	classifyBench.env = &classifyBenchEnv{bld: bld, src: src, gs: gs, srv: srv, handle: handle}
 }
 
 func classifyBenchEnvFor(b *testing.B) *classifyBenchEnv {
@@ -141,51 +157,19 @@ func (env *classifyBenchEnv) advanceDirty(b *testing.B) {
 func BenchmarkClassifyAllFull(b *testing.B) {
 	env := classifyBenchEnvFor(b)
 	ctx := context.Background()
-	var loadedAt = env.srv.start
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		env.gs.advance(env.gs.g, nil, false) // inexact: force a flush
-		env.srv.cache.forest = nil           // drop the memo: cold prune
+		env.gs.advance(env.gs.g, nil, false) // inexact: a full pass
+		reinstall(env.handle)                // drop the memo: cold prune
 		b.StartTimer()
-		res, err := env.srv.classifyAll(ctx, env.det, loadedAt)
+		p, _, err := env.srv.classifyAll(ctx, env.srv.model())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.rows) == 0 {
+		if len(p.rows) == 0 {
 			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkClassifyAllDeadline is BenchmarkClassifyAllFull through the
-// cancellable pass path: a generous -pass-deadline arms the pass context,
-// so every scoring sweep runs with periodic cancellation checks instead
-// of the deadline-free fast path. The ns/op delta against
-// BenchmarkClassifyAllFull is the price of deadline-bounded passes.
-func BenchmarkClassifyAllDeadline(b *testing.B) {
-	env := classifyBenchEnvFor(b)
-	ctx := context.Background()
-	srv := New(Config{
-		Graphs:       env.gs,
-		Registry:     metrics.NewRegistry(),
-		PassDeadline: time.Minute, // armed, never expiring
-	})
-	loadedAt := srv.start
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		env.gs.advance(env.gs.g, nil, false) // inexact: force a flush
-		srv.cache.forest = nil               // drop the memo: cold prune
-		b.StartTimer()
-		res, err := srv.classifyAll(ctx, env.det, loadedAt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.rows) == 0 || res.stale {
-			b.Fatalf("rows=%d stale=%v", len(res.rows), res.stale)
 		}
 	}
 }
@@ -200,7 +184,6 @@ type shardedBenchEnv struct {
 	src    graph.LabelSources
 	gs     *deltaSource
 	srv    *Server
-	det    *core.Detector
 	step   uint32
 }
 
@@ -282,8 +265,7 @@ func shardedBenchSetup() {
 		return
 	}
 	env.gs = &deltaSource{g: g, version: 1}
-	env.srv = New(Config{Graphs: env.gs, Registry: metrics.NewRegistry()})
-	env.det = det
+	env.srv = New(Config{Graphs: env.gs, Detector: benchHandle(det), Registry: metrics.NewRegistry()})
 	shardedBench.env = env
 }
 
@@ -316,9 +298,8 @@ func BenchmarkClassifyAllDeltaSharded(b *testing.B) {
 	}
 	env := shardedBench.env
 	ctx := context.Background()
-	loadedAt := env.srv.start
 	env.gs.advance(env.gs.g, nil, false)
-	if _, err := env.srv.classifyAll(ctx, env.det, loadedAt); err != nil {
+	if _, _, err := env.srv.classifyAll(ctx, env.srv.model()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -327,27 +308,26 @@ func BenchmarkClassifyAllDeltaSharded(b *testing.B) {
 		b.StopTimer()
 		env.advanceDirty(b)
 		b.StartTimer()
-		res, err := env.srv.classifyAll(ctx, env.det, loadedAt)
+		p, _, err := env.srv.classifyAll(ctx, env.srv.model())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.rescored == 0 || res.rescored > benchDirty {
-			b.Fatalf("rescored = %d, want 1..%d", res.rescored, benchDirty)
+		if p.rescored == 0 || p.rescored > benchDirty {
+			b.Fatalf("rescored = %d, want 1..%d", p.rescored, benchDirty)
 		}
 	}
 }
 
 // BenchmarkClassifyAllDelta is the steady-state pass: benchDirty domains
-// change per snapshot and everything else is served from the score cache
+// change per snapshot and everything else is kept from the previous pass
 // through the memoized prune plan. The ns/op ratio against
 // BenchmarkClassifyAllFull is the headline O(dirty)-vs-O(graph) number.
 func BenchmarkClassifyAllDelta(b *testing.B) {
 	env := classifyBenchEnvFor(b)
 	ctx := context.Background()
-	var loadedAt = env.srv.start
-	// Prime: one full pass so the session and score cache are warm.
+	// Prime: one full pass so the session and the previous pass are warm.
 	env.gs.advance(env.gs.g, nil, false)
-	if _, err := env.srv.classifyAll(ctx, env.det, loadedAt); err != nil {
+	if _, _, err := env.srv.classifyAll(ctx, env.srv.model()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -356,12 +336,12 @@ func BenchmarkClassifyAllDelta(b *testing.B) {
 		b.StopTimer()
 		env.advanceDirty(b)
 		b.StartTimer()
-		res, err := env.srv.classifyAll(ctx, env.det, loadedAt)
+		p, _, err := env.srv.classifyAll(ctx, env.srv.model())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.rescored == 0 || res.rescored > benchDirty {
-			b.Fatalf("rescored = %d, want 1..%d", res.rescored, benchDirty)
+		if p.rescored == 0 || p.rescored > benchDirty {
+			b.Fatalf("rescored = %d, want 1..%d", p.rescored, benchDirty)
 		}
 	}
 }

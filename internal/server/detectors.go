@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"os"
-	"slices"
-	"sync"
 	"time"
 
 	"segugio/internal/detector"
@@ -12,30 +10,21 @@ import (
 	"segugio/internal/obs"
 )
 
-// auxState holds the auxiliary detector plugins (every enabled detector
-// except the primary forest, which the score cache drives) and their
-// latest scores. Plugins are driven only from classifyAll, which the
-// cache mutex serializes; the state mutex covers the score maps read by
-// response decoration and the plugin slice swapped by tuning reloads.
-type auxState struct {
-	mu      sync.Mutex
-	plugins []detector.Detector
-	// version is the graph version scores were computed at; responses
-	// only attach per-detector scores matching their own snapshot.
-	version    uint64
-	scores     map[string]map[string]float64
-	thresholds map[string]float64
-}
+// auxScores holds the auxiliary detector plugins' scores (every enabled
+// detector except the primary forest, which classifyAll drives itself) for
+// one pass's snapshot, by plugin name. It is part of the pass value:
+// responses and audit records decorate their rows from the pass they serve.
+type auxScores map[string]pluginScores
 
-// auxVerdictSource is an immutable read of the aux scores for one graph
-// version, nil when no aux detector has scored that version.
-type auxVerdictSource struct {
-	scores     map[string]map[string]float64
-	thresholds map[string]float64
+// pluginScores is one plugin's score per unknown domain, and the score at
+// or above which the plugin counts a domain as detected.
+type pluginScores struct {
+	scores    map[string]float64
+	threshold float64
 }
 
 // buildAux constructs the auxiliary plugin set from the enabled names
-// and tuning. The forest is excluded: the score cache owns it.
+// and tuning. The forest is excluded: it is not a plugin.
 func buildAux(names []string, tuning detector.Tuning) ([]detector.Detector, error) {
 	var out []detector.Detector
 	for _, name := range names {
@@ -58,21 +47,13 @@ func buildAux(names []string, tuning detector.Tuning) ([]detector.Detector, erro
 // pass: Prepare propagates its incremental state onto the new snapshot,
 // Score(nil) refreshes the full unknown-domain score set. A plugin
 // error is logged and counted but never fails the primary pass — the
-// plugin keeps its previous scores and retries next pass (the engines
-// self-escalate on version gaps). Called with the score-cache mutex
-// held, so passes serialize.
-func (s *Server) runAuxDetectors(ctx context.Context, g *graph.Graph, version, since uint64, delta graph.Delta) {
-	s.aux.mu.Lock()
-	plugins := slices.Clone(s.aux.plugins)
-	s.aux.mu.Unlock()
-	if len(plugins) == 0 {
-		return
-	}
-	pass := detector.Pass{
-		Graph: g, Version: version, Since: since, Delta: delta,
-		Activity: s.cfg.Activity, Abuse: s.cfg.Abuse,
-	}
-	for _, p := range plugins {
+// pass carries no scores for that plugin and it retries next pass (the
+// engines self-escalate on version gaps). Called with passMu held, so
+// passes serialize.
+func (s *Server) runAuxDetectors(ctx context.Context, g *graph.Graph, version, since uint64, delta graph.Delta) auxScores {
+	var out auxScores
+	pass := detector.Pass{Graph: g, Version: version, Since: since, Delta: delta}
+	for _, p := range s.auxPlugins {
 		name := p.Name()
 		stage := obs.StageLBPPropagate
 		if name != "lbp" {
@@ -119,75 +100,65 @@ func (s *Server) runAuxDetectors(ctx context.Context, g *graph.Graph, version, s
 		for _, sc := range res.Scores {
 			scores[sc.Domain] = sc.Score
 		}
-		s.aux.mu.Lock()
-		if s.aux.scores == nil {
-			s.aux.scores = map[string]map[string]float64{}
-			s.aux.thresholds = map[string]float64{}
+		if out == nil {
+			out = auxScores{}
 		}
-		s.aux.scores[name] = scores
-		s.aux.thresholds[name] = p.Threshold()
-		s.aux.version = version
-		s.aux.mu.Unlock()
+		out[name] = pluginScores{scores: scores, threshold: p.Threshold()}
 	}
+	return out
 }
 
-// auxVerdicts returns the aux score source when scores current for the
-// given graph version exist, else nil (responses then omit per-detector
-// maps, keeping the forest-only wire format byte-identical).
-func (s *Server) auxVerdicts(version uint64) *auxVerdictSource {
-	s.aux.mu.Lock()
-	defer s.aux.mu.Unlock()
-	if len(s.aux.scores) == 0 || s.aux.version != version {
+// verdicts assembles one domain's per-detector verdicts: the forest's,
+// each aux plugin's that scored the domain, and the fused ensemble under
+// "fused". Nil when no aux detector scored the pass (responses then omit
+// per-detector maps, keeping the forest-only wire format byte-identical).
+func (a auxScores) verdicts(domain string, forestScore, forestThreshold float64) map[string]detector.Verdict {
+	if len(a) == 0 {
 		return nil
 	}
-	return &auxVerdictSource{scores: s.aux.scores, thresholds: s.aux.thresholds}
-}
-
-// detectorScores assembles one response row's per-detector score map:
-// the forest score, each aux plugin's score for the domain, and the
-// fused ensemble score under "fused".
-func (src *auxVerdictSource) detectorScores(domain string, forestScore float64, forestThreshold float64) map[string]float64 {
 	verdicts := map[string]detector.Verdict{
 		"forest": {Score: forestScore, Detected: forestScore >= forestThreshold},
 	}
-	for name, scores := range src.scores {
-		if sc, ok := scores[domain]; ok {
-			verdicts[name] = detector.Verdict{Score: sc, Detected: sc >= src.thresholds[name]}
+	for name, p := range a {
+		if sc, ok := p.scores[domain]; ok {
+			verdicts[name] = detector.Verdict{Score: sc, Detected: sc >= p.threshold}
 		}
 	}
-	fused := detector.Fuse(verdicts)
-	out := make(map[string]float64, len(verdicts)+1)
+	verdicts[detector.FusedName] = detector.Fuse(verdicts)
+	return verdicts
+}
+
+// detectorScores is one response row's per-detector score map.
+func (a auxScores) detectorScores(domain string, forestScore, forestThreshold float64) map[string]float64 {
+	verdicts := a.verdicts(domain, forestScore, forestThreshold)
+	if verdicts == nil {
+		return nil
+	}
+	out := make(map[string]float64, len(verdicts))
 	for name, v := range verdicts {
 		out[name] = v.Score
 	}
-	out[detector.FusedName] = fused.Score
 	return out
 }
 
 // detectorVerdicts is detectorScores for audit records: full verdicts
-// (score plus detected) per plugin, including the fused ensemble.
-func (src *auxVerdictSource) detectorVerdicts(domain string, forestScore float64, forestThreshold float64) map[string]obs.DetectorVerdict {
-	verdicts := map[string]detector.Verdict{
-		"forest": {Score: forestScore, Detected: forestScore >= forestThreshold},
+// (score plus detected) per plugin.
+func (a auxScores) detectorVerdicts(domain string, forestScore, forestThreshold float64) map[string]obs.DetectorVerdict {
+	verdicts := a.verdicts(domain, forestScore, forestThreshold)
+	if verdicts == nil {
+		return nil
 	}
-	for name, scores := range src.scores {
-		if sc, ok := scores[domain]; ok {
-			verdicts[name] = detector.Verdict{Score: sc, Detected: sc >= src.thresholds[name]}
-		}
-	}
-	fused := detector.Fuse(verdicts)
-	out := make(map[string]obs.DetectorVerdict, len(verdicts)+1)
+	out := make(map[string]obs.DetectorVerdict, len(verdicts))
 	for name, v := range verdicts {
 		out[name] = obs.DetectorVerdict{Score: v.Score, Detected: v.Detected}
 	}
-	out[detector.FusedName] = obs.DetectorVerdict{Score: fused.Score, Detected: fused.Detected}
 	return out
 }
 
 // ReloadTuning re-reads the detector tuning file (when configured) and
 // rebuilds the auxiliary plugins with the new knobs. Incremental plugin
 // state restarts cold: the next pass self-escalates to a full
-// propagation, exactly like a detector reload flushes the score cache.
+// propagation, exactly like a detector reload forces a full forest pass.
 func (s *Server) reloadTuning() error {
 	tuning := s.cfg.Tuning
 	if s.cfg.TuningPath != "" {
@@ -205,19 +176,14 @@ func (s *Server) reloadTuning() error {
 	if err != nil {
 		return err
 	}
-	// The score-cache mutex serializes the swap against an in-flight
-	// classify pass: runAuxDetectors clones the plugin slice and drives
-	// the clones outside aux.mu, so swapping (and especially Closing the
-	// old plugins) mid-pass would race with a plugin's Prepare/Score.
-	// Lock order is cache.mu then aux.mu, same as classifyAll's.
-	s.cache.mu.Lock()
-	s.aux.mu.Lock()
-	old := s.aux.plugins
-	s.aux.plugins = plugins
-	s.aux.mu.Unlock()
-	for _, p := range old {
+	// passMu serializes the swap against an in-flight classify pass:
+	// swapping (and especially Closing the old plugins) mid-pass would
+	// race with a plugin's Prepare/Score.
+	s.passMu.Lock()
+	defer s.passMu.Unlock()
+	for _, p := range s.auxPlugins {
 		p.Close()
 	}
-	s.cache.mu.Unlock()
+	s.auxPlugins = plugins
 	return nil
 }

@@ -198,12 +198,12 @@ func TestTuningReloadRebuildsAuxPlugins(t *testing.T) {
 	ts := lbpTestServer(t, func(cfg *Config) { cfg.TuningPath = path })
 
 	auxPlugin := func() detector.Detector {
-		ts.srv.aux.mu.Lock()
-		defer ts.srv.aux.mu.Unlock()
-		if len(ts.srv.aux.plugins) != 1 {
-			t.Fatalf("aux plugins = %d, want 1", len(ts.srv.aux.plugins))
+		ts.srv.passMu.Lock()
+		defer ts.srv.passMu.Unlock()
+		if len(ts.srv.auxPlugins) != 1 {
+			t.Fatalf("aux plugins = %d, want 1", len(ts.srv.auxPlugins))
 		}
-		return ts.srv.aux.plugins[0]
+		return ts.srv.auxPlugins[0]
 	}
 
 	// Startup builds from cfg.Tuning; the file only applies on reload

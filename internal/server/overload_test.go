@@ -230,10 +230,9 @@ func TestReadyzReflectsHealth(t *testing.T) {
 
 // TestReloadTuningSerializesWithPass is the regression test for the
 // mid-pass tuning reload race: reloadTuning swaps and Closes the aux
-// plugin set, while classify passes drive a clone of that set outside
-// the aux lock. The swap must serialize against in-flight passes (via
-// the score-cache mutex) — under -race, a Close racing a plugin's
-// Prepare/Score fails this test.
+// plugin set, which classify passes drive. The swap must serialize
+// against in-flight passes (via the pass-production mutex) — under -race,
+// a Close racing a plugin's Prepare/Score fails this test.
 func TestReloadTuningSerializesWithPass(t *testing.T) {
 	ts := newTestServer(t, func(cfg *Config) {
 		cfg.Detectors = []string{"forest", "lbp"}

@@ -4,39 +4,40 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	"segugio/internal/core"
-	"segugio/internal/detector"
 	"segugio/internal/features"
 	"segugio/internal/graph"
 	"segugio/internal/health"
 	"segugio/internal/obs"
+	"segugio/internal/tracker"
 )
 
-// scoreCache memoizes the classify-all result ("score every unknown
-// domain in the live graph") across graph versions. Between two
-// snapshots the ingester reports the exact set of dirty domains —
-// domains whose adjacency, labels, or resolved IPs changed — so a
-// classify-all at version v+k re-extracts features and re-scores only
-// the dirty domains and keeps every other score from the cache, keyed by
-// the graph version it was computed at.
+// pass is one completed classify-all pass ("score every unknown domain in
+// the live graph"): the snapshot it ran on, the rows it serves, and
+// everything else a reader needs to answer for that snapshot. classifyAll
+// is the only producer; it publishes each pass through Server.pass, and a
+// published pass is immutable, so readers load it without a lock and every
+// slice and map in it may back an in-flight response.
 //
-// The expensive per-snapshot preprocessing (prober filter, prune,
-// extractor setup) is memoized separately in a core.ClassifySession:
-// delta passes route through ClassifyDelta, which reuses the frozen
-// prune plan and never rescans the full graph.
-//
-// The cache flushes whole (full re-classification) whenever per-domain
-// deltas cannot prove the old scores still hold:
+// A pass is built from the one before it. Between two snapshots the
+// ingester reports the exact set of dirty domains — domains whose
+// adjacency, labels, or resolved IPs changed — so a pass at version v+k
+// re-extracts features and re-scores only the dirty domains, through the
+// session's frozen prune plan (core.ClassifySession.ClassifyDelta, no
+// full-graph scan), and keeps every other row of the previous pass with
+// the graph version it was scored at. The previous rows are dropped whole
+// (a full pass) whenever per-domain deltas cannot prove they still hold:
 //
 //   - the delta is inexact (first snapshot, ring overflow, epoch rotation);
 //   - the observation day changed (scores are per-day);
 //   - the detector was reloaded (different model or threshold regime);
-//   - the session had to recompute its prune plan and the resulting
-//     prune signature moved (graph-global thresholds thetaD/thetaM
-//     shifted, which can change the pruning fate of untouched domains).
+//   - the session's prune plan was recomputed — by this pass or by a lookup
+//     in between — and its signature is no longer the one the rows were
+//     scored under (graph-global thresholds thetaD/thetaM shifted, which
+//     can change the pruning fate of untouched domains).
 //
 // Feature extraction itself reads graph-global state beyond the dirty
 // set (e2LD popularity, machine degree distributions), so delta scoring
@@ -44,126 +45,114 @@ import (
 // keeps its score even if far-away graph growth nudged shared
 // denominators. The session's drift bounds and the signature flush keep
 // the error to shifts that do not move the global thresholds.
-type scoreCache struct {
-	mu       sync.Mutex
-	valid    bool
-	version  uint64
-	day      int
-	detStamp time.Time
-	entries  map[string]scoreEntry
-	// forest is the primary detector plugin wrapping a classify session
-	// (which memoizes the prune pipeline across passes); forestCore is
-	// the core detector it wraps (a reload swaps the detector pointer,
-	// which must start a fresh plugin and session).
-	forest     detector.Detector
-	forestCore *core.Detector
-	// sortedRows/sortedMissing mirror entries in render order (score
-	// desc, then name; missing sorted ascending). They are rebuilt on a
-	// full pass, patched by sorted merge on a delta pass, and served
-	// as-is — callers must treat them as immutable — on pure cache
-	// reads, so an idle classify-all does no O(n log n) re-sort.
-	sortedRows    []ClassifyDetection
-	sortedMissing []string
-	// graph is the snapshot the cached rows were scored against — the
-	// last-good pass. A deadline-aborted pass serves it stale-marked.
-	graph *graph.Graph
-	// overruns counts consecutive deadline-aborted passes; the watchdog
-	// escalates the classify_pass health signal to degraded at
-	// passOverrunEscalate and any completed pass resets it.
-	overruns int
-	// detected is the detection state of the previous pass, persisted
-	// across cache flushes: the audit trail records a domain when it is
-	// detected now but was not in the last pass (or there was none). A
-	// flush invalidates scores, not the memory of what was already
-	// flagged — otherwise every detector reload would re-audit the whole
-	// standing detection set.
-	detected map[string]bool
-}
-
-// scoreEntry is one cached classify-all row. version records the graph
-// version the score was computed at; missing marks a domain that was a
-// target but absent from the pruned graph (it cannot be detected).
-type scoreEntry struct {
-	score   float64
+type pass struct {
+	// graph and version are the snapshot the pass scored; model is the
+	// detector (and session) that scored it.
+	graph   *graph.Graph
 	version uint64
-	missing bool
-}
-
-// classifyAllResult is the merged cache state after one classify-all
-// pass, plus the accounting the caller renders. rows and missing alias
-// the cache's sorted state and must be treated as immutable.
-type classifyAllResult struct {
-	graph    *graph.Graph
-	version  uint64
-	rows     []ClassifyDetection // sorted by score desc, then name
+	model   *loadedModel
+	// pruneSig is the prune-plan signature the rows were scored under.
+	pruneSig uint64
+	// rows are the scored domains in render order (score descending, then
+	// name); the first detected of them are at or above the threshold.
+	// byID holds the same scores indexed by graph's domain node id, for
+	// lookups. missing lists the targets absent from the pruned graph (they
+	// cannot be detected), sorted ascending.
+	rows     []ClassifyDetection
+	detected int
+	byID     []domainScore
 	missing  []string
-	rescored int // domains whose features were re-extracted this pass
-	// stale marks a result served from the last completed pass because
-	// the current one blew its deadline: graph, version, and rows all
-	// describe that earlier pass.
-	stale bool
+	// aux holds the auxiliary detectors' scores for this snapshot; nil
+	// when none is enabled or none completed.
+	aux auxScores
+	// rescored counts the domains whose features this pass re-extracted.
+	rescored int
+	// diff is what the pass changed in the cross-day tracker; nil without
+	// a tracker.
+	diff *tracker.DayDiff
 }
 
-// rowLess is the render order of classify-all rows: score descending,
+// domainScore is one domain's entry in pass.byID; the zero value means the
+// domain has no row.
+type domainScore struct {
+	score    float64
+	version  uint64
+	detected bool
+	scored   bool
+}
+
+// lookup returns the pass's row for one domain.
+func (p *pass) lookup(name string) (ClassifyDetection, bool) {
+	d, ok := p.graph.DomainIndex(name)
+	if !ok || int(d) >= len(p.byID) || !p.byID[d].scored {
+		return ClassifyDetection{}, false
+	}
+	e := p.byID[d]
+	return ClassifyDetection{Domain: name, Score: e.score, Detected: e.detected, ScoreVersion: e.version}, true
+}
+
+// rowCmp is the render order of classify-all rows: score descending,
 // then domain ascending. It matches core's detection sort, so merged
 // delta rows interleave exactly as a full re-sort would place them.
-func rowLess(a, b ClassifyDetection) bool {
+func rowCmp(a, b ClassifyDetection) int {
 	if a.Score != b.Score {
-		return a.Score > b.Score
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
 	}
-	return a.Domain < b.Domain
+	return strings.Compare(a.Domain, b.Domain)
 }
 
-// mergeRows merges the previous sorted rows (minus the changed domains)
-// with the freshly scored rows (already sorted by the same order) into a
-// new slice, copy-on-write: the old slice may still back an in-flight
-// response.
-func mergeRows(old []ClassifyDetection, changed map[string]bool, add []ClassifyDetection) []ClassifyDetection {
-	out := make([]ClassifyDetection, 0, len(old)+len(add))
+func rowName(row ClassifyDetection) string { return row.Domain }
+
+// mergeSorted merges old (minus the elements whose name is in changed)
+// with add, both sorted by cmp, into a new slice — copy-on-write: old
+// may still back an in-flight response.
+func mergeSorted[T any](old []T, changed map[string]bool, name func(T) string, add []T, cmp func(a, b T) int) []T {
+	if len(old) == 0 {
+		return add
+	}
+	if len(changed) == 0 && len(add) == 0 {
+		return old
+	}
+	out := make([]T, 0, len(old)+len(add))
 	j := 0
-	for _, row := range old {
-		if changed[row.Domain] {
+	for _, e := range old {
+		if changed[name(e)] {
 			continue
 		}
-		for j < len(add) && rowLess(add[j], row) {
+		for j < len(add) && cmp(add[j], e) < 0 {
 			out = append(out, add[j])
 			j++
 		}
-		out = append(out, row)
+		out = append(out, e)
 	}
 	return append(out, add[j:]...)
 }
 
-// mergeMissing is mergeRows for the sorted missing-name list.
-func mergeMissing(old []string, changed map[string]bool, add []string) []string {
-	out := make([]string, 0, len(old)+len(add))
-	j := 0
-	for _, name := range old {
-		if changed[name] {
-			continue
-		}
-		for j < len(add) && add[j] < name {
-			out = append(out, add[j])
-			j++
-		}
-		out = append(out, name)
+// passAt returns the published pass when it answers for the given graph
+// version under the given model, else nil.
+func (s *Server) passAt(version uint64, m *loadedModel) *pass {
+	if p := s.pass.Load(); p != nil && p.version == version && p.model == m {
+		return p
 	}
-	return append(out, add[j:]...)
+	return nil
 }
 
-// classifyAll serves "score every unknown domain" through the cache.
-// It holds the cache lock for the whole pass, serializing concurrent
-// classify-all requests (the second request becomes a pure cache read).
-func (s *Server) classifyAll(ctx context.Context, det *core.Detector, loadedAt time.Time) (*classifyAllResult, error) {
-	c := &s.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// classifyAll produces the next pass and publishes it. It holds passMu
+// throughout, serializing concurrent classify-all requests (the second
+// becomes a pass with nothing to re-score). A pass that blows the
+// deadline returns the last published pass with stale set (see
+// passAborted).
+func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stale bool, err error) {
+	s.passMu.Lock()
+	defer s.passMu.Unlock()
 
 	// The pass context bounds everything below, including the auxiliary
-	// detectors: a pass that blows the deadline is cancelled mid-sweep
-	// and the caller is served the last-good cached result, stale-marked
-	// (see passAborted). The deadline also bounds how long c.mu is held,
-	// so a stuck pass cannot wedge the API.
+	// detectors: a pass that blows the deadline is cancelled mid-sweep.
+	// The deadline also bounds how long passMu is held, so a stuck pass
+	// cannot wedge the next one.
 	passCtx := ctx
 	if s.cfg.PassDeadline > 0 {
 		var cancel context.CancelFunc
@@ -174,174 +163,140 @@ func (s *Server) classifyAll(ctx context.Context, det *core.Detector, loadedAt t
 		s.cfg.PassHook(passCtx)
 	}
 
+	prev := s.pass.Load()
 	since := uint64(0)
-	if c.valid {
-		since = c.version
+	if prev != nil {
+		since = prev.version
 	}
 	_, snapSpan := s.cfg.Tracer.StartSpan(ctx, obs.StageSnapshot)
 	g, version, delta := s.cfg.Graphs.SnapshotSince(since)
 	snapSpan.SetAttr("exact", delta.Exact)
 	snapSpan.End()
 	if !g.Labeled() {
-		return nil, errNotLabeled
+		return nil, false, errNotLabeled
+	}
+	if err := passCtx.Err(); err != nil {
+		return s.passAborted(prev, ctx, passCtx, err)
 	}
 
-	if c.forest == nil || c.forestCore != det {
-		forest, err := detector.New("forest", detector.Config{Core: det})
-		if err != nil {
-			return nil, err
-		}
-		c.forest, c.forestCore = forest, det
-	}
-	threshold := det.Threshold()
-	pass := detector.Pass{
-		Graph: g, Version: version, Since: since, Delta: delta,
-		Activity: s.cfg.Activity, Abuse: s.cfg.Abuse,
-	}
-	if err := c.forest.Prepare(passCtx, pass); err != nil {
-		return s.passAborted(c, ctx, passCtx, err)
-	}
-
-	flush := !c.valid || !delta.Exact || c.day != g.Day() || !c.detStamp.Equal(loadedAt)
-	rescored := 0
-	if !flush {
-		// Delta pass: the only domains whose classify-all row can differ
-		// from the cache are the dirty ones. A dirty domain that is no
-		// longer an unknown-labeled target (it got labeled, or vanished)
-		// drops out of the result; the rest are re-scored against the new
-		// snapshot through the session's frozen prune plan. Untouched
-		// entries are served as cache hits.
-		changed := make(map[string]bool, len(delta.Domains))
-		var toScore []string
+	// A delta pass re-scores the dirty domains that are still
+	// unknown-labeled targets; a dirty domain that got labeled or vanished
+	// only drops out. A full pass scores every unknown (nil targets).
+	full := prev == nil || !delta.Exact || prev.graph.Day() != g.Day() || prev.model != m
+	var (
+		changed    map[string]bool
+		changedIDs []int32
+		targets    []string
+	)
+	if !full {
+		changed = make(map[string]bool, len(delta.Domains))
 		for _, name := range delta.Domains {
 			if changed[name] {
 				continue
 			}
 			changed[name] = true
-			d, ok := g.DomainIndex(name)
-			if !ok || g.DomainLabel(d) != graph.LabelUnknown {
-				delete(c.entries, name)
-				continue
-			}
-			toScore = append(toScore, name)
-		}
-		if len(toScore) == 0 {
-			// Pure cache read: nothing to re-score, rows served as-is
-			// (minus any dropped targets).
-			if len(changed) > 0 {
-				c.sortedRows = mergeRows(c.sortedRows, changed, nil)
-				c.sortedMissing = mergeMissing(c.sortedMissing, changed, nil)
-			}
-			s.pruneHits.Inc()
-			s.cacheHits.Add(int64(len(c.entries)))
-		} else {
-			_, clsSpan := s.cfg.Tracer.StartSpan(ctx, obs.StageClassify)
-			clsSpan.SetAttr("mode", "delta")
-			t0 := time.Now()
-			fres, err := c.forest.Score(passCtx, toScore)
-			if h := s.detPassLat["forest"]; h != nil {
-				h.ObserveDuration(time.Since(t0))
-			}
-			if err != nil {
-				clsSpan.End()
-				return s.passAborted(c, ctx, passCtx, err)
-			}
-			report := fres.Report
-			if fres.Escalated {
-				// The session had to recompute its plan and the global
-				// prune thresholds moved: the pruning fate of untouched
-				// domains may have changed, so the per-domain delta
-				// cannot prove the cache. Escalate to a full pass (the
-				// session now holds a fresh plan, so it costs one
-				// extraction sweep, not a second graph scan).
-				clsSpan.SetAttr("prune", "shifted")
-				clsSpan.End()
-				flush = true
-			} else {
-				clsSpan.SetAttr("prune", pruneAttr(report.PrunedCached))
-				clsSpan.SetAttr("pruned_cached", report.PrunedCached)
-				clsSpan.SetAttr("targets", len(toScore))
-				clsSpan.SetAttr("scored", len(fres.Scores))
-				clsSpan.RecordChild(obs.StageFeatureExtract, report.Timing.Extract)
-				clsSpan.End()
-				s.countPrune(report.PrunedCached)
-
-				newRows := make([]ClassifyDetection, 0, len(fres.Scores))
-				for _, d := range fres.Scores {
-					c.entries[d.Domain] = scoreEntry{score: d.Score, version: version}
-					newRows = append(newRows, ClassifyDetection{
-						Domain:       d.Domain,
-						Score:        d.Score,
-						Detected:     d.Score >= threshold,
-						ScoreVersion: version,
-					})
+			if d, ok := g.DomainIndex(name); ok {
+				changedIDs = append(changedIDs, d)
+				if g.DomainLabel(d) == graph.LabelUnknown {
+					targets = append(targets, name)
 				}
-				newMissing := make([]string, 0, len(fres.Missing))
-				for _, name := range fres.Missing {
-					c.entries[name] = scoreEntry{version: version, missing: true}
-					newMissing = append(newMissing, name)
-				}
-				sort.Strings(newMissing)
-				c.sortedRows = mergeRows(c.sortedRows, changed, newRows)
-				c.sortedMissing = mergeMissing(c.sortedMissing, changed, newMissing)
-
-				rescored = len(toScore)
-				s.cacheMisses.Add(int64(rescored))
-				s.cacheHits.Add(int64(len(c.entries) - rescored))
 			}
 		}
 	}
-	if flush {
+
+	// With nothing to re-score the previous rows are served as they are
+	// (minus any dropped targets) and the session is not consulted.
+	var (
+		dets     []core.Detection
+		missing  []string
+		pruneSig uint64
+	)
+	if !full {
+		pruneSig = prev.pruneSig
+		if len(targets) == 0 {
+			s.pruneHits.Inc()
+		}
+	}
+	for full || len(targets) > 0 {
 		_, clsSpan := s.cfg.Tracer.StartSpan(ctx, obs.StageClassify)
-		clsSpan.SetAttr("mode", "full")
+		clsSpan.SetAttr("mode", passMode(full))
 		t0 := time.Now()
-		fres, err := c.forest.Score(passCtx, nil)
+		var report *core.ClassifyReport
+		dets, report, err = m.session.ClassifyDelta(core.ClassifyInput{
+			Ctx: passCtx, Graph: g, Activity: s.cfg.Activity, Abuse: s.cfg.Abuse, Domains: targets,
+		})
 		if h := s.detPassLat["forest"]; h != nil {
 			h.ObserveDuration(time.Since(t0))
 		}
 		if err != nil {
 			clsSpan.End()
-			return s.passAborted(c, ctx, passCtx, err)
+			return s.passAborted(prev, ctx, passCtx, err)
 		}
-		report := fres.Report
+		if !full && report.PruneSig != pruneSig {
+			// The global prune thresholds moved since the previous rows
+			// were scored: the pruning fate of untouched domains may have
+			// changed, so the per-domain delta cannot prove them. Redo the
+			// pass in full (the session holds a plan for this snapshot
+			// now, so it costs one extraction sweep, not a second graph
+			// scan).
+			clsSpan.SetAttr("prune", "shifted")
+			clsSpan.End()
+			full, targets = true, nil
+			continue
+		}
+		missing, pruneSig = report.Missing, report.PruneSig
 		clsSpan.SetAttr("prune", pruneAttr(report.PrunedCached))
 		clsSpan.SetAttr("pruned_cached", report.PrunedCached)
-		clsSpan.SetAttr("targets", len(fres.Scores)+len(fres.Missing))
-		clsSpan.SetAttr("scored", len(fres.Scores))
+		clsSpan.SetAttr("targets", len(dets)+len(missing))
+		clsSpan.SetAttr("scored", len(dets))
 		clsSpan.RecordChild(obs.StageFeatureExtract, report.Timing.Extract)
 		clsSpan.End()
 		s.countPrune(report.PrunedCached)
-
-		c.entries = make(map[string]scoreEntry, len(fres.Scores))
-		rows := make([]ClassifyDetection, 0, len(fres.Scores))
-		for _, d := range fres.Scores {
-			c.entries[d.Domain] = scoreEntry{score: d.Score, version: version}
-			rows = append(rows, ClassifyDetection{
-				Domain:       d.Domain,
-				Score:        d.Score,
-				Detected:     d.Score >= threshold,
-				ScoreVersion: version,
-			})
-		}
-		missing := make([]string, 0, len(fres.Missing))
-		for _, name := range fres.Missing {
-			c.entries[name] = scoreEntry{version: version, missing: true}
-			missing = append(missing, name)
-		}
-		sort.Strings(missing)
-		c.sortedRows, c.sortedMissing = rows, missing
-
-		rescored = len(fres.Scores) + len(fres.Missing)
-		s.cacheMisses.Add(int64(rescored))
-		c.valid, c.day, c.detStamp = true, g.Day(), loadedAt
+		break
 	}
-	c.version = version
-	c.graph = g
+
+	// Install: the new rows merged into the previous pass's — a full pass
+	// is a delta against an empty previous pass.
+	base := prev
+	if full {
+		base, changed, changedIDs = &pass{}, nil, nil
+	}
+	p = &pass{graph: g, version: version, model: m, pruneSig: pruneSig, rescored: len(dets) + len(missing)}
+	threshold := m.det.Threshold()
+	add := make([]ClassifyDetection, len(dets))
+	for i, d := range dets {
+		add[i] = ClassifyDetection{
+			Domain:       d.Domain,
+			Score:        d.Score,
+			Detected:     d.Score >= threshold,
+			ScoreVersion: version,
+		}
+	}
+	p.rows = mergeSorted(base.rows, changed, rowName, add, rowCmp)
+	p.detected = sort.Search(len(p.rows), func(i int) bool { return !p.rows[i].Detected })
+	// Node ids are stable along an exact delta (see GraphSource), so the
+	// previous index carries over by position: one copy, then the changed
+	// domains are cleared and the re-scored ones written.
+	p.byID = make([]domainScore, g.NumDomains())
+	copy(p.byID, base.byID)
+	for _, d := range changedIDs {
+		p.byID[d] = domainScore{}
+	}
+	for _, row := range add {
+		if d, ok := g.DomainIndex(row.Domain); ok {
+			p.byID[d] = domainScore{score: row.Score, version: version, detected: row.Detected, scored: true}
+		}
+	}
+	sort.Strings(missing)
+	p.missing = mergeSorted(base.missing, changed, func(name string) string { return name }, missing, strings.Compare)
+	s.cacheMisses.Add(int64(p.rescored))
+	s.cacheHits.Add(int64(len(p.rows) + len(p.missing) - p.rescored))
+
 	// A completed pass means every served score is current up to this
 	// snapshot's day: the score_cache watermark advances.
 	s.cfg.Watermarks.Ack(obs.WatermarkScoreCache, obs.WatermarkSourceAll, g.Day())
-	if c.overruns > 0 {
-		c.overruns = 0
+	if s.overruns > 0 {
+		s.overruns = 0
 		if s.cfg.Health != nil {
 			s.cfg.Health.Clear("classify_pass")
 		}
@@ -350,69 +305,63 @@ func (s *Server) classifyAll(ctx context.Context, det *core.Detector, loadedAt t
 	// Auxiliary detectors observe the same pass (same snapshot, same
 	// delta): their engines carry incremental state forward and
 	// self-escalate on any version gap. Failures never break the primary.
-	s.runAuxDetectors(passCtx, g, version, since, delta)
+	p.aux = s.runAuxDetectors(passCtx, g, version, since, delta)
 
-	res := &classifyAllResult{
-		graph:    g,
-		version:  version,
-		rows:     c.sortedRows,
-		missing:  c.sortedMissing,
-		rescored: rescored,
-	}
-
-	// Audit pass: record domains that crossed the detection threshold
-	// since the previous pass, then refresh the previous-pass state.
-	// The caller holds c.mu, so passes serialize and the state cannot
-	// race.
+	// Everything that follows a pass hangs off the value just built: the
+	// audit trail records the domains that crossed the threshold since the
+	// previous pass, the tracker folds the day's detections in, and the
+	// readers get the pass.
 	if s.cfg.Audit != nil {
-		s.auditNewDetections(c, res, det)
+		s.auditNewDetections(prev, p)
 	}
-	newState := make(map[string]bool, len(res.rows))
-	for _, row := range res.rows {
-		if row.Detected {
-			newState[row.Domain] = true
+	if s.cfg.Tracker != nil {
+		detections := make([]core.Detection, p.detected)
+		for i, row := range p.rows[:p.detected] {
+			detections[i] = core.Detection{Domain: row.Domain, Score: row.Score}
 		}
+		p.diff = s.cfg.Tracker.Observe(g.Day(), detections, g)
 	}
-	c.detected = newState
-	return res, nil
+	s.pass.Store(p)
+	return p, false, nil
 }
 
 // passAborted handles a failed classify-all pass. A deadline overrun —
 // the pass context expired while the caller's own context is still live
 // — is the graceful-degradation path: count it, escalate the watchdog
-// after passOverrunEscalate consecutive overruns, and serve the
-// last-good cached rows stale-marked when a completed pass exists. Any
-// other failure (plain pass error, caller disconnected, daemon shutting
-// down) propagates as-is. Partial results of the aborted pass are never
-// installed: the caller returns before the cache is updated, and the
+// after passOverrunEscalate consecutive overruns, and serve the last
+// published pass stale-marked when one exists. Any other failure (plain
+// pass error, caller disconnected, daemon shutting down) propagates
+// as-is. Partial results of the aborted pass are never published, and the
 // core session/LBP engine discard their own partial state on
-// cancellation. Caller holds c.mu.
-func (s *Server) passAborted(c *scoreCache, reqCtx, passCtx context.Context, err error) (*classifyAllResult, error) {
+// cancellation. Caller holds passMu.
+func (s *Server) passAborted(prev *pass, reqCtx, passCtx context.Context, err error) (*pass, bool, error) {
 	if passCtx.Err() == nil || reqCtx.Err() != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s.passDeadlineExceeded.Inc()
-	c.overruns++
+	s.overruns++
 	s.log.Warn("classify pass exceeded deadline",
 		"deadline", s.cfg.PassDeadline.String(),
-		"consecutive_overruns", c.overruns,
-		"last_good", c.valid,
+		"consecutive_overruns", s.overruns,
+		"last_good", prev != nil,
 		"err", err)
-	if c.overruns >= passOverrunEscalate && s.cfg.Health != nil {
+	if s.overruns >= passOverrunEscalate && s.cfg.Health != nil {
 		s.cfg.Health.Set("classify_pass", health.Degraded,
 			fmt.Sprintf("%d consecutive classify passes exceeded the %s deadline",
-				c.overruns, s.cfg.PassDeadline))
+				s.overruns, s.cfg.PassDeadline))
 	}
-	if !c.valid {
-		return nil, err
+	if prev == nil {
+		return nil, false, err
 	}
-	return &classifyAllResult{
-		graph:   c.graph,
-		version: c.version,
-		rows:    c.sortedRows,
-		missing: c.sortedMissing,
-		stale:   true,
-	}, nil
+	return prev, true, nil
+}
+
+// passMode renders the classify span's mode attribute.
+func passMode(full bool) string {
+	if full {
+		return "full"
+	}
+	return "delta"
 }
 
 // pruneAttr renders the prune span attribute.
@@ -437,34 +386,39 @@ func (s *Server) countPrune(cached bool) {
 const auditMaxMachines = maxMachinesInResponse
 
 // auditNewDetections appends one audit record per newly detected domain:
-// detected in this pass, not detected in the previous one. The feature
-// vector is extracted from the labeled live snapshot the pass classified
-// against (the pre-prune graph, so pruned-away context is still visible
-// to the analyst) with the F2 window of det, the detector that scored the
-// pass; evidence machines are capped at auditMaxMachines.
-func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, det *core.Detector) {
+// detected in pass p, not detected in prev, the pass before it (nil when
+// p is the first). A full pass drops prev's scores, not the memory of what
+// was already flagged — otherwise every detector reload would re-audit the
+// whole standing detection set. The feature vector is extracted from the
+// labeled live snapshot the pass classified against (the pre-prune graph,
+// so pruned-away context is still visible to the analyst) with the F2
+// window of the detector that scored the pass; evidence machines are
+// capped at auditMaxMachines.
+func (s *Server) auditNewDetections(prev, p *pass) {
 	var ex *features.Extractor
+	det := p.model.det
 	threshold := det.Threshold()
-	aux := s.auxVerdicts(res.version)
-	for _, row := range res.rows {
-		if !row.Detected || c.detected[row.Domain] {
-			continue
+	for _, row := range p.rows[:p.detected] {
+		if prev != nil {
+			if was, ok := prev.lookup(row.Domain); ok && was.Detected {
+				continue
+			}
 		}
 		if ex == nil {
 			var err error
-			ex, err = features.NewExtractor(res.graph, s.cfg.Activity, s.cfg.Abuse, det.ActivityWindow())
+			ex, err = features.NewExtractor(p.graph, s.cfg.Activity, s.cfg.Abuse, det.ActivityWindow())
 			if err != nil {
 				s.auditLog.Warn("audit extractor failed", "err", err)
 				return
 			}
 		}
 		rec := obs.AuditRecord{
-			Day:          res.graph.Day(),
+			Day:          p.graph.Day(),
 			Domain:       row.Domain,
 			Score:        row.Score,
 			Threshold:    threshold,
 			Reason:       obs.ReasonNewDetection,
-			GraphVersion: res.version,
+			GraphVersion: p.version,
 			ScoreVersion: row.ScoreVersion,
 		}
 		// Detection freshness: how many days sat between the domain first
@@ -478,10 +432,8 @@ func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, det *
 				rec.HasFreshness = true
 			}
 		}
-		if aux != nil {
-			rec.Detectors = aux.detectorVerdicts(row.Domain, row.Score, threshold)
-		}
-		if d, ok := res.graph.DomainIndex(row.Domain); ok {
+		rec.Detectors = p.aux.detectorVerdicts(row.Domain, row.Score, threshold)
+		if d, ok := p.graph.DomainIndex(row.Domain); ok {
 			v := features.BorrowVector()
 			ex.VectorInto(d, v)
 			rec.Features = make(map[string]float64, len(v))
@@ -489,13 +441,13 @@ func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, det *
 				rec.Features[name] = v[i]
 			}
 			features.ReturnVector(v)
-			machines := res.graph.MachinesOf(d)
+			machines := p.graph.MachinesOf(d)
 			rec.MachinesTotal = len(machines)
 			for _, m := range machines {
 				if len(rec.Machines) == auditMaxMachines {
 					break
 				}
-				rec.Machines = append(rec.Machines, res.graph.MachineID(m))
+				rec.Machines = append(rec.Machines, p.graph.MachineID(m))
 			}
 		}
 		if err := s.cfg.Audit.Append(rec); err != nil {
@@ -504,22 +456,6 @@ func (s *Server) auditNewDetections(c *scoreCache, res *classifyAllResult, det *
 		}
 		s.auditLog.Info("domain newly detected",
 			"domain", row.Domain, "score", row.Score, "threshold", threshold,
-			"day", rec.Day, "graph_version", res.version, "machines", rec.MachinesTotal)
+			"day", rec.Day, "graph_version", p.version, "machines", rec.MachinesTotal)
 	}
-}
-
-// cachedScore looks up one domain's cached classify-all score, valid
-// only when the cache is current for the given graph version.
-func (s *Server) cachedScore(name string, version uint64) (scoreEntry, bool) {
-	c := &s.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.valid || c.version != version {
-		return scoreEntry{}, false
-	}
-	e, ok := c.entries[name]
-	if !ok || e.missing {
-		return scoreEntry{}, false
-	}
-	return e, true
 }

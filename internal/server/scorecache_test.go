@@ -7,13 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"segugio/internal/core"
 	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
 	"segugio/internal/intel"
 	"segugio/internal/ml"
+	"segugio/internal/obs"
 	"segugio/internal/tracker"
 )
 
@@ -38,6 +41,11 @@ func (s *deltaSource) Snapshot() (*graph.Graph, uint64) {
 func (s *deltaSource) Day() int {
 	g, _ := s.Snapshot()
 	return g.Day()
+}
+
+func (s *deltaSource) Version() uint64 {
+	_, v := s.Snapshot()
+	return v
 }
 
 func (s *deltaSource) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta) {
@@ -75,15 +83,7 @@ func TestClassifyAllDeltaCache(t *testing.T) {
 	gs := &deltaSource{g: g1, version: 7}
 	ts := newTestServer(t, func(cfg *Config) { cfg.Graphs = gs })
 
-	classify := func() ClassifyResponse {
-		t.Helper()
-		var resp ClassifyResponse
-		code, raw := postJSON(t, ts.URL+"/v1/classify", nil, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("status %d: %s", code, raw)
-		}
-		return resp
-	}
+	classify := func() ClassifyResponse { t.Helper(); return classifyAllOK(t, ts) }
 	counters := func() (hits, misses int64) {
 		return ts.srv.cacheHits.Value(), ts.srv.cacheMisses.Value()
 	}
@@ -188,25 +188,19 @@ func pruneGraphParts(day int) (*graph.Builder, graph.LabelSources) {
 	}
 }
 
-// TestClassifyAllPruneMemo is the server-side acceptance check for the
-// memoized prune pipeline: with pruning enabled, delta classify-all
-// passes after the first perform zero full-graph prune/prober/signature
-// scans, and the prune cache counters expose the reuse.
-func TestClassifyAllPruneMemo(t *testing.T) {
-	b, src := pruneGraphParts(42)
-	g1 := b.Snapshot()
-	g1.ApplyLabels(src)
-
+// newPruneServer serves gs with a detector trained on g with the full
+// R1-R4 prune pipeline (the default test detector disables pruning).
+func newPruneServer(t *testing.T, g *graph.Graph, gs GraphSource, mutate func(*Config)) *testServer {
+	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.NewModel = func(benign, malware int) ml.Model {
 		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
 	}
-	det, _, err := core.Train(cfg, core.TrainInput{Graph: g1})
+	det, _, err := core.Train(cfg, core.TrainInput{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "detector.gob")
+	path := filepath.Join(t.TempDir(), "detector.gob")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -221,22 +215,37 @@ func TestClassifyAllPruneMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	gs := &deltaSource{g: g1, version: 1}
-	ts := newTestServer(t, func(cfg *Config) {
+	return newTestServer(t, func(cfg *Config) {
 		cfg.Graphs = gs
 		cfg.Detector = handle
-	})
-
-	classify := func() ClassifyResponse {
-		t.Helper()
-		var resp ClassifyResponse
-		code, raw := postJSON(t, ts.URL+"/v1/classify", nil, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("status %d: %s", code, raw)
+		if mutate != nil {
+			mutate(cfg)
 		}
-		return resp
+	})
+}
+
+// classifyAllOK posts a classify-all and requires a 200.
+func classifyAllOK(t *testing.T, ts *testServer) ClassifyResponse {
+	t.Helper()
+	var resp ClassifyResponse
+	code, raw := postJSON(t, ts.URL+"/v1/classify", nil, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
 	}
+	return resp
+}
+
+// TestClassifyAllPruneMemo is the server-side acceptance check for the
+// memoized prune pipeline: with pruning enabled, delta classify-all
+// passes after the first perform zero full-graph prune/prober/signature
+// scans, and the prune cache counters expose the reuse.
+func TestClassifyAllPruneMemo(t *testing.T) {
+	b, src := pruneGraphParts(42)
+	g1 := b.Snapshot()
+	g1.ApplyLabels(src)
+	gs := &deltaSource{g: g1, version: 1}
+	ts := newPruneServer(t, g1, gs, nil)
+	classify := func() ClassifyResponse { t.Helper(); return classifyAllOK(t, ts) }
 
 	// Cold pass: the session computes the prune pipeline (a miss).
 	resp := classify()
@@ -275,6 +284,246 @@ func TestClassifyAllPruneMemo(t *testing.T) {
 	if misses := ts.srv.pruneMisses.Value(); misses != 1 {
 		t.Fatalf("prune cache misses = %d, want 1", misses)
 	}
+}
+
+// pruneStream is the pruneGraphParts fixture behind a deltaSource: step
+// applies a mutation and publishes the next labeled snapshot with its
+// exact dirty set.
+type pruneStream struct {
+	b   *graph.Builder
+	src graph.LabelSources
+	gs  *deltaSource
+}
+
+func newPruneStream() (*pruneStream, *graph.Graph) {
+	b, src := pruneGraphParts(42)
+	g := b.Snapshot()
+	g.ApplyLabels(src)
+	return &pruneStream{b: b, src: src, gs: &deltaSource{g: g, version: 1}}, g
+}
+
+func (ps *pruneStream) step(t *testing.T, mutate func(b *graph.Builder)) {
+	t.Helper()
+	mutate(ps.b)
+	g := ps.b.Snapshot()
+	g.ApplyLabels(ps.src)
+	dirty, exact := g.DirtyDomainNames()
+	if !exact {
+		t.Fatal("fixture: inexact dirty set")
+	}
+	ps.gs.advance(g, dirty, true)
+}
+
+// TestPruneShiftForcesFullPass: a delta pass whose prune plan resolves to
+// other global thresholds than the ones the previous rows were scored
+// under cannot keep those rows — the pruning fate of untouched domains
+// may have moved — so it is served as a full pass: every row re-versioned,
+// prune=shifted on the abandoned delta span. That holds when the pass
+// itself recomputes the plan, and when a lookup in between already did.
+func TestPruneShiftForcesFullPass(t *testing.T) {
+	ps, g1 := newPruneStream()
+	tr := obs.NewTracer(obs.TracerConfig{RingSize: 16})
+	ts := newPruneServer(t, g1, ps.gs, func(cfg *Config) { cfg.Tracer = tr })
+
+	// passAttrs classifies all and returns the reply plus the attributes
+	// of the pass's classify spans, in order.
+	passAttrs := func() (ClassifyResponse, []map[string]string) {
+		t.Helper()
+		resp := classifyAllOK(t, ts)
+		trace := tr.Dump().Recent[0]
+		if trace.Root != "http.classify" {
+			t.Fatalf("newest trace is %q, want the classify request", trace.Root)
+		}
+		var attrs []map[string]string
+		for _, sp := range trace.Spans {
+			if sp.Name == obs.StageClassify {
+				attrs = append(attrs, sp.Attrs)
+			}
+		}
+		return resp, attrs
+	}
+	requireShiftedFullPass := func(when string) {
+		t.Helper()
+		resp, attrs := passAttrs()
+		if len(attrs) != 2 || attrs[0]["mode"] != "delta" || attrs[0]["prune"] != "shifted" || attrs[1]["mode"] != "full" {
+			t.Fatalf("%s: classify spans = %v, want a delta span with prune=shifted, then a full one", when, attrs)
+		}
+		if len(resp.Detections) != 4 {
+			t.Fatalf("%s: %d detections, want 4", when, len(resp.Detections))
+		}
+		for _, d := range resp.Detections {
+			if d.ScoreVersion != resp.GraphVersion {
+				t.Fatalf("%s: %s kept scoreVersion %d at graph version %d", when, d.Domain, d.ScoreVersion, resp.GraphVersion)
+			}
+		}
+	}
+	// growMachines adds n machines: thetaM is a third of the machine
+	// count, so three more always move it.
+	machines := 0
+	growMachines := func(b *graph.Builder) {
+		for i := 0; i < 3; i++ {
+			b.AddQuery(fmt.Sprintf("new%02d", machines), "unk.gray0.org")
+			machines++
+		}
+	}
+
+	passAttrs()
+	// A change that moves no threshold stays a delta pass.
+	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) })
+	if _, attrs := passAttrs(); len(attrs) != 1 || attrs[0]["mode"] != "delta" || attrs[0]["prune"] != "cached" {
+		t.Fatalf("threshold-neutral delta: classify spans = %v, want one cached delta span", attrs)
+	}
+
+	ps.step(t, growMachines)
+	requireShiftedFullPass("plan recomputed by the pass")
+
+	// The same growth again, but a lookup of an untouched domain reaches
+	// the session first and recomputes the plan: the pass then finds a plan
+	// that is valid for its snapshot, and must still notice that it is not
+	// the one its previous rows were scored under.
+	ps.step(t, growMachines)
+	scans := graph.FullGraphScans()
+	if code, raw := getJSON(t, ts.URL+"/v1/domains/unk.gray1.org", nil); code != http.StatusOK {
+		t.Fatalf("lookup: %d %s", code, raw)
+	}
+	if graph.FullGraphScans() == scans {
+		t.Fatal("fixture: the lookup did not recompute the prune plan")
+	}
+	scans = graph.FullGraphScans()
+	requireShiftedFullPass("plan recomputed by a lookup")
+	if after := graph.FullGraphScans(); after != scans {
+		t.Fatalf("the pass ran %d full-graph scans: the lookup's plan should have served it", after-scans)
+	}
+}
+
+// TestLookupMatchesClassifyAll: at one graph version a domain has one
+// score, whichever endpoint serves it — GET /v1/domains/{name}, POST
+// /v1/classify with the name, or its classify-all row — whether the pass
+// for that version has run yet (cached) or not (scored on demand through
+// the same session), before and after a detector reload.
+func TestLookupMatchesClassifyAll(t *testing.T) {
+	ps, g1 := newPruneStream()
+	ts := newPruneServer(t, g1, ps.gs, nil)
+
+	// onDemand scores every unknown domain through both by-name endpoints
+	// and requires them to agree with each other and, when given, with
+	// the classify-all rows of the same version.
+	onDemand := func(when string, version uint64, rows map[string]float64) map[string]float64 {
+		t.Helper()
+		scores := map[string]float64{}
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("unk.gray%d.org", i)
+			var dom DomainResponse
+			if code, raw := getJSON(t, ts.URL+"/v1/domains/"+name, &dom); code != http.StatusOK || dom.Score == nil {
+				t.Fatalf("%s: lookup %s: %d %s", when, name, code, raw)
+			}
+			var one ClassifyResponse
+			if code, raw := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Domains: []string{name}}, &one); code != http.StatusOK || len(one.Detections) != 1 {
+				t.Fatalf("%s: classify %s: %d %s", when, name, code, raw)
+			}
+			if dom.GraphVersion != version || one.GraphVersion != version {
+				t.Fatalf("%s: %s answered at versions %d/%d, want %d", when, name, dom.GraphVersion, one.GraphVersion, version)
+			}
+			if *dom.Score != one.Detections[0].Score {
+				t.Fatalf("%s: %s: lookup score %v != classify score %v", when, name, *dom.Score, one.Detections[0].Score)
+			}
+			if want, ok := rows[name]; rows != nil && (!ok || want != *dom.Score) {
+				t.Fatalf("%s: %s: by-name score %v, classify-all row %v (present=%v)", when, name, *dom.Score, want, ok)
+			}
+			scores[name] = *dom.Score
+		}
+		return scores
+	}
+	// agree runs the by-name endpoints before the pass for this version
+	// (on demand) and after it (from the pass), against the pass's rows.
+	agree := func(when string, version uint64) {
+		t.Helper()
+		before := onDemand(when+", before the pass", version, nil)
+		all := classifyAllOK(t, ts)
+		if all.GraphVersion != version || len(all.Detections) != 4 {
+			t.Fatalf("%s: classify-all at version %d with %d rows, want %d with 4", when, all.GraphVersion, len(all.Detections), version)
+		}
+		rows := map[string]float64{}
+		for _, d := range all.Detections {
+			rows[d.Domain] = d.Score
+		}
+		for name, score := range before {
+			if rows[name] != score {
+				t.Fatalf("%s: %s scored %v on demand, %v by the pass", when, name, score, rows[name])
+			}
+		}
+		onDemand(when+", after the pass", version, rows)
+	}
+
+	agree("cold", 1)
+	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) })
+	agree("after a delta", 2)
+	if code, raw := postJSON(t, ts.URL+"/v1/reload", nil, nil); code != http.StatusOK {
+		t.Fatalf("reload: %d %s", code, raw)
+	}
+	onDemand("after a reload, from the fresh session", 2, nil)
+	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray1.org", dnsutil.IPv4(0x0cff0001)) })
+	agree("after a reload", 3)
+}
+
+// TestLookupDoesNotWaitForPass: readers load the last completed pass; they
+// do not queue behind the one in production. With a pass stalled (and a
+// tuning reload parked behind it, as it must be), a lookup of a domain the
+// previous pass scored answers at once with that pass's score.
+func TestLookupDoesNotWaitForPass(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var hold atomic.Bool
+	ts := lbpTestServer(t, func(cfg *Config) {
+		cfg.PassHook = func(ctx context.Context) {
+			if hold.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+		}
+	})
+	first := classifyAllOK(t, ts)
+
+	hold.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		postJSON(t, ts.URL+"/v1/classify", nil, nil)
+	}()
+	<-entered // a pass now holds the production mutex
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := ts.srv.reloadTuning(); err != nil {
+			t.Errorf("tuning reload: %v", err)
+		}
+	}()
+
+	type lookup struct {
+		code int
+		resp DomainResponse
+	}
+	answered := make(chan lookup, 1)
+	go func() {
+		var l lookup
+		l.code, _ = getJSON(t, ts.URL+"/v1/domains/unk0.gray.org", &l.resp)
+		answered <- l
+	}()
+	select {
+	case l := <-answered:
+		if l.code != http.StatusOK || l.resp.Score == nil || l.resp.ScoreVersion != first.GraphVersion {
+			t.Errorf("lookup beside a stalled pass: code %d, score %v, scoreVersion %d; want the previous pass's score at version %d",
+				l.code, l.resp.Score, l.resp.ScoreVersion, first.GraphVersion)
+		}
+		if len(l.resp.Detectors) != 3 {
+			t.Errorf("lookup beside a stalled pass: detectors = %v, want the previous pass's forest+lbp+fused", l.resp.Detectors)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Error("lookup waited for the pass in production")
+	}
+	close(release)
+	wg.Wait()
 }
 
 // TestDomainLookupUsesCache checks GET /v1/domains/{name} serves the

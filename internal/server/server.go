@@ -26,6 +26,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"segugio/internal/activity"
@@ -52,10 +53,28 @@ type GraphSource interface {
 	// domains whose adjacency, labels, or resolved IPs changed since the
 	// given version. An inexact delta means the span could not be
 	// reconstructed (first snapshot, rotation, history evicted) and the
-	// caller must treat every domain as dirty.
+	// caller must treat every domain as dirty. An exact delta also says the
+	// returned graph continues the builder lineage of the snapshot at
+	// since: node ids are stable (the session's frozen prune plan and the
+	// pass's by-id index are both keyed on them).
 	SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta)
 	// Day returns the current observation day.
 	Day() int
+	// Version returns the version the next Snapshot would carry, without
+	// taking one.
+	Version() uint64
+}
+
+// loadedModel is one load of the detector file: the detector, the
+// classify session that memoizes its prune pipeline across passes and
+// lookups, and when it was loaded. Detector configuration is immutable per
+// detector, so the two are made together: a reload is a fresh session by
+// construction, and a pass scored under another loadedModel is a pass
+// whose rows no longer hold.
+type loadedModel struct {
+	det      *core.Detector
+	session  *core.ClassifySession
+	loadedAt time.Time
 }
 
 // DetectorHandle holds the deployed detector and supports atomic
@@ -64,10 +83,7 @@ type GraphSource interface {
 // previous detector serving.
 type DetectorHandle struct {
 	path string
-
-	mu       sync.RWMutex
-	det      *core.Detector
-	loadedAt time.Time
+	cur  atomic.Pointer[loadedModel]
 }
 
 // OpenDetector loads the detector file and returns a reloadable handle.
@@ -81,9 +97,8 @@ func OpenDetector(path string) (*DetectorHandle, error) {
 
 // Get returns the current detector and when it was loaded.
 func (h *DetectorHandle) Get() (*core.Detector, time.Time) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.det, h.loadedAt
+	m := h.cur.Load()
+	return m.det, m.loadedAt
 }
 
 // Path returns the file the handle reloads from.
@@ -101,18 +116,18 @@ func (h *DetectorHandle) Reload() error {
 	if err != nil {
 		return fmt.Errorf("server: reload detector %s: %w", h.path, err)
 	}
-	h.mu.Lock()
-	h.det = det
-	h.loadedAt = time.Now()
-	h.mu.Unlock()
+	h.install(det)
 	return nil
+}
+
+// install makes det, with a fresh session, the current model.
+func (h *DetectorHandle) install(det *core.Detector) {
+	h.cur.Store(&loadedModel{det: det, session: det.NewSession(), loadedAt: time.Now()})
 }
 
 // Age reports how long ago the current detector was loaded.
 func (h *DetectorHandle) Age() time.Duration {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return time.Since(h.loadedAt)
+	return time.Since(h.cur.Load().loadedAt)
 }
 
 // Config wires a Server.
@@ -135,7 +150,8 @@ type Config struct {
 	// panicking request is answered 500 instead of killing the daemon.
 	Panics *metrics.Counter
 	// Tracker, when non-nil, accumulates detections across observation
-	// days; GET /v1/tracker reads it and RunTrackerPass feeds it.
+	// days; GET /v1/tracker reads it and every completed classify-all
+	// pass feeds it.
 	Tracker *tracker.Tracker
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the API
 	// mux, so live snapshot and classification cost is profileable
@@ -152,10 +168,11 @@ type Config struct {
 	// from classify-all and tracker passes, and backs GET /v1/audit.
 	Audit *obs.AuditLog
 	// Detectors names the enabled detector plugins (default just
-	// "forest"). The forest is the primary: it drives the score cache and
-	// the top-level detected verdict. Every other name (e.g. "lbp") runs
-	// beside it each classify-all pass; its scores ride along in
-	// responses under "detectors" and in dual-verdict audit records.
+	// "forest"). The forest is the primary: it scores the classify-all
+	// rows and the top-level detected verdict. Every other name (e.g.
+	// "lbp") is a plugin that runs beside it each classify-all pass; its
+	// scores ride along in responses under "detectors" and in dual-verdict
+	// audit records.
 	Detectors []string
 	// Tuning parameterizes the auxiliary detector plugins at startup.
 	Tuning detector.Tuning
@@ -225,8 +242,16 @@ type Server struct {
 	// MaxInflight is 0).
 	inflight map[string]chan struct{}
 
-	cache scoreCache
-	aux   auxState
+	// passMu serializes pass production (classifyAll) and guards what only
+	// a producer touches: the aux plugin set, swapped by tuning reloads,
+	// and overruns, the count of consecutive deadline-aborted passes (the
+	// watchdog escalates the classify_pass health signal to degraded at
+	// passOverrunEscalate and any completed pass resets it). Readers never
+	// take it: they load pass, the last completed one.
+	passMu     sync.Mutex
+	auxPlugins []detector.Detector
+	overruns   int
+	pass       atomic.Pointer[pass]
 }
 
 // passOverrunEscalate is how many consecutive deadline overruns the
@@ -305,7 +330,7 @@ func New(cfg Config) *Server {
 		// daemon's flag parsing; an unknown name here is a programmer error.
 		panic(err)
 	}
-	s.aux.plugins = plugins
+	s.auxPlugins = plugins
 	if cfg.Detector != nil {
 		r.NewGaugeFunc("segugiod_detector_age_seconds",
 			"Seconds since the serving detector was loaded.", "",
@@ -535,8 +560,8 @@ type ClassifyResponse struct {
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	det, loadedAt := s.detector()
-	if det == nil {
+	m := s.model()
+	if m == nil {
 		s.writeError(w, http.StatusServiceUnavailable, "no detector loaded")
 		return
 	}
@@ -559,12 +584,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
+	threshold := m.det.Threshold()
 	var resp ClassifyResponse
 	var rows []ClassifyDetection
+	var aux auxScores
 	if len(req.Domains) == 0 {
-		// Classify-all goes through the delta cache: only domains whose
-		// evidence changed since the cached pass are re-extracted.
-		res, err := s.classifyAll(r.Context(), det, loadedAt)
+		// Classify-all is the pass: only domains whose evidence changed
+		// since the previous one are re-extracted.
+		p, stale, err := s.classifyAll(r.Context(), m)
 		if errors.Is(err, errNotLabeled) {
 			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
@@ -580,16 +607,18 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, status, "classify: %v", err)
 			return
 		}
-		rows = res.rows
+		rows, aux = p.rows, p.aux
 		resp = ClassifyResponse{
-			Day:          res.graph.Day(),
-			GraphVersion: res.version,
-			Classified:   len(res.rows),
-			Missing:      res.missing,
-			Stale:        res.stale,
+			Day:          p.graph.Day(),
+			GraphVersion: p.version,
+			Classified:   len(p.rows),
+			Missing:      p.missing,
+			Stale:        stale,
 		}
 	} else {
-		// Explicit domain lists are ad-hoc queries; they bypass the cache.
+		// Explicit domain lists are ad-hoc queries against a fresh
+		// snapshot, scored through the same session as the passes: the
+		// frozen prune plan is reused while it holds.
 		_, snapSpan := s.cfg.Tracer.StartSpan(r.Context(), obs.StageSnapshot)
 		g, version := s.cfg.Graphs.Snapshot()
 		snapSpan.End()
@@ -598,7 +627,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		_, clsSpan := s.cfg.Tracer.StartSpan(r.Context(), obs.StageClassify)
-		dets, report, err := det.Classify(core.ClassifyInput{
+		dets, report, err := m.session.ClassifyDelta(core.ClassifyInput{
 			Ctx:      r.Context(),
 			Graph:    g,
 			Activity: s.cfg.Activity,
@@ -617,8 +646,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		for _, d := range dets {
 			rows = append(rows, ClassifyDetection{
 				Domain: d.Domain, Score: d.Score,
-				Detected: d.Score >= det.Threshold(), ScoreVersion: version,
+				Detected: d.Score >= threshold, ScoreVersion: version,
 			})
+		}
+		if p := s.passAt(version, m); p != nil {
+			aux = p.aux
 		}
 		resp = ClassifyResponse{
 			Day:          g.Day(),
@@ -629,10 +661,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	took := time.Since(t0)
 	s.classifyLat.ObserveDuration(took)
-	resp.Threshold = det.Threshold()
+	resp.Threshold = threshold
 	resp.TookMS = float64(took.Microseconds()) / 1000
 
-	auxSrc := s.auxVerdicts(resp.GraphVersion)
 	for _, row := range rows {
 		if row.Detected {
 			resp.Detected++
@@ -643,10 +674,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		if req.Top > 0 && len(resp.Detections) >= req.Top {
 			continue
 		}
-		if auxSrc != nil {
-			// row is a copy; the cache's sorted rows stay untouched.
-			row.Detectors = auxSrc.detectorScores(row.Domain, row.Score, resp.Threshold)
-		}
+		// row is a copy; the pass's rows stay untouched.
+		row.Detectors = aux.detectorScores(row.Domain, row.Score, threshold)
 		resp.Detections = append(resp.Detections, row)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -704,8 +733,8 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "domain %q not observed in the current window", name)
 		return
 	}
-	det, _ := s.detector()
-	ex, err := features.NewExtractor(g, s.cfg.Activity, s.cfg.Abuse, f2Window(det))
+	m := s.model()
+	ex, err := features.NewExtractor(g, s.cfg.Activity, s.cfg.Abuse, f2Window(m))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "extractor: %v", err)
 		return
@@ -738,37 +767,39 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	}
 	// Score the domain when a detector is loaded and the domain is a
 	// classification target (unknown label). The score is measured on the
-	// pruned deployment graph, so a pruned-away domain has no score. A
-	// classify-all cache entry that is current for this snapshot answers
-	// without re-running the pipeline.
-	if det != nil && g.DomainLabel(d) == graph.LabelUnknown {
-		if e, ok := s.cachedScore(name, version); ok {
-			score := e.score
-			detected := score >= det.Threshold()
-			resp.Score = &score
-			resp.Detected = &detected
-			resp.ScoreVersion = e.version
-			if aux := s.auxVerdicts(version); aux != nil {
-				resp.Detectors = aux.detectorScores(name, score, det.Threshold())
-			}
-		} else {
-			dets, _, err := det.Classify(core.ClassifyInput{
-				Graph:    g,
-				Activity: s.cfg.Activity,
-				Abuse:    s.cfg.Abuse,
-				Domains:  []string{name},
-			})
-			if err == nil && len(dets) == 1 {
-				score := dets[0].Score
-				detected := score >= det.Threshold()
-				resp.Score = &score
-				resp.Detected = &detected
-				resp.ScoreVersion = version
-			}
+	// pruned deployment graph, so a pruned-away domain has no score.
+	if m != nil && g.DomainLabel(d) == graph.LabelUnknown {
+		if row, aux, ok := s.scoreDomain(r.Context(), m, g, version, name); ok {
+			resp.Score, resp.Detected, resp.ScoreVersion = &row.Score, &row.Detected, row.ScoreVersion
+			resp.Detectors = aux.detectorScores(name, row.Score, m.det.Threshold())
 		}
 	}
 	s.domainLat.ObserveDuration(time.Since(t0))
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// scoreDomain returns one unknown domain's row at snapshot g: the last
+// pass's, with that pass's aux scores, when the pass is current for the
+// snapshot; otherwise the session scores the one name on demand. Not ok
+// when the domain has no score (pruned away).
+func (s *Server) scoreDomain(ctx context.Context, m *loadedModel, g *graph.Graph, version uint64, name string) (ClassifyDetection, auxScores, bool) {
+	if p := s.passAt(version, m); p != nil {
+		if row, ok := p.lookup(name); ok {
+			return row, p.aux, true
+		}
+	}
+	dets, _, err := m.session.ClassifyDelta(core.ClassifyInput{
+		Ctx:      ctx,
+		Graph:    g,
+		Activity: s.cfg.Activity,
+		Abuse:    s.cfg.Abuse,
+		Domains:  []string{name},
+	})
+	if err != nil || len(dets) != 1 {
+		return ClassifyDetection{}, nil, false
+	}
+	score := dets[0].Score
+	return ClassifyDetection{Domain: name, Score: score, Detected: score >= m.det.Threshold(), ScoreVersion: version}, nil, true
 }
 
 // TrackerEntry is one tracked domain in the GET /v1/tracker reply.
@@ -821,42 +852,34 @@ func (s *Server) handleTracker(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// RunTrackerPass runs a cached classify-all and folds the detections
-// into the tracker — the daemon's periodic deployment loop ("what is
-// new today, what recurs, what went dormant"). The live graph supplies
-// the querying machines behind each detection. The context bounds the
-// pass: daemon shutdown cancels an in-flight pass rather than waiting
-// it out. A stale result (pass overran its deadline) is not folded into
-// the tracker — the last-good detections already were, on the pass that
-// produced them.
+// RunTrackerPass runs one classify-all pass and returns what it changed
+// in the tracker — the daemon's periodic deployment loop ("what is new
+// today, what recurs, what went dormant"). The context bounds the pass:
+// daemon shutdown cancels an in-flight pass rather than waiting it out. A
+// stale result (pass overran its deadline) reports an empty diff — the
+// last-good detections were folded in by the pass that produced them.
 func (s *Server) RunTrackerPass(ctx context.Context) (*tracker.DayDiff, error) {
 	if s.cfg.Tracker == nil {
 		return nil, errors.New("server: no tracker configured")
 	}
-	det, loadedAt := s.detector()
-	if det == nil {
+	m := s.model()
+	if m == nil {
 		return nil, errors.New("server: no detector loaded")
 	}
 	ctx, span := s.cfg.Tracer.StartSpan(ctx, obs.StageTrackerPass)
 	defer span.End()
-	res, err := s.classifyAll(ctx, det, loadedAt)
+	p, stale, err := s.classifyAll(ctx, m)
 	if err != nil {
 		span.SetAttr("err", err)
 		return nil, err
 	}
-	if res.stale {
+	if stale {
 		span.SetAttr("stale", true)
-		return &tracker.DayDiff{Day: res.graph.Day()}, nil
+		return &tracker.DayDiff{Day: p.graph.Day()}, nil
 	}
-	var dets []core.Detection
-	for _, row := range res.rows {
-		if row.Detected {
-			dets = append(dets, core.Detection{Domain: row.Domain, Score: row.Score})
-		}
-	}
-	span.SetAttr("classified", len(res.rows))
-	span.SetAttr("detected", len(dets))
-	return s.cfg.Tracker.Observe(res.graph.Day(), dets, res.graph), nil
+	span.SetAttr("classified", len(p.rows))
+	span.SetAttr("detected", p.detected)
+	return p.diff, nil
 }
 
 // HealthResponse is the GET /healthz reply. Status is liveness and stays
@@ -876,16 +899,15 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	det, loadedAt := s.detector()
 	resp := HealthResponse{
 		Status:        "ok",
 		Day:           s.cfg.Graphs.Day(),
+		GraphVersion:  s.cfg.Graphs.Version(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
-	_, resp.GraphVersion = s.cfg.Graphs.Snapshot()
-	if det != nil {
+	if m := s.model(); m != nil {
 		resp.DetectorLoaded = true
-		resp.DetectorAgeSec = time.Since(loadedAt).Seconds()
+		resp.DetectorAgeSec = time.Since(m.loadedAt).Seconds()
 	}
 	if h := s.cfg.Health; h != nil {
 		resp.Health = h.State().String()
@@ -1056,19 +1078,20 @@ func (s *Server) ReloadForSignal() error {
 // f2Window is the F2 look-back that lookup responses and audit records
 // extract features with: the serving detector's own, so the vector shown
 // is the one it scored; the paper's 14 days while no model is loaded.
-func f2Window(det *core.Detector) int {
-	if det == nil {
+func f2Window(m *loadedModel) int {
+	if m == nil {
 		return core.DefaultConfig().ActivityWindow
 	}
-	return det.ActivityWindow()
+	return m.det.ActivityWindow()
 }
 
-// detector returns the current detector, or nil when none is configured.
-func (s *Server) detector() (*core.Detector, time.Time) {
+// model returns the current detector and session, or nil when none is
+// configured.
+func (s *Server) model() *loadedModel {
 	if s.cfg.Detector == nil {
-		return nil, time.Time{}
+		return nil
 	}
-	return s.cfg.Detector.Get()
+	return s.cfg.Detector.cur.Load()
 }
 
 // healthState reads the daemon's aggregate health; without a tracker the

@@ -33,6 +33,7 @@ type staticSource struct {
 
 func (s *staticSource) Snapshot() (*graph.Graph, uint64) { return s.g, s.version }
 func (s *staticSource) Day() int                         { return s.g.Day() }
+func (s *staticSource) Version() uint64                  { return s.version }
 
 // SnapshotSince reports an exact empty delta when asked about the current
 // version and an inexact one otherwise, like the real ingester.
@@ -577,12 +578,13 @@ func TestConcurrentRequests(t *testing.T) {
 	<-done
 }
 
-// panickingSource poisons every Snapshot call, driving the handler
+// panickingSource poisons every graph read, driving the handler
 // panic-recovery middleware.
 type panickingSource struct{}
 
 func (panickingSource) Snapshot() (*graph.Graph, uint64) { panic("snapshot exploded") }
 func (panickingSource) Day() int                         { return 1 }
+func (panickingSource) Version() uint64                  { panic("version exploded") }
 func (panickingSource) SnapshotSince(uint64) (*graph.Graph, uint64, graph.Delta) {
 	panic("snapshot exploded")
 }
@@ -598,7 +600,7 @@ func TestHandlerPanicRecovery(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// healthz calls Snapshot, which panics: the request must come back as
+	// healthz calls Version, which panics: the request must come back as
 	// a 500, not a dropped connection or a dead server.
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -16,7 +16,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Measured steady state is ~320 allocs/op; the budget leaves headroom for
+# Measured steady state is ~70 allocs/op; the budget leaves headroom for
 # benign churn while still catching any O(graph) regression (a full pass
 # is >50k allocs/op on the same fixture).
 BUDGET=${BENCH_ALLOC_BUDGET:-1000}
