@@ -146,6 +146,8 @@ func TestMetricsScrapeLints(t *testing.T) {
 		"segugiod_pass_deadline_exceeded_total",
 		`segugiod_http_rejected_total{code="429"}`,
 		`segugiod_http_rejected_total{code="503"}`,
+		`segugiod_lookups_total{source="pass"}`,
+		`segugiod_lookups_total{source="live"}`,
 		`segugiod_watermark_lag_seconds{stage="graph_apply",source="stream"}`,
 		`segugiod_watermark_lag_seconds{stage="score_cache",source="all"}`,
 		`segugiod_watermark_lag_seconds{stage="shard_apply",source="shard-0"}`,

@@ -8,11 +8,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"segugio/internal/activity"
@@ -192,10 +195,13 @@ func (d *Detector) Threshold() float64 { return d.threshold }
 // features behind a score must extract them with the same window.
 func (d *Detector) ActivityWindow() int { return d.cfg.ActivityWindow }
 
-// Detection is one scored domain.
+// Detection is one scored domain. ID is the domain's node id in the graph
+// the caller passed in (ClassifyInput.Graph), not in the pruned graph the
+// score was measured on.
 type Detection struct {
 	Domain string
 	Score  float64
+	ID     int32
 }
 
 // ClassifyInput bundles one labeled observation window for deployment.
@@ -318,20 +324,31 @@ func (d *Detector) Classify(in ClassifyInput) ([]Detection, *ClassifyReport, err
 // mid-way.
 const scoreChunk = 4096
 
-// scoreTargets measures the targets' features and scores them in
-// scoreChunk-sized sweeps with a context check between each, so a pass
-// over a large graph can be abandoned mid-sweep. Scoring is per row, so
-// the chunked order is bit-identical to one batch and to a serial
-// per-domain loop. Missing targets are recorded in report.Missing in
-// input order.
-func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, targets []string, report *ClassifyReport) ([]Detection, error) {
+// scoreTargets measures the features of the target nodes of gv and scores
+// them in scoreChunk-sized sweeps with a context check between each, so a
+// pass over a large graph can be abandoned mid-sweep. Scoring is per row,
+// so the chunked order is bit-identical to one batch and to a serial
+// per-domain loop. origin maps a target to its Detection.ID.
+func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, gv features.GraphView, targets []int32, origin func(int32) int32, report *ClassifyReport) ([]Detection, error) {
 	dets := make([]Detection, 0, len(targets))
 	for start := 0; start < len(targets); start += scoreChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		end := min(start+scoreChunk, len(targets))
-		dets = append(dets, d.scoreSweep(ex, targets[start:end], report)...)
+		chunk := targets[start:min(start+scoreChunk, len(targets))]
+
+		t0 := time.Now()
+		rows := features.VectorsOf(ex, chunk)
+		report.Timing.Extract += time.Since(t0)
+
+		t0 = time.Now()
+		if d.cfg.FeatureColumns != nil {
+			rows = ml.SelectColumns(rows, d.cfg.FeatureColumns)
+		}
+		for i, score := range ml.ScoreAll(d.model, rows) {
+			dets = append(dets, Detection{Domain: gv.DomainName(chunk[i]), Score: score, ID: origin(chunk[i])})
+		}
+		report.Timing.Score += time.Since(t0)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -341,45 +358,13 @@ func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, tar
 	return dets, nil
 }
 
-// scoreSweep extracts and scores one contiguous run of targets: present
-// rows are compacted into a dense matrix, feature-column selection happens
-// once for the whole matrix, and scoring goes through ml.ScoreAll. Timings
-// and missing names accumulate into the report.
-func (d *Detector) scoreSweep(ex *features.Extractor, targets []string, report *ClassifyReport) []Detection {
-	t0 := time.Now()
-	X, ok := features.VectorsFor(ex, targets)
-	report.Timing.Extract += time.Since(t0)
-
-	t0 = time.Now()
-	rows := make([][]float64, 0, len(targets))
-	names := make([]string, 0, len(targets))
-	for i, name := range targets {
-		if !ok[i] {
-			report.Missing = append(report.Missing, name)
-			continue
-		}
-		rows = append(rows, X[i])
-		names = append(names, name)
-	}
-	if d.cfg.FeatureColumns != nil {
-		rows = ml.SelectColumns(rows, d.cfg.FeatureColumns)
-	}
-	scores := ml.ScoreAll(d.model, rows)
-	dets := make([]Detection, len(names))
-	for i, name := range names {
-		dets[i] = Detection{Domain: name, Score: scores[i]}
-	}
-	report.Timing.Score += time.Since(t0)
-	return dets
-}
-
 // sortDetections orders by descending score, then ascending domain.
 func sortDetections(dets []Detection) {
-	sort.Slice(dets, func(i, j int) bool {
-		if dets[i].Score != dets[j].Score {
-			return dets[i].Score > dets[j].Score
+	slices.SortFunc(dets, func(a, b Detection) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return dets[i].Domain < dets[j].Domain
+		return strings.Compare(a.Domain, b.Domain)
 	})
 }
 

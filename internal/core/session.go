@@ -102,10 +102,15 @@ func (s *ClassifySession) classify(in ClassifyInput, delta bool) ([]Detection, *
 		return nil, nil, err
 	}
 
-	ex := prep.ex
+	// ex measures on gv, whose node ids origin maps back to in.Graph's.
+	ex, gv := prep.ex, features.GraphView(prep.pruned)
+	origin := func(d int32) int32 { return d }
 	switch {
 	case prep.src == in.Graph:
 		// Same snapshot: the memoized extractor already answers for it.
+		if prep.pruned != prep.src {
+			origin = prep.pruned.DomainOrigin
+		}
 	case prep.plan == nil:
 		// No prune pipeline configured: extract straight off the live
 		// snapshot, exactly as a full pass would.
@@ -114,7 +119,7 @@ func (s *ClassifySession) classify(in ClassifyInput, delta bool) ([]Detection, *
 		if err != nil {
 			return nil, nil, err
 		}
-		report.PrunedGraph = in.Graph
+		gv, report.PrunedGraph = in.Graph, in.Graph
 	default:
 		// Nothing is materialized for a later snapshot: the frozen plan
 		// answers through a view over the targets' neighborhood.
@@ -124,13 +129,24 @@ func (s *ClassifySession) classify(in ClassifyInput, delta bool) ([]Detection, *
 		if err != nil {
 			return nil, nil, err
 		}
-		report.PrunedGraph = nil
+		gv, report.PrunedGraph = view, nil
 	}
-	targets := in.Domains
-	if targets == nil {
-		targets = features.UnknownDomains(ex)
+	// Targets as node ids of gv: every unknown domain, or the requested
+	// names that resolve (the rest are missing, in input order).
+	var targets []int32
+	if in.Domains == nil {
+		targets = ex.Graph().DomainsWithLabel(graph.LabelUnknown)
+	} else {
+		targets = make([]int32, 0, len(in.Domains))
+		for _, name := range in.Domains {
+			if d, ok := gv.DomainIndex(name); ok {
+				targets = append(targets, d)
+			} else {
+				report.Missing = append(report.Missing, name)
+			}
+		}
 	}
-	dets, err := s.det.scoreTargets(ctx, ex, targets, report)
+	dets, err := s.det.scoreTargets(ctx, ex, gv, targets, origin, report)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -314,3 +314,78 @@ func TestSessionConcurrentPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDetectionIDs: a Detection's ID is the domain's node id in the graph
+// the caller passed in — not in the pruned graph the score was measured on
+// — whichever path scored it: a full pass over the materialized pruned
+// graph, explicit targets on the same snapshot, a view over a later
+// snapshot, or a detector with no prune pipeline at all.
+func TestDetectionIDs(t *testing.T) {
+	b, src := sessionGraphParts(42)
+	// A single-machine domain between the targets: R3 prunes it, so the
+	// pruned graph's ids run behind the snapshot's.
+	b.AddQuery("inf00", "lonely.gray9.org")
+	for i := 0; i < 4; i++ {
+		b.AddQuery(fmt.Sprintf("clean%02d", 2*i), fmt.Sprintf("late.gray%d.org", i))
+		b.AddQuery(fmt.Sprintf("clean%02d", 2*i+1), fmt.Sprintf("late.gray%d.org", i))
+	}
+	g1 := b.Snapshot()
+	g1.ApplyLabels(src)
+	requireIDs := func(when string, g *graph.Graph, dets []Detection, want int) {
+		t.Helper()
+		if len(dets) < want {
+			t.Fatalf("%s: %d detections, want at least %d", when, len(dets), want)
+		}
+		for _, d := range dets {
+			if id, ok := g.DomainIndex(d.Domain); !ok || id != d.ID {
+				t.Fatalf("%s: %s has ID %d, the snapshot says %d (present=%v)", when, d.Domain, d.ID, id, ok)
+			}
+		}
+	}
+
+	det := sessionDetector(t, g1)
+	sess := det.NewSession()
+	full, rep, err := sess.Classify(ClassifyInput{Graph: g1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PrunedGraph.NumDomains() == g1.NumDomains() {
+		t.Fatal("fixture: nothing was pruned, ids would match by accident")
+	}
+	requireIDs("full pass", g1, full, 5)
+
+	targets := []string{full[len(full)-1].Domain, full[0].Domain, "lonely.gray9.org"}
+	same, _, err := sess.ClassifyDelta(ClassifyInput{Graph: g1, Domains: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIDs("explicit targets, same snapshot", g1, same, 2)
+
+	b.AddQuery("clean10", "young.gray8.org")
+	b.AddQuery("clean11", "young.gray8.org")
+	g2 := b.Snapshot()
+	g2.ApplyLabels(src)
+	viewed, rep, err := sess.ClassifyDelta(ClassifyInput{Graph: g2, Domains: append(targets, "young.gray8.org")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.PrunedCached || rep.PrunedGraph != nil {
+		t.Fatal("fixture: the later snapshot was not scored through a view")
+	}
+	requireIDs("view over a later snapshot", g2, viewed, 2)
+
+	cfg := DefaultConfig()
+	cfg.DisablePruning = true
+	cfg.NewModel = func(benign, malware int) ml.Model {
+		return ml.NewLogisticRegression(ml.LogisticRegressionConfig{Seed: 7})
+	}
+	unpruned, _, err := Train(cfg, TrainInput{Graph: g1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := unpruned.Classify(ClassifyInput{Graph: g2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIDs("no prune pipeline", g2, all, 10)
+}

@@ -55,18 +55,10 @@ func TrainingSet(e *Extractor, exclude map[string]struct{}) *Dataset {
 		labels = append(labels, y)
 	}
 
-	ds := &Dataset{
-		X:       make([][]float64, len(nodes)),
-		Y:       labels,
-		Domains: make([]string, len(nodes)),
+	ds := &Dataset{X: VectorsOf(e, nodes), Y: labels, Domains: make([]string, len(nodes))}
+	for i, d := range nodes {
+		ds.Domains[i] = g.DomainName(d)
 	}
-	backing := make([]float64, len(nodes)*NumFeatures)
-	parallelFor(len(nodes), func(i int) {
-		row := backing[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures]
-		e.VectorInto(nodes[i], row)
-		ds.X[i] = row
-		ds.Domains[i] = g.DomainName(nodes[i])
-	})
 	return ds
 }
 
@@ -94,6 +86,18 @@ func VectorsFor(e *Extractor, domains []string) ([][]float64, []bool) {
 		ok[i] = true
 	})
 	return X, ok
+}
+
+// VectorsOf measures the feature vectors of the given domain nodes, one
+// row per node, on one flat backing array like VectorsFor's.
+func VectorsOf(e *Extractor, nodes []int32) [][]float64 {
+	X := make([][]float64, len(nodes))
+	backing := make([]float64, len(nodes)*NumFeatures)
+	parallelFor(len(nodes), func(i int) {
+		X[i] = backing[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures]
+		e.VectorInto(nodes[i], X[i])
+	})
+	return X
 }
 
 // UnknownDomains lists the unknown-labeled domains of the extractor's

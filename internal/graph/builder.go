@@ -50,7 +50,10 @@ type Builder struct {
 	machineIDs []string
 	domains    []string
 	domainE2LD []string
-	domainIPs  [][]dnsutil.IPv4
+	// domainE2LDID is domainE2LD as dense ids (e2ldEntry.id), so the prune
+	// plan groups and counts e2LDs without hashing their names.
+	domainE2LDID []int32
+	domainIPs    [][]dnsutil.IPv4
 	// ipSets holds the per-domain address set for domains whose address
 	// count crossed ipSetThreshold (fast-flux); below the threshold a
 	// linear scan over domainIPs[d] is cheaper than a map.
@@ -167,6 +170,9 @@ func (s *idSet) add(id int32) bool {
 }
 
 type e2ldEntry struct {
+	// id is dense in first-sight order and never changes for the life of
+	// the builder.
+	id      int32
 	domains []int32
 	queried bool
 }
@@ -384,10 +390,11 @@ func (b *Builder) internDomain(name, e2 string) int32 {
 	b.domainQueried = append(b.domainQueried, false)
 	ent := b.e2lds[e2]
 	if ent == nil {
-		ent = &e2ldEntry{}
+		ent = &e2ldEntry{id: int32(len(b.e2lds))}
 		b.e2lds[e2] = ent
 	}
 	ent.domains = append(ent.domains, d)
+	b.domainE2LDID = append(b.domainE2LDID, ent.id)
 	return d
 }
 
@@ -654,6 +661,8 @@ func (b *Builder) freeze() *Graph {
 		machineIDs:   b.machineIDs[:nm:nm],
 		domains:      b.domains[:nd:nd],
 		domainE2LD:   b.domainE2LD[:nd:nd],
+		domainE2LDID: b.domainE2LDID[:nd:nd],
+		numE2LDs:     len(b.e2lds),
 		domainIPs:    ips,
 		mOff:         b.csrMOff,
 		mAdj:         b.csrMAdj,

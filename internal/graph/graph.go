@@ -67,7 +67,13 @@ type Graph struct {
 	machineIDs []string
 	domains    []string
 	domainE2LD []string
-	domainIPs  [][]dnsutil.IPv4
+	// domainE2LDID[d] is domainE2LD[d] as an id below numE2LDs: two domains
+	// of one graph share an id exactly when they share an e2LD. Ids are the
+	// Builder's (dense, stable along its lineage); a derived graph keeps
+	// its source's.
+	domainE2LDID []int32
+	numE2LDs     int
+	domainIPs    [][]dnsutil.IPv4
 
 	// Base CSR adjacency, machine -> domains and domain -> machines. For
 	// incremental snapshots it covers the first csrNM machines / csrND
@@ -106,6 +112,15 @@ type Graph struct {
 	machineIndex map[string]int32
 	domainExtra  map[string]int32
 	machineExtra map[string]int32
+
+	// A graph derived from another (Prune, FilterProbers,
+	// PrunePlan.Materialize) has no index of its own: a name resolves
+	// through derivedFrom's, then through the remap tables (source id ->
+	// id here, -1 for a dropped node). domainOrigin is the inverse of
+	// domainRemap. All nil for a Builder's graphs.
+	derivedFrom               *Graph
+	machineRemap, domainRemap []int32
+	domainOrigin              []int32
 
 	labeledAsOf   int
 	labelsApplied bool
@@ -155,6 +170,12 @@ func (g *Graph) DomainIPs(d int32) []dnsutil.IPv4 { return g.domainIPs[d] }
 
 // DomainIndex returns the node index for a domain name.
 func (g *Graph) DomainIndex(domain string) (int32, bool) {
+	if g.derivedFrom != nil {
+		if d, ok := g.derivedFrom.DomainIndex(domain); ok && g.domainRemap[d] >= 0 {
+			return g.domainRemap[d], true
+		}
+		return 0, false
+	}
 	if i, ok := g.domainIndex[domain]; ok {
 		return i, true
 	}
@@ -164,11 +185,27 @@ func (g *Graph) DomainIndex(domain string) (int32, bool) {
 
 // MachineIndex returns the node index for a machine identifier.
 func (g *Graph) MachineIndex(id string) (int32, bool) {
+	if g.derivedFrom != nil {
+		if m, ok := g.derivedFrom.MachineIndex(id); ok && g.machineRemap[m] >= 0 {
+			return g.machineRemap[m], true
+		}
+		return 0, false
+	}
 	if i, ok := g.machineIndex[id]; ok {
 		return i, true
 	}
 	i, ok := g.machineExtra[id]
 	return i, ok
+}
+
+// DomainOrigin returns the id domain node d has in the graph this one was
+// derived from (Prune, FilterProbers, PrunePlan.Materialize); d itself on
+// a graph that was not derived.
+func (g *Graph) DomainOrigin(d int32) int32 {
+	if g.domainOrigin == nil {
+		return d
+	}
+	return g.domainOrigin[d]
 }
 
 // DomainsOf returns the domain nodes queried by machine m. The returned

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+
+	"segugio/internal/dnsutil"
 )
 
 // PruneConfig parameterizes the conservative filtering rules of paper
@@ -122,8 +124,10 @@ type PrunePlan struct {
 	probers        []int32
 	probersRemoved []string
 	thetaD, thetaM int
-	e2ldMachines   map[string]int
-	stats          PruneStats
+	// e2ldMachines[e] counts the surviving machines of the e2LD with id e
+	// (Graph.domainE2LDID) on the base graph.
+	e2ldMachines []int32
+	stats        PruneStats
 }
 
 // NewPrunePlan computes keep decisions for g in one combined pass:
@@ -238,7 +242,7 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 				}
 			}
 			switch {
-			case p.e2ldMachines[g.domainE2LD[d]] >= p.thetaM:
+			case int(p.e2ldMachines[g.domainE2LDID[d]]) >= p.thetaM:
 				s.r4++ // R4: too popular to be malware control
 			case deg < cfg.MinDomainMachines && g.domainLabel[d] != LabelMalware:
 				s.r3++ // R3: single-machine domain (exception: known malware stays)
@@ -423,31 +427,34 @@ func degreePercentileMasked(g *Graph, pct float64, include []bool) int {
 	return overflow[rank-seen-1]
 }
 
-// e2ldMachineCounts counts, per effective 2LD, the distinct surviving
-// machines that query any domain under it. A per-machine stamp keeps the
-// scan O(edges); e2LD groups are sharded across workers, each with its
-// own stamp array. keepM may be nil to count every machine.
-func (g *Graph) e2ldMachineCounts(keepM []bool) map[string]int {
-	// Group domains by e2LD.
-	byE2LD := make(map[string][]int32)
-	for d := range g.domains {
-		byE2LD[g.domainE2LD[d]] = append(byE2LD[g.domainE2LD[d]], int32(d))
+// e2ldMachineCounts counts, per effective 2LD id, the distinct surviving
+// machines that query any domain under it. Domains are grouped by a
+// counting sort on their e2LD id; a per-machine stamp keeps the scan
+// O(edges); e2LD groups are sharded across workers, each with its own
+// stamp array. keepM may be nil to count every machine.
+func (g *Graph) e2ldMachineCounts(keepM []bool) []int32 {
+	ne := g.numE2LDs
+	off := make([]int32, ne+1)
+	for _, e := range g.domainE2LDID {
+		off[e+1]++
 	}
-	groups := make([]string, 0, len(byE2LD))
-	for e2ld := range byE2LD {
-		groups = append(groups, e2ld)
+	for e := 0; e < ne; e++ {
+		off[e+1] += off[e]
 	}
-	// Each shard owns a disjoint range of groups and a private stamp
-	// array; results land in a per-group slice, merged into the map after
-	// the barrier.
-	perGroup := make([]int, len(groups))
-	parallelShards(len(groups), func(_, lo, hi int) {
-		stamp := make([]int, g.NumMachines())
-		cur := 0
-		for gi := lo; gi < hi; gi++ {
-			cur++
-			n := 0
-			for _, d := range byE2LD[groups[gi]] {
+	members := make([]int32, len(g.domainE2LDID))
+	cursor := make([]int32, ne)
+	copy(cursor, off[:ne])
+	for d, e := range g.domainE2LDID {
+		members[cursor[e]] = int32(d)
+		cursor[e]++
+	}
+	// Each shard owns a disjoint range of e2LDs and a private stamp array.
+	counts := make([]int32, ne)
+	parallelShards(ne, func(_, lo, hi int) {
+		stamp := make([]int32, g.NumMachines())
+		for e := lo; e < hi; e++ {
+			n, cur := int32(0), int32(e-lo+1)
+			for _, d := range members[off[e]:off[e+1]] {
 				for _, m := range g.MachinesOf(d) {
 					if keepM != nil && !keepM[m] {
 						continue
@@ -458,58 +465,60 @@ func (g *Graph) e2ldMachineCounts(keepM []bool) map[string]int {
 					}
 				}
 			}
-			perGroup[gi] = n
+			counts[e] = n
 		}
 	})
-	counts := make(map[string]int, len(byE2LD))
-	for gi, e2ld := range groups {
-		counts[e2ld] = perGroup[gi]
-	}
 	return counts
 }
 
 // materialize builds the subgraph induced by the kept nodes, carrying over
-// labels and annotations and re-deriving machine labels. The machine-side
-// CSR fill and the label recomputation are sharded.
+// labels and annotations and re-deriving machine labels. Names resolve
+// through g's index and the remap tables (see Graph.derivedFrom), and
+// every slab is sized from the kept counts. The machine-side CSR fill and
+// the label recomputation are sharded.
 func materialize(g *Graph, keepM, keepD []bool) *Graph {
 	out := &Graph{
 		name:          g.name,
 		day:           g.day,
 		labeledAsOf:   g.labeledAsOf,
 		labelsApplied: g.labelsApplied,
+		numE2LDs:      g.numE2LDs,
+		derivedFrom:   g,
 	}
 
-	mMap := make([]int32, g.NumMachines())
-	out.machineIndex = make(map[string]int32)
+	nm, nd := countTrue(keepM), countTrue(keepD)
+	mMap := make([]int32, len(keepM))
+	out.machineIDs = make([]string, 0, nm)
 	for m := range keepM {
 		mMap[m] = -1
-		if !keepM[m] {
-			continue
+		if keepM[m] {
+			mMap[m] = int32(len(out.machineIDs))
+			out.machineIDs = append(out.machineIDs, g.machineIDs[m])
 		}
-		id := int32(len(out.machineIDs))
-		mMap[m] = id
-		out.machineIndex[g.machineIDs[m]] = id
-		out.machineIDs = append(out.machineIDs, g.machineIDs[m])
 	}
 
-	dMap := make([]int32, g.NumDomains())
-	out.domainIndex = make(map[string]int32)
+	dMap := make([]int32, len(keepD))
+	out.domains = make([]string, 0, nd)
+	out.domainE2LD = make([]string, 0, nd)
+	out.domainE2LDID = make([]int32, 0, nd)
+	out.domainIPs = make([][]dnsutil.IPv4, 0, nd)
+	out.domainLabel = make([]Label, 0, nd)
+	out.domainOrigin = make([]int32, 0, nd)
 	for d := range keepD {
 		dMap[d] = -1
 		if !keepD[d] {
 			continue
 		}
-		id := int32(len(out.domains))
-		dMap[d] = id
-		out.domainIndex[g.domains[d]] = id
+		dMap[d] = int32(len(out.domains))
 		out.domains = append(out.domains, g.domains[d])
 		out.domainE2LD = append(out.domainE2LD, g.domainE2LD[d])
+		out.domainE2LDID = append(out.domainE2LDID, g.domainE2LDID[d])
 		out.domainIPs = append(out.domainIPs, g.domainIPs[d])
 		out.domainLabel = append(out.domainLabel, g.domainLabel[d])
+		out.domainOrigin = append(out.domainOrigin, int32(d))
 	}
+	out.machineRemap, out.domainRemap = mMap, dMap
 
-	nm := len(out.machineIDs)
-	nd := len(out.domains)
 	out.machineLabel = make([]Label, nm)
 	out.cntMalware = make([]int32, nm)
 	out.cntNonBenign = make([]int32, nm)
@@ -572,4 +581,14 @@ func materialize(g *Graph, keepM, keepD []bool) *Graph {
 	out.numEdges = len(out.mAdj)
 	out.recomputeMachineLabels()
 	return out
+}
+
+func countTrue(keep []bool) int {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	return n
 }

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"segugio/internal/dnsutil"
@@ -209,5 +212,223 @@ func TestDegreePercentile(t *testing.T) {
 	}
 	if got := degreePercentile(g, 10); got != 1 {
 		t.Errorf("p10 = %d, want 1", got)
+	}
+}
+
+// requireE2LDIDs checks the id <-> name bijection on one graph: two domains
+// share an e2LD id exactly when they share an e2LD, ids are below numE2LDs.
+func requireE2LDIDs(t *testing.T, what string, g *Graph) {
+	t.Helper()
+	if len(g.domainE2LDID) != g.NumDomains() {
+		t.Fatalf("%s: %d e2LD ids for %d domains", what, len(g.domainE2LDID), g.NumDomains())
+	}
+	byID, byName := map[int32]string{}, map[string]int32{}
+	for d, e := range g.domainE2LDID {
+		name := g.domainE2LD[d]
+		if e < 0 || int(e) >= g.numE2LDs {
+			t.Fatalf("%s: domain %s has e2LD id %d of %d", what, g.domains[d], e, g.numE2LDs)
+		}
+		if have, ok := byID[e]; ok && have != name {
+			t.Fatalf("%s: e2LD id %d names both %q and %q", what, e, have, name)
+		}
+		if have, ok := byName[name]; ok && have != e {
+			t.Fatalf("%s: e2LD %q has ids %d and %d", what, name, have, e)
+		}
+		byID[e], byName[name] = name, e
+	}
+}
+
+// TestE2LDIDsMatchNames: every way a graph comes to be carries e2LD ids
+// that say what the e2LD strings say, and along one builder an e2LD keeps
+// its id.
+func TestE2LDIDsMatchNames(t *testing.T) {
+	sl := dnsutil.DefaultSuffixList()
+	stream := func(b *Builder, from, to int) {
+		for i := from; i < to; i++ {
+			b.AddQuery(fmt.Sprintf("m%02d", i%17), fmt.Sprintf("h%d.zone%d.co.uk", i%23, i%9))
+			b.AddResolution(fmt.Sprintf("only%d.res%d.org", i, i%4), dnsutil.IPv4(i))
+		}
+	}
+
+	b := NewBuilder("net", 42, sl)
+	stream(b, 0, 100)
+	g1 := b.Snapshot()
+	requireE2LDIDs(t, "first snapshot", g1)
+	stream(b, 100, 300)
+	g2 := b.Snapshot()
+	requireE2LDIDs(t, "incremental snapshot", g2)
+	for d := range g1.domains {
+		if g1.domainE2LDID[d] != g2.domainE2LDID[d] {
+			t.Fatalf("domain %s changed e2LD id %d -> %d along one builder", g1.domains[d], g1.domainE2LDID[d], g2.domainE2LDID[d])
+		}
+	}
+	requireE2LDIDs(t, "first snapshot, after the builder moved on", g1)
+	requireE2LDIDs(t, "batch build", b.Build())
+
+	shards := []*Builder{NewBuilder("net", 42, sl), NewBuilder("net", 42, sl)}
+	merged := NewBuilder("net", 42, sl)
+	for round := 0; round < 3; round++ {
+		for i := round * 100; i < (round+1)*100; i++ {
+			machine := fmt.Sprintf("m%02d", i%17)
+			shards[ShardOf(machine, 2)].AddQuery(machine, fmt.Sprintf("h%d.zone%d.co.uk", i%23, i%9))
+		}
+		for _, sh := range shards {
+			sh.DrainInto(merged)
+		}
+		requireE2LDIDs(t, fmt.Sprintf("merged snapshot %d", round), merged.Snapshot())
+	}
+
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, g2); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := DecodeSnapshot(&buf, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream(restored, 300, 350)
+	requireE2LDIDs(t, "decoded checkpoint", restored.Snapshot())
+
+	labelPruneGraph(t, g2)
+	pruned, _, err := Prune(g2, DefaultPruneConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireE2LDIDs(t, "pruned graph", pruned)
+}
+
+// TestPrunedGraphIndexSharesBase: a pruned graph has no name index of its
+// own — it resolves through its base's and a remap — and must resolve every
+// name exactly as an index built from its own name slabs would: kept nodes
+// to their new ids, dropped and unknown names to not-found. The pruned
+// graph itself must equal FilterProbers + Prune, the oracle.
+func TestPrunedGraphIndexSharesBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder("net", 10, dnsutil.DefaultSuffixList())
+	bl := intel.NewBlacklist()
+	for i := 0; i < 5000; i++ {
+		name := fmt.Sprintf("h%d.zone%d.com", i, rng.Intn(1500))
+		if i%50 == 0 {
+			bl.Add(intel.BlacklistEntry{Domain: name, FirstListed: 0})
+			b.AddQuery("prober", name) // a scanner walking the blacklist
+		}
+		for q := 1 + rng.Intn(4); q > 0; q-- {
+			b.AddQuery(fmt.Sprintf("m%03d", rng.Intn(400)), name)
+		}
+	}
+	// A second snapshot, so part of the base's index sits in its extra map.
+	b.Snapshot()
+	for i := 0; i < 50; i++ {
+		b.AddQuery(fmt.Sprintf("late%02d", i), fmt.Sprintf("late%d.zone%d.com", i, i%7))
+		b.AddQuery(fmt.Sprintf("late%02d", i), fmt.Sprintf("h%d.zone0.com", i))
+	}
+	g := b.Snapshot()
+	g.ApplyLabels(LabelSources{Blacklist: bl, AsOf: 10})
+
+	prober := ProberConfig{MinMalwareDomains: 20, MinMalwareFraction: 0.25}
+	plan, err := NewPrunePlan(g, &prober, DefaultPruneConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := plan.Materialize()
+	filtered, removed, err := FilterProbers(g, prober)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, _, err := Prune(filtered, DefaultPruneConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) == 0 || pruned.NumDomains() == 0 || pruned.NumDomains() == g.NumDomains() {
+		t.Fatalf("fixture: %d probers, %d of %d domains kept", len(removed), pruned.NumDomains(), g.NumDomains())
+	}
+	if !reflect.DeepEqual(pruned.domains, oracle.domains) || !reflect.DeepEqual(pruned.machineIDs, oracle.machineIDs) ||
+		!reflect.DeepEqual(pruned.mOff, oracle.mOff) || !reflect.DeepEqual(pruned.mAdj, oracle.mAdj) ||
+		!reflect.DeepEqual(pruned.dOff, oracle.dOff) || !reflect.DeepEqual(pruned.dAdj, oracle.dAdj) ||
+		!reflect.DeepEqual(pruned.domainLabel, oracle.domainLabel) || !reflect.DeepEqual(pruned.machineLabel, oracle.machineLabel) ||
+		!reflect.DeepEqual(pruned.domainE2LD, oracle.domainE2LD) || !reflect.DeepEqual(pruned.domainIPs, oracle.domainIPs) {
+		t.Fatal("Materialize differs from FilterProbers + Prune")
+	}
+
+	for _, derived := range []*Graph{pruned, oracle, filtered} {
+		domains, machines := map[string]int32{}, map[string]int32{}
+		for d, name := range derived.domains {
+			domains[name] = int32(d)
+		}
+		for m, id := range derived.machineIDs {
+			machines[id] = int32(m)
+		}
+		for d := int32(0); d < int32(g.NumDomains()); d++ {
+			name := g.DomainName(d)
+			got, ok := derived.DomainIndex(name)
+			if want, kept := domains[name]; ok != kept || (kept && got != want) {
+				t.Fatalf("DomainIndex(%s) = %d, %v; the graph's own names say %d, %v", name, got, ok, want, kept)
+			}
+			if ok && derived.DomainName(got) != name {
+				t.Fatalf("DomainIndex(%s) = %d, which is %s", name, got, derived.DomainName(got))
+			}
+		}
+		for m := int32(0); m < int32(g.NumMachines()); m++ {
+			id := g.MachineID(m)
+			got, ok := derived.MachineIndex(id)
+			if want, kept := machines[id]; ok != kept || (kept && got != want) {
+				t.Fatalf("MachineIndex(%s) = %d, %v; the graph's own names say %d, %v", id, got, ok, want, kept)
+			}
+		}
+		if _, ok := derived.DomainIndex("never.seen.example"); ok {
+			t.Fatal("an unknown domain resolved")
+		}
+		if _, ok := derived.MachineIndex("nobody"); ok {
+			t.Fatal("an unknown machine resolved")
+		}
+	}
+	for d := int32(0); d < int32(pruned.NumDomains()); d++ {
+		if o := pruned.DomainOrigin(d); g.DomainName(o) != pruned.DomainName(d) {
+			t.Fatalf("DomainOrigin(%d) = %d: %s in the base, %s here", d, o, g.DomainName(o), pruned.DomainName(d))
+		}
+	}
+}
+
+// TestPrunedViewCountsFreshE2LDs: an e2LD interned after the plan has no
+// frozen machine count, so the view counts it on the live graph — R4 drops
+// a newly popular e2LD's domains exactly as a plan computed on the live
+// graph does.
+func TestPrunedViewCountsFreshE2LDs(t *testing.T) {
+	b := NewBuilder("P", 10, dnsutil.DefaultSuffixList())
+	for i := 0; i < 30; i++ {
+		for j := 0; j < 8; j++ {
+			b.AddQuery(fmt.Sprintf("m%02d", i), fmt.Sprintf("site%d.com", (i*3+j)%40))
+		}
+	}
+	for j := 0; j < 100; j++ { // R2's percentile lands on this one
+		b.AddQuery("proxy", fmt.Sprintf("proxyonly%03d.net", j))
+	}
+	g1 := b.Snapshot()
+	labelPruneGraph(t, g1)
+	plan, err := NewPrunePlan(g1, nil, DefaultPruneConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two domains of a new e2LD, 8 machines each: 16 of 31 is past the
+	// one-third R4 threshold, which neither domain reaches alone.
+	for i := 0; i < 16; i++ {
+		b.AddQuery(fmt.Sprintf("m%02d", i), fmt.Sprintf("cdn%d.fresh.com", i/8))
+	}
+	b.AddQuery("m20", "www.quiet.com")
+	b.AddQuery("m21", "www.quiet.com")
+	g2 := b.Snapshot()
+	labelPruneGraph(t, g2)
+	live, _, err := Prune(g2, DefaultPruneConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := []string{"cdn0.fresh.com", "cdn1.fresh.com", "www.quiet.com"}
+	view := NewPrunedView(g2, plan, targets)
+	for _, name := range targets {
+		_, inView := view.DomainIndex(name)
+		_, inLive := live.DomainIndex(name)
+		if inView != inLive || inView != (name == "www.quiet.com") {
+			t.Fatalf("%s: kept by the view %v, by a live prune %v", name, inView, inLive)
+		}
 	}
 }

@@ -66,6 +66,38 @@ func NewPrunedView(live *Graph, plan *PrunePlan, targets []string) *PrunedView {
 		return k
 	}
 
+	// An e2LD the plan counted keeps its frozen count. One interned since
+	// is counted on live, over the domains interned since (an e2LD is never
+	// younger than its domains), grouped once on first need.
+	var freshE2LDs map[int32][]int32
+	e2ldMemo := make(map[int32]int)
+	e2ldMachines := func(e int32) int {
+		if int(e) < len(plan.e2ldMachines) {
+			return int(plan.e2ldMachines[e])
+		}
+		if n, ok := e2ldMemo[e]; ok {
+			return n
+		}
+		if freshE2LDs == nil {
+			freshE2LDs = make(map[int32][]int32)
+			for d := len(plan.keepD); d < live.NumDomains(); d++ {
+				if e := live.domainE2LDID[d]; int(e) >= len(plan.e2ldMachines) {
+					freshE2LDs[e] = append(freshE2LDs[e], int32(d))
+				}
+			}
+		}
+		seen := make(map[int32]struct{})
+		for _, d := range freshE2LDs[e] {
+			for _, m := range live.MachinesOf(d) {
+				if machineKeep(m) {
+					seen[m] = struct{}{}
+				}
+			}
+		}
+		e2ldMemo[e] = len(seen)
+		return len(seen)
+	}
+
 	keepDMemo := make(map[int32]bool)
 	domainKeep := func(d int32) bool {
 		if int(d) < len(plan.keepD) && !isTarget[d] {
@@ -74,7 +106,7 @@ func NewPrunedView(live *Graph, plan *PrunePlan, targets []string) *PrunedView {
 		if k, ok := keepDMemo[d]; ok {
 			return k
 		}
-		k := v.freshDomainKeep(d, machineKeep)
+		k := v.freshDomainKeep(d, machineKeep, e2ldMachines)
 		keepDMemo[d] = k
 		return k
 	}
@@ -140,14 +172,13 @@ func (v *PrunedView) freshMachineKeep(m int32) bool {
 }
 
 // freshDomainKeep evaluates R4 then R3 for a target or newly interned
-// domain, against the plan's frozen thetaM and e2LD machine counts
-// (a brand-new e2LD counts zero surviving machines).
-func (v *PrunedView) freshDomainKeep(d int32, machineKeep func(int32) bool) bool {
+// domain, against the plan's frozen thetaM and its e2LD's machine count.
+func (v *PrunedView) freshDomainKeep(d int32, machineKeep func(int32) bool, e2ldMachines func(int32) int) bool {
 	p := v.plan
 	if p.disablePrune {
 		return true
 	}
-	if p.e2ldMachines[v.live.domainE2LD[d]] >= p.thetaM {
+	if e2ldMachines(v.live.domainE2LDID[d]) >= p.thetaM {
 		return false
 	}
 	if v.live.domainLabel[d] == LabelMalware {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"segugio/internal/dnsutil"
+	"segugio/internal/intel"
 )
 
 // benchEvent is one pre-generated observation, so the benchmarks measure
@@ -111,6 +112,38 @@ func BenchmarkAddResolutionManyIPs(b *testing.B) {
 		builder := NewBuilder("bench", 1, dnsutil.DefaultSuffixList())
 		for ip := uint32(0); ip < 2048; ip++ {
 			builder.AddResolution("fluxy.example.com", dnsutil.IPv4(ip))
+		}
+	}
+}
+
+// BenchmarkPrunePrepare is the O(graph) half of a full classify pass on its
+// own: the combined prober + R1-R4 plan and the materialized pruned graph,
+// over 60k domains on 20k e2LDs queried by 4k machines.
+func BenchmarkPrunePrepare(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	builder := NewBuilder("bench", 1, dnsutil.DefaultSuffixList())
+	bl := intel.NewBlacklist()
+	for i := 0; i < 300_000; i++ {
+		d := rng.Intn(60_000)
+		name := fmt.Sprintf("h%d.zone%d.com", d, d%20_000)
+		if d%500 == 0 {
+			bl.Add(intel.BlacklistEntry{Domain: name, FirstListed: 0})
+		}
+		builder.AddQuery(fmt.Sprintf("m%05d", rng.Intn(4000)), name)
+	}
+	g := builder.Snapshot()
+	g.ApplyLabels(LabelSources{Blacklist: bl, AsOf: 1})
+	prober := DefaultProberConfig()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := NewPrunePlan(g, &prober, DefaultPruneConfig(), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if plan.Materialize().NumDomains() == 0 {
+			b.Fatal("everything pruned")
 		}
 	}
 }

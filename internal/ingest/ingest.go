@@ -311,7 +311,10 @@ type Ingester struct {
 	// (uncontended between workers) plus exactly one shard lock.
 	epochMu sync.RWMutex
 	day     int // guarded by epochMu
-	shards  []*graphShard
+	// dayNow mirrors day for Day(): written where day is, read without
+	// epochMu, so a per-lookup read never queues behind a rotation.
+	dayNow atomic.Int64
+	shards []*graphShard
 	// merged accumulates every shard's drained fresh delta into the one
 	// builder snapshots are served from, so every consumer (classify,
 	// prune plan, score cache, both detectors) runs on a plain merged
@@ -485,6 +488,7 @@ func New(cfg Config) *Ingester {
 		// would keep the recovered day's graph alive past its rotation.
 		in.cfg.restoredShards = nil
 	}
+	in.dayNow.Store(int64(in.day))
 	// Seed the merged builder, the size mirrors, and the global domain
 	// set from the (possibly checkpoint-restored) shards, so a recovered
 	// daemon reports — and serves — its real graph before the first new
@@ -1204,6 +1208,7 @@ func (in *Ingester) rotate(newDay int) *finishedEpoch {
 	}
 	in.merged = graph.NewBuilder(in.cfg.Network, newDay, in.cfg.Suffixes)
 	in.day = newDay
+	in.dayNow.Store(int64(newDay))
 	in.domainMu.Lock()
 	in.domainSet = make(map[string]struct{})
 	in.domainN.Store(0)
@@ -1327,11 +1332,10 @@ func (in *Ingester) flushShardWAL(sh *graphShard, span *obs.Span) {
 	sh.walBuf = sh.walBuf[:0]
 }
 
-// Day returns the current epoch day.
+// Day returns the current epoch day, without waiting for a rotation in
+// progress (it answers the finishing day until the rotation completes).
 func (in *Ingester) Day() int {
-	in.epochMu.RLock()
-	defer in.epochMu.RUnlock()
-	return in.day
+	return int(in.dayNow.Load())
 }
 
 // Version returns a counter that moves whenever the live graph changes;

@@ -601,3 +601,48 @@ func TestSnapshotShutdownRace(t *testing.T) {
 		t.Fatal("empty graph after concurrent ingest")
 	}
 }
+
+// TestDayDoesNotWaitForRotation: the server reads Day() on every lookup,
+// so it must not queue behind a rotation, which holds the epoch lock for
+// write across a drain of every shard and a merged snapshot. With a
+// rotation parked in that drain, Day() still answers — the finishing day,
+// until the rotation completes.
+func TestDayDoesNotWaitForRotation(t *testing.T) {
+	in := New(Config{Network: "net", StartDay: 10, Workers: 1})
+	defer in.Shutdown()
+
+	// Holding the shard lock parks the rotation inside drainShardsLocked,
+	// with epochMu write-locked.
+	sh := in.shards[0]
+	sh.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			sh.mu.Unlock()
+		}
+	}()
+	if err := in.Consume(strings.NewReader("q\t11\tm1\ta.example.com\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "rotation holds the epoch lock", func() bool {
+		if in.epochMu.TryRLock() {
+			in.epochMu.RUnlock()
+			return false
+		}
+		return true
+	})
+
+	day := make(chan int, 1)
+	go func() { day <- in.Day() }()
+	select {
+	case d := <-day:
+		if d != 10 {
+			t.Errorf("Day() during the rotation = %d, want the finishing day 10", d)
+		}
+	case <-time.After(time.Second):
+		t.Error("Day() waited for the rotation")
+	}
+	sh.mu.Unlock()
+	locked = false
+	waitFor(t, "rotation completes", func() bool { return in.Day() == 11 })
+}

@@ -178,52 +178,81 @@ func (a *AuditLog) loadFile(path string) {
 
 // push appends to the bounded ring; callers hold a.mu (or run before
 // the log is shared).
-func (a *AuditLog) push(rec AuditRecord) {
-	a.ring = append(a.ring, rec)
+func (a *AuditLog) push(recs ...AuditRecord) {
+	a.ring = append(a.ring, recs...)
 	if over := len(a.ring) - a.cfg.RingSize; over > 0 {
 		a.ring = append(a.ring[:0], a.ring[over:]...)
 	}
 }
 
-// Append writes one record to the trail: into the query ring always,
-// and onto disk (with rotation and batched fsync) when persistence is
-// configured. The returned error reports a persistence failure; the
-// record is queryable either way, so the daemon degrades to reduced
-// durability instead of losing the evidence entirely.
+// Append writes one record to the trail; see AppendAll.
 func (a *AuditLog) Append(rec AuditRecord) error {
-	if rec.Time.IsZero() {
-		rec.Time = time.Now().UTC()
+	return a.AppendAll([]AuditRecord{rec})
+}
+
+// AppendAll writes a batch of records — one classify pass's detections —
+// to the trail as a unit: under one lock the query ring and the Appended
+// count advance once, so a reader sees none or all of the batch, and the
+// lines reach the file in one buffered write (one more per rotation the
+// batch crosses), byte for byte what one Append per record writes. The
+// ring takes the records always; the disk, with rotation and batched
+// fsync, when persistence is configured. The returned error reports a
+// persistence failure; the records are queryable either way, so the
+// daemon degrades to reduced durability instead of losing the evidence
+// entirely.
+func (a *AuditLog) AppendAll(recs []AuditRecord) error {
+	now := time.Now().UTC()
+	recs = append([]AuditRecord(nil), recs...)
+	for i := range recs {
+		if recs[i].Time.IsZero() {
+			recs[i].Time = now
+		}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.push(rec)
-	a.appended++
+	a.push(recs...)
+	a.appended += uint64(len(recs))
 	if a.f == nil {
 		return nil
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("obs: audit marshal: %w", err)
-	}
-	line = append(line, '\n')
-	if a.size > 0 && a.size+int64(len(line)) > a.cfg.MaxFileBytes {
-		if err := a.rotateLocked(); err != nil {
-			return err
+	var buf []byte
+	flush := func() error {
+		n, err := a.f.Write(buf)
+		a.size += int64(n)
+		buf = buf[:0]
+		if err != nil {
+			return fmt.Errorf("obs: audit write: %w", err)
 		}
+		return nil
 	}
-	n, err := a.f.Write(line)
-	a.size += int64(n)
-	if err != nil {
-		return fmt.Errorf("obs: audit write: %w", err)
+	var marshalErr error
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			marshalErr = fmt.Errorf("obs: audit marshal: %w", err)
+			continue
+		}
+		if written := a.size + int64(len(buf)); written > 0 && written+int64(len(line))+1 > a.cfg.MaxFileBytes {
+			if err := flush(); err != nil {
+				return err
+			}
+			if err := a.rotateLocked(); err != nil {
+				return err
+			}
+		}
+		buf = append(append(buf, line...), '\n')
+		a.unsynced++
 	}
-	a.unsynced++
+	if err := flush(); err != nil {
+		return err
+	}
 	if a.unsynced >= a.cfg.SyncEvery {
 		if err := a.f.Sync(); err != nil {
 			return fmt.Errorf("obs: audit sync: %w", err)
 		}
 		a.unsynced = 0
 	}
-	return nil
+	return marshalErr
 }
 
 // rotateLocked shifts audit.jsonl -> .1 -> .2 ... dropping the oldest,

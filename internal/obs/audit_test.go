@@ -226,3 +226,129 @@ func TestAuditSyncEveryBatches(t *testing.T) {
 		t.Fatalf("append did not stamp time: %+v", got[0].Time)
 	}
 }
+
+// TestAuditAppendAllMatchesAppends: a batch reaches the files byte for byte
+// as one Append per record does — same lines, same rotation points — and
+// leaves the same ring and count behind.
+func TestAuditAppendAllMatchesAppends(t *testing.T) {
+	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	var recs []AuditRecord
+	for i := 0; i < 60; i++ {
+		r := rec(fmt.Sprintf("dom%02d.example.com", i), float64(i)/60)
+		r.Time = ts.Add(time.Duration(i) * time.Second)
+		recs = append(recs, r)
+	}
+	files := func(dir string) map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(raw)
+		}
+		return out
+	}
+	// 1 KiB files rotate every few records, mid-batch; 6 files hold it all.
+	cfg := AuditConfig{MaxFileBytes: 1024, MaxFiles: 6, RingSize: 16, SyncEvery: 4}
+	one, batch := cfg, cfg
+	one.Dir, batch.Dir = t.TempDir(), t.TempDir()
+	a, err := OpenAudit(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenAudit(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := a.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three batches, one of them empty, with the file already part full.
+	for _, part := range [][]AuditRecord{recs[:7], nil, recs[7:59], recs[59:]} {
+		if err := b.AppendAll(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.Appended() != b.Appended() || a.Len() != b.Len() {
+		t.Fatalf("appended/len: %d/%d one by one, %d/%d batched", a.Appended(), a.Len(), b.Appended(), b.Len())
+	}
+	for i, r := range a.Recent(0) {
+		if got := b.Recent(0)[i]; got.Domain != r.Domain || !got.Time.Equal(r.Time) {
+			t.Fatalf("ring entry %d: %s one by one, %s batched", i, r.Domain, got.Domain)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, got := files(one.Dir), files(batch.Dir)
+	if len(want) < 3 {
+		t.Fatalf("fixture: only %d files, the batch crossed no rotation", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d files batched, %d one by one", len(got), len(want))
+	}
+	for name, body := range want {
+		if got[name] != body {
+			t.Fatalf("%s differs:\none by one:\n%s\nbatched:\n%s", name, body, got[name])
+		}
+	}
+}
+
+// TestAuditAppendAllIsAtomicToReaders: a reader polling the count and the
+// ring beside 300-record batches only ever sees whole batches — the count
+// a multiple of the batch size, and the newest count-seen records all
+// there to be read.
+func TestAuditAppendAllIsAtomicToReaders(t *testing.T) {
+	const batch, batches = 300, 20
+	a, err := OpenAudit(AuditConfig{Dir: t.TempDir(), RingSize: 2 * batch, SyncEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		recs := make([]AuditRecord, batch)
+		for n := 0; n < batches; n++ {
+			for i := range recs {
+				recs[i] = rec(fmt.Sprintf("b%02d-%03d.example.com", n, i), 0.9)
+			}
+			if err := a.AppendAll(recs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	seen := uint64(0)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		total := a.Appended()
+		if total%batch != 0 {
+			t.Fatalf("reader saw %d records appended: not a batch boundary", total)
+		}
+		// What the bench poller does: ask for what is new, plus slack.
+		got := a.Recent(int(total-seen) + 16)
+		if fresh := int(total - seen); fresh <= 2*batch && len(got) < fresh {
+			t.Fatalf("count moved %d -> %d but only %d records were readable", seen, total, len(got))
+		}
+		seen = total
+	}
+	if seen != batch*batches {
+		t.Fatalf("reader ended at %d records, want %d", seen, batch*batches)
+	}
+}

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -62,6 +64,9 @@ func benchUnkName(i int) string {
 	return fmt.Sprintf("u%d.z%d.org", i, i/2)
 }
 
+// benchPrunedName is an unknown domain one machine queries: R3 prunes it.
+const benchPrunedName = "lonely.pruned.org"
+
 func classifyBenchSetup() {
 	bld := graph.NewBuilder("bench", 42, dnsutil.DefaultSuffixList())
 	bl := intel.NewBlacklist()
@@ -97,6 +102,7 @@ func classifyBenchSetup() {
 		bld.AddQuery("heavy0", benchUnkName(i))
 		bld.AddQuery("heavy1", benchUnkName(benchUnknown-1-i))
 	}
+	bld.AddQuery("clean0000", benchPrunedName)
 	src := graph.LabelSources{Blacklist: bl, Whitelist: intel.NewWhitelist(whitelisted), AsOf: 42}
 
 	g := bld.Snapshot()
@@ -343,5 +349,41 @@ func BenchmarkClassifyAllDelta(b *testing.B) {
 		if p.rescored == 0 || p.rescored > benchDirty {
 			b.Fatalf("rescored = %d, want 1..%d", p.rescored, benchDirty)
 		}
+	}
+}
+
+// BenchmarkDomainLookupBesideIngest is GET /v1/domains/{name} as a reader
+// beside a live stream pays for it: one pass up front, then the graph
+// version moves before every request, so no request ever finds the pass
+// current. A lookup the pass answers builds nothing — tens of allocations
+// for the request, the evidence and the JSON; a snapshot, a prune plan or a
+// view would show up as thousands (bench-allocs gates all three kinds).
+func BenchmarkDomainLookupBesideIngest(b *testing.B) {
+	env := classifyBenchEnvFor(b)
+	env.gs.advance(env.gs.g, nil, false)
+	if _, _, err := env.srv.classifyAll(context.Background(), env.srv.model()); err != nil {
+		b.Fatal(err)
+	}
+	h := env.srv.Handler()
+	for _, kind := range []struct{ name, domain string }{
+		{"scored", benchUnkName(4711)},
+		{"pruned", benchPrunedName},
+		{"listed", "c2.evil7.net"},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, "/v1/domains/"+kind.domain, nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env.gs.advance(env.gs.g, nil, true)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+			if live := env.srv.lookupsLive.Value(); live != 0 {
+				b.Fatalf("%d lookups fell through to the live graph", live)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -34,10 +35,11 @@ import (
 //   - the delta is inexact (first snapshot, ring overflow, epoch rotation);
 //   - the observation day changed (scores are per-day);
 //   - the detector was reloaded (different model or threshold regime);
-//   - the session's prune plan was recomputed — by this pass or by a lookup
-//     in between — and its signature is no longer the one the rows were
-//     scored under (graph-global thresholds thetaD/thetaM shifted, which
-//     can change the pruning fate of untouched domains).
+//   - the session's prune plan was recomputed — by this pass or by a
+//     by-name request that fell through to the live graph in between — and
+//     its signature is no longer the one the rows were scored under
+//     (graph-global thresholds thetaD/thetaM shifted, which can change the
+//     pruning fate of untouched domains).
 //
 // Feature extraction itself reads graph-global state beyond the dirty
 // set (e2LD popularity, machine degree distributions), so delta scoring
@@ -55,13 +57,13 @@ type pass struct {
 	pruneSig uint64
 	// rows are the scored domains in render order (score descending, then
 	// name); the first detected of them are at or above the threshold.
-	// byID holds the same scores indexed by graph's domain node id, for
-	// lookups. missing lists the targets absent from the pruned graph (they
-	// cannot be detected), sorted ascending.
+	// missing lists the targets absent from the pruned graph (they cannot
+	// be detected), by name ascending. byID indexes both by graph's domain
+	// node id, for lookups and for the next pass's merge.
 	rows     []ClassifyDetection
 	detected int
+	missing  []missingDomain
 	byID     []domainScore
-	missing  []string
 	// aux holds the auxiliary detectors' scores for this snapshot; nil
 	// when none is enabled or none completed.
 	aux auxScores
@@ -72,23 +74,43 @@ type pass struct {
 	diff *tracker.DayDiff
 }
 
-// domainScore is one domain's entry in pass.byID; the zero value means the
-// domain has no row.
+// domainScore is one domain's entry in pass.byID: scored when it has a
+// row, missing when it is listed in pass.missing. The zero value is a
+// domain the pass holds neither for — a known-labeled one, or an unknown
+// that pruning removed.
 type domainScore struct {
 	score    float64
 	version  uint64
 	detected bool
 	scored   bool
+	missing  bool
 }
 
-// lookup returns the pass's row for one domain.
-func (p *pass) lookup(name string) (ClassifyDetection, bool) {
-	d, ok := p.graph.DomainIndex(name)
-	if !ok || int(d) >= len(p.byID) || !p.byID[d].scored {
+// missingDomain is one entry of pass.missing.
+type missingDomain struct {
+	name string
+	id   int32
+}
+
+// row returns the pass's row for domain node d of its graph.
+func (p *pass) row(d int32) (ClassifyDetection, bool) {
+	e := p.byID[d]
+	if !e.scored {
 		return ClassifyDetection{}, false
 	}
-	e := p.byID[d]
-	return ClassifyDetection{Domain: name, Score: e.score, Detected: e.detected, ScoreVersion: e.version}, true
+	return ClassifyDetection{Domain: p.graph.DomainName(d), Score: e.score, Detected: e.detected, ScoreVersion: e.version, id: d}, true
+}
+
+// missingNames renders pass.missing for a reply.
+func (p *pass) missingNames() []string {
+	if len(p.missing) == 0 {
+		return nil
+	}
+	names := make([]string, len(p.missing))
+	for i, m := range p.missing {
+		names[i] = m.name
+	}
+	return names
 }
 
 // rowCmp is the render order of classify-all rows: score descending,
@@ -104,22 +126,19 @@ func rowCmp(a, b ClassifyDetection) int {
 	return strings.Compare(a.Domain, b.Domain)
 }
 
-func rowName(row ClassifyDetection) string { return row.Domain }
+func missingCmp(a, b missingDomain) int { return strings.Compare(a.name, b.name) }
 
-// mergeSorted merges old (minus the elements whose name is in changed)
-// with add, both sorted by cmp, into a new slice — copy-on-write: old
-// may still back an in-flight response.
-func mergeSorted[T any](old []T, changed map[string]bool, name func(T) string, add []T, cmp func(a, b T) int) []T {
+// mergeSorted merges the elements of old that keep holds for with add,
+// both sorted by cmp, into a new slice — copy-on-write: old may still back
+// an in-flight response.
+func mergeSorted[T any](old []T, keep func(T) bool, add []T, cmp func(a, b T) int) []T {
 	if len(old) == 0 {
 		return add
-	}
-	if len(changed) == 0 && len(add) == 0 {
-		return old
 	}
 	out := make([]T, 0, len(old)+len(add))
 	j := 0
 	for _, e := range old {
-		if changed[name(e)] {
+		if !keep(e) {
 			continue
 		}
 		for j < len(add) && cmp(add[j], e) < 0 {
@@ -129,15 +148,6 @@ func mergeSorted[T any](old []T, changed map[string]bool, name func(T) string, a
 		out = append(out, e)
 	}
 	return append(out, add[j:]...)
-}
-
-// passAt returns the published pass when it answers for the given graph
-// version under the given model, else nil.
-func (s *Server) passAt(version uint64, m *loadedModel) *pass {
-	if p := s.pass.Load(); p != nil && p.version == version && p.model == m {
-		return p
-	}
-	return nil
 }
 
 // classifyAll produces the next pass and publishes it. It holds passMu
@@ -180,26 +190,27 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 	}
 
 	// A delta pass re-scores the dirty domains that are still
-	// unknown-labeled targets; a dirty domain that got labeled or vanished
-	// only drops out. A full pass scores every unknown (nil targets).
+	// unknown-labeled targets; a dirty domain that got labeled only drops
+	// out. A full pass scores every unknown (nil targets). The changed set
+	// is kept as node ids, which are stable along an exact delta.
 	full := prev == nil || !delta.Exact || prev.graph.Day() != g.Day() || prev.model != m
 	var (
-		changed    map[string]bool
-		changedIDs []int32
-		targets    []string
+		changed   []int32
+		targets   []string
+		targetIDs []int32
 	)
 	if !full {
-		changed = make(map[string]bool, len(delta.Domains))
 		for _, name := range delta.Domains {
-			if changed[name] {
-				continue
-			}
-			changed[name] = true
 			if d, ok := g.DomainIndex(name); ok {
-				changedIDs = append(changedIDs, d)
-				if g.DomainLabel(d) == graph.LabelUnknown {
-					targets = append(targets, name)
-				}
+				changed = append(changed, d)
+			}
+		}
+		slices.Sort(changed)
+		changed = slices.Compact(changed)
+		for _, d := range changed {
+			if g.DomainLabel(d) == graph.LabelUnknown {
+				targets = append(targets, g.DomainName(d))
+				targetIDs = append(targetIDs, d)
 			}
 		}
 	}
@@ -208,7 +219,6 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 	// (minus any dropped targets) and the session is not consulted.
 	var (
 		dets     []core.Detection
-		missing  []string
 		pruneSig uint64
 	)
 	if !full {
@@ -241,13 +251,13 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 			// scan).
 			clsSpan.SetAttr("prune", "shifted")
 			clsSpan.End()
-			full, targets = true, nil
+			full, targets, targetIDs = true, nil, nil
 			continue
 		}
-		missing, pruneSig = report.Missing, report.PruneSig
+		pruneSig = report.PruneSig
 		clsSpan.SetAttr("prune", pruneAttr(report.PrunedCached))
 		clsSpan.SetAttr("pruned_cached", report.PrunedCached)
-		clsSpan.SetAttr("targets", len(dets)+len(missing))
+		clsSpan.SetAttr("targets", len(dets)+len(report.Missing))
 		clsSpan.SetAttr("scored", len(dets))
 		clsSpan.RecordChild(obs.StageFeatureExtract, report.Timing.Extract)
 		clsSpan.End()
@@ -256,12 +266,19 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 	}
 
 	// Install: the new rows merged into the previous pass's — a full pass
-	// is a delta against an empty previous pass.
+	// is a delta against an empty previous pass. The previous index carries
+	// over by position: one copy, the changed domains cleared, and what is
+	// left says which previous rows and missing entries still hold.
 	base := prev
 	if full {
-		base, changed, changedIDs = &pass{}, nil, nil
+		base, changed = &pass{}, nil
 	}
-	p = &pass{graph: g, version: version, model: m, pruneSig: pruneSig, rescored: len(dets) + len(missing)}
+	p = &pass{graph: g, version: version, model: m, pruneSig: pruneSig, rows: base.rows, missing: base.missing}
+	p.byID = make([]domainScore, g.NumDomains())
+	copy(p.byID, base.byID)
+	for _, d := range changed {
+		p.byID[d] = domainScore{}
+	}
 	threshold := m.det.Threshold()
 	add := make([]ClassifyDetection, len(dets))
 	for i, d := range dets {
@@ -270,25 +287,31 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 			Score:        d.Score,
 			Detected:     d.Score >= threshold,
 			ScoreVersion: version,
+			id:           d.ID,
 		}
 	}
-	p.rows = mergeSorted(base.rows, changed, rowName, add, rowCmp)
-	p.detected = sort.Search(len(p.rows), func(i int) bool { return !p.rows[i].Detected })
-	// Node ids are stable along an exact delta (see GraphSource), so the
-	// previous index carries over by position: one copy, then the changed
-	// domains are cleared and the re-scored ones written.
-	p.byID = make([]domainScore, g.NumDomains())
-	copy(p.byID, base.byID)
-	for _, d := range changedIDs {
-		p.byID[d] = domainScore{}
+	if full || len(changed) > 0 {
+		p.rows = mergeSorted(base.rows, func(row ClassifyDetection) bool { return p.byID[row.id].scored }, add, rowCmp)
 	}
 	for _, row := range add {
-		if d, ok := g.DomainIndex(row.Domain); ok {
-			p.byID[d] = domainScore{score: row.Score, version: version, detected: row.Detected, scored: true}
+		p.byID[row.id] = domainScore{score: row.Score, version: version, detected: row.Detected, scored: true}
+	}
+	p.detected = sort.Search(len(p.rows), func(i int) bool { return !p.rows[i].Detected })
+	// A target without a row was absent from the pruned graph.
+	var missing []missingDomain
+	for i, d := range targetIDs {
+		if !p.byID[d].scored {
+			missing = append(missing, missingDomain{name: targets[i], id: d})
 		}
 	}
-	sort.Strings(missing)
-	p.missing = mergeSorted(base.missing, changed, func(name string) string { return name }, missing, strings.Compare)
+	slices.SortFunc(missing, missingCmp)
+	if len(changed) > 0 {
+		p.missing = mergeSorted(base.missing, func(e missingDomain) bool { return p.byID[e.id].missing }, missing, missingCmp)
+	}
+	for _, e := range missing {
+		p.byID[e.id].missing = true
+	}
+	p.rescored = len(dets) + len(missing)
 	s.cacheMisses.Add(int64(p.rescored))
 	s.cacheHits.Add(int64(len(p.rows) + len(p.missing) - p.rescored))
 
@@ -385,22 +408,25 @@ func (s *Server) countPrune(cached bool) {
 // record, mirroring maxMachinesInResponse.
 const auditMaxMachines = maxMachinesInResponse
 
-// auditNewDetections appends one audit record per newly detected domain:
-// detected in pass p, not detected in prev, the pass before it (nil when
-// p is the first). A full pass drops prev's scores, not the memory of what
-// was already flagged — otherwise every detector reload would re-audit the
-// whole standing detection set. The feature vector is extracted from the
+// auditNewDetections appends, as one batch, one audit record per newly
+// detected domain: detected in pass p, not detected in prev, the pass
+// before it (nil when p is the first). A full pass drops prev's scores,
+// not the memory of what was already flagged — otherwise every detector
+// reload would re-audit the whole standing detection set. The feature vector is extracted from the
 // labeled live snapshot the pass classified against (the pre-prune graph,
 // so pruned-away context is still visible to the analyst) with the F2
 // window of the detector that scored the pass; evidence machines are
 // capped at auditMaxMachines.
 func (s *Server) auditNewDetections(prev, p *pass) {
 	var ex *features.Extractor
+	var recs []obs.AuditRecord
 	det := p.model.det
 	threshold := det.Threshold()
 	for _, row := range p.rows[:p.detected] {
+		// prev may be of another builder lineage (rotation, restart of the
+		// delta history), so it is asked by name, not by node id.
 		if prev != nil {
-			if was, ok := prev.lookup(row.Domain); ok && was.Detected {
+			if d, ok := prev.graph.DomainIndex(row.Domain); ok && prev.byID[d].detected {
 				continue
 			}
 		}
@@ -433,29 +459,34 @@ func (s *Server) auditNewDetections(prev, p *pass) {
 			}
 		}
 		rec.Detectors = p.aux.detectorVerdicts(row.Domain, row.Score, threshold)
-		if d, ok := p.graph.DomainIndex(row.Domain); ok {
-			v := features.BorrowVector()
-			ex.VectorInto(d, v)
-			rec.Features = make(map[string]float64, len(v))
-			for i, name := range features.Names() {
-				rec.Features[name] = v[i]
-			}
-			features.ReturnVector(v)
-			machines := p.graph.MachinesOf(d)
-			rec.MachinesTotal = len(machines)
-			for _, m := range machines {
-				if len(rec.Machines) == auditMaxMachines {
-					break
-				}
-				rec.Machines = append(rec.Machines, p.graph.MachineID(m))
-			}
+		v := features.BorrowVector()
+		ex.VectorInto(row.id, v)
+		rec.Features = make(map[string]float64, len(v))
+		for i, name := range features.Names() {
+			rec.Features[name] = v[i]
 		}
-		if err := s.cfg.Audit.Append(rec); err != nil {
-			s.auditLog.Warn("audit append failed", "domain", row.Domain, "err", err)
-			continue
+		features.ReturnVector(v)
+		machines := p.graph.MachinesOf(row.id)
+		rec.MachinesTotal = len(machines)
+		for _, m := range machines {
+			if len(rec.Machines) == auditMaxMachines {
+				break
+			}
+			rec.Machines = append(rec.Machines, p.graph.MachineID(m))
 		}
+		recs = append(recs, rec)
+	}
+	if len(recs) == 0 {
+		return
+	}
+	// One append for the whole pass: a reader of the trail sees none of
+	// the pass's records or all of them.
+	if err := s.cfg.Audit.AppendAll(recs); err != nil {
+		s.auditLog.Warn("audit append failed", "records", len(recs), "err", err)
+	}
+	for _, rec := range recs {
 		s.auditLog.Info("domain newly detected",
-			"domain", row.Domain, "score", row.Score, "threshold", threshold,
+			"domain", rec.Domain, "score", rec.Score, "threshold", threshold,
 			"day", rec.Day, "graph_version", p.version, "machines", rec.MachinesTotal)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"segugio/internal/core"
 	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
+	"segugio/internal/ingest"
 	"segugio/internal/intel"
 	"segugio/internal/ml"
 	"segugio/internal/obs"
@@ -319,7 +321,9 @@ func (ps *pruneStream) step(t *testing.T, mutate func(b *graph.Builder)) {
 // under cannot keep those rows — the pruning fate of untouched domains
 // may have moved — so it is served as a full pass: every row re-versioned,
 // prune=shifted on the abandoned delta span. That holds when the pass
-// itself recomputes the plan, and when a lookup in between already did.
+// itself recomputes the plan, and when a lookup that fell through to the
+// live graph in between already did; a lookup the last pass answers
+// touches neither the graph nor the session.
 func TestPruneShiftForcesFullPass(t *testing.T) {
 	ps, g1 := newPruneStream()
 	tr := obs.NewTracer(obs.TracerConfig{RingSize: 16})
@@ -377,13 +381,39 @@ func TestPruneShiftForcesFullPass(t *testing.T) {
 	ps.step(t, growMachines)
 	requireShiftedFullPass("plan recomputed by the pass")
 
-	// The same growth again, but a lookup of an untouched domain reaches
-	// the session first and recomputes the plan: the pass then finds a plan
-	// that is valid for its snapshot, and must still notice that it is not
-	// the one its previous rows were scored under.
-	ps.step(t, growMachines)
+	// A lookup the last pass can answer builds nothing and leaves the
+	// session alone: after a threshold-neutral step it runs no graph scan,
+	// answers at the pass's version, and the pass after it is still a
+	// cached delta.
+	passVersion := ps.gs.Version()
+	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0001)) })
 	scans := graph.FullGraphScans()
-	if code, raw := getJSON(t, ts.URL+"/v1/domains/unk.gray1.org", nil); code != http.StatusOK {
+	var dom DomainResponse
+	if code, raw := getJSON(t, ts.URL+"/v1/domains/unk.gray1.org", &dom); code != http.StatusOK {
+		t.Fatalf("lookup: %d %s", code, raw)
+	}
+	if dom.Score == nil || dom.GraphVersion != passVersion || dom.LiveVersion != passVersion+1 {
+		t.Fatalf("lookup beside a moved graph: score %v at version %d (live %d), want the pass's score at %d (live %d)",
+			dom.Score, dom.GraphVersion, dom.LiveVersion, passVersion, passVersion+1)
+	}
+	if after := graph.FullGraphScans(); after != scans {
+		t.Fatalf("a lookup the pass answers ran %d full-graph scans", after-scans)
+	}
+	if _, attrs := passAttrs(); len(attrs) != 1 || attrs[0]["mode"] != "delta" || attrs[0]["prune"] != "cached" {
+		t.Fatalf("pass after a pass-served lookup: classify spans = %v, want one cached delta span", attrs)
+	}
+
+	// The same growth again, but a lookup reaches the session first — of a
+	// name younger than the last pass, which falls through to the live
+	// graph — and recomputes the plan: the pass then finds a plan that is
+	// valid for its snapshot, and must still notice that it is not the one
+	// its previous rows were scored under.
+	ps.step(t, func(b *graph.Builder) {
+		growMachines(b)
+		b.AddQuery("inf00", "young.gray9.org")
+	})
+	scans = graph.FullGraphScans()
+	if code, raw := getJSON(t, ts.URL+"/v1/domains/young.gray9.org", nil); code != http.StatusOK {
 		t.Fatalf("lookup: %d %s", code, raw)
 	}
 	if graph.FullGraphScans() == scans {
@@ -396,19 +426,21 @@ func TestPruneShiftForcesFullPass(t *testing.T) {
 	}
 }
 
-// TestLookupMatchesClassifyAll: at one graph version a domain has one
-// score, whichever endpoint serves it — GET /v1/domains/{name}, POST
-// /v1/classify with the name, or its classify-all row — whether the pass
-// for that version has run yet (cached) or not (scored on demand through
-// the same session), before and after a detector reload.
+// TestLookupMatchesClassifyAll: a domain has one score per pass, whichever
+// endpoint serves it — GET /v1/domains/{name}, POST /v1/classify with the
+// name, or its classify-all row — and the by-name endpoints say which
+// pass: they answer at the last pass's graphVersion, with liveVersion set
+// while the graph has moved past it, and at the live version (scored on
+// demand through the same session) only while no pass exists for the
+// loaded detector — before the first one and after a reload.
 func TestLookupMatchesClassifyAll(t *testing.T) {
 	ps, g1 := newPruneStream()
 	ts := newPruneServer(t, g1, ps.gs, nil)
 
-	// onDemand scores every unknown domain through both by-name endpoints
-	// and requires them to agree with each other and, when given, with
-	// the classify-all rows of the same version.
-	onDemand := func(when string, version uint64, rows map[string]float64) map[string]float64 {
+	// byName scores every unknown domain through both by-name endpoints and
+	// requires them to answer at the given versions, to agree with each
+	// other and, when given, with the classify-all rows.
+	byName := func(when string, version, live uint64, rows map[string]float64) map[string]float64 {
 		t.Helper()
 		scores := map[string]float64{}
 		for i := 0; i < 4; i++ {
@@ -421,11 +453,13 @@ func TestLookupMatchesClassifyAll(t *testing.T) {
 			if code, raw := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Domains: []string{name}}, &one); code != http.StatusOK || len(one.Detections) != 1 {
 				t.Fatalf("%s: classify %s: %d %s", when, name, code, raw)
 			}
-			if dom.GraphVersion != version || one.GraphVersion != version {
-				t.Fatalf("%s: %s answered at versions %d/%d, want %d", when, name, dom.GraphVersion, one.GraphVersion, version)
+			if dom.GraphVersion != version || one.GraphVersion != version || dom.LiveVersion != live || one.LiveVersion != live {
+				t.Fatalf("%s: %s answered at versions %d/%d (live %d/%d), want %d (live %d)",
+					when, name, dom.GraphVersion, one.GraphVersion, dom.LiveVersion, one.LiveVersion, version, live)
 			}
-			if *dom.Score != one.Detections[0].Score {
-				t.Fatalf("%s: %s: lookup score %v != classify score %v", when, name, *dom.Score, one.Detections[0].Score)
+			if *dom.Score != one.Detections[0].Score || dom.ScoreVersion != one.Detections[0].ScoreVersion {
+				t.Fatalf("%s: %s: lookup score %v@%d != classify score %v@%d", when, name,
+					*dom.Score, dom.ScoreVersion, one.Detections[0].Score, one.Detections[0].ScoreVersion)
 			}
 			if want, ok := rows[name]; rows != nil && (!ok || want != *dom.Score) {
 				t.Fatalf("%s: %s: by-name score %v, classify-all row %v (present=%v)", when, name, *dom.Score, want, ok)
@@ -434,11 +468,10 @@ func TestLookupMatchesClassifyAll(t *testing.T) {
 		}
 		return scores
 	}
-	// agree runs the by-name endpoints before the pass for this version
-	// (on demand) and after it (from the pass), against the pass's rows.
-	agree := func(when string, version uint64) {
+	// pass runs classify-all at the given version and returns its rows,
+	// which must equal the on-demand scores of the same version, if given.
+	pass := func(when string, version uint64, onDemand map[string]float64) map[string]float64 {
 		t.Helper()
-		before := onDemand(when+", before the pass", version, nil)
 		all := classifyAllOK(t, ts)
 		if all.GraphVersion != version || len(all.Detections) != 4 {
 			t.Fatalf("%s: classify-all at version %d with %d rows, want %d with 4", when, all.GraphVersion, len(all.Detections), version)
@@ -447,23 +480,190 @@ func TestLookupMatchesClassifyAll(t *testing.T) {
 		for _, d := range all.Detections {
 			rows[d.Domain] = d.Score
 		}
-		for name, score := range before {
+		for name, score := range onDemand {
 			if rows[name] != score {
 				t.Fatalf("%s: %s scored %v on demand, %v by the pass", when, name, score, rows[name])
 			}
 		}
-		onDemand(when+", after the pass", version, rows)
+		return rows
+	}
+	live := func() int64 { return ts.srv.lookupsLive.Value() }
+
+	onDemand := byName("cold, from the live graph", 1, 0, nil)
+	rows := pass("cold", 1, onDemand)
+	fromLive := live()
+	byName("after the first pass", 1, 0, rows)
+
+	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) })
+	byName("after a delta, before its pass", 1, 2, rows)
+	rows = pass("after a delta", 2, nil)
+	byName("after a delta and its pass", 2, 0, rows)
+	if live() != fromLive {
+		t.Fatalf("%d by-name requests went to the live graph with a pass to answer them", live()-fromLive)
 	}
 
-	agree("cold", 1)
-	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) })
-	agree("after a delta", 2)
 	if code, raw := postJSON(t, ts.URL+"/v1/reload", nil, nil); code != http.StatusOK {
 		t.Fatalf("reload: %d %s", code, raw)
 	}
-	onDemand("after a reload, from the fresh session", 2, nil)
 	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray1.org", dnsutil.IPv4(0x0cff0001)) })
-	agree("after a reload", 3)
+	onDemand = byName("after a reload, from the live graph", 3, 0, nil)
+	if live() != fromLive+8 {
+		t.Fatalf("%d of 8 by-name requests went to the live graph after a reload", live()-fromLive)
+	}
+	rows = pass("after a reload", 3, onDemand)
+	byName("after a reload and a pass", 3, 0, rows)
+}
+
+// countingSource is a live stream as a lookup sees it: the version moves
+// on every read, and every snapshot taken is counted.
+type countingSource struct {
+	g         *graph.Graph
+	version   atomic.Uint64
+	snapshots atomic.Int64
+}
+
+func (s *countingSource) Snapshot() (*graph.Graph, uint64) {
+	s.snapshots.Add(1)
+	return s.g, s.version.Add(1)
+}
+func (s *countingSource) Day() int        { return s.g.Day() }
+func (s *countingSource) Version() uint64 { return s.version.Add(1) }
+func (s *countingSource) SnapshotSince(uint64) (*graph.Graph, uint64, graph.Delta) {
+	return s.g, s.version.Add(1), graph.Delta{}
+}
+
+// lonelyName is an unknown domain one machine queries: R3 prunes it.
+const lonelyName = "lonely.gray9.org"
+
+// TestLookupTakesNoSnapshot: beside a stream that never stands still, a
+// by-name request the last pass can answer — scored, pruned or listed —
+// takes no snapshot, scans no graph, and is counted as served by the pass.
+func TestLookupTakesNoSnapshot(t *testing.T) {
+	b, src := pruneGraphParts(42)
+	b.AddQuery("inf00", lonelyName)
+	g := b.Snapshot()
+	g.ApplyLabels(src)
+	gs := &countingSource{g: g}
+	ts := newPruneServer(t, g, gs, nil)
+	pass := classifyAllOK(t, ts)
+	scans := graph.FullGraphScans()
+
+	const requests = 1000
+	for i := 0; i < requests; i++ {
+		scored := fmt.Sprintf("unk.gray%d.org", i%4)
+		switch i % 5 {
+		case 0, 1, 2:
+			name := []string{scored, lonelyName, fmt.Sprintf("c2.evil%d.net", i%10)}[i%5]
+			var dom DomainResponse
+			if code, raw := getJSON(t, ts.URL+"/v1/domains/"+name, &dom); code != http.StatusOK {
+				t.Fatalf("lookup %s: %d %s", name, code, raw)
+			}
+			if dom.GraphVersion != pass.GraphVersion || dom.LiveVersion <= pass.GraphVersion {
+				t.Fatalf("lookup %s at version %d (live %d), want the pass's %d and a later live version", name, dom.GraphVersion, dom.LiveVersion, pass.GraphVersion)
+			}
+			if (dom.Score != nil) != (name == scored) || dom.Pruned != (name == lonelyName) || dom.QueryingMachines == 0 {
+				t.Fatalf("lookup %s: score %v pruned %v machines %d", name, dom.Score, dom.Pruned, dom.QueryingMachines)
+			}
+		default:
+			var one ClassifyResponse
+			req := ClassifyRequest{Domains: []string{scored, lonelyName}}
+			if code, raw := postJSON(t, ts.URL+"/v1/classify", req, &one); code != http.StatusOK {
+				t.Fatalf("classify %v: %d %s", req.Domains, code, raw)
+			}
+			if one.GraphVersion != pass.GraphVersion || len(one.Detections) != 1 || one.Detections[0].Domain != scored ||
+				len(one.Missing) != 1 || one.Missing[0] != lonelyName {
+				t.Fatalf("classify %v: version %d, detections %v, missing %v", req.Domains, one.GraphVersion, one.Detections, one.Missing)
+			}
+		}
+	}
+	if n := gs.snapshots.Load(); n != 0 {
+		t.Fatalf("%d by-name requests took %d snapshots", requests, n)
+	}
+	if after := graph.FullGraphScans(); after != scans {
+		t.Fatalf("%d by-name requests ran %d full-graph scans", requests, after-scans)
+	}
+	if fromPass, live := ts.srv.lookupsPass.Value(), ts.srv.lookupsLive.Value(); fromPass != requests || live != 0 {
+		t.Fatalf("lookups_total: pass %d, live %d, want %d and 0", fromPass, live, requests)
+	}
+}
+
+// TestLookupFallsThrough: what the last pass cannot answer for goes to the
+// live graph, so "not observed" stays exact and a name is never scored
+// against a day it does not belong to.
+func TestLookupFallsThrough(t *testing.T) {
+	b, src := pruneGraphParts(42)
+	b.AddQuery("inf00", lonelyName)
+	g := b.Snapshot()
+	g.ApplyLabels(src)
+	ps := &pruneStream{b: b, src: src, gs: &deltaSource{g: g, version: 1}}
+	ts := newPruneServer(t, g, ps.gs, nil)
+	classifyAllOK(t, ts)
+	lookup := func(name string, wantCode int) DomainResponse {
+		t.Helper()
+		var dom DomainResponse
+		if code, raw := getJSON(t, ts.URL+"/v1/domains/"+name, &dom); code != wantCode {
+			t.Fatalf("lookup %s: %d %s, want %d", name, code, raw, wantCode)
+		}
+		return dom
+	}
+	sources := func() (fromPass, live int64) { return ts.srv.lookupsPass.Value(), ts.srv.lookupsLive.Value() }
+
+	// What the pass pruned it answers for: no score, and the reason.
+	if dom := lookup(lonelyName, http.StatusOK); dom.Score != nil || !dom.Pruned || dom.GraphVersion != 1 {
+		t.Fatalf("pruned name: score %v pruned %v at version %d, want no score, pruned, version 1", dom.Score, dom.Pruned, dom.GraphVersion)
+	}
+	var one ClassifyResponse
+	if code, raw := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Domains: []string{lonelyName}}, &one); code != http.StatusOK ||
+		len(one.Detections) != 0 || len(one.Missing) != 1 || one.Missing[0] != lonelyName {
+		t.Fatalf("pruned name by classify: %d %s, want it missing", code, raw)
+	}
+	if fromPass, live := sources(); fromPass != 2 || live != 0 {
+		t.Fatalf("pruned name: lookups pass/live = %d/%d, want 2/0", fromPass, live)
+	}
+
+	// A name interned after the pass is scored on the live graph; a name
+	// nobody queried is 404, which only the live graph can say.
+	ps.step(t, func(b *graph.Builder) {
+		for m := 0; m < 5; m++ {
+			b.AddQuery(fmt.Sprintf("inf%02d", m), "young.gray8.org")
+		}
+	})
+	if dom := lookup("young.gray8.org", http.StatusOK); dom.Score == nil || dom.GraphVersion != 2 || dom.LiveVersion != 0 {
+		t.Fatalf("name younger than the pass: score %v at version %d (live %d), want a score at the live version 2", dom.Score, dom.GraphVersion, dom.LiveVersion)
+	}
+	lookup("never.seen.example", http.StatusNotFound)
+	if fromPass, live := sources(); fromPass != 2 || live != 2 {
+		t.Fatalf("young and absent names: lookups pass/live = %d/%d, want 2/2", fromPass, live)
+	}
+	// A labeled name is evidence-only for GET, which the pass has; a
+	// classify of it scores it with its label hidden, which no pass does.
+	lookup("c2.evil0.net", http.StatusOK)
+	if code, raw := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Domains: []string{"c2.evil0.net"}}, &one); code != http.StatusOK || len(one.Detections) != 1 {
+		t.Fatalf("labeled name by classify: %d %s, want it scored", code, raw)
+	}
+	if fromPass, live := sources(); fromPass != 3 || live != 3 {
+		t.Fatalf("labeled name: lookups pass/live = %d/%d, want 3/3", fromPass, live)
+	}
+
+	// The day rotates: the finished day's pass never answers for the new
+	// day, not even for a name both days hold.
+	b2, src2 := pruneGraphParts(43)
+	g2 := b2.Snapshot()
+	g2.ApplyLabels(src2)
+	ps.gs.advance(g2, nil, false)
+	if dom := lookup("unk.gray0.org", http.StatusOK); dom.Day != 43 || dom.GraphVersion != 3 || dom.Score == nil {
+		t.Fatalf("after a rotation: day %d version %d score %v, want the new day's live graph", dom.Day, dom.GraphVersion, dom.Score)
+	}
+	if fromPass, live := sources(); fromPass != 3 || live != 4 {
+		t.Fatalf("after a rotation: lookups pass/live = %d/%d, want 3/4", fromPass, live)
+	}
+	classifyAllOK(t, ts)
+	if dom := lookup("unk.gray0.org", http.StatusOK); dom.Day != 43 || dom.Score == nil {
+		t.Fatalf("after the new day's first pass: day %d score %v", dom.Day, dom.Score)
+	}
+	if fromPass, live := sources(); fromPass != 4 || live != 4 {
+		t.Fatalf("after the new day's first pass: lookups pass/live = %d/%d, want 4/4", fromPass, live)
+	}
 }
 
 // TestLookupDoesNotWaitForPass: readers load the last completed pass; they
@@ -524,6 +724,51 @@ func TestLookupDoesNotWaitForPass(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+
+	// Nor do they queue behind a day rotation: with one parked in the
+	// ingester's OnRotate hook the source already reports the new day, the
+	// finished day's pass no longer answers, and the lookup is served from
+	// the new day's live graph at once.
+	parked, resume := make(chan struct{}), make(chan struct{})
+	_, src := testGraphParts(t, 42)
+	in := ingest.New(ingest.Config{
+		Network: "live", StartDay: 42, Workers: 2,
+		PrepareSnapshot: func(g *graph.Graph) { g.ApplyLabels(src) },
+		OnRotate:        func(int, *graph.Graph) { close(parked); <-resume },
+	})
+	defer in.Shutdown()
+	defer close(resume)
+	var day strings.Builder
+	for i := 0; i < 4; i++ {
+		for m := 0; m < 5; m++ {
+			fmt.Fprintf(&day, "q\t42\tinf%02d\tunk%d.gray.org\n", (i+m)%12, i)
+		}
+	}
+	if err := in.Consume(strings.NewReader(day.String())); err != nil {
+		t.Fatal(err)
+	}
+	rts := newTestServer(t, func(cfg *Config) { cfg.Graphs = in })
+	for classifyAllOK(t, rts).Classified != 4 {
+		time.Sleep(5 * time.Millisecond) // the workers are still applying the day
+	}
+	if err := in.Consume(strings.NewReader("q\t43\tinf00\tunk0.gray.org\n")); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	go func() {
+		var l lookup
+		l.code, _ = getJSON(t, rts.URL+"/v1/domains/unk0.gray.org", &l.resp)
+		answered <- l
+	}()
+	select {
+	case l := <-answered:
+		if l.code != http.StatusOK || l.resp.Day != 43 || l.resp.QueryingMachines != 1 {
+			t.Errorf("lookup beside a parked rotation: code %d, day %d, %d machines; want the new day's graph (43, 1 machine)",
+				l.code, l.resp.Day, l.resp.QueryingMachines)
+		}
+	case <-time.After(time.Second):
+		t.Error("lookup waited for the rotation hook")
+	}
 }
 
 // TestDomainLookupUsesCache checks GET /v1/domains/{name} serves the

@@ -229,6 +229,8 @@ type Server struct {
 	cacheMisses *metrics.Counter
 	pruneHits   *metrics.Counter
 	pruneMisses *metrics.Counter
+	// lookups counts by-name requests by the snapshot that answered.
+	lookupsPass, lookupsLive *metrics.Counter
 
 	detPassLat       map[string]*metrics.Histogram
 	detPassErrs      map[string]*metrics.Counter
@@ -303,6 +305,15 @@ func New(cfg Config) *Server {
 		"Classify-all passes that reused the memoized prune pipeline (prober filter, prune plan, extractor).", "")
 	s.pruneMisses = r.NewCounter("segugiod_classify_prune_cache_misses_total",
 		"Classify-all passes that had to recompute the prune pipeline with a full graph scan.", "")
+	lookups := func(source string) *metrics.Counter {
+		return r.NewCounter("segugiod_lookups_total",
+			"By-name requests (GET /v1/domains/{name}, POST /v1/classify with domains) by the snapshot that answered: "+
+				"pass is the last completed classify pass's own, with nothing built; live is a fresh snapshot, taken because "+
+				"no pass exists yet for the loaded detector (start-up, reload), the pass is of another day (rotation), "+
+				"or the pass cannot answer for a requested name (interned since the pass, absent, or a labeled name in a classify).",
+			metrics.Labels("source", source))
+	}
+	s.lookupsPass, s.lookupsLive = lookups("pass"), lookups("live")
 	s.detPassLat = map[string]*metrics.Histogram{}
 	s.detPassErrs = map[string]*metrics.Counter{}
 	for _, name := range cfg.Detectors {
@@ -532,10 +543,13 @@ type ClassifyRequest struct {
 // can lag the response's GraphVersion for domains whose evidence did not
 // change between the two snapshots.
 type ClassifyDetection struct {
-	Domain       string  `json:"domain"`
-	Score        float64 `json:"score"`
-	Detected     bool    `json:"detected"`
-	ScoreVersion uint64  `json:"scoreVersion"`
+	Domain   string  `json:"domain"`
+	Score    float64 `json:"score"`
+	Detected bool    `json:"detected"`
+	// id is the domain's node id in the graph of the pass the row belongs
+	// to (zero on a row no pass holds); it sits in Detected's padding.
+	id           int32
+	ScoreVersion uint64 `json:"scoreVersion"`
 	// Detectors carries per-plugin scores (keyed by plugin name plus
 	// "fused" for the ensemble) when auxiliary detectors are enabled and
 	// have scored this snapshot. Score/Detected above stay the primary
@@ -543,7 +557,10 @@ type ClassifyDetection struct {
 	Detectors map[string]float64 `json:"detectors,omitempty"`
 }
 
-// ClassifyResponse is the POST /v1/classify reply.
+// ClassifyResponse is the POST /v1/classify reply. A reply with Domains
+// given is served from the last completed pass when that pass can answer
+// it (see Server.readSnapshot): GraphVersion is then the pass's, and
+// LiveVersion says how far the live graph has moved since.
 type ClassifyResponse struct {
 	Day          int                 `json:"day"`
 	GraphVersion uint64              `json:"graphVersion"`
@@ -557,6 +574,9 @@ type ClassifyResponse struct {
 	// pass because the current pass blew its deadline: scores, day, and
 	// graphVersion all describe that earlier pass. Absent when fresh.
 	Stale bool `json:"stale,omitempty"`
+	// LiveVersion is the live graph's version when it is ahead of
+	// GraphVersion: the reply describes the graph as of the last pass.
+	LiveVersion uint64 `json:"liveVersion,omitempty"`
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -612,16 +632,27 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			Day:          p.graph.Day(),
 			GraphVersion: p.version,
 			Classified:   len(p.rows),
-			Missing:      p.missing,
+			Missing:      p.missingNames(),
 			Stale:        stale,
 		}
+	} else if g, version, p, ids := s.readSnapshot(r.Context(), m, req.Domains, true); p != nil {
+		// The last pass answers: its rows for the names it scored, missing
+		// for the ones its pruning removed.
+		var missing []string
+		for i, d := range ids {
+			if row, ok := p.row(d); ok {
+				rows = append(rows, row)
+			} else {
+				missing = append(missing, req.Domains[i])
+			}
+		}
+		slices.SortFunc(rows, rowCmp)
+		aux = p.aux
+		resp = ClassifyResponse{Day: g.Day(), GraphVersion: version, Classified: len(rows), Missing: missing}
 	} else {
-		// Explicit domain lists are ad-hoc queries against a fresh
-		// snapshot, scored through the same session as the passes: the
-		// frozen prune plan is reused while it holds.
-		_, snapSpan := s.cfg.Tracer.StartSpan(r.Context(), obs.StageSnapshot)
-		g, version := s.cfg.Graphs.Snapshot()
-		snapSpan.End()
+		// No pass can answer: an ad-hoc query against the fresh snapshot,
+		// scored through the same session as the passes (the frozen prune
+		// plan is reused while it holds).
 		if !g.Labeled() {
 			s.writeError(w, http.StatusServiceUnavailable, "%v", errNotLabeled)
 			return
@@ -649,14 +680,16 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 				Detected: d.Score >= threshold, ScoreVersion: version,
 			})
 		}
-		if p := s.passAt(version, m); p != nil {
-			aux = p.aux
-		}
 		resp = ClassifyResponse{
 			Day:          g.Day(),
 			GraphVersion: version,
 			Classified:   report.Classified,
 			Missing:      report.Missing,
+		}
+	}
+	if len(req.Domains) > 0 {
+		if live := s.cfg.Graphs.Version(); live > resp.GraphVersion {
+			resp.LiveVersion = live
 		}
 	}
 	took := time.Since(t0)
@@ -682,19 +715,27 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 }
 
 // DomainResponse is the GET /v1/domains/{name} reply: the analyst-facing
-// evidence of internal/report, measured against the live graph.
+// evidence of internal/report. Score and evidence are of one snapshot, the
+// one GraphVersion names: the last completed pass's when that pass holds
+// the name (see Server.readSnapshot), else a fresh one.
 type DomainResponse struct {
-	Domain       string   `json:"domain"`
-	Day          int      `json:"day"`
-	GraphVersion uint64   `json:"graphVersion"`
-	Label        string   `json:"label"`
-	E2LD         string   `json:"e2ld"`
-	Score        *float64 `json:"score,omitempty"`
-	Detected     *bool    `json:"detected,omitempty"`
+	Domain       string `json:"domain"`
+	Day          int    `json:"day"`
+	GraphVersion uint64 `json:"graphVersion"`
+	// LiveVersion is the live graph's version when it is ahead of
+	// GraphVersion: the reply describes the graph as of the last pass.
+	LiveVersion uint64   `json:"liveVersion,omitempty"`
+	Label       string   `json:"label"`
+	E2LD        string   `json:"e2ld"`
+	Score       *float64 `json:"score,omitempty"`
+	Detected    *bool    `json:"detected,omitempty"`
 	// ScoreVersion is the graph version the score was computed at; it can
 	// lag GraphVersion when the score came from the classify-all cache and
 	// this domain's evidence has not changed since.
 	ScoreVersion uint64 `json:"scoreVersion,omitempty"`
+	// Pruned marks an unknown-labeled domain without a score: the prune
+	// rules (R1-R4) removed it from the graph classification runs on.
+	Pruned bool `json:"pruned,omitempty"`
 	// Detectors carries per-plugin scores (plus "fused") when auxiliary
 	// detectors are enabled and current for this snapshot.
 	Detectors map[string]float64 `json:"detectors,omitempty"`
@@ -716,6 +757,38 @@ type DomainResponse struct {
 // report.MaxMachinesPerDomain.
 const maxMachinesInResponse = 25
 
+// readSnapshot picks the snapshot a by-name request is answered on. The
+// published pass's own — then p is that pass, ids are the names' node ids
+// in its graph, and the request builds nothing: no snapshot, no prune
+// plan, no view — when the pass was scored by the loaded model m, is of
+// the source's current day, and holds every name (with unknownOnly: as an
+// unknown-labeled domain, the only kind a pass scores). Otherwise a fresh
+// snapshot with p nil: no pass yet for this model (start-up, reload) or
+// this day (rotation), or a name the pass cannot answer for — interned
+// since, absent, or (unknownOnly) carrying a ground-truth label.
+func (s *Server) readSnapshot(ctx context.Context, m *loadedModel, names []string, unknownOnly bool) (g *graph.Graph, version uint64, p *pass, ids []int32) {
+	if p = s.pass.Load(); p != nil && p.model == m && p.graph.Day() == s.cfg.Graphs.Day() {
+		ids = make([]int32, len(names))
+		for i, name := range names {
+			d, ok := p.graph.DomainIndex(name)
+			if !ok || unknownOnly && p.graph.DomainLabel(d) != graph.LabelUnknown {
+				ids = nil
+				break
+			}
+			ids[i] = d
+		}
+		if ids != nil {
+			s.lookupsPass.Inc()
+			return p.graph, p.version, p, ids
+		}
+	}
+	s.lookupsLive.Inc()
+	_, snapSpan := s.cfg.Tracer.StartSpan(ctx, obs.StageSnapshot)
+	g, version = s.cfg.Graphs.Snapshot()
+	snapSpan.End()
+	return g, version, nil, nil
+}
+
 func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	name, err := dnsutil.Normalize(r.PathValue("name"))
@@ -723,17 +796,19 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad domain: %v", err)
 		return
 	}
-	g, version := s.cfg.Graphs.Snapshot()
+	m := s.model()
+	g, version, p, ids := s.readSnapshot(r.Context(), m, []string{name}, false)
 	if !g.Labeled() {
 		s.writeError(w, http.StatusServiceUnavailable, "live graph is not labeled yet")
 		return
 	}
-	d, ok := g.DomainIndex(name)
-	if !ok {
+	d, found := int32(0), p != nil
+	if found {
+		d = ids[0]
+	} else if d, found = g.DomainIndex(name); !found {
 		s.writeError(w, http.StatusNotFound, "domain %q not observed in the current window", name)
 		return
 	}
-	m := s.model()
 	ex, err := features.NewExtractor(g, s.cfg.Activity, s.cfg.Abuse, f2Window(m))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "extractor: %v", err)
@@ -756,6 +831,9 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		MalwareIPFraction:     v[features.FMalwareIPFraction],
 		MalwarePrefixFraction: v[features.FMalwarePrefixFraction],
 	}
+	if live := s.cfg.Graphs.Version(); live > version {
+		resp.LiveVersion = live
+	}
 	for _, ip := range g.DomainIPs(d) {
 		resp.ResolvedIPs = append(resp.ResolvedIPs, ip.String())
 	}
@@ -767,9 +845,19 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	}
 	// Score the domain when a detector is loaded and the domain is a
 	// classification target (unknown label). The score is measured on the
-	// pruned deployment graph, so a pruned-away domain has no score.
+	// pruned deployment graph, so a pruned-away domain has none.
 	if m != nil && g.DomainLabel(d) == graph.LabelUnknown {
-		if row, aux, ok := s.scoreDomain(r.Context(), m, g, version, name); ok {
+		var row ClassifyDetection
+		var aux auxScores
+		var scored bool
+		if p != nil {
+			row, scored = p.row(d)
+			aux = p.aux
+		} else {
+			row, scored = s.scoreDomain(r.Context(), m, g, version, name)
+		}
+		resp.Pruned = !scored
+		if scored {
 			resp.Score, resp.Detected, resp.ScoreVersion = &row.Score, &row.Detected, row.ScoreVersion
 			resp.Detectors = aux.detectorScores(name, row.Score, m.det.Threshold())
 		}
@@ -778,16 +866,10 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// scoreDomain returns one unknown domain's row at snapshot g: the last
-// pass's, with that pass's aux scores, when the pass is current for the
-// snapshot; otherwise the session scores the one name on demand. Not ok
-// when the domain has no score (pruned away).
-func (s *Server) scoreDomain(ctx context.Context, m *loadedModel, g *graph.Graph, version uint64, name string) (ClassifyDetection, auxScores, bool) {
-	if p := s.passAt(version, m); p != nil {
-		if row, ok := p.lookup(name); ok {
-			return row, p.aux, true
-		}
-	}
+// scoreDomain scores one unknown domain of the fresh snapshot g on demand,
+// through the session the passes use. Not ok when the domain has no score
+// (pruned away).
+func (s *Server) scoreDomain(ctx context.Context, m *loadedModel, g *graph.Graph, version uint64, name string) (ClassifyDetection, bool) {
 	dets, _, err := m.session.ClassifyDelta(core.ClassifyInput{
 		Ctx:      ctx,
 		Graph:    g,
@@ -796,10 +878,10 @@ func (s *Server) scoreDomain(ctx context.Context, m *loadedModel, g *graph.Graph
 		Domains:  []string{name},
 	})
 	if err != nil || len(dets) != 1 {
-		return ClassifyDetection{}, nil, false
+		return ClassifyDetection{}, false
 	}
 	score := dets[0].Score
-	return ClassifyDetection{Domain: name, Score: score, Detected: score >= m.det.Threshold(), ScoreVersion: version}, nil, true
+	return ClassifyDetection{Domain: name, Score: score, Detected: score >= m.det.Threshold(), ScoreVersion: version}, true
 }
 
 // TrackerEntry is one tracked domain in the GET /v1/tracker reply.

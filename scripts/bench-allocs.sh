@@ -7,7 +7,10 @@
 # BenchmarkClassifyAllDelta (100k-domain fixture, 10 dirty domains per
 # pass) and fails if allocs/op exceeds the budget below, so an accidental
 # re-introduction of a full-graph rebuild shows up in CI as a hard error
-# rather than a silent slowdown. It also gates the segb1 wire format:
+# rather than a silent slowdown. It holds the read path to "a lookup the
+# last pass answers builds nothing" and the cold full pass to its id-keyed
+# prepare (see the read-path and full-pass gates). It also gates the segb1
+# wire format:
 # decode allocation budget, binary-vs-text parse speedup, and the ingest
 # frontend events/s floor (see the wire-format section below), and holds
 # the graph-apply events/s floor, the symbol-path-over-string-path apply
@@ -17,9 +20,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Measured steady state is ~70 allocs/op; the budget leaves headroom for
-# benign churn while still catching any O(graph) regression (a full pass
-# is >50k allocs/op on the same fixture).
-BUDGET=${BENCH_ALLOC_BUDGET:-1000}
+# benign churn while still catching a fall-back to the full pass, which
+# prepares by id into pre-sized slabs and is itself only ~315 allocs/op on
+# the same fixture (its O(graph) cost is gated in bytes, below).
+BUDGET=${BENCH_ALLOC_BUDGET:-200}
 
 # The residual LBP pass has the same contract at the belief layer: a
 # 10-dirty delta against the warmed 100k-unknown state re-propagates from
@@ -67,6 +71,47 @@ gate BenchmarkClassifyAllDelta ./internal/server "$BUDGET"
 # contract: the per-shard delta merge may not reintroduce per-pass
 # O(graph) allocation.
 gate BenchmarkClassifyAllDeltaSharded ./internal/server "$BUDGET"
+
+# --- Read-path and full-pass gates ----------------------------------------
+#
+# A by-name lookup beside a live stream is answered from the last pass and
+# builds nothing: ~40 allocs/op for the request, the evidence and the JSON,
+# whether the name is scored, pruned or listed. A snapshot, a prune plan or
+# a view on the request path shows up as thousands.
+LOOKUP_ALLOC_BUDGET=${BENCH_LOOKUP_ALLOC_BUDGET:-200}
+lookup_out=$(go test -run '^$' -bench 'BenchmarkDomainLookupBesideIngest$' -benchmem -benchtime 1000x ./internal/server)
+echo "$lookup_out"
+for kind in scored pruned listed; do
+    allocs=$(metric "$lookup_out" "BenchmarkDomainLookupBesideIngest/$kind-" allocs/op)
+    if [ -z "$allocs" ]; then
+        echo "bench-allocs: could not parse allocs/op for a $kind lookup" >&2
+        exit 1
+    fi
+    if [ "$allocs" -gt "$LOOKUP_ALLOC_BUDGET" ]; then
+        echo "bench-allocs: a $kind lookup beside ingest allocated $allocs allocs/op, budget is $LOOKUP_ALLOC_BUDGET" >&2
+        exit 1
+    fi
+    echo "bench-allocs: $kind lookup beside ingest: $allocs allocs/op within budget $LOOKUP_ALLOC_BUDGET"
+done
+
+# The cold full pass prepares by node and e2LD id: no per-pass name index,
+# no string-keyed e2LD counter, slabs sized up front. The ceiling is 60 % of
+# the 82.4 MB/op the string-keyed prepare allocated on the same fixture
+# (measured ~35 MB/op); rebuilding a name map per pass alone adds ~40 MB.
+FULL_PASS_BYTES_BUDGET=${BENCH_FULL_PASS_BYTES_BUDGET:-49400000}
+full_out=$(go test -run '^$' -bench 'BenchmarkClassifyAllFull$' -benchmem -benchtime 10x ./internal/server)
+echo "$full_out"
+full_bytes=$(metric "$full_out" "BenchmarkClassifyAllFull-" B/op)
+if [ -z "$full_bytes" ]; then
+    echo "bench-allocs: could not parse B/op from BenchmarkClassifyAllFull output" >&2
+    exit 1
+fi
+if [ "$full_bytes" -gt "$FULL_PASS_BYTES_BUDGET" ]; then
+    echo "bench-allocs: a full classify pass allocated $full_bytes B/op, budget is $FULL_PASS_BYTES_BUDGET" >&2
+    exit 1
+fi
+echo "bench-allocs: full classify pass: $full_bytes B/op within budget $FULL_PASS_BYTES_BUDGET"
+
 gate BenchmarkLBPResidual ./internal/belief "$LBP_BUDGET"
 gate BenchmarkScrape ./internal/tsdb "$TSDB_SCRAPE_BUDGET"
 # E2LD runs once per interned name in every builder, in snapshot decode
