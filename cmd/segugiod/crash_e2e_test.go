@@ -205,6 +205,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 		queue:        16384,
 		keepDays:     30,
 		stateDir:     state,
+		dataDir:      dataDir,
 		ckptInterval: time.Hour, // only the shutdown checkpoint
 		walSyncEvery: 1,
 	}, logger)
@@ -214,6 +215,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	// Recovery runs inside newDaemon, so its log lines are already in
 	// logBuf; snapshot them before d.run starts writing concurrently.
 	recoveryLog := logBuf.String()
+	requireStartupRecord(t, recoveryLog)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

@@ -266,6 +266,8 @@ type daemon struct {
 	srv     *server.Server
 	handle  *server.DetectorHandle
 	trk     *tracker.Tracker
+	// act is the F2 activity log: preloaded from -data, marked by ingest.
+	act *activity.Log
 
 	httpLn   net.Listener
 	eventsLn net.Listener // non-nil only for tcp:// sources
@@ -281,6 +283,7 @@ type daemon struct {
 }
 
 func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
+	start := time.Now()
 	d := &daemon{
 		opts:   opts,
 		logger: logger,
@@ -305,10 +308,10 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 	bl := intel.NewBlacklist()
 	wl := intel.NewWhitelist(nil)
 	act := activity.NewLog()
-	var abuse *pdns.AbuseIndex
+	d.act = act
 	if opts.dataDir != "" {
 		var err error
-		bl, wl, abuse, err = loadIntel(opts.dataDir, opts.startDay, act, suffixes)
+		bl, wl, err = loadLabels(opts.dataDir)
 		if err != nil {
 			return nil, err
 		}
@@ -492,6 +495,15 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 		Watermarks: d.wm,
 		ApplyHook:  opts.applyHook,
 	}
+	// The history loads run beside state recovery and the model load. They
+	// share only the activity log, whose preload is a union with the
+	// replay's marks; nothing labels a snapshot or serves a request before
+	// the join below.
+	waitHistory := startHistory(opts.dataDir, opts.startDay, act, bl, wl, suffixes)
+	var (
+		stateErr  error
+		recoveryS float64
+	)
 	if opts.stateDir == "" {
 		d.ing = ingest.New(ingCfg)
 	} else {
@@ -522,17 +534,30 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 				"Wall-clock second of the newest durable checkpoint.", ""),
 		}
 		var info *ingest.RecoveryInfo
-		d.ing, info, err = ingest.OpenDurable(ingCfg, ingest.DurableConfig{
+		t0 := time.Now()
+		d.ing, info, stateErr = ingest.OpenDurable(ingCfg, ingest.DurableConfig{
 			Dir:             opts.stateDir,
 			CheckpointEvery: opts.ckptInterval,
 			SyncEvery:       opts.walSyncEvery,
 			Metrics:         durMetrics,
 			WALHooks:        opts.walHooks,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("open state %s: %w", opts.stateDir, err)
+		recoveryS = time.Since(t0).Seconds()
+		if stateErr != nil {
+			stateErr = fmt.Errorf("open state %s: %w", opts.stateDir, stateErr)
+		} else {
+			ingLog.Info("state recovered", "dir", opts.stateDir, "summary", info.String())
 		}
-		ingLog.Info("state recovered", "dir", opts.stateDir, "summary", info.String())
+	}
+	if opts.model != "" && stateErr == nil {
+		d.handle, stateErr = server.OpenDetector(opts.model)
+	}
+	abuse, historyS, histErr := waitHistory()
+	if err := errors.Join(histErr, stateErr); err != nil {
+		if d.ing != nil {
+			d.ing.Shutdown()
+		}
+		return nil, err
 	}
 	// Queue depth is a ring (worker) property, sampled at scrape time so a
 	// backed-up shard shows up without a poll loop.
@@ -550,14 +575,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 			return out
 		})
 
-	if opts.model != "" {
-		var err error
-		d.handle, err = server.OpenDetector(opts.model)
-		if err != nil {
-			d.ing.Shutdown()
-			return nil, err
-		}
-	}
 	detNames, err := opts.detectorNames()
 	if err != nil {
 		d.ing.Shutdown()
@@ -653,37 +670,62 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 			return nil, fmt.Errorf("listen events %s: %w", addr, err)
 		}
 	}
+	// One record names the long pole of the start.
+	d.log.Info("start-up complete",
+		"activity_s", historyS[0], "pdns_s", historyS[1],
+		"recovery_s", recoveryS, "total_s", time.Since(start).Seconds())
 	return d, nil
 }
 
-// loadIntel reads the ground-truth files segugiod labels snapshots with.
-// blacklist.tsv and whitelist.txt are required once -data is given;
-// pdns.tsv (F3 abuse features) and activity.tsv (F2 history preload) are
-// optional.
-func loadIntel(dir string, day int, act *activity.Log, suffixes *dnsutil.SuffixList) (*intel.Blacklist, *intel.Whitelist, *pdns.AbuseIndex, error) {
-	var bl *intel.Blacklist
-	var wl *intel.Whitelist
+// loadLabels reads the files segugiod labels snapshots with, required
+// once -data is given: blacklist.tsv and whitelist.txt.
+func loadLabels(dir string) (bl *intel.Blacklist, wl *intel.Whitelist, err error) {
 	if err := readFile(filepath.Join(dir, "blacklist.tsv"), func(f *os.File) (err error) {
 		bl, err = logio.ReadBlacklist(f)
 		return err
 	}); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := readFile(filepath.Join(dir, "whitelist.txt"), func(f *os.File) (err error) {
 		wl, err = logio.ReadWhitelist(f)
 		return err
 	}); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	return bl, wl, nil
+}
 
-	var abuse *pdns.AbuseIndex
-	pdnsPath := filepath.Join(dir, "pdns.tsv")
-	if _, err := os.Stat(pdnsPath); err == nil {
+// startHistory loads dir's optional history files on two goroutines:
+// activity.tsv into act (F2) and pdns.tsv into an abuse index (F3) whose
+// verdicts read bl and wl. wait returns the index (nil without pdns.tsv),
+// each load's wall seconds and every load error.
+func startHistory(dir string, day int, act *activity.Log, bl *intel.Blacklist, wl *intel.Whitelist, suffixes *dnsutil.SuffixList) (wait func() (*pdns.AbuseIndex, [2]float64, error)) {
+	var (
+		wg    sync.WaitGroup
+		abuse *pdns.AbuseIndex
+		secs  [2]float64
+		errs  [2]error
+	)
+	load := func(i int, name string, fn func(f *os.File) error) {
+		path := filepath.Join(dir, name)
+		if _, err := os.Stat(path); dir == "" || err != nil {
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			errs[i] = readFile(path, fn)
+			secs[i] = time.Since(t0).Seconds()
+		}()
+	}
+	load(0, "activity.tsv", func(f *os.File) error {
+		return logio.ReadActivity(bufio.NewReader(f), act, suffixes)
+	})
+	load(1, "pdns.tsv", func(f *os.File) error {
 		db := pdns.NewDB()
-		if err := readFile(pdnsPath, func(f *os.File) error {
-			return logio.ReadPDNS(bufio.NewReader(f), db)
-		}); err != nil {
-			return nil, nil, nil, err
+		if err := logio.ReadPDNS(bufio.NewReader(f), db); err != nil {
+			return err
 		}
 		abuse = pdns.BuildAbuseIndex(db, day-150, day-1, func(d string) pdns.Verdict {
 			if bl.Contains(d, day) {
@@ -694,17 +736,12 @@ func loadIntel(dir string, day int, act *activity.Log, suffixes *dnsutil.SuffixL
 			}
 			return pdns.VerdictUnknown
 		})
+		return nil
+	})
+	return func() (*pdns.AbuseIndex, [2]float64, error) {
+		wg.Wait()
+		return abuse, secs, errors.Join(errs[:]...)
 	}
-
-	actPath := filepath.Join(dir, "activity.tsv")
-	if _, err := os.Stat(actPath); err == nil {
-		if err := readFile(actPath, func(f *os.File) error {
-			return logio.ReadActivity(bufio.NewReader(f), act, suffixes)
-		}); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return bl, wl, abuse, nil
 }
 
 func readFile(path string, fn func(f *os.File) error) error {

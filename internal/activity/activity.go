@@ -7,6 +7,7 @@
 package activity
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -39,6 +40,25 @@ func (l *Log) MarkE2LD(day int, e2ld string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.e2lds[e2ld] = insertDay(l.e2lds[e2ld], day)
+}
+
+// Merge unions per-name day lists (any order, duplicates allowed) into the
+// log under one lock: the bulk MarkDomain/MarkE2LD of history preloads, in
+// any order with live marks. It keeps the lists; the caller must not reuse
+// them.
+func (l *Log) Merge(domains, e2lds map[string][]int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	mergeSet(l.domains, domains)
+	mergeSet(l.e2lds, e2lds)
+}
+
+func mergeSet(set, add map[string][]int) {
+	for name, days := range add {
+		days = append(days, set[name]...)
+		slices.Sort(days)
+		set[name] = slices.Compact(days)
+	}
 }
 
 // insertDay inserts day into a sorted unique slice. Days normally arrive in

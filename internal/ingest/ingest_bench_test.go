@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -227,4 +228,48 @@ func BenchmarkIngestApplyShards(b *testing.B) {
 			b.ReportMetric(float64(applied.Load())/b.Elapsed().Seconds(), "events/s")
 		})
 	}
+}
+
+// BenchmarkIngestRecover is the wall time of OpenDurable on a crashed
+// 4-stripe state: 125k WAL events per stripe and no checkpoint, so each op
+// is four concurrent stripe replays plus the seeding of the merged view.
+// Each op recovers a fresh copy of the crash image (copied off the clock).
+func BenchmarkIngestRecover(b *testing.B) {
+	const shards, perShard = 4, 125000
+	image := b.TempDir()
+	in, _, err := OpenDurable(benchConfig(shards), DurableConfig{Dir: image})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := benchRing()
+	for s, batches := range benchShardBatches(shards*perShard, 256, shards) {
+		for _, batch := range batches {
+			in.apply(batch, r, s)
+		}
+	}
+	// The crash image is the state as it stands now, before Shutdown's
+	// checkpoint would make the replay empty.
+	crashed := b.TempDir()
+	copyTree(b, image, crashed)
+	in.Shutdown()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "state")
+		copyTree(b, crashed, dir)
+		b.StartTimer()
+		rec, info, err := OpenDurable(benchConfig(shards), DurableConfig{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if info.ReplayedEvents < shards*perShard*9/10 {
+			b.Fatalf("replayed %d events, want about %d", info.ReplayedEvents, shards*perShard)
+		}
+		rec.Shutdown()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(shards*perShard)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

@@ -28,16 +28,16 @@ type Record struct {
 	IP     dnsutil.IPv4
 }
 
-// resolution is the packed per-domain history entry.
-type resolution struct {
-	day int
-	ip  dnsutil.IPv4
+// Observation is one entry of a domain's history: it resolved to IP on Day.
+type Observation struct {
+	Day int
+	IP  dnsutil.IPv4
 }
 
 // DB is an append-mostly passive-DNS store. It is safe for concurrent use.
 type DB struct {
 	mu       sync.RWMutex
-	byDomain map[string][]resolution
+	byDomain map[string][]Observation
 	records  int
 	minDay   int
 	maxDay   int
@@ -45,21 +45,28 @@ type DB struct {
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{byDomain: make(map[string][]resolution), minDay: -1, maxDay: -1}
+	return &DB{byDomain: make(map[string][]Observation), minDay: -1, maxDay: -1}
 }
 
 // Add records that domain resolved to ip on day. Duplicate observations are
 // deduplicated lazily at query time.
 func (db *DB) Add(day int, domain string, ip dnsutil.IPv4) {
+	db.AddRun(domain, []Observation{{Day: day, IP: ip}})
+}
+
+// AddRun appends a run of domain's observations under one lock: the bulk
+// form of Add for history loads, with the same result as one Add per
+// entry in run order. run is copied.
+func (db *DB) AddRun(domain string, run []Observation) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.byDomain[domain] = append(db.byDomain[domain], resolution{day: day, ip: ip})
-	db.records++
-	if db.minDay < 0 || day < db.minDay {
-		db.minDay = day
-	}
-	if day > db.maxDay {
-		db.maxDay = day
+	db.byDomain[domain] = append(db.byDomain[domain], run...)
+	db.records += len(run)
+	for _, o := range run {
+		if db.minDay < 0 || o.Day < db.minDay {
+			db.minDay = o.Day
+		}
+		db.maxDay = max(db.maxDay, o.Day)
 	}
 }
 
@@ -95,8 +102,8 @@ func (db *DB) IPs(domain string, from, to int) []dnsutil.IPv4 {
 	defer db.mu.RUnlock()
 	seen := make(map[dnsutil.IPv4]struct{})
 	for _, r := range db.byDomain[domain] {
-		if r.day >= from && r.day <= to {
-			seen[r.ip] = struct{}{}
+		if r.Day >= from && r.Day <= to {
+			seen[r.IP] = struct{}{}
 		}
 	}
 	out := make([]dnsutil.IPv4, 0, len(seen))
@@ -114,8 +121,8 @@ func (db *DB) ActiveDays(domain string, from, to int) []int {
 	defer db.mu.RUnlock()
 	seen := make(map[int]struct{})
 	for _, r := range db.byDomain[domain] {
-		if r.day >= from && r.day <= to {
-			seen[r.day] = struct{}{}
+		if r.Day >= from && r.Day <= to {
+			seen[r.Day] = struct{}{}
 		}
 	}
 	out := make([]int, 0, len(seen))
@@ -134,8 +141,8 @@ func (db *DB) ForEachRecord(from, to int, fn func(day int, domain string, ip dns
 	defer db.mu.RUnlock()
 	for domain, hist := range db.byDomain {
 		for _, r := range hist {
-			if r.day >= from && r.day <= to {
-				fn(r.day, domain, r.ip)
+			if r.Day >= from && r.Day <= to {
+				fn(r.Day, domain, r.IP)
 			}
 		}
 	}
@@ -151,14 +158,14 @@ func (db *DB) ForEachDomain(from, to int, fn func(domain string, ips []dnsutil.I
 		var ips []dnsutil.IPv4
 		seen := make(map[dnsutil.IPv4]struct{})
 		for _, r := range hist {
-			if r.day < from || r.day > to {
+			if r.Day < from || r.Day > to {
 				continue
 			}
-			if _, dup := seen[r.ip]; dup {
+			if _, dup := seen[r.IP]; dup {
 				continue
 			}
-			seen[r.ip] = struct{}{}
-			ips = append(ips, r.ip)
+			seen[r.IP] = struct{}{}
+			ips = append(ips, r.IP)
 		}
 		if len(ips) > 0 {
 			fn(domain, ips)

@@ -2,6 +2,10 @@ package wal
 
 import (
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -110,5 +114,59 @@ func TestSlowFsyncInflatesAppendLatency(t *testing.T) {
 	disk.SlowSyncs(0)
 	if got := collect(t, l, Pos{}); len(got) != 1 {
 		t.Fatalf("replay = %v, want one record", got)
+	}
+}
+
+// TestReadErrorIsNotATornTail fails Open's tail-repair scan with an I/O
+// error mid-header and mid-payload: a read error is not corruption, so
+// Open must return it and leave every acknowledged record on disk for a
+// later clean Open to replay.
+func TestReadErrorIsNotATornTail(t *testing.T) {
+	records := []string{"first", "second record", "third"}
+	for _, tc := range []struct {
+		name string
+		at   int64 // bytes delivered before the fault
+	}{
+		{"mid-header", int64(headerSize+len(records[0])) + 3},
+		{"mid-payload", int64(headerSize+len(records[0])+headerSize) + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, dir, Options{SyncEvery: 1})
+			for _, r := range records {
+				if _, err := l.Append([]byte(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			seg := filepath.Join(dir, segmentName(1))
+			before, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			flaky := &Hooks{WrapRead: func(r io.Reader) io.Reader {
+				return &faultinject.FlakyReader{R: r, FailAfter: tc.at}
+			}}
+			if l, err := Open(dir, Options{Hooks: flaky}); !errors.Is(err, faultinject.ErrInjected) {
+				if l != nil {
+					l.Close()
+				}
+				t.Fatalf("Open over a failing read = %v, want the injected error", err)
+			}
+			after, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != before.Size() {
+				t.Fatalf("segment size %d -> %d: a read error truncated acknowledged records", before.Size(), after.Size())
+			}
+
+			l = mustOpen(t, dir, Options{})
+			defer l.Close()
+			if got := collect(t, l, Pos{}); !reflect.DeepEqual(got, records) {
+				t.Fatalf("replay after a clean Open = %q, want %q", got, records)
+			}
+		})
 	}
 }

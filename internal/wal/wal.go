@@ -113,6 +113,9 @@ type Hooks struct {
 	// or return an error, which fails the sync and keeps the batch
 	// unsynced.
 	BeforeSync func() error
+	// WrapRead wraps the reader every segment scan (Open's tail repair
+	// and Replay) reads through: the transient read-error seam.
+	WrapRead func(io.Reader) io.Reader
 }
 
 // Options parameterizes Open.
@@ -200,7 +203,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		// Repair the active segment: find the end of its last intact
 		// record and truncate whatever follows.
 		seq := l.segments[len(l.segments)-1]
-		valid, torn, err := scanSegment(l.segmentPath(seq), 0, nil)
+		valid, torn, err := l.scanSegment(seq, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +369,7 @@ func (l *Log) Replay(from Pos, fn func(pos Pos, payload []byte) error) error {
 		if seq == from.Segment {
 			start = from.Offset
 		}
-		_, _, err := scanSegment(l.segmentPath(seq), start, func(off int64, payload []byte) error {
+		_, _, err := l.scanSegment(seq, start, func(off int64, payload []byte) error {
 			return fn(Pos{Segment: seq, Offset: off}, payload)
 		})
 		if err != nil {
@@ -381,7 +384,10 @@ func (l *Log) Replay(from Pos, fn func(pos Pos, payload []byte) error) error {
 // the offset just past the last intact record and how many torn/corrupt
 // records were encountered (0 or 1: scanning stops at the first).
 // Only I/O and callback errors are returned; corruption is not an error.
-func scanSegment(path string, start int64, fn func(off int64, payload []byte) error) (validEnd int64, torn int, err error) {
+// A short read (io.EOF, io.ErrUnexpectedEOF) ends the log; any other read
+// error is I/O, so a transient EIO is never repaired away as a torn tail.
+func (l *Log) scanSegment(seq uint64, start int64, fn func(off int64, payload []byte) error) (validEnd int64, torn int, err error) {
+	path := l.segmentPath(seq)
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -398,16 +404,24 @@ func scanSegment(path string, start int64, fn func(off int64, payload []byte) er
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return 0, 0, err
 	}
-	r := &countingReader{r: f}
+	var rd io.Reader = f
+	if l.opts.Hooks != nil && l.opts.Hooks.WrapRead != nil {
+		rd = l.opts.Hooks.WrapRead(f)
+	}
+	r := &countingReader{r: rd}
 	var header [headerSize]byte
 	payload := make([]byte, 0, 4096)
 	off := start
+	readErr := func(err error) error {
+		return fmt.Errorf("wal: read %s at %d: %w", filepath.Base(path), off, err)
+	}
 	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			if err == io.EOF {
-				return off, 0, nil // clean end
-			}
+		if _, err := io.ReadFull(r, header[:]); err == io.EOF {
+			return off, 0, nil // clean end
+		} else if err == io.ErrUnexpectedEOF {
 			return off, 1, nil // torn header
+		} else if err != nil {
+			return off, 0, readErr(err)
 		}
 		n := binary.LittleEndian.Uint32(header[0:4])
 		want := binary.LittleEndian.Uint32(header[4:8])
@@ -419,7 +433,10 @@ func scanSegment(path string, start int64, fn func(off int64, payload []byte) er
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, 1, nil // torn payload
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return off, 1, nil // torn payload
+			}
+			return off, 0, readErr(err)
 		}
 		if crc32.Checksum(payload, castagnoli) != want {
 			return off, 1, nil // corrupt payload

@@ -14,7 +14,8 @@
 # decode allocation budget, binary-vs-text parse speedup, and the ingest
 # frontend events/s floor (see the wire-format section below), and holds
 # the graph-apply events/s floor, the symbol-path-over-string-path apply
-# ratio and the 0-alloc E2LD budget.
+# ratio, the 0-alloc E2LD budget and the bulk-over-per-line activity
+# preload ratio.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -250,3 +251,32 @@ if ! awk -v r="$ingest_rate" -v f="$INGEST_EVENTS_FLOOR" 'BEGIN { exit !(r >= f)
     exit 1
 fi
 echo "bench-allocs: binary ingest frontend $ingest_rate events/s (floor $INGEST_EVENTS_FLOOR)"
+
+# --- History-preload gate ---------------------------------------------
+#
+# segugiod's start-up reads the F2 activity history (activity.tsv, ~1M
+# lines at isp-50k) before it is ready. ReadActivity collects the file
+# per name — one map probe per line, the e2LD resolved once per name —
+# and merges it into the log under one lock. It must run at least
+# ACTIVITY_SPEEDUP_FLOOR x faster than the per-line reference it replaced
+# (two locked marks and three string-map probes per line), measured in
+# the same run on the same fixture, best of three samples each (measured
+# 2.1–2.8x on the 2-vCPU bench host). Below that the loader is paying per
+# line again.
+ACTIVITY_SPEEDUP_FLOOR=${BENCH_ACTIVITY_SPEEDUP_FLOOR:-2}
+hist_out=$(go test -run '^$' -bench 'BenchmarkReadActivity/(bulk|perline)$' -benchmem -benchtime 50x -count 3 ./internal/logio)
+echo "$hist_out"
+best_ns() {
+    echo "$hist_out" | awk -v b="$1" '$0 ~ b {for (i = 2; i <= NF; i++) if ($i == "ns/op" && (m == "" || $(i-1) < m)) m = $(i-1)} END {print m}'
+}
+bulk_ns=$(best_ns "BenchmarkReadActivity/bulk-")
+perline_ns=$(best_ns "BenchmarkReadActivity/perline-")
+if [ -z "$bulk_ns" ] || [ -z "$perline_ns" ]; then
+    echo "bench-allocs: could not parse ns/op from BenchmarkReadActivity output" >&2
+    exit 1
+fi
+if ! awk -v b="$bulk_ns" -v p="$perline_ns" -v f="$ACTIVITY_SPEEDUP_FLOOR" 'BEGIN { exit !(p >= f * b) }'; then
+    echo "bench-allocs: bulk activity load is only $(awk -v b="$bulk_ns" -v p="$perline_ns" 'BEGIN { printf "%.2f", p/b }')x the per-line reference ($bulk_ns vs $perline_ns ns/op), floor is ${ACTIVITY_SPEEDUP_FLOOR}x" >&2
+    exit 1
+fi
+echo "bench-allocs: bulk activity load $(awk -v b="$bulk_ns" -v p="$perline_ns" 'BEGIN { printf "%.1f", p/b }')x the per-line reference (floor ${ACTIVITY_SPEEDUP_FLOOR}x)"
