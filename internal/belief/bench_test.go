@@ -60,7 +60,7 @@ func benchSetup(b *testing.B) *benchLineage {
 
 	g0 := bld.Snapshot()
 	lbl(g0)
-	names0, exact0 := g0.DirtyDomainNames()
+	delta0 := g0.DeltaOf(g0.DirtyDomains())
 
 	// The delta step: 10 fresh unknown domains, one edge each.
 	for i := 0; i < 10; i++ {
@@ -68,14 +68,14 @@ func benchSetup(b *testing.B) *benchLineage {
 	}
 	g1 := bld.Snapshot()
 	lbl(g1)
-	names1, exact1 := g1.DirtyDomainNames()
-	if !exact1 {
+	delta1 := g1.DeltaOf(g1.DirtyDomains())
+	if !delta1.Exact {
 		b.Fatal("bench delta should be exact")
 	}
 
 	cfg := Config{}.withDefaults()
 	eng := NewEngine(cfg)
-	if _, err := eng.Run(g0, 1, 0, graph.Delta{Exact: exact0, Domains: names0}); err != nil {
+	if _, err := eng.Run(g0, 1, 0, delta0); err != nil {
 		b.Fatal(err)
 	}
 	// A second, array-disjoint state donates buffer capacity to each
@@ -83,8 +83,8 @@ func benchSetup(b *testing.B) *benchLineage {
 	spare := newEngineState(g0, 1, cfg)
 	benchShared = &benchLineage{
 		g0: g0, g1: g1,
-		delta0: graph.Delta{Exact: exact0, Domains: names0},
-		delta1: graph.Delta{Exact: exact1, Domains: names1},
+		delta0: delta0,
+		delta1: delta1,
 		cfg:    cfg,
 		warmed: eng, warmedState: eng.st, spareState: spare,
 		v0: 1, v1: 2,

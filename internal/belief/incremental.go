@@ -134,15 +134,15 @@ func (e *Engine) RunContext(ctx context.Context, g *graph.Graph, version, since 
 		return ns.result(ModeFull, iters, conv, passStats{}), nil
 	}
 
-	// Resolve dirty domains: the named delta plus every index minted
+	// Collect dirty domains: the delta's ids plus every index minted
 	// since the previous snapshot (new domains are in the delta by
 	// contract; the index sweep is a cheap belt-and-braces).
 	nd := g.NumDomains()
 	e.scr.size(nd, 0)
 	mark := e.scr.mark
-	dirty := make([]int32, 0, len(delta.Domains)+nd-e.st.nd)
-	for _, name := range delta.Domains {
-		if d, ok := g.DomainIndex(name); ok && !mark[d] {
+	dirty := make([]int32, 0, len(delta.IDs)+nd-e.st.nd)
+	for _, d := range delta.IDs {
+		if !mark[d] {
 			mark[d] = true
 			dirty = append(dirty, d)
 		}

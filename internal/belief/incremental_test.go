@@ -41,8 +41,7 @@ func (l *lineage) snap() (*graph.Graph, uint64, graph.Delta) {
 	g.ApplyLabels(graph.LabelSources{Blacklist: l.bl, Whitelist: l.wl, AsOf: l.day})
 	l.b.MarkLabeled(g)
 	l.version++
-	names, exact := g.DirtyDomainNames()
-	return g, l.version, graph.Delta{Exact: exact, Domains: names}
+	return g, l.version, g.DeltaOf(g.DirtyDomains())
 }
 
 // equivCfg converges tightly so residual and batch land on the same
@@ -250,7 +249,8 @@ func TestEngineEscalation(t *testing.T) {
 	l2.bl.Add(intel.BlacklistEntry{Domain: "c2.evil.net", FirstListed: 0})
 	l2.b.AddQuery("m1", "c2.evil.net")
 	g4, _, _ := l2.snap()
-	res, err = e.Run(g4, v3+1, v3, graph.Delta{Exact: true, Domains: []string{"c2.evil.net"}})
+	c2, _ := g4.DomainIndex("c2.evil.net")
+	res, err = e.Run(g4, v3+1, v3, g4.DeltaOf([]int32{c2}, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestSessionDeltaZeroFullScans(t *testing.T) {
 		b.AddQuery(fmt.Sprintf("inf%02d", 5+pass), "unk.gray0.org")
 		g2 := b.Snapshot()
 		g2.ApplyLabels(src)
-		dirty, exact := g2.DirtyDomainNames()
+		dirty, exact := dirtyNames(g2)
 		if !exact || len(dirty) == 0 {
 			t.Fatalf("pass %d: dirty = %v (exact=%v)", pass, dirty, exact)
 		}
@@ -251,7 +251,7 @@ func TestSessionConcurrentPasses(t *testing.T) {
 	b.AddQuery("inf05", "unk.gray0.org")
 	g2 := b.Snapshot()
 	g2.ApplyLabels(src)
-	dirty, exact := g2.DirtyDomainNames()
+	dirty, exact := dirtyNames(g2)
 	if !exact || len(dirty) == 0 {
 		t.Fatalf("dirty = %v (exact=%v)", dirty, exact)
 	}
@@ -388,4 +388,10 @@ func TestDetectionIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIDs("no prune pipeline", g2, all, 10)
+}
+
+// dirtyNames is g's dirty set by name, as its Delta names it.
+func dirtyNames(g *graph.Graph) ([]string, bool) {
+	d := g.DeltaOf(g.DirtyDomains())
+	return d.Domains, d.Exact
 }

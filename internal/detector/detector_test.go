@@ -57,8 +57,7 @@ func labeledSnapshot(b *graph.Builder, src graph.LabelSources) (*graph.Graph, gr
 	g := b.Snapshot()
 	g.ApplyLabels(src)
 	b.MarkLabeled(g)
-	names, exact := g.DirtyDomainNames()
-	return g, graph.Delta{Exact: exact, Domains: names}
+	return g, g.DeltaOf(g.DirtyDomains())
 }
 
 func TestRegistryNamesAndUnknown(t *testing.T) {

@@ -99,12 +99,12 @@ func TestDirtySet(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBuilder("test", 7, dnsutil.DefaultSuffixList())
 			dirtyBase(b)
-			if _, exact := b.Snapshot().DirtyDomainNames(); exact {
+			if _, exact := dirtyNames(b.Snapshot()); exact {
 				t.Fatal("first snapshot must be inexact (no baseline to delta against)")
 			}
 			tc.mutate(b)
 			g := b.Snapshot()
-			got, exact := g.DirtyDomainNames()
+			got, exact := dirtyNames(g)
 			if exact != tc.wantExact {
 				t.Fatalf("exact = %v, want %v", exact, tc.wantExact)
 			}
@@ -116,7 +116,7 @@ func TestDirtySet(t *testing.T) {
 			}
 
 			// The set resets: an idle follow-up snapshot reports nothing.
-			if names, exact := b.Snapshot().DirtyDomainNames(); !exact || len(names) != 0 {
+			if names, exact := dirtyNames(b.Snapshot()); !exact || len(names) != 0 {
 				t.Fatalf("idle snapshot after mutation: dirty = %v (exact=%v), want exact empty", names, exact)
 			}
 		})
@@ -131,14 +131,14 @@ func TestDirtySetEpochRotation(t *testing.T) {
 	dirtyBase(day7)
 	day7.Snapshot()
 	day7.AddQuery("m1", "x.new.net")
-	if _, exact := day7.Snapshot().DirtyDomainNames(); !exact {
+	if _, exact := dirtyNames(day7.Snapshot()); !exact {
 		t.Fatal("pre-rotation snapshot should be exact")
 	}
 
 	day8 := NewBuilder("test", 8, dnsutil.DefaultSuffixList())
 	day8.AddQuery("m1", "a.one.com")
 	g := day8.Snapshot()
-	if names, exact := g.DirtyDomainNames(); exact || names != nil {
+	if names, exact := dirtyNames(g); exact || names != nil {
 		t.Fatalf("first post-rotation snapshot: dirty = %v (exact=%v), want inexact nil", names, exact)
 	}
 
@@ -152,4 +152,10 @@ func TestDirtySetEpochRotation(t *testing.T) {
 	if g2.labelBase != nil {
 		t.Fatal("rotated builder accepted a label baseline from the previous day")
 	}
+}
+
+// dirtyNames is g's dirty set by name, as its Delta names it.
+func dirtyNames(g *Graph) ([]string, bool) {
+	d := g.DeltaOf(g.DirtyDomains())
+	return d.Domains, d.Exact
 }

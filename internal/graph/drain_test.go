@@ -105,8 +105,8 @@ func requireSameView(t *testing.T, step string, f *shardedFixture, merged, ref *
 			t.Fatalf("%s: domain %s feature vector %v, reference %v", step, name, got, want)
 		}
 	}
-	gotDirty, gotExact := merged.DirtyDomainNames()
-	wantDirty, wantExact := ref.DirtyDomainNames()
+	gotDirty, gotExact := dirtyNames(merged)
+	wantDirty, wantExact := dirtyNames(ref)
 	slices.Sort(gotDirty)
 	slices.Sort(wantDirty)
 	if gotExact != wantExact || !slices.Equal(gotDirty, wantDirty) {
@@ -158,7 +158,7 @@ func TestDrainIntoMatchesSingleBuilder(t *testing.T) {
 	f.query(crossMachine, crossDomain)
 	merged, ref = f.snapshots()
 	requireSameView(t, "cross-shard first query", f, merged, ref)
-	if dirty, _ := merged.DirtyDomainNames(); !slices.Contains(dirty, "sibling.cross.org") {
+	if dirty, _ := dirtyNames(merged); !slices.Contains(dirty, "sibling.cross.org") {
 		t.Fatalf("e2LD sibling of the first-queried name not dirty: %v", dirty)
 	}
 
@@ -207,4 +207,10 @@ func TestDrainIntoMatchesSingleBuilder(t *testing.T) {
 	f.query(crossMachine, "after.snapshot.example")
 	merged, ref = f.snapshots()
 	requireSameView(t, "after shard snapshots", f, merged, ref)
+}
+
+// dirtyNames is g's dirty set by name, as its Delta names it.
+func dirtyNames(g *graph.Graph) ([]string, bool) {
+	d := g.DeltaOf(g.DirtyDomains())
+	return d.Domains, d.Exact
 }

@@ -50,9 +50,11 @@ func (l Label) String() string {
 // Delta describes which domains changed between two snapshot versions.
 // When Exact is false the consumer must assume every domain changed
 // (first snapshot of a window, an epoch rotation, or delta history that
-// has been trimmed away).
+// has been trimmed away). IDs are the changed domains' node ids in the
+// graph the delta came with, sorted and unique; Domains[i] names IDs[i].
 type Delta struct {
 	Exact   bool
+	IDs     []int32
 	Domains []string
 }
 
@@ -291,14 +293,16 @@ func (g *Graph) Labeled() bool { return g.labelsApplied }
 // not be modified.
 func (g *Graph) DirtyDomains() ([]int32, bool) { return g.dirtyDomains, g.deltaExact }
 
-// DirtyDomainNames is DirtyDomains resolved to domain names.
-func (g *Graph) DirtyDomainNames() ([]string, bool) {
-	if !g.deltaExact {
-		return nil, false
+// DeltaOf returns the Delta naming the domain ids on g, or the inexact
+// Delta when exact is false: g.DeltaOf(g.DirtyDomains()) is g's own
+// delta against its builder's previous snapshot.
+func (g *Graph) DeltaOf(ids []int32, exact bool) Delta {
+	if !exact {
+		return Delta{}
 	}
-	names := make([]string, len(g.dirtyDomains))
-	for i, d := range g.dirtyDomains {
+	names := make([]string, len(ids))
+	for i, d := range ids {
 		names[i] = g.domains[d]
 	}
-	return names, true
+	return Delta{Exact: true, IDs: ids, Domains: names}
 }

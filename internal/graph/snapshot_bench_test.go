@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"segugio/internal/dnsutil"
@@ -145,5 +146,32 @@ func BenchmarkPrunePrepare(b *testing.B) {
 		if plan.Materialize().NumDomains() == 0 {
 			b.Fatal("everything pruned")
 		}
+	}
+}
+
+// BenchmarkSortEdges sorts one snapshot's worth of pending edges shaped
+// like an isp-50k day (50k machines, 110k domains, 200k edges) with the
+// radix sort mergePending uses and with slices.Sort. scripts/
+// bench-allocs.sh gates the radix sort at 3x slices.Sort or better.
+func BenchmarkSortEdges(b *testing.B) {
+	const nm, nd = 50_000, 110_000
+	edges := randomEdges(rand.New(rand.NewSource(42)), 200_000, nm, nd)
+	work := make([]edge, len(edges))
+	for _, bc := range []struct {
+		name string
+		sort func([]edge)
+	}{
+		{"radix", func(p []edge) { sortEdges(p, nm, nd) }},
+		{"slices", func(p []edge) { slices.Sort(p) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(work, edges)
+				b.StartTimer()
+				bc.sort(work)
+			}
+		})
 	}
 }

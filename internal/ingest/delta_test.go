@@ -11,6 +11,20 @@ import (
 	"segugio/internal/graph"
 )
 
+// requireIDsNameDomains checks that a delta's node ids resolve, on the
+// graph it came with, to exactly its domain names, in order.
+func requireIDsNameDomains(t *testing.T, g *graph.Graph, delta graph.Delta) {
+	t.Helper()
+	if len(delta.IDs) != len(delta.Domains) {
+		t.Fatalf("delta has %d ids for %d names", len(delta.IDs), len(delta.Domains))
+	}
+	for i, d := range delta.IDs {
+		if int(d) >= g.NumDomains() || g.DomainName(d) != delta.Domains[i] {
+			t.Fatalf("delta id %d does not name %q on day %d's graph", d, delta.Domains[i], g.Day())
+		}
+	}
+}
+
 func TestSnapshotSinceDeltas(t *testing.T) {
 	m, _ := newMetrics()
 	in := New(Config{Network: "net", StartDay: 1, Workers: 1, Metrics: m})
@@ -37,10 +51,11 @@ func TestSnapshotSinceDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "second event", func() bool { return m.EventsIngested.Value() == 2 })
-	_, v2, delta := in.SnapshotSince(v1)
+	g, v2, delta := in.SnapshotSince(v1)
 	if !delta.Exact || len(delta.Domains) != 1 || delta.Domains[0] != "b.example.com" {
 		t.Fatalf("delta = %+v, want exactly [b.example.com]", delta)
 	}
+	requireIDsNameDomains(t, g, delta)
 
 	// Spans accumulate across intermediate snapshots: ingest two batches
 	// with a snapshot between, then ask from v2 — both batches' domains
@@ -54,10 +69,11 @@ func TestSnapshotSinceDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "fourth event", func() bool { return m.EventsIngested.Value() == 4 })
-	_, _, delta = in.SnapshotSince(v2)
+	g, v3, delta := in.SnapshotSince(v2)
 	if !delta.Exact {
 		t.Fatalf("multi-step delta inexact: %+v", delta)
 	}
+	requireIDsNameDomains(t, g, delta)
 	got := map[string]bool{}
 	for _, d := range delta.Domains {
 		got[d] = true
@@ -70,6 +86,116 @@ func TestSnapshotSinceDeltas(t *testing.T) {
 	}
 	if got["b.example.com"] {
 		t.Fatalf("delta %v over-reports untouched b.example.com", delta.Domains)
+	}
+
+	// The finished-day handover: ids recorded on day 1 resolve on day 1's
+	// last graph, not on the live day-2 one.
+	if err := in.Consume(strings.NewReader("q\t1\tm3\te.example.com\nq\t2\tm1\tf.example.com\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "rotation", func() bool { return m.Rotations.Value() == 1 })
+	g, _, delta = in.SnapshotSince(v3)
+	if g.Day() != 1 || !delta.Exact || !slices.Contains(delta.Domains, "e.example.com") {
+		t.Fatalf("handover = day %d, delta %+v; want day 1's last graph with e.example.com", g.Day(), delta)
+	}
+	requireIDsNameDomains(t, g, delta)
+}
+
+// TestDeltaRing pins the ring's span arithmetic: which entries a span
+// unions, when it degrades to inexact, and what trimming keeps.
+func TestDeltaRing(t *testing.T) {
+	ids := func(ds ...int32) []int32 { return ds }
+	entry := func(from, to uint64, ds ...int32) deltaEntry {
+		return deltaEntry{from: from, to: to, domains: ds}
+	}
+	poison := func(v uint64) deltaEntry { return deltaEntry{from: v, to: v, inexact: true} }
+	// long is more entries than the ring keeps, one domain each.
+	long := func(n int) []deltaEntry {
+		out := make([]deltaEntry, n)
+		for i := range out {
+			out[i] = entry(uint64(i), uint64(i+1), int32(i))
+		}
+		return out
+	}
+	wide := make([]int32, ringMaxNames/2)
+	for i := range wide {
+		wide[i] = int32(i)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		push      []deltaEntry
+		v, cur    uint64
+		want      []int32
+		wantExact bool
+	}{
+		{name: "same version", push: []deltaEntry{entry(0, 1, 4)}, v: 1, cur: 1, wantExact: true},
+		{
+			name: "union without duplicates",
+			push: []deltaEntry{entry(0, 1, 1, 2), entry(1, 2, 2, 3), entry(2, 3, 1, 3, 9)},
+			v:    0, cur: 3, want: ids(1, 2, 3, 9), wantExact: true,
+		},
+		{
+			name: "entries newer than cur are skipped",
+			push: []deltaEntry{entry(0, 1, 1), entry(1, 2, 2), entry(2, 3, 3)},
+			v:    1, cur: 2, want: ids(2), wantExact: true,
+		},
+		{
+			name: "span older than history",
+			push: []deltaEntry{entry(5, 6, 1), entry(6, 7, 2)},
+			v:    3, cur: 7,
+		},
+		{
+			name: "poison entry inside the span",
+			push: []deltaEntry{entry(0, 1, 1), poison(2), entry(2, 3, 5)},
+			v:    0, cur: 3,
+		},
+		{
+			name: "span starting at the poison entry",
+			push: []deltaEntry{entry(0, 1, 1), poison(2), entry(2, 3, 5)},
+			v:    2, cur: 3, want: ids(5), wantExact: true,
+		},
+		{
+			name: "entry trim keeps the newest",
+			push: long(ringMaxEntries + 10),
+			v:    ringMaxEntries + 7, cur: ringMaxEntries + 10,
+			want: ids(ringMaxEntries+7, ringMaxEntries+8, ringMaxEntries+9), wantExact: true,
+		},
+		{
+			name: "entry trim drops the oldest",
+			push: long(ringMaxEntries + 10),
+			v:    5, cur: ringMaxEntries + 10,
+		},
+		{
+			name: "name trim keeps the newest",
+			push: []deltaEntry{entry(0, 1, wide...), entry(1, 2, wide...), entry(2, 3, 7), entry(3, 4, wide...)},
+			v:    2, cur: 4, want: wide, wantExact: true,
+		},
+		{
+			name: "name trim drops the oldest",
+			push: []deltaEntry{entry(0, 1, wide...), entry(1, 2, wide...), entry(2, 3, 7), entry(3, 4, wide...)},
+			v:    0, cur: 4,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r deltaRing
+			for _, e := range tc.push {
+				r.push(e)
+			}
+			if len(r.entries) > ringMaxEntries || r.names > ringMaxNames {
+				t.Fatalf("ring holds %d entries and %d names, bounds are %d and %d", len(r.entries), r.names, ringMaxEntries, ringMaxNames)
+			}
+			if last := tc.push[len(tc.push)-1]; r.entries[len(r.entries)-1].to != last.to {
+				t.Fatalf("newest entry ends at %d, want %d", r.entries[len(r.entries)-1].to, last.to)
+			}
+			// Ask twice: the id set of one call must not leak into the next.
+			for range 2 {
+				got, exact := r.since(tc.v, tc.cur)
+				if exact != tc.wantExact || !slices.Equal(got, tc.want) {
+					t.Fatalf("since(%d, %d) = %v (exact=%v), want %v (exact=%v)", tc.v, tc.cur, got, exact, tc.want, tc.wantExact)
+				}
+			}
+		})
 	}
 }
 

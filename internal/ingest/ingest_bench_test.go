@@ -273,3 +273,73 @@ func BenchmarkIngestRecover(b *testing.B) {
 	}
 	b.ReportMetric(float64(shards*perShard)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkSnapshotSinceSharded is one classify pass's graph refresh on
+// the sharded backend: 4 shards holding an isp-50k-shaped day (50k
+// machines, 110k domains, 1M query events), then per op about one pass's
+// worth of new events (150k, applied off the clock) and the timed
+// SnapshotSince — shard drains, the merged builder's fold and snapshot,
+// and the delta ring's span.
+func BenchmarkSnapshotSinceSharded(b *testing.B) {
+	const (
+		shards           = 4
+		machines, names  = 50_000, 110_000
+		dayEvents, batch = 1_000_000, 256
+		passEvents       = 150_000
+	)
+	machineIDs := make([]string, machines)
+	for i := range machineIDs {
+		machineIDs[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255)
+	}
+	domains := make([]string, names)
+	for i := range domains {
+		domains[i] = fmt.Sprintf("h%d.zone%d.example.com", i, i%7000)
+	}
+	rng := rand.New(rand.NewSource(11))
+	// next routes n query events to their shards and cuts them into
+	// batches. Popularity is skewed so repeats (dropped by the folds)
+	// occur at a realistic rate.
+	next := func(n int) [][][]logio.Event {
+		perShard := make([][]logio.Event, shards)
+		for i := 0; i < n; i++ {
+			m := machineIDs[rng.Intn(machines)]
+			d := domains[int(float64(names)*rng.Float64()*rng.Float64())]
+			s := graph.ShardOf(m, shards)
+			perShard[s] = append(perShard[s], logio.Event{Kind: logio.EventQuery, Day: 1, Machine: m, Domain: d})
+		}
+		out := make([][][]logio.Event, shards)
+		for s, evs := range perShard {
+			for len(evs) > 0 {
+				k := min(batch, len(evs))
+				out[s] = append(out[s], evs[:k])
+				evs = evs[k:]
+			}
+		}
+		return out
+	}
+	in := New(benchConfig(shards))
+	defer in.Shutdown()
+	r := benchRing()
+	applyAll := func(perShard [][][]logio.Event) {
+		for s, batches := range perShard {
+			for _, bt := range batches {
+				in.apply(bt, r, s)
+			}
+		}
+	}
+	applyAll(next(dayEvents))
+	_, since, _ := in.SnapshotSince(0)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		applyAll(next(passEvents))
+		b.StartTimer()
+		_, v, delta := in.SnapshotSince(since)
+		if !delta.Exact || len(delta.IDs) == 0 {
+			b.Fatalf("delta exact=%v with %d domains, want an exact non-empty delta", delta.Exact, len(delta.IDs))
+		}
+		since = v
+	}
+}

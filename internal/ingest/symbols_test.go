@@ -93,7 +93,7 @@ func requireSymbolEquivalence(t *testing.T, segb1Base, textBase [][]byte, baseEv
 			oracle.SetDomainIPs(e.Domain, e.IPs)
 		}
 	}
-	wantDirty, exact := oracle.Snapshot().DirtyDomainNames()
+	wantDirty, exact := dirtyNames(oracle.Snapshot())
 	if !exact {
 		t.Fatal("oracle delta is inexact")
 	}
@@ -402,4 +402,10 @@ func TestShardRoutingCachedPerSymbolAndUse(t *testing.T) {
 	if got, want := src.shardOf(&literal), graph.ShardOf("m-literal", 3); got != want || len(src.machineShard) != 2 {
 		t.Fatalf("literal machine routed to %d (want %d) or was cached (table has %d entries)", got, want, len(src.machineShard))
 	}
+}
+
+// dirtyNames is g's dirty set by name, as its Delta names it.
+func dirtyNames(g *graph.Graph) ([]string, bool) {
+	d := g.DeltaOf(g.DirtyDomains())
+	return d.Domains, d.Exact
 }

@@ -150,7 +150,7 @@ func (env *classifyBenchEnv) advanceDirty(b *testing.B) {
 	g := env.bld.Snapshot()
 	g.ApplyLabels(env.src)
 	env.bld.MarkLabeled(g)
-	dirty, exact := g.DirtyDomainNames()
+	dirty, exact := g.DirtyDomains()
 	if !exact || len(dirty) != benchDirty {
 		b.Fatalf("dirty = %d domains (exact=%v), want %d", len(dirty), exact, benchDirty)
 	}
@@ -286,7 +286,7 @@ func (env *shardedBenchEnv) advanceDirty(b *testing.B) {
 		env.addResolution(benchUnkName(i%benchUnknown), dnsutil.IPv4(0x30000000+uint32(i)))
 	}
 	g := env.mergeSnapshot()
-	dirty, exact := g.DirtyDomainNames()
+	dirty, exact := g.DirtyDomains()
 	if !exact || len(dirty) != benchDirty {
 		b.Fatalf("dirty = %d domains (exact=%v), want %d", len(dirty), exact, benchDirty)
 	}

@@ -200,13 +200,7 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 		targetIDs []int32
 	)
 	if !full {
-		for _, name := range delta.Domains {
-			if d, ok := g.DomainIndex(name); ok {
-				changed = append(changed, d)
-			}
-		}
-		slices.Sort(changed)
-		changed = slices.Compact(changed)
+		changed = delta.IDs
 		for _, d := range changed {
 			if g.DomainLabel(d) == graph.LabelUnknown {
 				targets = append(targets, g.DomainName(d))

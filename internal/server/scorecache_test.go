@@ -30,7 +30,7 @@ type deltaSource struct {
 	g       *graph.Graph
 	version uint64
 	prev    uint64
-	dirty   []string
+	dirty   []int32
 	exact   bool
 }
 
@@ -57,7 +57,7 @@ func (s *deltaSource) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.D
 	case since == s.version:
 		return s.g, s.version, graph.Delta{Exact: true}
 	case s.exact && since == s.prev:
-		return s.g, s.version, graph.Delta{Exact: true, Domains: s.dirty}
+		return s.g, s.version, s.g.DeltaOf(s.dirty, true)
 	default:
 		return s.g, s.version, graph.Delta{}
 	}
@@ -65,7 +65,7 @@ func (s *deltaSource) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.D
 
 // advance publishes a new snapshot whose delta against the previous
 // version is the given dirty set.
-func (s *deltaSource) advance(g *graph.Graph, dirty []string, exact bool) {
+func (s *deltaSource) advance(g *graph.Graph, dirty []int32, exact bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.prev = s.version
@@ -116,8 +116,8 @@ func TestClassifyAllDeltaCache(t *testing.T) {
 	b.AddResolution("unk0.gray.org", dnsutil.IPv4(0x0cff0000))
 	g2 := b.Snapshot()
 	g2.ApplyLabels(src)
-	dirty, exact := g2.DirtyDomainNames()
-	if !exact || len(dirty) != 1 || dirty[0] != "unk0.gray.org" {
+	dirty, exact := g2.DirtyDomains()
+	if !exact || len(dirty) != 1 || g2.DomainName(dirty[0]) != "unk0.gray.org" {
 		t.Fatalf("dirty = %v (exact=%v), want exactly [unk0.gray.org]", dirty, exact)
 	}
 	gs.advance(g2, dirty, true)
@@ -265,8 +265,8 @@ func TestClassifyAllPruneMemo(t *testing.T) {
 		b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000+uint32(pass)))
 		g2 := b.Snapshot()
 		g2.ApplyLabels(src)
-		dirty, exact := g2.DirtyDomainNames()
-		if !exact || len(dirty) != 1 || dirty[0] != "unk.gray0.org" {
+		dirty, exact := g2.DirtyDomains()
+		if !exact || len(dirty) != 1 || g2.DomainName(dirty[0]) != "unk.gray0.org" {
 			t.Fatalf("pass %d: dirty = %v (exact=%v)", pass, dirty, exact)
 		}
 		gs.advance(g2, dirty, true)
@@ -309,7 +309,7 @@ func (ps *pruneStream) step(t *testing.T, mutate func(b *graph.Builder)) {
 	mutate(ps.b)
 	g := ps.b.Snapshot()
 	g.ApplyLabels(ps.src)
-	dirty, exact := g.DirtyDomainNames()
+	dirty, exact := g.DirtyDomains()
 	if !exact {
 		t.Fatal("fixture: inexact dirty set")
 	}

@@ -56,7 +56,8 @@ type GraphSource interface {
 	// caller must treat every domain as dirty. An exact delta also says the
 	// returned graph continues the builder lineage of the snapshot at
 	// since: node ids are stable (the session's frozen prune plan and the
-	// pass's by-id index are both keyed on them).
+	// pass's by-id index are both keyed on them). The pass reads the
+	// delta's IDs, not its Domains.
 	SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta)
 	// Day returns the current observation day.
 	Day() int

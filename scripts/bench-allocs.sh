@@ -14,8 +14,8 @@
 # decode allocation budget, binary-vs-text parse speedup, and the ingest
 # frontend events/s floor (see the wire-format section below), and holds
 # the graph-apply events/s floor, the symbol-path-over-string-path apply
-# ratio, the 0-alloc E2LD budget and the bulk-over-per-line activity
-# preload ratio.
+# ratio, the 0-alloc E2LD budget, the bulk-over-per-line activity
+# preload ratio and the radix-over-comparison edge sort ratio.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,8 +70,11 @@ metric() {
 gate BenchmarkClassifyAllDelta ./internal/server "$BUDGET"
 # The sharded backend's merged snapshots must keep the same O(dirty)
 # contract: the per-shard delta merge may not reintroduce per-pass
-# O(graph) allocation.
-gate BenchmarkClassifyAllDeltaSharded ./internal/server "$BUDGET"
+# O(graph) allocation. Its delta arrives as node ids, so the pass resolves
+# no names; measured 64 allocs/op, and the budget leaves room for benign
+# churn but not for a per-pass name index or string set coming back.
+SHARDED_BUDGET=${BENCH_SHARDED_ALLOC_BUDGET:-96}
+gate BenchmarkClassifyAllDeltaSharded ./internal/server "$SHARDED_BUDGET"
 
 # --- Read-path and full-pass gates ----------------------------------------
 #
@@ -280,3 +283,31 @@ if ! awk -v b="$bulk_ns" -v p="$perline_ns" -v f="$ACTIVITY_SPEEDUP_FLOOR" 'BEGI
     exit 1
 fi
 echo "bench-allocs: bulk activity load $(awk -v b="$bulk_ns" -v p="$perline_ns" 'BEGIN { printf "%.1f", p/b }')x the per-line reference (floor ${ACTIVITY_SPEEDUP_FLOOR}x)"
+
+# --- Edge-sort gate ---------------------------------------------------
+#
+# Every snapshot folds its pending edges into the sorted base run, and the
+# sort is most of that fold. mergePending radix-sorts the packed
+# machine<<32 | domain words over their significant bits in 11-bit digits:
+# four linear passes for an isp-50k-shaped day. BenchmarkSortEdges sorts
+# 200k such edges both ways; the radix sort must run at least
+# SORT_SPEEDUP_FLOOR x faster than slices.Sort in the same run, best of
+# three samples each (measured 5.1–5.4x on the 2-vCPU bench host). Below
+# that the sort is running extra passes or fell back to comparisons.
+SORT_SPEEDUP_FLOOR=${BENCH_SORT_SPEEDUP_FLOOR:-3}
+sort_out=$(go test -run '^$' -bench 'BenchmarkSortEdges/(radix|slices)$' -benchmem -benchtime 20x -count 3 ./internal/graph)
+echo "$sort_out"
+best_sort_ns() {
+    echo "$sort_out" | awk -v b="$1" '$0 ~ b {for (i = 2; i <= NF; i++) if ($i == "ns/op" && (m == "" || $(i-1) < m)) m = $(i-1)} END {print m}'
+}
+radix_ns=$(best_sort_ns "BenchmarkSortEdges/radix-")
+slices_ns=$(best_sort_ns "BenchmarkSortEdges/slices-")
+if [ -z "$radix_ns" ] || [ -z "$slices_ns" ]; then
+    echo "bench-allocs: could not parse ns/op from BenchmarkSortEdges output" >&2
+    exit 1
+fi
+if ! awk -v r="$radix_ns" -v s="$slices_ns" -v f="$SORT_SPEEDUP_FLOOR" 'BEGIN { exit !(s >= f * r) }'; then
+    echo "bench-allocs: radix edge sort is only $(awk -v r="$radix_ns" -v s="$slices_ns" 'BEGIN { printf "%.2f", s/r }')x slices.Sort ($radix_ns vs $slices_ns ns/op), floor is ${SORT_SPEEDUP_FLOOR}x" >&2
+    exit 1
+fi
+echo "bench-allocs: radix edge sort $(awk -v r="$radix_ns" -v s="$slices_ns" 'BEGIN { printf "%.1f", s/r }')x slices.Sort (floor ${SORT_SPEEDUP_FLOOR}x)"
