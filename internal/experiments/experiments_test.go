@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"segugio/internal/belief"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -315,6 +317,31 @@ func TestRunLBP(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "Segugio") {
 		t.Fatal("rendering broken")
+	}
+
+	// The BP side is a plain batch propagation: rebuild the same split and
+	// labeled test-day graph and run belief.Propagate on it directly.
+	split := NewSplit(isp1, isp1.Day(170).Graph, isp1.Day(178).Graph, isp1.Commercial, 170, 0.6, 17)
+	g := isp1.Labeled(isp1.Day(178), isp1.Commercial, split.Hidden)
+	bp, err := belief.Propagate(g, belief.Config{MaxIterations: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, len(split.Domains))
+	for i, name := range split.Domains {
+		if d, ok := g.DomainIndex(name); ok {
+			scores[i] = bp.DomainBelief[d]
+		}
+	}
+	direct, err := summarizeCurve(scores, split.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BP.AUC != direct.AUC || res.BP.TPRAt[0.001] != direct.TPRAt[0.001] ||
+		res.BP.TPRAt[0.01] != direct.TPRAt[0.01] || res.Iterations != bp.Iterations {
+		t.Fatalf("RunLBP BP side (AUC %v, TPR@0.1%% %v, TPR@1%% %v, %d iters) != direct Propagate (AUC %v, TPR@0.1%% %v, TPR@1%% %v, %d iters)",
+			res.BP.AUC, res.BP.TPRAt[0.001], res.BP.TPRAt[0.01], res.Iterations,
+			direct.AUC, direct.TPRAt[0.001], direct.TPRAt[0.01], bp.Iterations)
 	}
 }
 
