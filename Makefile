@@ -5,8 +5,8 @@ GO ?= go
 # Ceilings for loc-check: total non-test Go lines under internal/ + cmd/
 # and the number of segugiod flags. A PR that must grow either one raises
 # its number here, in its diff.
-LOC_MAX = 24904
-FLAGS_MAX = 31
+LOC_MAX = 23478
+FLAGS_MAX = 29
 
 build:
 	$(GO) build ./...
@@ -33,8 +33,8 @@ check: vet race loc-check
 # references, the 4-stripe BenchmarkIngestRecover, and the 4-shard
 # BenchmarkSnapshotSinceSharded pass refresh) as BENCH_ingest.json, the classify pipeline suite (full vs
 # delta classify-all, the sharded-backend delta variant, batch scoring)
-# as BENCH_classify.json, and the belief propagation suite (cold full
-# pass vs residual incremental pass) as BENCH_lbp.json. It is
+# as BENCH_classify.json, and the batch belief propagation baseline
+# (one cold full pass) as BENCH_lbp.json. It is
 # informational (no CI gate; bench-allocs holds the hard gates); diff
 # the JSON across commits to spot regressions. events/s rates land in
 # each benchmark's "extra" map.

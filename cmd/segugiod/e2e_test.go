@@ -547,6 +547,7 @@ func TestParseFlagsRejectsExtraArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-graph-shards", "2"}, {"-wal-binary"}, {"-window", "7"},
 		{"-lbp-threshold", "0.8"}, {"-shed-policy", "sample"}, {"-shed-policy", "drop"},
+		{"-detectors", "forest"}, {"-detector-config", "x.json"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Fatalf("parseFlags(%v) succeeded, want an error", args)

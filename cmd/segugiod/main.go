@@ -42,7 +42,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,7 +50,6 @@ import (
 
 	"segugio/internal/activity"
 	"segugio/internal/core"
-	"segugio/internal/detector"
 	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
 	"segugio/internal/health"
@@ -131,12 +129,6 @@ type options struct {
 	statsInterval  time.Duration
 	statsRetention time.Duration
 	sloConfig      string
-
-	// Detector-plugin knobs: which plugins the classify pass drives, and
-	// an optional JSON tuning file re-read on every reload (POST
-	// /v1/reload or SIGHUP).
-	detectors      string
-	detectorConfig string
 }
 
 func parseFlags(args []string) (options, error) {
@@ -171,10 +163,6 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&opts.statsInterval, "stats-interval", 5*time.Second, "self-scrape cadence of the embedded time-series store behind /v1/stats/query")
 	fs.DurationVar(&opts.statsRetention, "stats-retention", time.Hour, "how far back the embedded time-series store holds samples")
 	fs.StringVar(&opts.sloConfig, "slo-config", "", "JSON SLO objectives file; burn-rate breaches feed the health state machine (empty: disabled)")
-	fs.StringVar(&opts.detectors, "detectors", "forest",
-		`comma-separated detector plugins driven by the classify pass (e.g. "forest,lbp")`)
-	fs.StringVar(&opts.detectorConfig, "detector-config", "",
-		"JSON detector tuning file layered over the plugin defaults, re-read on every reload")
 	if err := fs.Parse(args); err != nil {
 		return opts, err
 	}
@@ -184,44 +172,7 @@ func parseFlags(args []string) (options, error) {
 	if !ingest.ValidShedPolicy(opts.shedPolicy) {
 		return opts, fmt.Errorf("-shed-policy: unknown policy %q (have block, drop-oldest)", opts.shedPolicy)
 	}
-	if _, err := opts.detectorNames(); err != nil {
-		return opts, err
-	}
 	return opts, nil
-}
-
-// detectorNames splits and validates -detectors against the plugin
-// registry. The forest is always enabled: it is the primary detector
-// the score cache and the top-level verdicts are built on.
-func (opts *options) detectorNames() ([]string, error) {
-	names := []string{"forest"}
-	for _, name := range strings.Split(opts.detectors, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" || name == "forest" {
-			continue
-		}
-		if !slices.Contains(detector.Names(), name) {
-			return nil, fmt.Errorf("-detectors: unknown plugin %q (have %v)", name, detector.Names())
-		}
-		if !slices.Contains(names, name) {
-			names = append(names, name)
-		}
-	}
-	return names, nil
-}
-
-// detectorTuning resolves the startup plugin tuning: the defaults, or
-// the -detector-config file layered over them.
-func (opts *options) detectorTuning() (detector.Tuning, error) {
-	if opts.detectorConfig == "" {
-		return detector.Tuning{}, nil
-	}
-	f, err := os.Open(opts.detectorConfig)
-	if err != nil {
-		return detector.Tuning{}, err
-	}
-	defer f.Close()
-	return detector.LoadTuning(f)
 }
 
 func run(ctx context.Context, args []string, stdin io.Reader, logw io.Writer) error {
@@ -575,16 +526,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 			return out
 		})
 
-	detNames, err := opts.detectorNames()
-	if err != nil {
-		d.ing.Shutdown()
-		return nil, err
-	}
-	tuning, err := opts.detectorTuning()
-	if err != nil {
-		d.ing.Shutdown()
-		return nil, fmt.Errorf("detector tuning: %w", err)
-	}
 	// The embedded stats store self-scrapes the registry (run drives the
 	// cadence); it must exist before the SLO evaluator that queries it.
 	d.stats = tsdb.New(tsdb.Config{
@@ -646,9 +587,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 		Logger:       logger,
 		Tracer:       d.tracer,
 		Audit:        d.audit,
-		Detectors:    detNames,
-		Tuning:       tuning,
-		TuningPath:   opts.detectorConfig,
 		PassDeadline: opts.passDeadline,
 		MaxInflight:  opts.maxInflight,
 		Health:       d.health,

@@ -63,7 +63,6 @@ func TestMetricsScrapeLints(t *testing.T) {
 		stateDir:      t.TempDir(),
 		ckptInterval:  50 * time.Millisecond,
 		walSyncEvery:  1,
-		detectors:     "forest,lbp",
 		statsInterval: 50 * time.Millisecond,
 		sloConfig:     sloPath,
 	}, logger)
@@ -135,12 +134,7 @@ func TestMetricsScrapeLints(t *testing.T) {
 		"segugiod_build_info",
 		"segugiod_uptime_seconds",
 		"segugiod_audit_records_total",
-		"segugiod_lbp_iterations",
-		"segugiod_lbp_residual_queue",
-		`segugiod_lbp_passes_total{mode="full"}`,
-		`segugiod_detector_pass_seconds_bucket{detector="forest"`,
-		`segugiod_detector_pass_seconds_bucket{detector="lbp"`,
-		`segugiod_detector_pass_errors_total{detector="lbp"}`,
+		`segugiod_stage_seconds_bucket{stage="classify"`,
 		"segugiod_health_state",
 		`segugiod_ingest_shed_total{reason="drop-oldest"}`,
 		"segugiod_pass_deadline_exceeded_total",
@@ -165,6 +159,12 @@ func TestMetricsScrapeLints(t *testing.T) {
 	} {
 		if !bytes.Contains(raw, []byte(want)) {
 			t.Fatalf("scrape lacks %s:\n%s", want, raw)
+		}
+	}
+	// A pass is timed once, by its classify span: no per-plugin families.
+	for _, gone := range []string{"segugiod_lbp_", "segugiod_detector_pass_"} {
+		if bytes.Contains(raw, []byte(gone)) {
+			t.Fatalf("scrape still carries %s families:\n%s", gone, raw)
 		}
 	}
 

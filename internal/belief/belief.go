@@ -14,9 +14,9 @@
 package belief
 
 import (
-	"context"
 	"errors"
 	"math"
+	"slices"
 
 	"segugio/internal/graph"
 )
@@ -62,23 +62,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result holds the posterior marginals plus pass accounting.
+// Result holds the posterior marginals.
 type Result struct {
 	// DomainBelief[d] is the malware marginal of domain node d.
 	DomainBelief []float64
 	// MachineBelief[m] is the malware marginal of machine node m.
 	MachineBelief []float64
-	// Iterations actually run (full passes only), and whether the
-	// tolerance was reached within budget.
+	// Iterations actually run, and whether the tolerance was reached
+	// within budget.
 	Iterations int
 	Converged  bool
-	// Mode is how the pass ran: ModeFull, ModeResidual, or ModeCached.
-	Mode string
-	// Residual-pass accounting: nodes seeded from the delta, node
-	// updates performed, and the residual queue's high-water mark.
-	Seeds     int
-	Updates   int
-	PeakQueue int
 }
 
 // ErrUnlabeledGraph is returned when the graph has no labels: without
@@ -88,20 +81,214 @@ var ErrUnlabeledGraph = errors.New("belief: graph is not labeled")
 const msgFloor = 1e-9
 
 // Propagate runs sum-product loopy BP from scratch and returns the
-// marginals. It is the batch entry point; Engine layers persistent
-// message state and residual delta passes on top of the same update
-// rules (see incremental.go).
+// marginals.
 func Propagate(g *graph.Graph, cfg Config) (*Result, error) {
 	if !g.Labeled() {
 		return nil, ErrUnlabeledGraph
 	}
 	cfg = cfg.withDefaults()
-	st := newEngineState(g, 0, cfg)
-	iters, conv, err := st.runFull(context.Background(), cfg)
-	if err != nil {
-		return nil, err
+	st := newState(g, cfg)
+	iters, conv := st.run(cfg)
+	return &Result{
+		DomainBelief:  st.domBelief,
+		MachineBelief: st.macBelief,
+		Iterations:    iters,
+		Converged:     conv,
+	}, nil
+}
+
+// state is the propagation state of one graph: the bipartite topology in
+// both CSR directions, the per-edge messages, node priors, and beliefs.
+type state struct {
+	nm, nd, ne int
+
+	// mOff/dOff are CSR offsets (len n+1) into the machine-side and
+	// domain-side edge orders; both list neighbors in ascending id order.
+	mOff, dOff []int32
+	// Cross-index between the two edge orders.
+	toDomainSide, toMachineSide []int32
+
+	// m2d is indexed by domain-side position, d2m by machine-side
+	// position, so each node reads its incoming messages contiguously.
+	m2d, d2m []float64
+
+	machinePrior, domainPrior []float64
+	domBelief, macBelief      []float64
+}
+
+// newState builds topology, priors, and uninformative messages for g.
+// Beliefs are left zero; run fills them.
+func newState(g *graph.Graph, cfg Config) *state {
+	st := &state{
+		nm: g.NumMachines(),
+		nd: g.NumDomains(),
+		ne: g.NumEdges(),
 	}
-	return st.result(ModeFull, iters, conv, passStats{}), nil
+	st.buildTopology(g)
+	st.machinePrior = make([]float64, st.nm)
+	for m := 0; m < st.nm; m++ {
+		st.machinePrior[m] = prior(g.MachineLabel(int32(m)), cfg.PriorMalware)
+	}
+	st.domainPrior = make([]float64, st.nd)
+	for d := 0; d < st.nd; d++ {
+		st.domainPrior[d] = prior(g.DomainLabel(int32(d)), cfg.PriorMalware)
+	}
+	st.m2d = constSlice(st.ne, 0.5)
+	st.d2m = constSlice(st.ne, 0.5)
+	st.domBelief = make([]float64, st.nd)
+	st.macBelief = make([]float64, st.nm)
+	return st
+}
+
+// buildTopology lays out both CSR directions with each block sorted
+// ascending, so the message sums run in one order whatever the graph's
+// own adjacency order (overlay rows append in arrival order, compaction
+// re-sorts). Machine rows are sorted copies; domain-side positions,
+// assigned by scanning machine-side edges in order, come out in
+// ascending machine order for free because each (m,d) pair is unique.
+func (st *state) buildTopology(g *graph.Graph) {
+	st.mOff = make([]int32, st.nm+1)
+	st.dOff = make([]int32, st.nd+1)
+	mDom := make([]int32, st.ne)
+
+	off := int32(0)
+	for d := 0; d < st.nd; d++ {
+		st.dOff[d] = off
+		off += int32(g.DomainDegree(int32(d)))
+	}
+	st.dOff[st.nd] = off
+
+	p := int32(0)
+	for m := 0; m < st.nm; m++ {
+		st.mOff[m] = p
+		row := g.DomainsOf(int32(m))
+		blk := mDom[p : int(p)+len(row)]
+		copy(blk, row)
+		if !slices.IsSorted(blk) {
+			slices.Sort(blk)
+		}
+		p += int32(len(row))
+	}
+	st.mOff[st.nm] = p
+
+	st.toDomainSide = make([]int32, st.ne)
+	st.toMachineSide = make([]int32, st.ne)
+	cursor := slices.Clone(st.dOff[:st.nd])
+	m := 0
+	for p := int32(0); p < int32(st.ne); p++ {
+		for p >= st.mOff[m+1] {
+			m++
+		}
+		d := mDom[p]
+		q := cursor[d]
+		cursor[d]++
+		st.toDomainSide[p] = q
+		st.toMachineSide[q] = p
+	}
+}
+
+// run is the synchronous schedule: alternate full machines->domains and
+// domains->machines sweeps until the largest domain-belief move drops
+// below Tolerance or MaxIterations is reached. It returns the iterations
+// run and whether the tolerance was reached.
+func (st *state) run(cfg Config) (int, bool) {
+	psiSame := 0.5 + cfg.Epsilon
+	psiDiff := 0.5 - cfg.Epsilon
+	newMsg := make([]float64, st.ne)
+	prevDom := make([]float64, st.nd)
+
+	iter := 0
+	converged := false
+	for ; iter < cfg.MaxIterations; iter++ {
+		// Machines -> domains.
+		for m := 0; m < st.nm; m++ {
+			p0, p1 := st.mOff[m], st.mOff[m+1]
+			s0, s1 := 0.0, 0.0
+			for p := p0; p < p1; p++ {
+				s0 += math.Log(1 - st.d2m[p])
+				s1 += math.Log(st.d2m[p])
+			}
+			phi1 := st.machinePrior[m]
+			for p := p0; p < p1; p++ {
+				mu0 := (1 - phi1) * math.Exp(s0-math.Log(1-st.d2m[p]))
+				mu1 := phi1 * math.Exp(s1-math.Log(st.d2m[p]))
+				// Apply the edge potential and normalize.
+				out0 := mu0*psiSame + mu1*psiDiff
+				out1 := mu0*psiDiff + mu1*psiSame
+				v := clamp(out1 / (out0 + out1))
+				q := st.toDomainSide[p]
+				newMsg[q] = cfg.Damping*st.m2d[q] + (1-cfg.Damping)*v
+			}
+		}
+		st.m2d, newMsg = newMsg, st.m2d
+
+		// Domains -> machines.
+		for d := 0; d < st.nd; d++ {
+			q0, q1 := st.dOff[d], st.dOff[d+1]
+			s0, s1 := 0.0, 0.0
+			for q := q0; q < q1; q++ {
+				s0 += math.Log(1 - st.m2d[q])
+				s1 += math.Log(st.m2d[q])
+			}
+			phi1 := st.domainPrior[d]
+			for q := q0; q < q1; q++ {
+				mu0 := (1 - phi1) * math.Exp(s0-math.Log(1-st.m2d[q]))
+				mu1 := phi1 * math.Exp(s1-math.Log(st.m2d[q]))
+				out0 := mu0*psiSame + mu1*psiDiff
+				out1 := mu0*psiDiff + mu1*psiSame
+				v := clamp(out1 / (out0 + out1))
+				p := st.toMachineSide[q]
+				newMsg[p] = cfg.Damping*st.d2m[p] + (1-cfg.Damping)*v
+			}
+		}
+		st.d2m, newMsg = newMsg, st.d2m
+
+		// Beliefs and convergence check.
+		copy(prevDom, st.domBelief)
+		for d := 0; d < st.nd; d++ {
+			st.domBelief[d] = st.domainBelief(d)
+		}
+		maxDelta := 0.0
+		for d := 0; d < st.nd; d++ {
+			if delta := math.Abs(st.domBelief[d] - prevDom[d]); delta > maxDelta {
+				maxDelta = delta
+			}
+		}
+		if iter > 0 && maxDelta < cfg.Tolerance {
+			converged = true
+			iter++
+			break
+		}
+	}
+
+	for m := 0; m < st.nm; m++ {
+		st.macBelief[m] = st.machineBelief(m)
+	}
+	return iter, converged
+}
+
+// domainBelief computes one domain's marginal from its current incoming
+// messages.
+func (st *state) domainBelief(d int) float64 {
+	s0 := math.Log(1 - st.domainPrior[d])
+	s1 := math.Log(st.domainPrior[d])
+	for q := st.dOff[d]; q < st.dOff[d+1]; q++ {
+		s0 += math.Log(1 - st.m2d[q])
+		s1 += math.Log(st.m2d[q])
+	}
+	return clamp(1 / (1 + math.Exp(s0-s1)))
+}
+
+// machineBelief computes one machine's marginal from its current
+// incoming messages.
+func (st *state) machineBelief(m int) float64 {
+	s0 := math.Log(1 - st.machinePrior[m])
+	s1 := math.Log(st.machinePrior[m])
+	for p := st.mOff[m]; p < st.mOff[m+1]; p++ {
+		s0 += math.Log(1 - st.d2m[p])
+		s1 += math.Log(st.d2m[p])
+	}
+	return clamp(1 / (1 + math.Exp(s0-s1)))
 }
 
 func prior(l graph.Label, priorMalware float64) float64 {

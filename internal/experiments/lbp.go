@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"segugio/internal/belief"
-	"segugio/internal/graph"
 )
 
 // LBPResult reproduces the Section I comparison against loopy belief
@@ -63,11 +62,7 @@ func RunLBP(n *Network, trainDay, testDay int, sparse bool, seed int64) (*LBPRes
 	}
 	g := n.Labeled(n.Day(testDay), bl, seg.Hidden)
 	t0 = time.Now()
-	// The experiment is a one-shot batch comparison, so the engine runs a
-	// single cold pass (an inexact delta forces full propagation); the
-	// same engine serves segugiod's incremental per-snapshot passes.
-	eng := belief.NewEngine(belief.Config{MaxIterations: 15})
-	bp, err := eng.Run(g, 1, 0, graph.Delta{})
+	bp, err := belief.Propagate(g, belief.Config{MaxIterations: 15})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: lbp: %w", err)
 	}

@@ -318,7 +318,7 @@ type Ingester struct {
 	shards []*graphShard
 	// merged accumulates every shard's drained fresh delta into the one
 	// builder snapshots are served from, so every consumer (classify,
-	// prune plan, score cache, both detectors) runs on a plain merged
+	// prune plan, score cache, audit trail) runs on a plain merged
 	// *graph.Graph. Guarded by snapMu+epochMu.R (snapshots) or
 	// epochMu.W (rotation).
 	merged *graph.Builder

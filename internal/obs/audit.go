@@ -29,10 +29,6 @@ type AuditRecord struct {
 	Features      map[string]float64 `json:"features"`
 	Machines      []string           `json:"machines,omitempty"`
 	MachinesTotal int                `json:"machinesTotal"`
-	// Detectors carries the verdict of every enabled detector plugin for
-	// this domain (keyed by plugin name, plus "fused" for the ensemble),
-	// when the daemon runs more than the primary forest.
-	Detectors map[string]DetectorVerdict `json:"detectors,omitempty"`
 	// FirstSeenDay and DetectionLagDays carry detection freshness for
 	// new_detection records: the event day the domain was first queried
 	// on, and first_seen→first_detected in event days (Day −
@@ -46,13 +42,6 @@ type AuditRecord struct {
 	// Note carries free-form context for non-detection records (e.g. the
 	// from/to states and triggering signal of a health transition).
 	Note string `json:"note,omitempty"`
-}
-
-// DetectorVerdict is one detector plugin's opinion recorded in an audit
-// entry.
-type DetectorVerdict struct {
-	Score    float64 `json:"score"`
-	Detected bool    `json:"detected"`
 }
 
 // Audit reasons.
@@ -296,25 +285,13 @@ func (a *AuditLog) ForDomain(domain string, limit int) []AuditRecord {
 	return a.filter(limit, func(r AuditRecord) bool { return r.Domain == domain })
 }
 
-// Query returns up to limit records, newest first, applying the
-// non-empty filters: domain matches Domain exactly; detector keeps
-// records where that plugin's verdict was a detection. Records written
-// before the multi-detector era carry no per-detector map; they count as
-// forest detections (the forest was the only detector then).
-func (a *AuditLog) Query(limit int, domain, detector string) []AuditRecord {
-	return a.filter(limit, func(r AuditRecord) bool {
-		if domain != "" && r.Domain != domain {
-			return false
-		}
-		if detector != "" {
-			v, ok := r.Detectors[detector]
-			if !ok {
-				return detector == "forest" && len(r.Detectors) == 0
-			}
-			return v.Detected
-		}
-		return true
-	})
+// Query returns up to limit records, newest first: every record when
+// domain is empty, else those for that domain.
+func (a *AuditLog) Query(limit int, domain string) []AuditRecord {
+	if domain == "" {
+		return a.Recent(limit)
+	}
+	return a.ForDomain(domain, limit)
 }
 
 func (a *AuditLog) filter(limit int, keep func(AuditRecord) bool) []AuditRecord {

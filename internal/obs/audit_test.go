@@ -55,6 +55,36 @@ func TestAuditMemoryOnly(t *testing.T) {
 	}
 }
 
+// TestAuditLoadsRecordsWithDetectorMaps: audit files written by daemons
+// that ran auxiliary detectors carry a per-detector "detectors" map in
+// each record. The key is no longer part of AuditRecord; such a file must
+// still load at start-up and its records still answer queries, so an
+// existing state directory keeps its trail.
+func TestAuditLoadsRecordsWithDetectorMaps(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"ts":"2026-01-02T03:04:05Z","day":42,"domain":"cc.evil.net","score":0.93,"threshold":0.5,` +
+		`"reason":"new_detection","graphVersion":7,"scoreVersion":7,"features":{"infected_machine_fraction":1},` +
+		`"machines":["inf00"],"machinesTotal":5,` +
+		`"detectors":{"forest":{"score":0.93,"detected":true},"lbp":{"score":0.61,"detected":false},"fused":{"score":0.93,"detected":true}}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "audit.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := OpenAudit(AuditConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for name, got := range map[string][]AuditRecord{
+		"Recent":    a.Recent(0),
+		"ForDomain": a.ForDomain("cc.evil.net", 0),
+	} {
+		if len(got) != 1 || got[0].Domain != "cc.evil.net" || got[0].Score != 0.93 ||
+			got[0].GraphVersion != 7 || got[0].MachinesTotal != 5 || got[0].Day != 42 {
+			t.Fatalf("%s = %+v, want the record of the older file", name, got)
+		}
+	}
+}
+
 func TestAuditPersistAndReload(t *testing.T) {
 	dir := t.TempDir()
 	a, err := OpenAudit(AuditConfig{Dir: dir})

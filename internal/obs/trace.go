@@ -20,7 +20,6 @@ const (
 	StageSnapshot       = "snapshot"
 	StageFeatureExtract = "feature_extract"
 	StageClassify       = "classify"
-	StageLBPPropagate   = "lbp_propagate"
 	StageTrackerPass    = "tracker_pass"
 )
 
@@ -28,7 +27,7 @@ const (
 func Stages() []string {
 	return []string{
 		StageParse, StageWALAppend, StageGraphApply, StageSnapshot,
-		StageFeatureExtract, StageClassify, StageLBPPropagate, StageTrackerPass,
+		StageFeatureExtract, StageClassify, StageTrackerPass,
 	}
 }
 

@@ -228,15 +228,13 @@ func TestReadyzReflectsHealth(t *testing.T) {
 	}
 }
 
-// TestReloadTuningSerializesWithPass is the regression test for the
-// mid-pass tuning reload race: reloadTuning swaps and Closes the aux
-// plugin set, which classify passes drive. The swap must serialize
-// against in-flight passes (via the pass-production mutex) — under -race,
-// a Close racing a plugin's Prepare/Score fails this test.
-func TestReloadTuningSerializesWithPass(t *testing.T) {
-	ts := newTestServer(t, func(cfg *Config) {
-		cfg.Detectors = []string{"forest", "lbp"}
-	})
+// TestReloadSerializesWithPass hammers the model reload (POST
+// /v1/reload) beside concurrent classify-all passes. A reload swaps the
+// loaded model that passes read; under -race, a swap that is not safe
+// against an in-flight pass fails this test, and every pass and reload
+// must succeed.
+func TestReloadSerializesWithPass(t *testing.T) {
+	ts := newTestServer(t, nil)
 
 	const (
 		passes  = 30
@@ -257,15 +255,16 @@ func TestReloadTuningSerializesWithPass(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < reloads; i++ {
-			if err := ts.srv.reloadTuning(); err != nil {
-				t.Errorf("reload %d: %v", i, err)
+			var resp ReloadResponse
+			if code, raw := postJSON(t, ts.URL+"/v1/reload", nil, &resp); code != http.StatusOK {
+				t.Errorf("reload %d: %d %s", i, code, raw)
 				return
 			}
 		}
 	}()
 	wg.Wait()
 
-	// The swapped-in plugin set still works.
+	// The last swapped-in model still serves a full pass.
 	var resp ClassifyResponse
 	if code, raw := postJSON(t, ts.URL+"/v1/classify", nil, &resp); code != http.StatusOK {
 		t.Fatalf("post-hammer classify: %d %s", code, raw)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"segugio/internal/core"
 	"segugio/internal/features"
@@ -64,9 +63,6 @@ type pass struct {
 	detected int
 	missing  []missingDomain
 	byID     []domainScore
-	// aux holds the auxiliary detectors' scores for this snapshot; nil
-	// when none is enabled or none completed.
-	aux auxScores
 	// rescored counts the domains whose features this pass re-extracted.
 	rescored int
 	// diff is what the pass changed in the cross-day tracker; nil without
@@ -159,10 +155,9 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
 
-	// The pass context bounds everything below, including the auxiliary
-	// detectors: a pass that blows the deadline is cancelled mid-sweep.
-	// The deadline also bounds how long passMu is held, so a stuck pass
-	// cannot wedge the next one.
+	// The pass context bounds everything below: a pass that blows the
+	// deadline is cancelled mid-sweep. The deadline also bounds how long
+	// passMu is held, so a stuck pass cannot wedge the next one.
 	passCtx := ctx
 	if s.cfg.PassDeadline > 0 {
 		var cancel context.CancelFunc
@@ -224,14 +219,10 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 	for full || len(targets) > 0 {
 		_, clsSpan := s.cfg.Tracer.StartSpan(ctx, obs.StageClassify)
 		clsSpan.SetAttr("mode", passMode(full))
-		t0 := time.Now()
 		var report *core.ClassifyReport
 		dets, report, err = m.session.ClassifyDelta(core.ClassifyInput{
 			Ctx: passCtx, Graph: g, Activity: s.cfg.Activity, Abuse: s.cfg.Abuse, Domains: targets,
 		})
-		if h := s.detPassLat["forest"]; h != nil {
-			h.ObserveDuration(time.Since(t0))
-		}
 		if err != nil {
 			clsSpan.End()
 			return s.passAborted(prev, ctx, passCtx, err)
@@ -319,11 +310,6 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 		}
 	}
 
-	// Auxiliary detectors observe the same pass (same snapshot, same
-	// delta): their engines carry incremental state forward and
-	// self-escalate on any version gap. Failures never break the primary.
-	p.aux = s.runAuxDetectors(passCtx, g, version, since, delta)
-
 	// Everything that follows a pass hangs off the value just built: the
 	// audit trail records the domains that crossed the threshold since the
 	// previous pass, the tracker folds the day's detections in, and the
@@ -349,8 +335,8 @@ func (s *Server) classifyAll(ctx context.Context, m *loadedModel) (p *pass, stal
 // published pass stale-marked when one exists. Any other failure (plain
 // pass error, caller disconnected, daemon shutting down) propagates
 // as-is. Partial results of the aborted pass are never published, and the
-// core session/LBP engine discard their own partial state on
-// cancellation. Caller holds passMu.
+// core session discards its own partial state on cancellation. Caller
+// holds passMu.
 func (s *Server) passAborted(prev *pass, reqCtx, passCtx context.Context, err error) (*pass, bool, error) {
 	if passCtx.Err() == nil || reqCtx.Err() != nil {
 		return nil, false, err
@@ -452,7 +438,6 @@ func (s *Server) auditNewDetections(prev, p *pass) {
 				rec.HasFreshness = true
 			}
 		}
-		rec.Detectors = p.aux.detectorVerdicts(row.Domain, row.Score, threshold)
 		v := features.BorrowVector()
 		ex.VectorInto(row.id, v)
 		rec.Features = make(map[string]float64, len(v))

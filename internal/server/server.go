@@ -31,7 +31,6 @@ import (
 
 	"segugio/internal/activity"
 	"segugio/internal/core"
-	"segugio/internal/detector"
 	"segugio/internal/dnsutil"
 	"segugio/internal/features"
 	"segugio/internal/graph"
@@ -168,20 +167,6 @@ type Config struct {
 	// Audit, when non-nil, receives one record per newly detected domain
 	// from classify-all and tracker passes, and backs GET /v1/audit.
 	Audit *obs.AuditLog
-	// Detectors names the enabled detector plugins (default just
-	// "forest"). The forest is the primary: it scores the classify-all
-	// rows and the top-level detected verdict. Every other name (e.g.
-	// "lbp") is a plugin that runs beside it each classify-all pass; its
-	// scores ride along in responses under "detectors" and in dual-verdict
-	// audit records.
-	Detectors []string
-	// Tuning parameterizes the auxiliary detector plugins at startup.
-	Tuning detector.Tuning
-	// TuningPath, when non-empty, is a JSON tuning file (see
-	// detector.LoadTuning) re-read on every reload (POST /v1/reload or
-	// SIGHUP) in place of Tuning; auxiliary plugins are rebuilt with the
-	// new knobs.
-	TuningPath string
 	// PassDeadline bounds one classify/tracker pass. A pass that blows
 	// the deadline is cancelled mid-sweep; classify-all then serves the
 	// last-good cached scores stale-marked, and repeated overruns
@@ -233,12 +218,6 @@ type Server struct {
 	// lookups counts by-name requests by the snapshot that answered.
 	lookupsPass, lookupsLive *metrics.Counter
 
-	detPassLat       map[string]*metrics.Histogram
-	detPassErrs      map[string]*metrics.Counter
-	lbpIterations    *metrics.Gauge
-	lbpResidualQueue *metrics.Gauge
-	lbpPasses        map[string]*metrics.Counter
-
 	passDeadlineExceeded *metrics.Counter
 	httpRejected         map[string]*metrics.Counter
 	// inflight holds the per-endpoint admission semaphores (nil when
@@ -246,15 +225,14 @@ type Server struct {
 	inflight map[string]chan struct{}
 
 	// passMu serializes pass production (classifyAll) and guards what only
-	// a producer touches: the aux plugin set, swapped by tuning reloads,
-	// and overruns, the count of consecutive deadline-aborted passes (the
-	// watchdog escalates the classify_pass health signal to degraded at
-	// passOverrunEscalate and any completed pass resets it). Readers never
-	// take it: they load pass, the last completed one.
-	passMu     sync.Mutex
-	auxPlugins []detector.Detector
-	overruns   int
-	pass       atomic.Pointer[pass]
+	// a producer touches: overruns, the count of consecutive
+	// deadline-aborted passes (the watchdog escalates the classify_pass
+	// health signal to degraded at passOverrunEscalate and any completed
+	// pass resets it). Readers never take it: they load pass, the last
+	// completed one.
+	passMu   sync.Mutex
+	overruns int
+	pass     atomic.Pointer[pass]
 }
 
 // passOverrunEscalate is how many consecutive deadline overruns the
@@ -271,9 +249,6 @@ var errNotLabeled = errors.New("live graph is not labeled yet")
 func New(cfg Config) *Server {
 	if cfg.MaxClassifyDomains <= 0 {
 		cfg.MaxClassifyDomains = 10000
-	}
-	if len(cfg.Detectors) == 0 {
-		cfg.Detectors = []string{"forest"}
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	s.log = obs.Component(cfg.Logger, "http")
@@ -315,34 +290,6 @@ func New(cfg Config) *Server {
 			metrics.Labels("source", source))
 	}
 	s.lookupsPass, s.lookupsLive = lookups("pass"), lookups("live")
-	s.detPassLat = map[string]*metrics.Histogram{}
-	s.detPassErrs = map[string]*metrics.Counter{}
-	for _, name := range cfg.Detectors {
-		s.detPassLat[name] = r.NewHistogram("segugiod_detector_pass_seconds",
-			"Latency of one detector plugin's classify pass, by detector.",
-			metrics.Labels("detector", name), nil)
-		s.detPassErrs[name] = r.NewCounter("segugiod_detector_pass_errors_total",
-			"Detector plugin passes that failed (previous scores kept).",
-			metrics.Labels("detector", name))
-	}
-	if slices.Contains(cfg.Detectors, "lbp") {
-		s.lbpIterations = r.NewGauge("segugiod_lbp_iterations",
-			"Belief-propagation iterations (full pass) or node updates (residual pass) of the last LBP pass.", "")
-		s.lbpResidualQueue = r.NewGauge("segugiod_lbp_residual_queue",
-			"Peak residual priority-queue depth of the last LBP pass.", "")
-		s.lbpPasses = map[string]*metrics.Counter{}
-		for _, mode := range []string{"full", "residual", "cached"} {
-			s.lbpPasses[mode] = r.NewCounter("segugiod_lbp_passes_total",
-				"LBP passes by propagation mode.", metrics.Labels("mode", mode))
-		}
-	}
-	plugins, err := buildAux(cfg.Detectors, cfg.Tuning)
-	if err != nil {
-		// Plugin names are validated against detector.Names() by the
-		// daemon's flag parsing; an unknown name here is a programmer error.
-		panic(err)
-	}
-	s.auxPlugins = plugins
 	if cfg.Detector != nil {
 		r.NewGaugeFunc("segugiod_detector_age_seconds",
 			"Seconds since the serving detector was loaded.", "",
@@ -551,11 +498,6 @@ type ClassifyDetection struct {
 	// to (zero on a row no pass holds); it sits in Detected's padding.
 	id           int32
 	ScoreVersion uint64 `json:"scoreVersion"`
-	// Detectors carries per-plugin scores (keyed by plugin name plus
-	// "fused" for the ensemble) when auxiliary detectors are enabled and
-	// have scored this snapshot. Score/Detected above stay the primary
-	// forest verdict.
-	Detectors map[string]float64 `json:"detectors,omitempty"`
 }
 
 // ClassifyResponse is the POST /v1/classify reply. A reply with Domains
@@ -608,7 +550,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	threshold := m.det.Threshold()
 	var resp ClassifyResponse
 	var rows []ClassifyDetection
-	var aux auxScores
 	if len(req.Domains) == 0 {
 		// Classify-all is the pass: only domains whose evidence changed
 		// since the previous one are re-extracted.
@@ -628,7 +569,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, status, "classify: %v", err)
 			return
 		}
-		rows, aux = p.rows, p.aux
+		rows = p.rows
 		resp = ClassifyResponse{
 			Day:          p.graph.Day(),
 			GraphVersion: p.version,
@@ -648,7 +589,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		slices.SortFunc(rows, rowCmp)
-		aux = p.aux
 		resp = ClassifyResponse{Day: g.Day(), GraphVersion: version, Classified: len(rows), Missing: missing}
 	} else {
 		// No pass can answer: an ad-hoc query against the fresh snapshot,
@@ -708,8 +648,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		if req.Top > 0 && len(resp.Detections) >= req.Top {
 			continue
 		}
-		// row is a copy; the pass's rows stay untouched.
-		row.Detectors = aux.detectorScores(row.Domain, row.Score, threshold)
 		resp.Detections = append(resp.Detections, row)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -737,9 +675,6 @@ type DomainResponse struct {
 	// Pruned marks an unknown-labeled domain without a score: the prune
 	// rules (R1-R4) removed it from the graph classification runs on.
 	Pruned bool `json:"pruned,omitempty"`
-	// Detectors carries per-plugin scores (plus "fused") when auxiliary
-	// detectors are enabled and current for this snapshot.
-	Detectors map[string]float64 `json:"detectors,omitempty"`
 
 	QueryingMachines int     `json:"queryingMachines"`
 	InfectedFraction float64 `json:"infectedFraction"`
@@ -849,18 +784,15 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	// pruned deployment graph, so a pruned-away domain has none.
 	if m != nil && g.DomainLabel(d) == graph.LabelUnknown {
 		var row ClassifyDetection
-		var aux auxScores
 		var scored bool
 		if p != nil {
 			row, scored = p.row(d)
-			aux = p.aux
 		} else {
 			row, scored = s.scoreDomain(r.Context(), m, g, version, name)
 		}
 		resp.Pruned = !scored
 		if scored {
 			resp.Score, resp.Detected, resp.ScoreVersion = &row.Score, &row.Detected, row.ScoreVersion
-			resp.Detectors = aux.detectorScores(name, row.Score, m.det.Threshold())
 		}
 	}
 	s.domainLat.ObserveDuration(time.Since(t0))
@@ -1071,8 +1003,7 @@ type AuditResponse struct {
 const defaultAuditLimit = 100
 
 // handleAudit queries the detection audit trail. ?domain=X restricts to
-// one domain; ?detector=NAME to records where that plugin detected the
-// domain; ?limit=N caps the reply (default 100, 0 keeps the default;
+// one domain; ?limit=N caps the reply (default 100, 0 keeps the default;
 // the in-memory window bounds it anyway).
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Audit == nil {
@@ -1097,12 +1028,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 		domain = name
 	}
-	detName := r.URL.Query().Get("detector")
-	if detName != "" && detName != detector.FusedName && !slices.Contains(s.cfg.Detectors, detName) {
-		s.writeError(w, http.StatusBadRequest, "unknown detector %q (enabled: %v)", detName, s.cfg.Detectors)
-		return
-	}
-	recs := s.cfg.Audit.Query(limit, domain, detName)
+	recs := s.cfg.Audit.Query(limit, domain)
 	if recs == nil {
 		recs = []obs.AuditRecord{}
 	}
@@ -1126,11 +1052,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	if err := s.reloadTuning(); err != nil {
-		s.reloadFails.Inc()
-		s.writeError(w, http.StatusUnprocessableEntity, "detector tuning: %v", err)
-		return
-	}
 	s.reloads.Inc()
 	det, _ := s.cfg.Detector.Get()
 	s.writeJSON(w, http.StatusOK, ReloadResponse{
@@ -1147,10 +1068,6 @@ func (s *Server) ReloadForSignal() error {
 		return errors.New("server: no detector configured")
 	}
 	if err := s.cfg.Detector.Reload(); err != nil {
-		s.reloadFails.Inc()
-		return err
-	}
-	if err := s.reloadTuning(); err != nil {
 		s.reloadFails.Inc()
 		return err
 	}

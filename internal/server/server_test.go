@@ -284,6 +284,31 @@ func TestClassifyRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestClassifyWireFormatGolden locks the classify wire format by exact
+// JSON round-trip: the raw body must re-encode byte-identically from the
+// documented response structs — no extra fields, no reordering, and no
+// "detectors" key at all.
+func TestClassifyWireFormatGolden(t *testing.T) {
+	t.Run("forest-only", func(t *testing.T) {
+		ts := newTestServer(t, nil)
+		var resp ClassifyResponse
+		code, raw := postJSON(t, ts.URL+"/v1/classify", nil, &resp)
+		if code != http.StatusOK {
+			t.Fatalf("classify: %d %s", code, raw)
+		}
+		if strings.Contains(raw, `"detectors"`) {
+			t.Fatalf("detectors key present:\n%s", raw)
+		}
+		golden, err := json.MarshalIndent(resp, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw != string(golden)+"\n" {
+			t.Fatalf("wire format drifted from ClassifyResponse:\n got: %s\nwant: %s", raw, golden)
+		}
+	})
+}
+
 func TestClassifyWithoutDetector(t *testing.T) {
 	ts := newTestServer(t, func(cfg *Config) { cfg.Detector = nil })
 	code, raw := postJSON(t, ts.URL+"/v1/classify", nil, nil)

@@ -26,12 +26,6 @@ cd "$(dirname "$0")/.."
 # the same fixture (its O(graph) cost is gated in bytes, below).
 BUDGET=${BENCH_ALLOC_BUDGET:-200}
 
-# The residual LBP pass has the same contract at the belief layer: a
-# 10-dirty delta against the warmed 100k-unknown state re-propagates from
-# the seeds only. Measured steady state is ~23 allocs/op; blowing the
-# budget means the pass fell back to rebuilding full-graph state.
-LBP_BUDGET=${BENCH_LBP_ALLOC_BUDGET:-64}
-
 # The embedded tsdb self-scrapes the whole metrics registry every few
 # seconds for the daemon's lifetime, so a scrape must not allocate in
 # steady state (series columns are preallocated at first sight; the
@@ -116,7 +110,6 @@ if [ "$full_bytes" -gt "$FULL_PASS_BYTES_BUDGET" ]; then
 fi
 echo "bench-allocs: full classify pass: $full_bytes B/op within budget $FULL_PASS_BYTES_BUDGET"
 
-gate BenchmarkLBPResidual ./internal/belief "$LBP_BUDGET"
 gate BenchmarkScrape ./internal/tsdb "$TSDB_SCRAPE_BUDGET"
 # E2LD runs once per interned name in every builder, in snapshot decode
 # and in the batch oracle; every candidate suffix is a slice of the
