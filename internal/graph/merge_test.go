@@ -26,19 +26,15 @@ func referenceFold(base, pending []edge) (newBase, fresh []edge) {
 	return newBase, fresh
 }
 
-// foldNames backs foldBuilder's name slabs: mergePending reads only
-// their lengths, so every fold shares one slab of the widest id space.
-var foldNames = make([]string, 1<<20)
-
 // foldBuilder is a builder holding only what mergePending reads: node
 // counts (the radix sort's key widths), the base run and the pending
 // buffer.
 func foldBuilder(nm, nd int, base, pending []edge) *Builder {
 	return &Builder{
-		machineIDs: foldNames[:nm],
-		domains:    foldNames[:nd],
-		base:       slices.Clone(base),
-		pending:    slices.Clone(pending),
+		nm:      nm,
+		nd:      nd,
+		base:    slices.Clone(base),
+		pending: slices.Clone(pending),
 	}
 }
 

@@ -97,6 +97,7 @@ func DecodeSnapshot(r io.Reader, suffixes *dnsutil.SuffixList) (*Builder, error)
 	for _, name := range wire.Domains {
 		b.Domain(name)
 	}
+	b.growDomains(nd)
 	for m := 0; m < nm; m++ {
 		lo, hi := wire.EdgeOff[m], wire.EdgeOff[m+1]
 		if lo < 0 || hi < lo || int(hi) > len(wire.EdgeAdj) {
@@ -113,7 +114,7 @@ func DecodeSnapshot(r io.Reader, suffixes *dnsutil.SuffixList) (*Builder, error)
 			b.pending = append(b.pending, newEdge(int32(m), d))
 			if !b.domainQueried[d] {
 				b.domainQueried[d] = true
-				b.e2lds[b.domainE2LD[d]].queried = true
+				b.e2ldQueried[b.viewE2LDID[d]] = true
 			}
 		}
 	}

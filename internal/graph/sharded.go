@@ -1,18 +1,13 @@
 package graph
 
-// ShardOf routes an event key to one of n graph shards by 32-bit FNV-1a
-// hash; ingest dispatches with it, so the per-(source,shard) SPSC rings
-// feed straight into their shard's builder. Query events route by machine
-// ID and resolution events by domain name; the resulting partition
-// invariants are what make sharding exact:
-//
-//   - every (machine, domain) edge lands in shard(machine), so a machine's
-//     whole adjacency — and therefore its label — is shard-local;
-//   - every (domain, address) pair lands in shard(domain), so per-shard
-//     address deduplication equals global deduplication;
-//   - per-shard edge deduplication equals global deduplication, so the
-//     per-shard fresh deltas drained by Builder.DrainInto compose into
-//     one exact global delta with no cross-shard duplicates.
+// ShardOf routes an event key to one of n ingest shards by 32-bit FNV-1a
+// hash; ingest dispatches with it, so each per-(source, shard) SPSC ring
+// feeds one worker. Query events route by machine ID and resolution
+// events by domain name. The routing only spreads the load: a shard
+// stages node ids of the one day builder, and the fold deduplicates edges
+// and addresses across every shard, so no result depends on which shard
+// an event landed in. It does keep one machine's queries in order
+// relative to each other.
 func ShardOf(key string, n int) int {
 	if n <= 1 {
 		return 0

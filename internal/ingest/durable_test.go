@@ -65,7 +65,7 @@ func openShards(t *testing.T, dir string, workers int) (*Ingester, *Metrics, *Re
 	return in, m, info
 }
 
-// Shard 0's file locations in the first-generation sharded layout.
+// Stripe 0's file locations in the first-generation layout.
 func shard0WALSeg(dir string) string {
 	return filepath.Join(dir, genDirName(1), shardWALDir(0), "wal-00000001.seg")
 }
@@ -74,12 +74,13 @@ func shard0WALGlob(dir string) string {
 	return filepath.Join(dir, genDirName(1), shardWALDir(0), "wal-*.seg")
 }
 
-func shard0Checkpoint(dir string) string {
-	return filepath.Join(dir, genDirName(1), shardCheckpointFile(0))
+// The first generation's checkpoint pair.
+func genCheckpoint(dir string) string {
+	return filepath.Join(dir, genDirName(1), checkpointFile)
 }
 
-func shard0CheckpointPrev(dir string) string {
-	return filepath.Join(dir, genDirName(1), shardCheckpointPrevFile(0))
+func genCheckpointPrev(dir string) string {
+	return filepath.Join(dir, genDirName(1), checkpointPrevFile)
 }
 
 func feed(t *testing.T, in *Ingester, m *Metrics, events []logio.Event) {
@@ -245,7 +246,7 @@ func TestDurableRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 	want, _ := in.Snapshot()
 
 	// Flip a byte inside the newest checkpoint's snapshot payload.
-	cur := shard0Checkpoint(dir)
+	cur := genCheckpoint(dir)
 	fi, err := os.Stat(cur)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +360,7 @@ func TestDurableWALTruncationKeepsFallbackWindow(t *testing.T) {
 		t.Fatal("no wal segments on disk")
 	}
 
-	cur := shard0Checkpoint(dir)
+	cur := genCheckpoint(dir)
 	fi, err := os.Stat(cur)
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +476,7 @@ func TestDurableFallbackSurvivesNextCheckpoint(t *testing.T) {
 	if err := in.Checkpoint(); err != nil { // generation B (to be corrupted)
 		t.Fatal(err)
 	}
-	cur := shard0Checkpoint(dir)
+	cur := genCheckpoint(dir)
 	fi, err := os.Stat(cur)
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +498,7 @@ func TestDurableFallbackSurvivesNextCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := in2.Snapshot()
-	if _, _, _, err := readCheckpoint(shard0CheckpointPrev(dir), Config{Suffixes: dnsutil.DefaultSuffixList()}); err != nil {
+	if _, _, _, err := readCheckpoint(genCheckpointPrev(dir), Config{Suffixes: dnsutil.DefaultSuffixList()}, 1); err != nil {
 		t.Fatalf("previous checkpoint generation unreadable after post-fallback checkpoint: %v", err)
 	}
 

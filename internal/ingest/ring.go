@@ -199,8 +199,8 @@ func (t *symTable) put(sym uint32, v int32) {
 }
 
 // symNodes caches, per ring, the node id each stream symbol resolved to
-// in the shard's builder: one table per use, because a symbol used as a
-// machine id and as a domain names two different nodes. A shard has one
+// in the day builder: one table per use, because a symbol used as a
+// machine id and as a domain names two different nodes. There is one day
 // builder per epoch day (rotation is the only swap while rings exist), so
 // the ids are good for the day they were issued on; bind clears the tables
 // when the epoch has rotated since the ring's previous batch. The cache
@@ -220,10 +220,10 @@ func (n *symNodes) bind(day int) {
 	}
 }
 
-// machineID resolves a query's machine to its node id in b, the builder
-// of the bound day: two slice loads when this ring has met the symbol
-// that day, the builder's string intern otherwise — which then fills the
-// slot.
+// machineID resolves a query's machine to its node id in b, the day
+// builder of the bound day: two slice loads when this ring has met the
+// symbol that day, the name table's intern otherwise — which then fills
+// the slot.
 func (n *symNodes) machineID(b *graph.Builder, sym uint32, name string) int32 {
 	if id, ok := n.machine.get(sym); ok {
 		return id

@@ -279,11 +279,11 @@ func TestSymbolTablesOneSymbolAsMachineAndDomain(t *testing.T) {
 		nil, nil, nil)
 }
 
-// TestSymbolTablesRebindAcrossRotation swaps every shard's builder under
-// a live connection: frame one defines its names on day 5, frame two —
+// TestSymbolTablesRebindAcrossRotation swaps the day builder under a
+// live connection: frame one defines its names on day 5, frame two —
 // sent once frame one is applied — uses the same symbols, never defined
-// again, on day 6. The rings' node ids belong to day 5's builders; the
-// first day-6 batch must drop them rather than append day-5 ids to a
+// again, on day 6. The rings' node ids belong to day 5's builder; the
+// first day-6 batch must drop them rather than stage day-5 ids for the
 // day-6 builder.
 func TestSymbolTablesRebindAcrossRotation(t *testing.T) {
 	suffixes := dnsutil.DefaultSuffixList()
@@ -322,17 +322,20 @@ func TestSymbolTablesRebindAcrossRotation(t *testing.T) {
 	// The connection is still open, so its rings are still attached: they
 	// must hold day 6's ids, bound to day 6.
 	filled := 0
+	in.epochMu.RLock()
+	nm := in.builder.NumMachines()
+	in.epochMu.RUnlock()
 	for s := range in.shardRings {
 		in.shards[s].mu.Lock()
 		for _, r := range *in.shardRings[s].Load() {
 			if r.nodes.day != 6 {
-				t.Errorf("shard %d: ring's symbol cache is bound to day %d, the shard's builder is day 6's", s, r.nodes.day)
+				t.Errorf("shard %d: ring's symbol cache is bound to day %d, the day builder is day 6's", s, r.nodes.day)
 			}
 			for _, id := range r.nodes.machine {
 				if id != 0 {
 					filled++
-					if int(id-1) >= in.shards[s].builder.NumMachines() {
-						t.Errorf("shard %d: cached machine id %d, builder has %d machines", s, id-1, in.shards[s].builder.NumMachines())
+					if int(id-1) >= nm {
+						t.Errorf("shard %d: cached machine id %d, the day builder has %d machines", s, id-1, nm)
 					}
 				}
 			}
