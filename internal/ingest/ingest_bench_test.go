@@ -343,3 +343,115 @@ func BenchmarkSnapshotSinceSharded(b *testing.B) {
 		since = v
 	}
 }
+
+// BenchmarkIngestDayHeap prices a day's graph in live heap: an
+// isp-50k-shaped day — 50k machines, 110k domains with one resolution
+// each, 2.1M distinct edges each sent twice, all shuffled — applied to
+// four shards from one segb1-numbered stream, with a SnapshotSince every
+// 1.2M events as the daemon's passes take them. After the day and a last
+// pass it reports live-MB, the heap still reachable after runtime.GC
+// minus the fixture's own (names and the shuffled event order), and
+// B/edge, that over the distinct edges. The activity log is on, as in the
+// daemon, so its marks count too. Gated in scripts/bench-allocs.sh.
+func BenchmarkIngestDayHeap(b *testing.B) {
+	const (
+		shards           = 4
+		machines, names  = 50_000, 110_000
+		edges            = 2_100_000
+		passEvery, batch = 1_200_000, 256
+	)
+	heapNow := func() uint64 {
+		// Twice: the second collection also empties the sync.Pool victim
+		// caches the first one left.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heapNow()
+	machineIDs := make([]string, machines)
+	for i := range machineIDs {
+		machineIDs[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255)
+	}
+	domains := make([]string, names)
+	for i := range domains {
+		domains[i] = fmt.Sprintf("h%d.zone%d.example.com", i, i%7000)
+	}
+	// Machine m queries 42 distinct domains along a stride coprime to the
+	// name count, from a skewed start: 2.1M distinct edges in all. order holds every edge twice plus every
+	// domain's resolution (encoded as edges+d), shuffled.
+	rng := rand.New(rand.NewSource(44))
+	type pair struct{ m, d int32 }
+	start := make([]int, machines)
+	for m := range start {
+		start[m] = int(float64(names) * rng.Float64() * rng.Float64())
+	}
+	pairs := make([]pair, 0, edges)
+	for k := 0; len(pairs) < edges; k++ {
+		m := k % machines
+		pairs = append(pairs, pair{int32(m), int32((start[m] + k/machines*7919) % names)})
+	}
+	order := make([]int32, 0, 2*edges+names)
+	for i := range pairs {
+		order = append(order, int32(i), int32(i))
+	}
+	for d := 0; d < names; d++ {
+		order = append(order, int32(edges+d))
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	fixture := heapNow() - base
+	b.ResetTimer()
+
+	var liveMB float64
+	for i := 0; i < b.N; i++ {
+		in := New(benchConfig(shards))
+		rings := make([]*eventRing, shards)
+		pend := make([][]logio.Event, shards)
+		for s := range rings {
+			rings[s] = benchRing()
+			pend[s] = make([]logio.Event, 0, batch)
+		}
+		flush := func(s int) {
+			in.apply(pend[s], rings[s], s)
+			clear(pend[s])
+			pend[s] = pend[s][:0]
+		}
+		var since uint64
+		for k, x := range order {
+			var e logio.Event
+			if int(x) < edges {
+				p := pairs[x]
+				e = logio.Event{Kind: logio.EventQuery, Day: 1,
+					Machine: machineIDs[p.m], MachineSym: uint32(p.m) + 1,
+					Domain: domains[p.d], DomainSym: uint32(machines+p.d) + 1}
+			} else {
+				d := int(x) - edges
+				e = logio.Event{Kind: logio.EventResolution, Day: 1, Domain: domains[d], DomainSym: uint32(machines+d) + 1,
+					IPs: []dnsutil.IPv4{dnsutil.IPv4(0x0a000000 + uint32(d))}}
+			}
+			s := graph.ShardOf(eventKey(&e), shards)
+			if pend[s] = append(pend[s], e); len(pend[s]) == batch {
+				flush(s)
+			}
+			if k%passEvery == passEvery-1 {
+				_, since, _ = in.SnapshotSince(since)
+			}
+		}
+		for s := range pend {
+			if len(pend[s]) > 0 {
+				flush(s)
+			}
+		}
+		g, _, _ := in.SnapshotSince(since)
+		if g.NumEdges() != edges || g.NumDomains() != names {
+			b.Fatalf("day graph has %d edges, %d domains; want %d, %d", g.NumEdges(), g.NumDomains(), edges, names)
+		}
+		pend, rings, g = nil, nil, nil
+		liveMB = float64(heapNow()-base-fixture) / (1 << 20)
+		runtime.KeepAlive(in)
+		in.Shutdown()
+	}
+	b.ReportMetric(liveMB, "live-MB")
+	b.ReportMetric(liveMB*(1<<20)/edges, "B/edge")
+}
