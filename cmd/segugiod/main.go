@@ -141,7 +141,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&opts.pslPath, "psl", "", "public-suffix list file (optional)")
 	fs.StringVar(&opts.network, "network", "isp", "network name stamped on live graphs")
 	fs.IntVar(&opts.startDay, "start-day", 0, "initial epoch day; earlier events are dropped as stale")
-	fs.IntVar(&opts.workers, "workers", 4, "ingest shards: one worker, one machine-hash graph shard with its own apply lock, and one WAL stripe each (a restart with a different value rehashes the recovered state)")
+	fs.IntVar(&opts.workers, "workers", 4, "ingest shards: one worker, one staging buffer with its own apply lock, and one WAL stripe each (a restart with a different value replays the stripes into the new count)")
 	fs.IntVar(&opts.queue, "queue", 4096, "per-shard event queue depth")
 	fs.IntVar(&opts.keepDays, "keep-days", 30, "days of activity history kept across rotations")
 	fs.StringVar(&opts.stateDir, "state", "", "state directory for the write-ahead log and checkpoints (empty: in-memory only)")
