@@ -401,8 +401,6 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 			"Applied batches that could not be logged to the WAL.", ""),
 		SnapshotSeconds: d.reg.NewHistogram("segugiod_snapshot_seconds",
 			"Latency of taking one live-graph snapshot (incremental merge + labeling).", "", nil),
-		DirtyDomains: d.reg.NewGauge("segugiod_dirty_domains",
-			"Domains whose evidence changed between the last two snapshots.", ""),
 		// Registered whatever policy is active, so the series scrapes as
 		// zero from the first exposition.
 		EventsShed: map[string]*metrics.Counter{
@@ -921,8 +919,8 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 	return serveErr
 }
 
-// trackerTick is one beat of -classify-every: classify-all through the
-// delta cache, fold the detections into the cross-day tracker, and log
+// trackerTick is one beat of -classify-every: one classify-all pass, fold
+// the detections into the cross-day tracker, and log
 // the day diff. Failures (e.g. the graph not labeled yet at startup)
 // only log. After a rotation the pass is handed the finished day's last
 // graph (see ingest.SnapshotSince); the new day's first pass then runs at

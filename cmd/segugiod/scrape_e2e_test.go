@@ -142,6 +142,8 @@ func TestMetricsScrapeLints(t *testing.T) {
 		`segugiod_http_rejected_total{code="503"}`,
 		`segugiod_lookups_total{source="pass"}`,
 		`segugiod_lookups_total{source="live"}`,
+		"segugiod_classify_prune_cache_hits_total",
+		"segugiod_classify_prune_cache_misses_total",
 		`segugiod_watermark_lag_seconds{stage="graph_apply",source="stream"}`,
 		`segugiod_watermark_lag_seconds{stage="score_cache",source="all"}`,
 		`segugiod_watermark_lag_seconds{stage="shard_apply",source="shard-0"}`,
@@ -162,7 +164,8 @@ func TestMetricsScrapeLints(t *testing.T) {
 		}
 	}
 	// A pass is timed once, by its classify span: no per-plugin families.
-	for _, gone := range []string{"segugiod_lbp_", "segugiod_detector_pass_"} {
+	// It scores its snapshot whole: no delta-cache or dirty-set families.
+	for _, gone := range []string{"segugiod_lbp_", "segugiod_detector_pass_", "segugiod_classify_cache_", "segugiod_dirty_domains"} {
 		if bytes.Contains(raw, []byte(gone)) {
 			t.Fatalf("scrape still carries %s families:\n%s", gone, raw)
 		}

@@ -240,16 +240,11 @@ type ClassifyReport struct {
 	ProbersRemoved []string
 	Timing         Timing
 	// PrunedGraph is the graph classification ran on, kept so callers can
-	// enumerate the machines behind each detection. Delta passes served
-	// from a memoized session leave it nil: nothing is materialized.
+	// enumerate the machines behind each detection.
 	PrunedGraph *graph.Graph
 	// PrunedCached reports whether the prober-filter + prune pipeline was
 	// served from a memoized session instead of rescanning the graph.
 	PrunedCached bool
-	// PruneSig is the resolved prune-threshold signature
-	// (graph.PrunePlan.Signature) of the plan this pass ran under; zero
-	// when pruning is disabled.
-	PruneSig uint64
 }
 
 // prepared is the memoizable per-snapshot preprocessing of a classify
@@ -260,13 +255,11 @@ type prepared struct {
 	src      *graph.Graph
 	activity *activity.Log
 	abuse    *pdns.AbuseIndex
-	// plan is nil when the detector has no prober filter and pruning
-	// disabled; pruned is then src itself.
-	plan           *graph.PrunePlan
+	// pruned is src itself when the detector has no prober filter and
+	// pruning disabled.
 	pruned         *graph.Graph
 	stats          graph.PruneStats
 	probersRemoved []string
-	sig            uint64
 	ex             *features.Extractor
 	pruneTime      time.Duration
 }
@@ -281,11 +274,9 @@ func (d *Detector) prepare(g *graph.Graph, act *activity.Log, abuse *pdns.AbuseI
 		if err != nil {
 			return nil, fmt.Errorf("core: prune: %w", err)
 		}
-		p.plan = plan
 		p.pruned = plan.Materialize()
 		p.stats = plan.Stats()
 		p.probersRemoved = plan.ProbersRemoved()
-		p.sig = plan.Signature()
 		p.pruneTime = time.Since(t0)
 	} else {
 		p.pruned = g
@@ -303,7 +294,6 @@ func (p *prepared) fillReport(report *ClassifyReport, cached bool) {
 	report.Prune = p.stats
 	report.ProbersRemoved = p.probersRemoved
 	report.PrunedGraph = p.pruned
-	report.PruneSig = p.sig
 	report.PrunedCached = cached
 	if !cached {
 		report.Timing.Prune = p.pruneTime
@@ -324,12 +314,14 @@ func (d *Detector) Classify(in ClassifyInput) ([]Detection, *ClassifyReport, err
 // mid-way.
 const scoreChunk = 4096
 
-// scoreTargets measures the features of the target nodes of gv and scores
-// them in scoreChunk-sized sweeps with a context check between each, so a
-// pass over a large graph can be abandoned mid-sweep. Scoring is per row,
-// so the chunked order is bit-identical to one batch and to a serial
-// per-domain loop. origin maps a target to its Detection.ID.
-func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, gv features.GraphView, targets []int32, origin func(int32) int32, report *ClassifyReport) ([]Detection, error) {
+// scoreTargets measures the features of the target nodes of ex's graph
+// and scores them in scoreChunk-sized sweeps with a context check between
+// each, so a pass over a large graph can be abandoned mid-sweep. Scoring
+// is per row, so the chunked order is bit-identical to one batch and to a
+// serial per-domain loop. A Detection.ID is the target's id in the graph
+// the pruned one was derived from.
+func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, targets []int32, report *ClassifyReport) ([]Detection, error) {
+	g := ex.Graph()
 	dets := make([]Detection, 0, len(targets))
 	for start := 0; start < len(targets); start += scoreChunk {
 		if err := ctx.Err(); err != nil {
@@ -346,7 +338,7 @@ func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, gv 
 			rows = ml.SelectColumns(rows, d.cfg.FeatureColumns)
 		}
 		for i, score := range ml.ScoreAll(d.model, rows) {
-			dets = append(dets, Detection{Domain: gv.DomainName(chunk[i]), Score: score, ID: origin(chunk[i])})
+			dets = append(dets, Detection{Domain: g.DomainName(chunk[i]), Score: score, ID: g.DomainOrigin(chunk[i])})
 		}
 		report.Timing.Score += time.Since(t0)
 	}

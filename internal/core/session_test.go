@@ -102,9 +102,6 @@ func TestSessionMemoizesPreparation(t *testing.T) {
 	if rep1.PrunedCached {
 		t.Fatal("first session pass cannot be served from the memo")
 	}
-	if rep1.PruneSig == 0 {
-		t.Fatal("pruning is enabled, PruneSig must be non-zero")
-	}
 	sameDetections(t, ref, dets1)
 
 	scans := graph.FullGraphScans()
@@ -118,15 +115,12 @@ func TestSessionMemoizesPreparation(t *testing.T) {
 	if got := graph.FullGraphScans(); got != scans {
 		t.Fatalf("memoized pass performed %d full-graph scans", got-scans)
 	}
-	if rep2.PruneSig != rep1.PruneSig {
-		t.Fatalf("prune signature drifted: %#x vs %#x", rep2.PruneSig, rep1.PruneSig)
-	}
 	sameDetections(t, dets1, dets2)
 }
 
-// TestSessionDeltaMatchesFullOnSameSnapshot: delta-scoring explicit
-// targets against the snapshot the session prepared must reproduce the
-// full pass's scores exactly.
+// TestSessionDeltaMatchesFullOnSameSnapshot: scoring explicit targets
+// (a by-name lookup) against the snapshot the session prepared must
+// reproduce the full pass's scores exactly.
 func TestSessionDeltaMatchesFullOnSameSnapshot(t *testing.T) {
 	b, src := sessionGraphParts(42)
 	g := b.Snapshot()
@@ -145,28 +139,28 @@ func TestSessionDeltaMatchesFullOnSameSnapshot(t *testing.T) {
 		targets = append(targets, d.Domain)
 	}
 
-	dets, rep, err := sess.ClassifyDelta(ClassifyInput{Graph: g, Domains: targets})
+	dets, rep, err := sess.Classify(ClassifyInput{Graph: g, Domains: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.PrunedCached {
-		t.Fatal("same-snapshot delta must be served from the memo")
+		t.Fatal("same-snapshot targets must be served from the memo")
 	}
 	if len(dets) != len(targets) {
 		t.Fatalf("scored %d of %d targets (missing: %v)", len(dets), len(targets), rep.Missing)
 	}
 	for _, d := range dets {
 		if want, ok := byName[d.Domain]; !ok || d.Score != want {
-			t.Fatalf("%s: delta score %v != full score %v", d.Domain, d.Score, want)
+			t.Fatalf("%s: target score %v != full score %v", d.Domain, d.Score, want)
 		}
 	}
 }
 
-// TestSessionDeltaZeroFullScans is the acceptance check for the
-// memoized prune pipeline: after the first pass at a snapshot lineage,
-// delta passes at later snapshots perform ZERO full-graph prune, prober,
-// or signature scans, observed through the package scan counter.
-func TestSessionDeltaZeroFullScans(t *testing.T) {
+// TestSessionLaterSnapshotIsCold: a session holds no decision of an
+// earlier snapshot past it. Each later snapshot of the same builder is
+// prepared afresh (one full-graph scan), and its scores equal a fresh
+// session's classify of that snapshot exactly: served equals cold.
+func TestSessionLaterSnapshotIsCold(t *testing.T) {
 	b, src := sessionGraphParts(42)
 	g1 := b.Snapshot()
 	g1.ApplyLabels(src)
@@ -177,34 +171,29 @@ func TestSessionDeltaZeroFullScans(t *testing.T) {
 	}
 
 	for pass := 0; pass < 3; pass++ {
-		// Stream one new edge onto an unknown target: the next snapshot's
-		// exact dirty set is that domain alone.
 		b.AddQuery(fmt.Sprintf("inf%02d", 5+pass), "unk.gray0.org")
+		b.AddQuery(fmt.Sprintf("new%02d", pass), fmt.Sprintf("fresh%d.gray.org", pass))
 		g2 := b.Snapshot()
 		g2.ApplyLabels(src)
-		dirty, exact := dirtyNames(g2)
-		if !exact || len(dirty) == 0 {
-			t.Fatalf("pass %d: dirty = %v (exact=%v)", pass, dirty, exact)
-		}
 
 		scans := graph.FullGraphScans()
-		dets, rep, err := sess.ClassifyDelta(ClassifyInput{Graph: g2, Domains: dirty})
+		dets, rep, err := sess.Classify(ClassifyInput{Graph: g2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := graph.FullGraphScans(); got != scans {
-			t.Fatalf("pass %d: delta pass performed %d full-graph scans, want 0", pass, got-scans)
+		if got := graph.FullGraphScans(); got != scans+1 || rep.PrunedCached {
+			t.Fatalf("pass %d: %d full-graph scans (cached %v), want one fresh preparation", pass, got-scans, rep.PrunedCached)
 		}
-		if !rep.PrunedCached {
-			t.Fatalf("pass %d: delta pass recomputed the prune pipeline", pass)
+		cold, _, err := det.NewSession().Classify(ClassifyInput{Graph: g2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(dets)+len(rep.Missing) != len(dirty) {
-			t.Fatalf("pass %d: %d scored + %d missing != %d targets",
-				pass, len(dets), len(rep.Missing), len(dirty))
+		if len(dets) != len(cold) {
+			t.Fatalf("pass %d: %d detections, cold %d", pass, len(dets), len(cold))
 		}
-		for _, d := range dets {
-			if d.Score < 0 || d.Score > 1 {
-				t.Fatalf("pass %d: %s score %v out of [0,1]", pass, d.Domain, d.Score)
+		for i := range dets {
+			if dets[i] != cold[i] {
+				t.Fatalf("pass %d: detection %d is %+v, cold %+v", pass, i, dets[i], cold[i])
 			}
 		}
 	}
@@ -251,10 +240,7 @@ func TestSessionConcurrentPasses(t *testing.T) {
 	b.AddQuery("inf05", "unk.gray0.org")
 	g2 := b.Snapshot()
 	g2.ApplyLabels(src)
-	dirty, exact := dirtyNames(g2)
-	if !exact || len(dirty) == 0 {
-		t.Fatalf("dirty = %v (exact=%v)", dirty, exact)
-	}
+	targets := []string{"unk.gray0.org", "unk.gray1.org"}
 	det := sessionDetector(t, g1)
 	sess := det.NewSession()
 
@@ -288,19 +274,19 @@ func TestSessionConcurrentPasses(t *testing.T) {
 						}
 					}
 				} else {
-					dets, rep, err := sess.ClassifyDelta(ClassifyInput{Graph: g2, Domains: dirty})
+					dets, rep, err := sess.Classify(ClassifyInput{Graph: g2, Domains: targets})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if len(dets)+len(rep.Missing) != len(dirty) {
-						errs <- fmt.Errorf("delta pass: %d scored + %d missing != %d targets",
-							len(dets), len(rep.Missing), len(dirty))
+					if len(dets)+len(rep.Missing) != len(targets) {
+						errs <- fmt.Errorf("targets pass: %d scored + %d missing != %d targets",
+							len(dets), len(rep.Missing), len(targets))
 						return
 					}
 					for _, d := range dets {
 						if d.Score < 0 || d.Score > 1 {
-							errs <- fmt.Errorf("delta score %v out of [0,1]", d.Score)
+							errs <- fmt.Errorf("target score %v out of [0,1]", d.Score)
 							return
 						}
 					}
@@ -318,8 +304,8 @@ func TestSessionConcurrentPasses(t *testing.T) {
 // TestDetectionIDs: a Detection's ID is the domain's node id in the graph
 // the caller passed in — not in the pruned graph the score was measured on
 // — whichever path scored it: a full pass over the materialized pruned
-// graph, explicit targets on the same snapshot, a view over a later
-// snapshot, or a detector with no prune pipeline at all.
+// graph, explicit targets on the same snapshot, explicit targets on a
+// later snapshot, or a detector with no prune pipeline at all.
 func TestDetectionIDs(t *testing.T) {
 	b, src := sessionGraphParts(42)
 	// A single-machine domain between the targets: R3 prunes it, so the
@@ -355,7 +341,7 @@ func TestDetectionIDs(t *testing.T) {
 	requireIDs("full pass", g1, full, 5)
 
 	targets := []string{full[len(full)-1].Domain, full[0].Domain, "lonely.gray9.org"}
-	same, _, err := sess.ClassifyDelta(ClassifyInput{Graph: g1, Domains: targets})
+	same, _, err := sess.Classify(ClassifyInput{Graph: g1, Domains: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,14 +351,14 @@ func TestDetectionIDs(t *testing.T) {
 	b.AddQuery("clean11", "young.gray8.org")
 	g2 := b.Snapshot()
 	g2.ApplyLabels(src)
-	viewed, rep, err := sess.ClassifyDelta(ClassifyInput{Graph: g2, Domains: append(targets, "young.gray8.org")})
+	later, rep, err := sess.Classify(ClassifyInput{Graph: g2, Domains: append(targets, "young.gray8.org")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.PrunedCached || rep.PrunedGraph != nil {
-		t.Fatal("fixture: the later snapshot was not scored through a view")
+	if rep.PrunedCached {
+		t.Fatal("fixture: the later snapshot was served from the earlier one's preparation")
 	}
-	requireIDs("view over a later snapshot", g2, viewed, 2)
+	requireIDs("explicit targets, later snapshot", g2, later, 2)
 
 	cfg := DefaultConfig()
 	cfg.DisablePruning = true
@@ -388,10 +374,4 @@ func TestDetectionIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIDs("no prune pipeline", g2, all, 10)
-}
-
-// dirtyNames is g's dirty set by name, as its Delta names it.
-func dirtyNames(g *graph.Graph) ([]string, bool) {
-	d := g.DeltaOf(g.DirtyDomains())
-	return d.Domains, d.Exact
 }

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"segugio/internal/activity"
-	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
 	"segugio/internal/pdns"
 )
@@ -110,27 +109,10 @@ func ColumnsExcluding(g Group) []int {
 	return out
 }
 
-// GraphView is the read surface feature measurement needs from a
-// behavior graph: target resolution, per-domain annotations, the
-// machines querying a domain, and label-hiding machine labels.
-// *graph.Graph implements it directly; *graph.PrunedView implements it
-// for delta classification without materializing the pruned graph.
-type GraphView interface {
-	Labeled() bool
-	Day() int
-	DomainName(d int32) string
-	DomainE2LD(d int32) string
-	DomainIPs(d int32) []dnsutil.IPv4
-	DomainIndex(name string) (int32, bool)
-	MachinesOf(d int32) []int32
-	MachineLabelHiding(m, d int32) graph.Label
-}
-
-// Extractor measures feature vectors for domains of one labeled graph
-// (or graph view). It is safe for concurrent Vector calls.
+// Extractor measures feature vectors for domains of one labeled graph.
+// It is safe for concurrent Vector calls.
 type Extractor struct {
-	g      GraphView
-	full   *graph.Graph // nil when the extractor wraps a partial view
+	g      *graph.Graph
 	log    *activity.Log
 	abuse  *pdns.AbuseIndex
 	window int
@@ -145,18 +127,6 @@ var ErrUnlabeledGraph = errors.New("features: graph is not labeled")
 // features are zero (useful for the "No IP" ablation and for deployments
 // without a passive-DNS feed).
 func NewExtractor(g *graph.Graph, log *activity.Log, abuse *pdns.AbuseIndex, window int) (*Extractor, error) {
-	e, err := NewExtractorView(g, log, abuse, window)
-	if err != nil {
-		return nil, err
-	}
-	e.full = g
-	return e, nil
-}
-
-// NewExtractorView builds an extractor over a partial graph view (such
-// as graph.PrunedView). TrainingSet and UnknownDomains require a full
-// graph and must not be used with a view extractor.
-func NewExtractorView(g GraphView, log *activity.Log, abuse *pdns.AbuseIndex, window int) (*Extractor, error) {
 	if !g.Labeled() {
 		return nil, ErrUnlabeledGraph
 	}
@@ -166,8 +136,8 @@ func NewExtractorView(g GraphView, log *activity.Log, abuse *pdns.AbuseIndex, wi
 	return &Extractor{g: g, log: log, abuse: abuse, window: window}, nil
 }
 
-// Graph returns the underlying full graph, or nil for a view extractor.
-func (e *Extractor) Graph() *graph.Graph { return e.full }
+// Graph returns the graph the extractor measures.
+func (e *Extractor) Graph() *graph.Graph { return e.g }
 
 // Vector measures the 11 features of domain node d with d's own label and
 // history hidden.

@@ -52,12 +52,12 @@ type Builder struct {
 	pub               atomic.Pointer[nameIndex]
 	mu                sync.Mutex
 	machineN, domainN atomic.Int32
-	machineRecent map[string]int32
-	domainRecent  map[string]int32
-	sealed        nameIndex
-	machineIDs    []string
-	domains       []string
-	domainE2LD    []string
+	machineRecent     map[string]int32
+	domainRecent      map[string]int32
+	sealed            nameIndex
+	machineIDs        []string
+	domains           []string
+	domainE2LD        []string
 	// domainE2LDID is domainE2LD as dense ids in first-sight order, so the
 	// prune plan groups and counts e2LDs without hashing their names.
 	domainE2LDID []int32
@@ -100,36 +100,22 @@ type Builder struct {
 	ovEdges        int
 	ovMut, ipMut   uint64
 
-	// Dirty bookkeeping. freshLog records, in order, every edge that
-	// survived deduplication; ipLog/ipLogIP every first-time (domain,
-	// address) pair. Positions are absolute (offset by
-	// freshBase/ipLogBase) so the logs can be trimmed once no baseline
-	// needs the prefix.
+	// freshLog records, in order, every edge that survived deduplication,
+	// for relabeling against the last labeled snapshot. Positions are
+	// absolute (offset by freshBase) so the log can be trimmed once that
+	// baseline no longer needs the prefix.
 	freshLog  []edge
 	freshBase int
-	ipLog     []int32
-	ipLogIP   []dnsutil.IPv4
-	ipLogBase int
+	// machineSet collects a relabel's machines; it resets in O(1).
+	machineSet idSet
 
-	// Scratch for the per-snapshot dirty computations: node-id sets that
-	// reset in O(1), so a snapshot's bookkeeping costs what its delta
-	// touches rather than a hash insert per touched node.
-	domainSet, machineSet IDSet
-	machineScratch        []int32
-
-	// Per-domain "queried at least once this window" flags and per-e2LD
-	// grouping (by e2LD id), used to propagate first-query activity dirt
-	// to e2LD siblings (their e2LD activity features change too).
+	// domainQueried flags the domains queried at least once this window;
+	// numE2LDs counts the e2LD ids of the domains the fold side covers.
 	domainQueried []bool
-	e2ldDomains   [][]int32
-	e2ldQueried   []bool
-	e2ldPending   []int32
+	numE2LDs      int
 
-	lastSnap      *Graph
-	lastSnapFresh int
-	lastSnapIP    int
-	lastSnapND    int
-	lastLabeled   *Graph
+	lastSnap    *Graph
+	lastLabeled *Graph
 
 	frozenNM, frozenND       int
 	frozenOvMut, frozenIPMut uint64
@@ -152,16 +138,16 @@ func newEdge(m, d int32) edge { return edge(uint64(uint32(m))<<32 | uint64(uint3
 func (e edge) m() int32 { return int32(e >> 32) }
 func (e edge) d() int32 { return int32(uint32(e)) }
 
-// IDSet is a reusable set of non-negative ids (node ids): a
+// idSet is a reusable set of non-negative ids (node ids): a
 // generation-stamped slice, so emptying it is one increment and
 // membership costs no hashing. The zero value is an empty set.
-type IDSet struct {
+type idSet struct {
 	stamp []uint32
 	gen   uint32
 }
 
 // Reset empties the set and sizes it for ids below n.
-func (s *IDSet) Reset(n int) {
+func (s *idSet) Reset(n int) {
 	s.grow(n)
 	s.gen++
 	if s.gen == 0 { // wrapped: stale stamps could alias the new generation
@@ -170,7 +156,7 @@ func (s *IDSet) Reset(n int) {
 	}
 }
 
-func (s *IDSet) grow(n int) {
+func (s *idSet) grow(n int) {
 	if len(s.stamp) < n {
 		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
 	}
@@ -178,7 +164,7 @@ func (s *IDSet) grow(n int) {
 
 // Add inserts id, growing the set past the size Reset gave it if
 // needed, and reports whether id was absent.
-func (s *IDSet) Add(id int32) bool {
+func (s *idSet) Add(id int32) bool {
 	s.grow(int(id) + 1)
 	if s.stamp[id] == s.gen {
 		return false
@@ -297,8 +283,6 @@ func (b *Builder) AddAddress(d int32, ip dnsutil.IPv4) {
 	// (even growing in place within capacity) never changes what a
 	// published snapshot sees.
 	b.domainIPs[d] = append(ips, ip)
-	b.ipLog = append(b.ipLog, d)
-	b.ipLogIP = append(b.ipLogIP, ip)
 	b.ipMut++
 }
 
@@ -497,13 +481,8 @@ func (b *Builder) growDomains(n int) {
 	if n > len(b.viewE2LDID) {
 		b.refreshViews()
 	}
-	for d := have; d < n; d++ {
-		e := b.viewE2LDID[d]
-		for int(e) >= len(b.e2ldDomains) {
-			b.e2ldDomains = append(b.e2ldDomains, nil)
-			b.e2ldQueried = append(b.e2ldQueried, false)
-		}
-		b.e2ldDomains[e] = append(b.e2ldDomains[e], int32(d))
+	for _, e := range b.viewE2LDID[have:n] {
+		b.numE2LDs = max(b.numE2LDs, int(e)+1)
 	}
 	b.domainIPs = append(b.domainIPs, make([][]dnsutil.IPv4, n-have)...)
 	b.domainQueried = append(b.domainQueried, make([]bool, n-have)...)
@@ -518,8 +497,7 @@ func (b *Builder) Build() *Graph { return b.snapshot(true) }
 // run, and assembles an immutable Graph that shares no mutable state with
 // the Builder: further AddQuery / AddResolution calls never affect a
 // previously returned snapshot, so the daemon can keep ingesting while
-// older snapshots are being scored. The snapshot also records which
-// domains are dirty since the previous snapshot; see Graph.DirtyDomains.
+// older snapshots are being scored.
 func (b *Builder) Snapshot() *Graph { return b.snapshot(false) }
 
 func (b *Builder) snapshot(forceCompact bool) *Graph {
@@ -537,26 +515,15 @@ func (b *Builder) snapshot(forceCompact bool) *Graph {
 	b.pending = nil
 
 	g := b.freeze()
-	b.computeDirty(g)
 	b.computeLabelDelta(g)
 	b.finishSnapshot(g)
 	return g
 }
 
-// markQueried flags the domains of fresh edges as queried this window
-// and queues the e2LDs queried for the first time, whose siblings'
-// e2LD activity moved with them.
+// markQueried flags the domains of fresh edges as queried this window.
 func (b *Builder) markQueried(fresh []edge) {
 	for _, e := range fresh {
-		d := e.d()
-		if b.domainQueried[d] {
-			continue
-		}
-		b.domainQueried[d] = true
-		if id := b.viewE2LDID[d]; !b.e2ldQueried[id] {
-			b.e2ldQueried[id] = true
-			b.e2ldPending = append(b.e2ldPending, id)
-		}
+		b.domainQueried[e.d()] = true
 	}
 }
 
@@ -850,7 +817,7 @@ func (b *Builder) freeze() *Graph {
 		domains:      b.viewD[:nd:nd],
 		domainE2LD:   b.viewE2LD[:nd:nd],
 		domainE2LDID: b.viewE2LDID[:nd:nd],
-		numE2LDs:     len(b.e2ldDomains),
+		numE2LDs:     b.numE2LDs,
 		domainIPs:    ips,
 		mOff:         b.csrMOff,
 		mAdj:         b.csrMAdj,
@@ -900,55 +867,6 @@ func frozenSlots(src []int32, n int) []int32 {
 	return out
 }
 
-// computeDirty records on g the set of domains whose adjacency, IP
-// annotations, activity, or label-relevant neighborhood changed since the
-// previous snapshot: domains with fresh edges or first-time addresses,
-// newly interned domains, e2LD siblings of domains first queried this
-// window (their e2LD activity features moved), and every domain of a
-// machine with fresh edges (the machine's label and counts feed those
-// domains' features). The first snapshot of a window has no baseline and
-// is marked inexact: every domain must be treated as dirty.
-func (b *Builder) computeDirty(g *Graph) {
-	if b.lastSnap == nil {
-		return
-	}
-	g.deltaExact = true
-	b.domainSet.Reset(b.nd)
-	b.machineSet.Reset(b.nm)
-	var dirty []int32
-	add := func(d int32) {
-		if b.domainSet.Add(d) {
-			dirty = append(dirty, d)
-		}
-	}
-	machines := b.machineScratch[:0]
-	for _, e := range b.freshLog[b.lastSnapFresh-b.freshBase:] {
-		add(e.d())
-		if b.machineSet.Add(e.m()) {
-			machines = append(machines, e.m())
-		}
-	}
-	for _, d := range b.ipLog[b.lastSnapIP-b.ipLogBase:] {
-		add(d)
-	}
-	for d := b.lastSnapND; d < b.nd; d++ {
-		add(int32(d))
-	}
-	for _, e := range b.e2ldPending {
-		for _, d := range b.e2ldDomains[e] {
-			add(d)
-		}
-	}
-	for _, m := range machines {
-		for _, d := range g.DomainsOf(m) {
-			add(d)
-		}
-	}
-	b.machineScratch = machines
-	slices.Sort(dirty)
-	g.dirtyDomains = dirty
-}
-
 // computeLabelDelta records the machines ApplyLabels must recompute when
 // relabeling incrementally against the last labeled snapshot: machines
 // with fresh edges since that snapshot, plus machines interned since.
@@ -976,33 +894,22 @@ func (b *Builder) computeLabelDelta(g *Graph) {
 
 func (b *Builder) finishSnapshot(g *Graph) {
 	b.lastSnap = g
-	b.lastSnapFresh = b.freshBase + len(b.freshLog)
-	b.lastSnapIP = b.ipLogBase + len(b.ipLog)
-	b.lastSnapND = b.nd
-	b.e2ldPending = b.e2ldPending[:0]
 	b.frozenNM, b.frozenND = b.nm, b.nd
 	b.frozenOvMut, b.frozenIPMut = b.ovMut, b.ipMut
-	b.trimLogs()
+	b.trimLog()
 }
 
-// trimLogs drops log prefixes no outstanding baseline can reference: the
-// last snapshot's dirty baseline and the last labeled snapshot's relabel
-// baseline.
-func (b *Builder) trimLogs() {
-	minFresh := b.lastSnapFresh
+// trimLog drops the freshLog prefix the relabel baseline, the last
+// labeled snapshot, can no longer reference; without one no snapshot
+// relabels incrementally and the whole log goes.
+func (b *Builder) trimLog() {
+	keep := b.freshBase + len(b.freshLog)
 	if b.lastLabeled != nil {
-		minFresh = min(minFresh, b.lastLabeled.snapFreshPos)
+		keep = b.lastLabeled.snapFreshPos
 	}
-	if cut := minFresh - b.freshBase; cut >= logTrimMin && cut > len(b.freshLog)/2 {
+	if cut := keep - b.freshBase; cut >= logTrimMin && cut > len(b.freshLog)/2 {
 		rest := copy(b.freshLog, b.freshLog[cut:])
 		b.freshLog = b.freshLog[:rest]
 		b.freshBase += cut
-	}
-	if cut := b.lastSnapIP - b.ipLogBase; cut >= logTrimMin && cut > len(b.ipLog)/2 {
-		rest := copy(b.ipLog, b.ipLog[cut:])
-		b.ipLog = b.ipLog[:rest]
-		copy(b.ipLogIP, b.ipLogIP[cut:])
-		b.ipLogIP = b.ipLogIP[:rest]
-		b.ipLogBase += cut
 	}
 }

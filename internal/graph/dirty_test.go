@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"segugio/internal/dnsutil"
+	"segugio/internal/intel"
 )
 
-// dirtyBase populates the shared baseline for the dirty-set table:
+// dirtyBase populates the shared baseline for the relabel-set table:
 // three querying machines, domains across several e2LDs, and two
 // resolution-only domains under a never-queried e2LD.
 func dirtyBase(b *Builder) {
@@ -20,142 +21,137 @@ func dirtyBase(b *Builder) {
 	b.AddResolution("r2.shared.org", dnsutil.IPv4(0x03030303))
 }
 
-// TestDirtySet pins down the per-snapshot dirty set: exactly the domains
-// whose adjacency, labels, or IP annotations can differ from the
-// previous snapshot — the edge's domain, every domain of a machine with
-// a fresh edge (its infected/benign fractions shift), newly interned
-// domains, domains gaining a resolved address, and all domains of an
-// e2LD that transitions to queried. No over-reporting: untouched
-// siblings and duplicate observations contribute nothing.
+// dirtySources labels c.three.com malware and one.com benign, so machine
+// labels depend on which domains a machine queries.
+func dirtySources() LabelSources {
+	bl := intel.NewBlacklist()
+	bl.Add(intel.BlacklistEntry{Domain: "c.three.com", Family: "fam"})
+	return LabelSources{Blacklist: bl, Whitelist: intel.NewWhitelist([]string{"one.com"}), AsOf: 7}
+}
+
+// TestDirtySet pins the per-snapshot relabel set, the one dirty set the
+// builder keeps: against the last labeled snapshot, exactly the machines
+// with fresh edges and the machines interned since — no over-reporting
+// for duplicate observations or address-only changes. The incremental
+// relabel over that set must label every node as a full relabel of the
+// same graph does.
 func TestDirtySet(t *testing.T) {
 	cases := []struct {
 		name string
-		// mutate runs between the baseline snapshot and the measured one.
-		mutate    func(b *Builder)
-		wantExact bool
-		want      []string
+		// mutate runs between the labeled baseline and the measured one.
+		mutate func(b *Builder)
+		want   []string
 	}{
+		{name: "no changes", mutate: func(b *Builder) {}, want: []string{}},
 		{
-			name:      "no changes",
-			mutate:    func(b *Builder) {},
-			wantExact: true,
-			want:      []string{},
+			name:   "duplicate query dedups to nothing",
+			mutate: func(b *Builder) { b.AddQuery("m1", "a.one.com") },
+			want:   []string{},
 		},
 		{
-			name:      "duplicate query dedups to nothing",
-			mutate:    func(b *Builder) { b.AddQuery("m1", "a.one.com") },
-			wantExact: true,
-			want:      []string{},
-		},
-		{
-			name:      "duplicate resolution dedups to nothing",
-			mutate:    func(b *Builder) { b.AddResolution("c.three.com", dnsutil.IPv4(0x01010101)) },
-			wantExact: true,
-			want:      []string{},
+			name:   "duplicate resolution dedups to nothing",
+			mutate: func(b *Builder) { b.AddResolution("c.three.com", dnsutil.IPv4(0x01010101)) },
+			want:   []string{},
 		},
 		{
 			name:   "new edge between existing nodes",
-			mutate: func(b *Builder) { b.AddQuery("m2", "a.one.com") },
-			// a.one.com gains a machine; every domain m2 queries shifts.
-			wantExact: true,
-			want:      []string{"a.one.com", "b.two.com"},
+			mutate: func(b *Builder) { b.AddQuery("m2", "c.three.com") },
+			want:   []string{"m2"},
 		},
 		{
-			name:      "new domain under a new e2LD",
-			mutate:    func(b *Builder) { b.AddQuery("m1", "x.new.net") },
-			wantExact: true,
-			want:      []string{"a.one.com", "b.two.com", "x.new.net"},
+			name:   "new domain under a new e2LD",
+			mutate: func(b *Builder) { b.AddQuery("m1", "x.new.net") },
+			want:   []string{"m1"},
 		},
 		{
 			name:   "new domain under an already-queried e2LD",
 			mutate: func(b *Builder) { b.AddQuery("m9", "d.three.com") },
-			// m9 is new and queries only d.three.com; sibling c.three.com
-			// is untouched (its e2LD was already queried).
-			wantExact: true,
-			want:      []string{"d.three.com"},
+			want:   []string{"m9"},
 		},
 		{
 			name:   "first query of a resolution-only e2LD",
 			mutate: func(b *Builder) { b.AddQuery("m1", "r1.shared.org") },
-			// shared.org transitions to queried: both its domains become
-			// dirty, plus everything m1 queries.
-			wantExact: true,
-			want:      []string{"a.one.com", "b.two.com", "r1.shared.org", "r2.shared.org"},
+			want:   []string{"m1"},
 		},
 		{
-			name:      "new resolution on an existing domain",
-			mutate:    func(b *Builder) { b.AddResolution("c.three.com", dnsutil.IPv4(0x0a0b0c0d)) },
-			wantExact: true,
-			want:      []string{"c.three.com"},
+			name:   "new resolution on an existing domain",
+			mutate: func(b *Builder) { b.AddResolution("c.three.com", dnsutil.IPv4(0x0a0b0c0d)) },
+			want:   []string{},
 		},
 		{
-			name:      "resolution-only new domain",
-			mutate:    func(b *Builder) { b.AddResolution("y.four.org", dnsutil.IPv4(0x04040404)) },
-			wantExact: true,
-			want:      []string{"y.four.org"},
+			name:   "resolution-only new domain",
+			mutate: func(b *Builder) { b.AddResolution("y.four.org", dnsutil.IPv4(0x04040404)) },
+			want:   []string{},
 		},
 	}
+	src := dirtySources()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBuilder("test", 7, dnsutil.DefaultSuffixList())
 			dirtyBase(b)
-			if _, exact := dirtyNames(b.Snapshot()); exact {
-				t.Fatal("first snapshot must be inexact (no baseline to delta against)")
+			base := b.Snapshot()
+			if _, ok := base.RelabelMachines(); ok {
+				t.Fatal("first snapshot has a relabel baseline")
 			}
+			base.ApplyLabels(src)
+			b.MarkLabeled(base)
+
 			tc.mutate(b)
 			g := b.Snapshot()
-			got, exact := dirtyNames(g)
-			if exact != tc.wantExact {
-				t.Fatalf("exact = %v, want %v", exact, tc.wantExact)
+			ids, ok := g.RelabelMachines()
+			if !ok {
+				t.Fatal("snapshot after a labeled one has no relabel baseline")
 			}
-			if got == nil {
-				got = []string{}
+			got := []string{}
+			for _, m := range ids {
+				got = append(got, g.MachineID(m))
 			}
 			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("dirty = %v, want %v", got, tc.want)
+				t.Fatalf("relabel set = %v, want %v", got, tc.want)
 			}
 
-			// The set resets: an idle follow-up snapshot reports nothing.
-			if names, exact := dirtyNames(b.Snapshot()); !exact || len(names) != 0 {
-				t.Fatalf("idle snapshot after mutation: dirty = %v (exact=%v), want exact empty", names, exact)
+			g.ApplyLabels(src)
+			ref := NewBuilder("test", 7, dnsutil.DefaultSuffixList())
+			dirtyBase(ref)
+			tc.mutate(ref)
+			full := ref.Build()
+			full.ApplyLabels(src)
+			for m := int32(0); int(m) < full.NumMachines(); m++ {
+				id := full.MachineID(m)
+				gm, _ := g.MachineIndex(id)
+				if g.MachineLabel(gm) != full.MachineLabel(m) {
+					t.Fatalf("machine %s: incremental label %v, full relabel %v", id, g.MachineLabel(gm), full.MachineLabel(m))
+				}
+			}
+			for d := int32(0); int(d) < full.NumDomains(); d++ {
+				name := full.DomainName(d)
+				gd, _ := g.DomainIndex(name)
+				if g.DomainLabel(gd) != full.DomainLabel(d) {
+					t.Fatalf("domain %s: incremental label %v, full relabel %v", name, g.DomainLabel(gd), full.DomainLabel(d))
+				}
 			}
 		})
 	}
 }
 
-// TestDirtySetEpochRotation pins the rotation edge case: a new day means
-// a new Builder, and its first snapshot must declare itself inexact so
-// consumers drop every cached per-domain result from the previous epoch.
+// TestDirtySetEpochRotation pins the rotation edge case of the relabel
+// set: a new day means a new Builder, and a labeled snapshot of the old
+// day must not become its label baseline (same name, different day), so
+// the new day's snapshots relabel in full.
 func TestDirtySetEpochRotation(t *testing.T) {
 	day7 := NewBuilder("test", 7, dnsutil.DefaultSuffixList())
-	dirtyBase(day7)
-	day7.Snapshot()
-	day7.AddQuery("m1", "x.new.net")
-	if _, exact := dirtyNames(day7.Snapshot()); !exact {
-		t.Fatal("pre-rotation snapshot should be exact")
-	}
+	day7.AddQuery("m1", "a.one.com")
+	day7.AddQuery("m2", "b.two.com")
+	prev := day7.Snapshot()
+	prev.ApplyLabels(LabelSources{AsOf: 7})
 
 	day8 := NewBuilder("test", 8, dnsutil.DefaultSuffixList())
 	day8.AddQuery("m1", "a.one.com")
-	g := day8.Snapshot()
-	if names, exact := dirtyNames(g); exact || names != nil {
-		t.Fatalf("first post-rotation snapshot: dirty = %v (exact=%v), want inexact nil", names, exact)
-	}
-
-	// MarkLabeled from the old epoch must not leak a label baseline into
-	// the new builder (same name, different day).
-	prev := day7.Snapshot()
-	prev.ApplyLabels(LabelSources{AsOf: 7})
+	day8.Snapshot()
 	day8.MarkLabeled(prev)
 	day8.AddQuery("m2", "b.two.com")
-	g2 := day8.Snapshot()
-	if g2.labelBase != nil {
+	g := day8.Snapshot()
+	if _, ok := g.RelabelMachines(); ok || g.labelBase != nil {
 		t.Fatal("rotated builder accepted a label baseline from the previous day")
 	}
-}
-
-// dirtyNames is g's dirty set by name, as its Delta names it.
-func dirtyNames(g *Graph) ([]string, bool) {
-	d := g.DeltaOf(g.DirtyDomains())
-	return d.Domains, d.Exact
 }

@@ -47,14 +47,12 @@ func (l Label) String() string {
 	}
 }
 
-// Delta describes which domains changed between two snapshot versions.
-// When Exact is false the consumer must assume every domain changed
-// (first snapshot of a window, an epoch rotation, or delta history that
-// has been trimmed away). IDs are the changed domains' node ids in the
-// graph the delta came with, sorted and unique; Domains[i] names IDs[i].
+// Delta is what ingest.Ingester.SnapshotSince returns beside its graph.
+// Every classify pass is cold, so it is always the zero Delta (not exact,
+// no domains); it keeps the shape the end-to-end benchmark harness reads
+// until that harness stops reading it.
 type Delta struct {
 	Exact   bool
-	IDs     []int32
 	Domains []string
 }
 
@@ -130,9 +128,7 @@ type Graph struct {
 	labelSrc      LabelSources
 	stats         LabelStats
 
-	// Delta metadata stamped by Builder.snapshot.
-	deltaExact         bool
-	dirtyDomains       []int32
+	// Relabel metadata stamped by Builder.snapshot.
 	labelBase          *Graph
 	labelDirtyMachines []int32
 	snapFreshPos       int
@@ -286,31 +282,8 @@ func (g *Graph) LabeledAsOf() int { return g.labeledAsOf }
 // Labeled reports whether ApplyLabels has run.
 func (g *Graph) Labeled() bool { return g.labelsApplied }
 
-// DirtyDomains returns the domain nodes whose classification-relevant
-// state (adjacency, labels, IP annotations, activity, or the labels of a
-// querying machine) changed since the previous snapshot of the same
-// Builder, and whether that set is exact. When exact is false — the first
-// snapshot of a window, including the one after an epoch rotation — every
-// domain must be treated as dirty. The returned slice is sorted and must
-// not be modified.
-func (g *Graph) DirtyDomains() ([]int32, bool) { return g.dirtyDomains, g.deltaExact }
-
 // RelabelMachines returns the machines ApplyLabels recomputes against the
 // graph's label baseline (the newest snapshot its Builder was told is
 // labeled), sorted, and whether there is such a baseline; without one
 // ApplyLabels relabels every machine.
 func (g *Graph) RelabelMachines() ([]int32, bool) { return g.labelDirtyMachines, g.labelBase != nil }
-
-// DeltaOf returns the Delta naming the domain ids on g, or the inexact
-// Delta when exact is false: g.DeltaOf(g.DirtyDomains()) is g's own
-// delta against its builder's previous snapshot.
-func (g *Graph) DeltaOf(ids []int32, exact bool) Delta {
-	if !exact {
-		return Delta{}
-	}
-	names := make([]string, len(ids))
-	for i, d := range ids {
-		names[i] = g.domains[d]
-	}
-	return Delta{Exact: true, IDs: ids, Domains: names}
-}

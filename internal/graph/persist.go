@@ -108,14 +108,10 @@ func DecodeSnapshot(r io.Reader, suffixes *dnsutil.SuffixList) (*Builder, error)
 				return nil, fmt.Errorf("graph: decode snapshot: edge to out-of-range domain %d", d)
 			}
 			// Recorded edges go through the pending buffer: the first
-			// Snapshot sorts and deduplicates them into the base run, and
-			// the domain-queried flags keep e2LD activity propagation from
-			// re-reporting recovered domains as freshly queried.
+			// Snapshot sorts and deduplicates them into the base run. Their
+			// domains are queried already, for EachQueriedDomain.
 			b.pending = append(b.pending, newEdge(int32(m), d))
-			if !b.domainQueried[d] {
-				b.domainQueried[d] = true
-				b.e2ldQueried[b.viewE2LDID[d]] = true
-			}
+			b.domainQueried[d] = true
 		}
 	}
 	for i, d := range wire.IPDomain {

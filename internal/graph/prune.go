@@ -83,9 +83,9 @@ func reduction(before, after int) float64 {
 var ErrNotLabeled = errors.New("graph: ApplyLabels must run before Prune")
 
 // fullScans counts O(graph) scans of the prune pipeline (Prune,
-// NewPrunePlan, FindProbers) process-wide. A classify
-// session that claims to be O(dirty) on delta passes is asserted against
-// this counter in tests: between two delta passes it must not move.
+// NewPrunePlan, FindProbers) process-wide. Tests assert against it that a
+// classify session prepares a snapshot once and that a lookup the last
+// pass answers scans nothing.
 var fullScans atomic.Uint64
 
 // FullGraphScans reports how many full-graph prune-pipeline scans have
@@ -111,23 +111,15 @@ func Prune(g *Graph, cfg PruneConfig) (*Graph, PruneStats, error) {
 // bits, the resolved global thresholds (thetaD, thetaM), and the
 // per-e2LD surviving-machine counts R4 reads. A plan is the memoizable
 // half of the prune pipeline: Materialize turns it into the pruned graph
-// for a cold full pass, and NewPrunedView applies its frozen decisions
-// to a *later* snapshot of the same builder lineage so a delta pass can
-// measure dirty domains without rescanning the graph.
+// a classify pass runs on.
 type PrunePlan struct {
 	base         *Graph
-	prober       *ProberConfig // normalized; nil when prober filtering is off
-	cfg          PruneConfig
 	disablePrune bool
 
 	keepM, keepD   []bool
 	probers        []int32
 	probersRemoved []string
-	thetaD, thetaM int
-	// e2ldMachines[e] counts the surviving machines of the e2LD with id e
-	// (Graph.domainE2LDID) on the base graph.
-	e2ldMachines []int32
-	stats        PruneStats
+	stats          PruneStats
 }
 
 // NewPrunePlan computes keep decisions for g in one combined pass:
@@ -144,7 +136,7 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 	if !g.labelsApplied {
 		return nil, ErrNotLabeled
 	}
-	p := &PrunePlan{base: g, cfg: cfg, disablePrune: disablePrune}
+	p := &PrunePlan{base: g, disablePrune: disablePrune}
 	nm, nd := g.NumMachines(), g.NumDomains()
 	p.keepM = make([]bool, nm)
 	p.keepD = make([]bool, nd)
@@ -154,7 +146,6 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 	eligible := p.keepM // reused as the "not a prober" mask
 	if prober != nil {
 		pc := normalizeProberConfig(*prober)
-		p.prober = &pc
 		shards := shardedInt32s(nm, func(lo, hi int, out *[]int32) {
 			for m := lo; m < hi; m++ {
 				if machineIsProber(g, int32(m), pc) {
@@ -188,10 +179,10 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 		DomainsBefore:  nd,
 	}
 
-	p.thetaD = degreePercentileMasked(g, cfg.ProxyPercentile, maskOrNil(eligible, len(p.probers)))
-	stats.ThetaD = p.thetaD
-	p.thetaM = thetaMFor(cfg, stats.MachinesBefore)
-	stats.ThetaM = p.thetaM
+	thetaD := degreePercentileMasked(g, cfg.ProxyPercentile, maskOrNil(eligible, len(p.probers)))
+	stats.ThetaD = thetaD
+	thetaM := thetaMFor(cfg, stats.MachinesBefore)
+	stats.ThetaM = thetaM
 
 	// Machine rules R1/R2, sharded. Each shard accumulates its own drop
 	// counts and the pre-prune edge total (edges incident to non-prober
@@ -207,7 +198,7 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 			deg := g.MachineDegree(int32(m))
 			s.edges += deg
 			switch {
-			case deg >= p.thetaD:
+			case deg >= thetaD:
 				s.r2++ // R2: proxy/forwarder
 				p.keepM[m] = false
 			case deg <= cfg.MaxInactiveDegree && g.machineLabel[m] != LabelMalware:
@@ -229,7 +220,7 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 	// "queried by only one machine" means one *surviving* machine — the
 	// pruned graph never contains non-malware domains with a single
 	// querying machine.
-	p.e2ldMachines = g.e2ldMachineCounts(p.keepM)
+	e2ldMachines := g.e2ldMachineCounts(p.keepM)
 	type dShard struct{ r3, r4 int }
 	dRes := make([]dShard, shardCount(nd))
 	parallelShards(nd, func(shard, lo, hi int) {
@@ -242,7 +233,7 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 				}
 			}
 			switch {
-			case int(p.e2ldMachines[g.domainE2LDID[d]]) >= p.thetaM:
+			case int(e2ldMachines[g.domainE2LDID[d]]) >= thetaM:
 				s.r4++ // R4: too popular to be malware control
 			case deg < cfg.MinDomainMachines && g.domainLabel[d] != LabelMalware:
 				s.r3++ // R3: single-machine domain (exception: known malware stays)
@@ -300,60 +291,6 @@ func (p *PrunePlan) Stats() PruneStats { return p.stats }
 // ProbersRemoved lists the machine identifiers the prober filter
 // removed, in node order.
 func (p *PrunePlan) ProbersRemoved() []string { return p.probersRemoved }
-
-// Signature condenses the plan's resolved global thresholds — R2's
-// degree percentile thetaD and R4's machine-count threshold thetaM —
-// into one comparable value: a score cache keyed by per-domain dirty
-// sets must flush when it moves, because a threshold shift can change
-// the pruning fate of domains no local mutation touched. Zero when
-// pruning is disabled.
-func (p *PrunePlan) Signature() uint64 {
-	if p.disablePrune {
-		return 0
-	}
-	return uint64(uint32(p.thetaD))<<32 | uint64(uint32(p.thetaM))
-}
-
-// Base returns the graph snapshot the plan was computed on.
-func (p *PrunePlan) Base() *Graph { return p.base }
-
-// sessionDriftSlack absorbs small absolute growth on tiny graphs where
-// a fractional bound would be meaninglessly tight.
-const (
-	sessionDriftFrac      = 0.05
-	sessionDriftNodeSlack = 512
-	sessionDriftEdgeSlack = 4096
-)
-
-// StaleFor reports whether the plan's frozen decisions should no longer
-// be applied to live, a later snapshot of the same builder lineage. It
-// is O(1): the plan is stale when the graph shrank (not the same
-// lineage), grew beyond a drift bound (too many decisions would be
-// frozen wrong), or R4's thetaM resolved against the live machine count
-// no longer matches (a global threshold moved).
-func (p *PrunePlan) StaleFor(live *Graph) bool {
-	b := p.base
-	if live.NumMachines() < b.NumMachines() || live.NumDomains() < b.NumDomains() ||
-		live.NumEdges() < b.NumEdges() {
-		return true
-	}
-	if grewPast(b.NumMachines(), live.NumMachines(), sessionDriftNodeSlack) ||
-		grewPast(b.NumDomains(), live.NumDomains(), sessionDriftNodeSlack) ||
-		grewPast(b.NumEdges(), live.NumEdges(), sessionDriftEdgeSlack) {
-		return true
-	}
-	if !p.disablePrune {
-		if thetaMFor(p.cfg, live.NumMachines()-len(p.probers)) != p.thetaM {
-			return true
-		}
-	}
-	return false
-}
-
-func grewPast(base, now, slack int) bool {
-	bound := base + int(float64(base)*sessionDriftFrac) + slack
-	return now > bound
-}
 
 // degHistCap bounds the degree histogram the percentile scan uses;
 // degrees at or above it (rare proxies) fall into a sorted overflow

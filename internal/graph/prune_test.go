@@ -386,47 +386,3 @@ func TestPrunedGraphIndexSharesBase(t *testing.T) {
 		}
 	}
 }
-
-// TestPrunedViewCountsFreshE2LDs: an e2LD interned after the plan has no
-// frozen machine count, so the view counts it on the live graph — R4 drops
-// a newly popular e2LD's domains exactly as a plan computed on the live
-// graph does.
-func TestPrunedViewCountsFreshE2LDs(t *testing.T) {
-	b := NewBuilder("P", 10, dnsutil.DefaultSuffixList())
-	for i := 0; i < 30; i++ {
-		for j := 0; j < 8; j++ {
-			b.AddQuery(fmt.Sprintf("m%02d", i), fmt.Sprintf("site%d.com", (i*3+j)%40))
-		}
-	}
-	for j := 0; j < 100; j++ { // R2's percentile lands on this one
-		b.AddQuery("proxy", fmt.Sprintf("proxyonly%03d.net", j))
-	}
-	g1 := b.Snapshot()
-	labelPruneGraph(t, g1)
-	plan, err := NewPrunePlan(g1, nil, DefaultPruneConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two domains of a new e2LD, 8 machines each: 16 of 31 is past the
-	// one-third R4 threshold, which neither domain reaches alone.
-	for i := 0; i < 16; i++ {
-		b.AddQuery(fmt.Sprintf("m%02d", i), fmt.Sprintf("cdn%d.fresh.com", i/8))
-	}
-	b.AddQuery("m20", "www.quiet.com")
-	b.AddQuery("m21", "www.quiet.com")
-	g2 := b.Snapshot()
-	labelPruneGraph(t, g2)
-	live, _, err := Prune(g2, DefaultPruneConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := []string{"cdn0.fresh.com", "cdn1.fresh.com", "www.quiet.com"}
-	view := NewPrunedView(g2, plan, targets)
-	for _, name := range targets {
-		_, inView := view.DomainIndex(name)
-		_, inLive := live.DomainIndex(name)
-		if inView != inLive || inView != (name == "www.quiet.com") {
-			t.Fatalf("%s: kept by the view %v, by a live prune %v", name, inView, inLive)
-		}
-	}
-}

@@ -696,14 +696,13 @@ func (in *Ingester) checkpointOnce(dc *DurableConfig) error {
 	// The checkpoint is the snapshot of a fold, whose stripe positions
 	// were read under the same locks as the stages it took. It is not
 	// labeled and not cached: a fold that took anything moved the version
-	// past Snapshot's cache. Its delta is recorded at the version read
-	// after the swaps, which covers every event it took, so a consumer
-	// holding a snapshot of an earlier read is told of them all.
+	// past Snapshot's cache. It is stamped with the version read after
+	// the swaps, which covers every event it took.
 	in.snapMu.Lock()
 	in.epochMu.RLock()
 	taken, pos := in.takeStages()
 	version := in.version.Load()
-	g := in.foldSnapshot(taken, version)
+	g := in.foldSnapshot(taken)
 	in.epochMu.RUnlock()
 	in.snapMu.Unlock()
 

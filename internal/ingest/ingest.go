@@ -44,7 +44,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,9 +97,6 @@ type Metrics struct {
 	// SnapshotSeconds observes how long producing one snapshot takes
 	// (incremental graph freeze plus label application).
 	SnapshotSeconds *metrics.Histogram
-	// DirtyDomains mirrors the dirty-domain count of the latest snapshot
-	// (the whole domain count when the delta was inexact).
-	DirtyDomains *metrics.Gauge
 	// EventsShed counts unacknowledged events shed by the overload
 	// policy, keyed by reason ("drop-oldest"). Shedding only
 	// happens in the overloaded health state under an explicit policy;
@@ -340,99 +336,14 @@ type Ingester struct {
 	snapVersion uint64
 	snapDay     int
 
-	// Delta history (guarded by deltaMu): one entry per snapshot taken
-	// from the day builder, so SnapshotSince can answer "which domains
-	// changed since version X" across several snapshots. lastSnapVer is
-	// the version the most recent snapshot was taken at.
-	deltaMu     sync.Mutex
-	ring        deltaRing
-	lastSnapVer uint64
 	// finished is the newest rotated-out epoch no SnapshotSince caller has
 	// completed a pass over yet: kept until a call's since reaches its
-	// version or the next rotation replaces it (guarded by deltaMu; nil
-	// when there is none, and always nil until somebody has asked for a
-	// delta — see rotate).
+	// version or the next rotation replaces it (nil when there is none,
+	// and always nil until somebody has called SnapshotSince — see
+	// rotate). finishedMu guards both.
+	finishedMu   sync.Mutex
 	finished     *finishedEpoch
-	deltaReaders bool
-}
-
-// deltaEntry records the dirty domains between two consecutive snapshot
-// versions, as the snapshot's DirtyDomains ids: day-builder ids, which
-// are stable within a day (a rotation pushes an inexact entry, so no span
-// mixes two days' ids). inexact entries (first snapshot of an epoch)
-// poison any span crossing them: the consumer must treat every domain as
-// dirty.
-type deltaEntry struct {
-	from, to uint64
-	inexact  bool
-	domains  []int32
-}
-
-// deltaRing is a bounded FIFO of deltaEntries. Bounds are generous — a
-// span that outgrows them simply becomes inexact, which is always safe.
-// seen is the id set since unions a span's entries with, kept between
-// calls so each call empties it in O(1) instead of building a map.
-type deltaRing struct {
-	entries []deltaEntry
-	names   int
-	seen    graph.IDSet
-}
-
-const (
-	ringMaxEntries = 512
-	ringMaxNames   = 1 << 17
-)
-
-func (r *deltaRing) push(e deltaEntry) {
-	r.entries = append(r.entries, e)
-	r.names += len(e.domains)
-	if len(r.entries) > ringMaxEntries || r.names > ringMaxNames {
-		drop := 1
-		for drop < len(r.entries)-1 &&
-			(len(r.entries)-drop > ringMaxEntries || r.names > ringMaxNames) {
-			r.names -= len(r.entries[drop-1].domains)
-			drop++
-		}
-		r.names -= len(r.entries[drop-1].domains)
-		r.entries = append(r.entries[:0], r.entries[drop:]...)
-	}
-}
-
-// since accumulates the dirty domain ids between version v and the
-// snapshot version cur, sorted and without duplicates, by walking entries
-// newest-first, past any recorded after cur. It reports ok=false when the
-// span crosses an inexact entry or history no longer reaches v.
-func (r *deltaRing) since(v, cur uint64) ([]int32, bool) {
-	if v == cur {
-		return nil, true
-	}
-	r.seen.Reset(0)
-	var out []int32
-	for i := len(r.entries) - 1; i >= 0; i-- {
-		e := r.entries[i]
-		if e.to > cur {
-			continue
-		}
-		if e.to <= v {
-			break
-		}
-		if e.inexact {
-			return nil, false
-		}
-		for _, d := range e.domains {
-			if r.seen.Add(d) {
-				out = append(out, d)
-			}
-		}
-		if e.from == v {
-			slices.Sort(out)
-			return out, true
-		}
-		if e.from < v {
-			return nil, false
-		}
-	}
-	return nil, false
+	sinceCallers bool
 }
 
 // New builds an Ingester and starts its worker shards. Call Shutdown to
@@ -479,7 +390,6 @@ func New(cfg Config) *Ingester {
 		}
 		in.shards[s] = sh
 	}
-	in.lastSnapVer = in.version.Load()
 	in.publishGauges()
 	if wm := cfg.Watermarks; wm != nil {
 		// The snapshot stage trails the merged stream, so it is measured
@@ -950,8 +860,8 @@ func (in *Ingester) sweepShard(shard int, buf []logio.Event) (handled int) {
 	return handled
 }
 
-// finishedEpoch is the last graph of a day that rotated out, at the
-// version its delta-ring entry ends on. rotate keeps the newest one for
+// finishedEpoch is the last graph of a day that rotated out, at a
+// version of its own. rotate keeps the newest one for
 // SnapshotSince, so the events applied after the day's last pass still
 // reach a classify pass; apply hands the same graph to OnRotate.
 type finishedEpoch struct {
@@ -1181,12 +1091,11 @@ func (in *Ingester) rotate(newDay int, replay bool) *finishedEpoch {
 		return nil
 	}
 	// The day's last graph is one more snapshot of the day builder, at a
-	// version of its own: its dirty delta goes into the ring like any
-	// other, so a pass that last looked at an earlier version of this day
-	// can still be told exactly what changed since.
+	// version of its own, so a pass that last looked at an earlier
+	// version of this day is handed it (SnapshotSince).
 	v := in.version.Add(1)
 	taken, _ := in.takeStages()
-	g := in.foldSnapshot(taken, v)
+	g := in.foldSnapshot(taken)
 	f := &finishedEpoch{day: in.day, g: g, version: v}
 	for _, sh := range in.shards {
 		sh.mu.Lock()
@@ -1197,20 +1106,16 @@ func (in *Ingester) rotate(newDay int, replay bool) *finishedEpoch {
 	in.folded.Store(0)
 	in.day = newDay
 	in.dayNow.Store(int64(newDay))
-	v = in.version.Add(1)
-	// A rotation invalidates every delta baseline: poison the ring so
-	// SnapshotSince spans crossing the boundary come back inexact and
-	// consumers re-score everything. The finished epoch is kept for
-	// SnapshotSince (replacing an older one nobody got through) — but only
-	// if anyone ever calls it: a daemon that never classifies would carry
-	// yesterday's graph for nothing.
-	in.deltaMu.Lock()
-	in.ring.push(deltaEntry{from: v, to: v, inexact: true})
-	in.lastSnapVer = v
-	if in.deltaReaders {
+	// The new day's snapshots carry versions past the finished day's.
+	in.version.Add(1)
+	// The finished epoch is kept for SnapshotSince (replacing an older one
+	// nobody got through) — but only if anyone ever calls it: a daemon
+	// that never classifies would carry yesterday's graph for nothing.
+	in.finishedMu.Lock()
+	if in.sinceCallers {
 		in.finished = f
 	}
-	in.deltaMu.Unlock()
+	in.finishedMu.Unlock()
 	if !replay {
 		inc(in.m.Rotations)
 	}
@@ -1241,14 +1146,13 @@ func (in *Ingester) takeStages() ([]graph.Stage, []wal.Pos) {
 }
 
 // foldSnapshot folds taken stages into the day builder — appends, the one
-// radix sort and dedup, without shard locks — and snapshots it, recording
-// the delta at version v. Every id a taken stage holds was interned before
-// its swap, so the snapshot covers it. Callers hold what takeStages needs.
-func (in *Ingester) foldSnapshot(taken []graph.Stage, v uint64) *graph.Graph {
+// radix sort and dedup, without shard locks — and snapshots it. Every id a
+// taken stage holds was interned before its swap, so the snapshot covers
+// it. Callers hold what takeStages needs.
+func (in *Ingester) foldSnapshot(taken []graph.Stage) *graph.Graph {
 	in.builder.Fold(taken)
 	g := in.builder.Snapshot()
 	in.folded.Store(int64(g.NumEdges()))
-	in.recordSnapshot(g, v)
 	return g
 }
 
@@ -1372,7 +1276,7 @@ func (in *Ingester) Snapshot() (*graph.Graph, uint64) {
 	}
 	start := time.Now()
 	taken, _ := in.takeStages()
-	g := in.foldSnapshot(taken, v)
+	g := in.foldSnapshot(taken)
 	in.epochMu.RUnlock()
 
 	if in.cfg.PrepareSnapshot != nil {
@@ -1392,72 +1296,43 @@ func (in *Ingester) Snapshot() (*graph.Graph, uint64) {
 	return g, v
 }
 
-// SnapshotSince is Snapshot plus the delta against an earlier version the
-// caller has already processed: the set of domains whose
-// classification-relevant state changed between since and the returned
-// version. When the delta is inexact (epoch rotated, history trimmed, or
-// since is unknown) the caller must treat every domain as dirty.
-//
+// SnapshotSince is Snapshot for a caller that classifies every snapshot
+// it is handed and passes back the version of the last one it completed.
 // After a rotation, a call whose since predates the finished day's last
-// graph is handed that graph instead of the live one — with the exact
-// delta when since lies in the same day — so what was applied between the
-// day's last pass and its rotation is still classified and audited under
-// the day it belongs to. The handover repeats until a call arrives with
-// since at or past the finished epoch's version: only then has the caller
-// completed a pass over it (a pass that aborted or found the graph
-// unlabeled comes back with its old since and is handed the same graph
-// again). That call crosses the rotation and returns the live epoch,
-// inexact. Snapshot never returns a finished epoch.
+// graph is handed that graph instead of the live one, so what was applied
+// between the day's last pass and its rotation is still classified and
+// audited under the day it belongs to. The handover repeats until a call
+// arrives with since at or past the finished epoch's version: only then
+// has the caller completed a pass over it (a pass that aborted or found
+// the graph unlabeled comes back with its old since and is handed the
+// same graph again). That call returns the live epoch. Snapshot never
+// returns a finished epoch.
 //
 // The finished epoch is looked up after the live snapshot is taken: a
 // rotation that lands while the call waits for the snapshot (it holds the
 // epoch lock the snapshot needs) has set it by then, and its day is
 // handed over instead of being skipped — the live snapshot stays cached
 // for the call that follows.
+//
+// The Delta is always the zero Delta: every pass classifies its snapshot
+// whole. It stays in the signature for the end-to-end benchmark harness
+// (bench/trace.go), which reads it, until that harness is next changed.
 func (in *Ingester) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta) {
-	in.deltaMu.Lock()
-	in.deltaReaders = true
-	in.deltaMu.Unlock()
+	in.finishedMu.Lock()
+	in.sinceCallers = true
+	in.finishedMu.Unlock()
 	g, v := in.Snapshot()
-	in.deltaMu.Lock()
-	if f := in.finished; f != nil {
-		if since < f.version {
-			ids, ok := in.ring.since(since, f.version)
-			in.deltaMu.Unlock()
-			f.prepare(in.cfg.PrepareSnapshot)
-			return f.g, f.version, f.g.DeltaOf(ids, ok)
-		}
-		in.finished = nil // the caller has processed it
+	in.finishedMu.Lock()
+	f := in.finished
+	if f != nil && since >= f.version {
+		in.finished, f = nil, nil // the caller has processed it
 	}
-	if since == v {
-		in.deltaMu.Unlock()
-		return g, v, graph.Delta{Exact: true}
+	in.finishedMu.Unlock()
+	if f != nil {
+		f.prepare(in.cfg.PrepareSnapshot)
+		return f.g, f.version, graph.Delta{}
 	}
-	ids, ok := in.ring.since(since, v)
-	in.deltaMu.Unlock()
-	return g, v, g.DeltaOf(ids, ok)
-}
-
-// recordSnapshot stamps the delta ring with the dirty delta of a freshly
-// taken day-builder snapshot at version v. Every Snapshot call on the
-// live day builder must be recorded here (the snapshot consumes the
-// builder's dirty baseline, so skipping an entry would silently
-// under-report later deltas). Events folded after v was read are part
-// of g and of this delta — the next snapshot's span then starts at v,
-// which at worst re-reports a domain, never misses one.
-func (in *Ingester) recordSnapshot(g *graph.Graph, v uint64) {
-	ids, exact := g.DirtyDomains()
-	in.deltaMu.Lock()
-	in.ring.push(deltaEntry{from: in.lastSnapVer, to: v, inexact: !exact, domains: ids})
-	in.lastSnapVer = v
-	in.deltaMu.Unlock()
-	if in.m.DirtyDomains != nil {
-		if exact {
-			in.m.DirtyDomains.SetInt(int64(len(ids)))
-		} else {
-			in.m.DirtyDomains.SetInt(int64(g.NumDomains()))
-		}
-	}
+	return g, v, graph.Delta{}
 }
 
 // Shutdown drains the ingest pipeline: new and in-flight Consume loops

@@ -278,8 +278,8 @@ func BenchmarkIngestRecover(b *testing.B) {
 // the sharded backend: 4 shards holding an isp-50k-shaped day (50k
 // machines, 110k domains, 1M query events), then per op about one pass's
 // worth of new events (150k, applied off the clock) and the timed
-// SnapshotSince — shard drains, the merged builder's fold and snapshot,
-// and the delta ring's span.
+// SnapshotSince — the shard stage swaps and the day builder's fold and
+// snapshot.
 func BenchmarkSnapshotSinceSharded(b *testing.B) {
 	const (
 		shards           = 4
@@ -336,9 +336,9 @@ func BenchmarkSnapshotSinceSharded(b *testing.B) {
 		b.StopTimer()
 		applyAll(next(passEvents))
 		b.StartTimer()
-		_, v, delta := in.SnapshotSince(since)
-		if !delta.Exact || len(delta.IDs) == 0 {
-			b.Fatalf("delta exact=%v with %d domains, want an exact non-empty delta", delta.Exact, len(delta.IDs))
+		_, v, _ := in.SnapshotSince(since)
+		if v == since {
+			b.Fatal("the pass's events did not move the version")
 		}
 		since = v
 	}

@@ -178,13 +178,6 @@ func requireSameView(t *testing.T, step string, want, got passView) {
 	}
 }
 
-// sortedNames is a sorted copy of names.
-func sortedNames(names []string) []string {
-	out := slices.Clone(names)
-	slices.Sort(out)
-	return out
-}
-
 // relabelNames is g's relabel set by name, or nil without a baseline.
 func relabelNames(g *graph.Graph) []string {
 	ids, ok := g.RelabelMachines()
@@ -203,9 +196,9 @@ func relabelNames(g *graph.Graph) []string {
 // boundary, whatever the shard count: after each prefix of one seeded
 // stream, SnapshotSince's graph must equal one graph.Builder fed the same
 // prefix — names, adjacency, addresses, labels and feature vectors — and
-// its delta and relabel machines must equal the single builder's, as
-// names (node ids need not agree). The rotation is checked on both
-// sides: the finished day handed over once, then the new day, inexact.
+// its relabel machines must equal the single builder's, as names (node
+// ids need not agree). The rotation is checked on both sides: the
+// finished day handed over once, then the new day.
 func TestIngestSnapshotsMatchSingleBuilder(t *testing.T) {
 	prefixes := passStream(44)
 	for _, workers := range []int{1, 2, 4} {
@@ -227,18 +220,12 @@ func TestIngestSnapshotsMatchSingleBuilder(t *testing.T) {
 				ref.MarkLabeled(g)
 				return g
 			}
-			check := func(step string, want, got *graph.Graph, delta graph.Delta) {
+			check := func(step string, want, got *graph.Graph) {
 				t.Helper()
 				if got.Day() != want.Day() {
 					t.Fatalf("%s: day %d, reference %d", step, got.Day(), want.Day())
 				}
 				requireSameView(t, step, viewOf(t, want, refAct), viewOf(t, got, act))
-				wantIDs, wantExact := want.DirtyDomains()
-				wantDelta := want.DeltaOf(wantIDs, wantExact)
-				if delta.Exact != wantDelta.Exact ||
-					!slices.Equal(sortedNames(delta.Domains), sortedNames(wantDelta.Domains)) {
-					t.Fatalf("%s: delta %v (exact %v), reference %v (exact %v)", step, delta.Domains, delta.Exact, wantDelta.Domains, wantDelta.Exact)
-				}
 				if g, w := relabelNames(got), relabelNames(want); !slices.Equal(g, w) {
 					t.Fatalf("%s: relabel machines %v, reference %v", step, g, w)
 				}
@@ -271,13 +258,13 @@ func TestIngestSnapshotsMatchSingleBuilder(t *testing.T) {
 				}
 				apply(evs)
 				if crosses {
-					g, v, delta := in.SnapshotSince(since)
-					check(fmt.Sprintf("prefix %d: finished day", i), finished, g, delta)
+					g, v, _ := in.SnapshotSince(since)
+					check(fmt.Sprintf("prefix %d: finished day", i), finished, g)
 					since = v
 					points++
 				}
-				g, v, delta := in.SnapshotSince(since)
-				check(fmt.Sprintf("prefix %d", i), refSnapshot(), g, delta)
+				g, v, _ := in.SnapshotSince(since)
+				check(fmt.Sprintf("prefix %d", i), refSnapshot(), g)
 				since = v
 				points++
 			}

@@ -275,8 +275,8 @@ func segb1Conn(t *testing.T, in *Ingester) (send func([]logio.Event), hangUp fun
 // TestShardedEquivalence is the acceptance test for the sharded graph
 // backend: over the same stream, the sharded ingester's merged snapshot
 // must be feature-for-feature and detection-for-detection identical to a
-// single unsharded builder, the within-epoch delta sets must stay exact,
-// and rotation must degrade deltas to inexact. Run under -race it also
+// single unsharded builder, before a rotation, across it (the finished
+// day handed over) and after it. Run under -race it also
 // exercises the concurrent shard-apply path, at a power-of-two and an odd
 // shard count. Throughout, the activity log the ingester marks on first
 // queries must equal a reference marked on every query event; the durable
@@ -364,14 +364,11 @@ func TestShardedEquivalence(t *testing.T) {
 
 			requireClassifyAllEquivalent(t, want5, act, got5, act)
 
-			// Within-epoch delta exactness: brand-new edges must surface as
-			// exactly their domains in the next delta, composed across every
-			// shard's fresh set.
+			// Brand-new edges after a pass, on every shard: the finished day
+			// below must hold them.
 			var deltaEvs []logio.Event
-			wantDirty := make([]string, 0, 8)
 			for i := 0; i < 8; i++ {
 				name := fmt.Sprintf("delta%d.fresh.example", i)
-				wantDirty = append(wantDirty, name)
 				deltaEvs = append(deltaEvs, logio.Event{
 					Kind: logio.EventQuery, Day: 5,
 					Machine: fmt.Sprintf("freshm%02d", i), Domain: name,
@@ -379,38 +376,25 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 			feed(t, in, m, deltaEvs)
 			markEveryQuery(refAct, suffixes, deltaEvs)
-			_, v6, delta := in.SnapshotSince(v5)
+			_, v6, _ := in.SnapshotSince(v5)
 			if v6 <= v5 {
 				t.Fatalf("version did not advance: %d -> %d", v5, v6)
 			}
-			if !delta.Exact {
-				t.Fatal("within-epoch delta is inexact")
-			}
-			gotDirty := slices.Clone(delta.Domains)
-			slices.Sort(gotDirty)
-			slices.Sort(wantDirty)
-			if !slices.Equal(gotDirty, wantDirty) {
-				t.Fatalf("dirty set %v, want %v", gotDirty, wantDirty)
-			}
 
 			// Epoch rotation: day 6 arrives. A reader still on day 5 gets the
-			// finished day once — nothing was applied since v6, so as an exact
-			// empty delta on a graph that still equals the replay — then the
-			// delta against any pre-rotation version must be inexact, and the
-			// post-rotation graph must again match the single-builder replay.
+			// finished day once — a graph that still equals the replay — and
+			// then the post-rotation graph, which must again match the
+			// single-builder replay.
 			day6 := genEquivEvents(6)
 			feed(t, in, m, day6)
-			last5, vLast5, deltaLast5 := in.SnapshotSince(v6)
-			if last5.Day() != 5 || !deltaLast5.Exact || len(deltaLast5.Domains) != 0 {
-				t.Fatalf("first delta after the rotation: day %d, %+v; want day 5's last graph, exact and empty", last5.Day(), deltaLast5)
+			last5, vLast5, _ := in.SnapshotSince(v6)
+			if last5.Day() != 5 {
+				t.Fatalf("first call after the rotation: day %d; want day 5's last graph", last5.Day())
 			}
 			wantLast5 := refReplay("equiv", 5, suffixes, slices.Concat(day5, deltaEvs)).Snapshot()
 			wantLast5.ApplyLabels(src(5))
 			requireGraphsEquivalent(t, wantLast5, last5, act)
-			got6, _, delta6 := in.SnapshotSince(vLast5)
-			if delta6.Exact {
-				t.Fatal("delta across an epoch rotation claims exactness")
-			}
+			got6, _, _ := in.SnapshotSince(vLast5)
 			ref6 := refReplay("equiv", 6, suffixes, day6)
 			want6 := ref6.Snapshot()
 			want6.ApplyLabels(src(6))

@@ -19,9 +19,8 @@ import (
 // merged snapshot, the activity log it marked, and the dirty set of the
 // second batch of connections against a snapshot taken after the first.
 type symRun struct {
-	g     *graph.Graph
-	act   *activity.Log
-	dirty []string
+	g   *graph.Graph
+	act *activity.Log
 }
 
 // runConns feeds base, then after a snapshot delta, into a fresh 3-shard
@@ -62,13 +61,8 @@ func runConns(t *testing.T, base [][]byte, nBase int, delta [][]byte, nDelta int
 	}
 	_, v := in.Snapshot()
 	feedAll(delta, nDelta)
-	g, _, d := in.SnapshotSince(v)
-	if !d.Exact {
-		t.Fatal("within-day delta is inexact")
-	}
-	dirty := slices.Clone(d.Domains)
-	slices.Sort(dirty)
-	return symRun{g: g, act: act, dirty: dirty}
+	g, _, _ := in.SnapshotSince(v)
+	return symRun{g: g, act: act}
 }
 
 // textConn renders events as one text connection.
@@ -77,44 +71,24 @@ func textConn(t *testing.T, evs []logio.Event) []byte { return []byte(stream(t, 
 // requireSymbolEquivalence runs the same connections as segb1 and as
 // text and holds both to the batch oracle over evs (base then delta, the
 // decoded form of every connection concatenated): feature vectors,
-// labels, addresses, the activity log, and the delta's dirty set.
+// labels, addresses and the activity log.
 func requireSymbolEquivalence(t *testing.T, segb1Base, textBase [][]byte, baseEvs []logio.Event, segb1Delta, textDelta [][]byte, deltaEvs []logio.Event) {
 	t.Helper()
 	suffixes := dnsutil.DefaultSuffixList()
 	src, _, _ := equivLabelSources()
 	all := slices.Concat(baseEvs, deltaEvs)
 
-	oracle := refReplay("equiv", 5, suffixes, baseEvs)
-	oracle.Snapshot()
-	for _, e := range deltaEvs {
-		if e.Kind == logio.EventQuery {
-			oracle.AddQuery(e.Machine, e.Domain)
-		} else {
-			oracle.SetDomainIPs(e.Domain, e.IPs)
-		}
-	}
-	wantDirty, exact := dirtyNames(oracle.Snapshot())
-	if !exact {
-		t.Fatal("oracle delta is inexact")
-	}
-	slices.Sort(wantDirty)
 	want := refReplay("equiv", 5, suffixes, all).Build()
 	want.ApplyLabels(src(5))
 	wantAct := activity.NewLog()
 	markEveryQuery(wantAct, suffixes, all)
 
-	for _, run := range []struct {
-		wire string
-		got  symRun
-	}{
-		{"segb1", runConns(t, segb1Base, len(baseEvs), segb1Delta, len(deltaEvs))},
-		{"text", runConns(t, textBase, len(baseEvs), textDelta, len(deltaEvs))},
+	for _, got := range []symRun{
+		runConns(t, segb1Base, len(baseEvs), segb1Delta, len(deltaEvs)),
+		runConns(t, textBase, len(baseEvs), textDelta, len(deltaEvs)),
 	} {
-		requireGraphsEquivalent(t, want, run.got.g, wantAct)
-		requireActivityEquivalent(t, wantAct, run.got.act, suffixes, all, 5, 5)
-		if !slices.Equal(run.got.dirty, wantDirty) {
-			t.Fatalf("%s run: dirty set %v, oracle %v", run.wire, run.got.dirty, wantDirty)
-		}
+		requireGraphsEquivalent(t, want, got.g, wantAct)
+		requireActivityEquivalent(t, wantAct, got.act, suffixes, all, 5, 5)
 	}
 }
 
@@ -405,10 +379,4 @@ func TestShardRoutingCachedPerSymbolAndUse(t *testing.T) {
 	if got, want := src.shardOf(&literal), graph.ShardOf("m-literal", 3); got != want || len(src.machineShard) != 2 {
 		t.Fatalf("literal machine routed to %d (want %d) or was cached (table has %d entries)", got, want, len(src.machineShard))
 	}
-}
-
-// dirtyNames is g's dirty set by name, as its Delta names it.
-func dirtyNames(g *graph.Graph) ([]string, bool) {
-	d := g.DeltaOf(g.DirtyDomains())
-	return d.Domains, d.Exact
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,133 +24,107 @@ import (
 	"segugio/internal/tracker"
 )
 
-// deltaSource is a GraphSource whose SnapshotSince answers like the real
-// ingester: exact empty delta at the current version, the declared dirty
-// set one step back, inexact otherwise.
-type deltaSource struct {
+// stepSource is a GraphSource that publishes one labeled snapshot at a
+// time, each at the next version, as the ingester's SnapshotSince does
+// within a day.
+type stepSource struct {
 	mu      sync.Mutex
 	g       *graph.Graph
 	version uint64
-	prev    uint64
-	dirty   []int32
-	exact   bool
 }
 
-func (s *deltaSource) Snapshot() (*graph.Graph, uint64) {
+func (s *stepSource) Snapshot() (*graph.Graph, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.g, s.version
 }
 
-func (s *deltaSource) Day() int {
+func (s *stepSource) Day() int {
 	g, _ := s.Snapshot()
 	return g.Day()
 }
 
-func (s *deltaSource) Version() uint64 {
+func (s *stepSource) Version() uint64 {
 	_, v := s.Snapshot()
 	return v
 }
 
-func (s *deltaSource) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case since == s.version:
-		return s.g, s.version, graph.Delta{Exact: true}
-	case s.exact && since == s.prev:
-		return s.g, s.version, s.g.DeltaOf(s.dirty, true)
-	default:
-		return s.g, s.version, graph.Delta{}
-	}
+func (s *stepSource) SnapshotSince(uint64) (*graph.Graph, uint64, graph.Delta) {
+	g, v := s.Snapshot()
+	return g, v, graph.Delta{}
 }
 
-// advance publishes a new snapshot whose delta against the previous
-// version is the given dirty set.
-func (s *deltaSource) advance(g *graph.Graph, dirty []int32, exact bool) {
+// advance publishes g at the next version.
+func (s *stepSource) advance(g *graph.Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.prev = s.version
 	s.version++
 	s.g = g
-	s.dirty = dirty
-	s.exact = exact
 }
 
-// TestClassifyAllDeltaCache is the acceptance check for the delta-scored
-// classify path: a classify-all after k dirty domains performs exactly k
-// feature extractions, observed through the cache hit/miss counters.
-func TestClassifyAllDeltaCache(t *testing.T) {
-	b, src := testGraphParts(t, 42)
-	g1 := b.Snapshot()
-	g1.ApplyLabels(src)
-	gs := &deltaSource{g: g1, version: 7}
-	ts := newTestServer(t, func(cfg *Config) { cfg.Graphs = gs })
+// classifySpans is the number of classify spans in the newest trace,
+// which must be a classify request's.
+func classifySpans(t *testing.T, tr *obs.Tracer) int {
+	t.Helper()
+	trace := tr.Dump().Recent[0]
+	if trace.Root != "http.classify" {
+		t.Fatalf("newest trace is %q, want the classify request", trace.Root)
+	}
+	n := 0
+	for _, sp := range trace.Spans {
+		if sp.Name == obs.StageClassify {
+			n++
+		}
+	}
+	return n
+}
 
-	classify := func() ClassifyResponse { t.Helper(); return classifyAllOK(t, ts) }
-	counters := func() (hits, misses int64) {
-		return ts.srv.cacheHits.Value(), ts.srv.cacheMisses.Value()
+// TestPassAtUnchangedVersionScoresNothing: a pass that finds the snapshot
+// version, day and model of the published pass scores nothing — no
+// classify span, no prune-pipeline scan — and serves that pass's rows.
+// A pass after the graph moved, or after a reload, scores again.
+func TestPassAtUnchangedVersionScoresNothing(t *testing.T) {
+	ps, g1 := newPruneStream()
+	tr := obs.NewTracer(obs.TracerConfig{RingSize: 16})
+	ts := newPruneServer(t, g1, ps.gs, func(cfg *Config) { cfg.Tracer = tr })
+
+	first := classifyAllOK(t, ts)
+	if n := classifySpans(t, tr); n != 1 || len(first.Detections) != 4 {
+		t.Fatalf("first pass: %d classify spans, %d rows; want 1 and 4", n, len(first.Detections))
+	}
+	scans := graph.FullGraphScans()
+	again := classifyAllOK(t, ts)
+	if n := classifySpans(t, tr); n != 0 {
+		t.Fatalf("a pass at an unchanged version ran %d classify spans, want none", n)
+	}
+	if after := graph.FullGraphScans(); after != scans {
+		t.Fatalf("a pass at an unchanged version ran %d full-graph scans", after-scans)
+	}
+	if again.GraphVersion != first.GraphVersion || !reflect.DeepEqual(again.Detections, first.Detections) {
+		t.Fatalf("a pass at an unchanged version served %+v at %d, want the published %+v at %d",
+			again.Detections, again.GraphVersion, first.Detections, first.GraphVersion)
+	}
+	if hits, misses := ts.srv.pruneHits.Value(), ts.srv.pruneMisses.Value(); hits != 1 || misses != 1 {
+		t.Fatalf("prune cache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 
-	// Cold cache: every one of the 4 unknown targets is a miss.
-	resp := classify()
-	if resp.Classified != 4 {
-		t.Fatalf("classified = %d, want 4", resp.Classified)
+	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) })
+	moved := classifyAllOK(t, ts)
+	if n := classifySpans(t, tr); n != 1 || moved.GraphVersion != first.GraphVersion+1 {
+		t.Fatalf("pass after a step: %d classify spans at version %d, want 1 at %d", n, moved.GraphVersion, first.GraphVersion+1)
 	}
-	if hits, misses := counters(); hits != 0 || misses != 4 {
-		t.Fatalf("cold pass: hits/misses = %d/%d, want 0/4", hits, misses)
-	}
-	for _, d := range resp.Detections {
-		if d.ScoreVersion != 7 {
-			t.Fatalf("%s: scoreVersion = %d, want 7", d.Domain, d.ScoreVersion)
+	for _, d := range moved.Detections {
+		if d.ScoreVersion != moved.GraphVersion {
+			t.Fatalf("%s: scoreVersion %d in a pass at version %d", d.Domain, d.ScoreVersion, moved.GraphVersion)
 		}
 	}
 
-	// Same version again: all 4 served from cache.
-	classify()
-	if hits, misses := counters(); hits != 4 || misses != 4 {
-		t.Fatalf("warm pass: hits/misses = %d/%d, want 4/4", hits, misses)
+	if code, raw := postJSON(t, ts.URL+"/v1/reload", nil, nil); code != http.StatusOK {
+		t.Fatalf("reload: %d %s", code, raw)
 	}
-
-	// One dirty domain: a new resolved IP on unk0 leaves every degree (and
-	// so the prune signature) unchanged, and the snapshot's own dirty set
-	// is exactly that domain. Exactly one re-extraction, three hits.
-	b.AddResolution("unk0.gray.org", dnsutil.IPv4(0x0cff0000))
-	g2 := b.Snapshot()
-	g2.ApplyLabels(src)
-	dirty, exact := g2.DirtyDomains()
-	if !exact || len(dirty) != 1 || g2.DomainName(dirty[0]) != "unk0.gray.org" {
-		t.Fatalf("dirty = %v (exact=%v), want exactly [unk0.gray.org]", dirty, exact)
-	}
-	gs.advance(g2, dirty, true)
-
-	resp = classify()
-	if resp.Classified != 4 || resp.GraphVersion != 8 {
-		t.Fatalf("delta pass: classified/version = %d/%d, want 4/8", resp.Classified, resp.GraphVersion)
-	}
-	if hits, misses := counters(); hits != 7 || misses != 5 {
-		t.Fatalf("delta pass: hits/misses = %d/%d, want 7/5", hits, misses)
-	}
-	for _, d := range resp.Detections {
-		want := uint64(7)
-		if d.Domain == "unk0.gray.org" {
-			want = 8
-		}
-		if d.ScoreVersion != want {
-			t.Fatalf("%s: scoreVersion = %d, want %d", d.Domain, d.ScoreVersion, want)
-		}
-	}
-
-	// An inexact delta (rotation, ring overflow) flushes the whole cache.
-	gs.advance(g2, nil, false)
-	resp = classify()
-	if hits, misses := counters(); hits != 7 || misses != 9 {
-		t.Fatalf("inexact pass: hits/misses = %d/%d, want 7/9", hits, misses)
-	}
-	for _, d := range resp.Detections {
-		if d.ScoreVersion != 9 {
-			t.Fatalf("%s after flush: scoreVersion = %d, want 9", d.Domain, d.ScoreVersion)
-		}
+	classifyAllOK(t, ts)
+	if n := classifySpans(t, tr); n != 1 {
+		t.Fatalf("pass after a reload at an unchanged version: %d classify spans, want 1", n)
 	}
 }
 
@@ -237,71 +213,82 @@ func classifyAllOK(t *testing.T, ts *testServer) ClassifyResponse {
 	return resp
 }
 
-// TestClassifyAllPruneMemo is the server-side acceptance check for the
-// memoized prune pipeline: with pruning enabled, delta classify-all
-// passes after the first perform zero full-graph prune/prober/signature
-// scans, and the prune cache counters expose the reuse.
+// TestClassifyAllPruneMemo is the server-side check of the memoized
+// prune pipeline: a pass prepares its snapshot once (a prune cache miss,
+// one full-graph scan), and a by-name request the pass cannot answer
+// classifies that snapshot without another scan. A lookup that falls
+// through to a snapshot no pass has prepared yet prepares it, and the
+// pass over it is then a hit.
 func TestClassifyAllPruneMemo(t *testing.T) {
 	b, src := pruneGraphParts(42)
 	g1 := b.Snapshot()
 	g1.ApplyLabels(src)
-	gs := &deltaSource{g: g1, version: 1}
+	gs := &stepSource{g: g1, version: 1}
 	ts := newPruneServer(t, g1, gs, nil)
-	classify := func() ClassifyResponse { t.Helper(); return classifyAllOK(t, ts) }
+	memo := func(when string, wantHits, wantMisses int64) {
+		t.Helper()
+		if hits, misses := ts.srv.pruneHits.Value(), ts.srv.pruneMisses.Value(); hits != wantHits || misses != wantMisses {
+			t.Fatalf("%s: prune cache hits/misses = %d/%d, want %d/%d", when, hits, misses, wantHits, wantMisses)
+		}
+	}
+	step := func(pass int) {
+		b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000+uint32(pass)))
+		g := b.Snapshot()
+		g.ApplyLabels(src)
+		gs.advance(g)
+	}
 
-	// Cold pass: the session computes the prune pipeline (a miss).
-	resp := classify()
-	if got := len(resp.Detections); got == 0 {
+	if resp := classifyAllOK(t, ts); len(resp.Detections) == 0 {
 		t.Fatal("pruned classify-all produced no detections")
 	}
-	if hits, misses := ts.srv.pruneHits.Value(), ts.srv.pruneMisses.Value(); hits != 0 || misses != 1 {
-		t.Fatalf("cold pass: prune hits/misses = %d/%d, want 0/1", hits, misses)
-	}
+	memo("cold pass", 0, 1)
 
-	// Delta passes: touch one unknown target per pass (a new resolved IP
-	// keeps every degree unchanged, so the frozen plan stays fresh). No
-	// full-graph scan of any kind may happen after the first pass.
 	for pass := 0; pass < 3; pass++ {
-		b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000+uint32(pass)))
-		g2 := b.Snapshot()
-		g2.ApplyLabels(src)
-		dirty, exact := g2.DirtyDomains()
-		if !exact || len(dirty) != 1 || g2.DomainName(dirty[0]) != "unk.gray0.org" {
-			t.Fatalf("pass %d: dirty = %v (exact=%v)", pass, dirty, exact)
-		}
-		gs.advance(g2, dirty, true)
-
+		step(pass)
 		scans := graph.FullGraphScans()
-		got := classify()
-		if after := graph.FullGraphScans(); after != scans {
-			t.Fatalf("pass %d: delta classify-all ran %d full-graph scans, want 0", pass, after-scans)
+		classifyAllOK(t, ts)
+		// A labeled name is scored with its label hidden, which no pass
+		// does: the request falls through to the live graph, the snapshot
+		// the pass just prepared.
+		var one ClassifyResponse
+		if code, raw := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Domains: []string{"c2.evil0.net"}}, &one); code != http.StatusOK || len(one.Detections) != 1 {
+			t.Fatalf("pass %d: labeled name by classify: %d %s", pass, code, raw)
 		}
-		if len(got.Detections) != len(resp.Detections) {
-			t.Fatalf("pass %d: detections %d, want %d", pass, len(got.Detections), len(resp.Detections))
+		if after := graph.FullGraphScans(); after != scans+1 {
+			t.Fatalf("pass %d: the pass and a lookup at its snapshot ran %d full-graph scans, want 1", pass, after-scans)
 		}
 	}
-	if hits := ts.srv.pruneHits.Value(); hits < 3 {
-		t.Fatalf("prune cache hits = %d, want >= 3", hits)
+	memo("three passes over new snapshots", 0, 4)
+
+	step(3)
+	if code, raw := getJSON(t, ts.URL+"/v1/domains/unk.gray0.org", nil); code != http.StatusOK {
+		t.Fatalf("lookup: %d %s", code, raw)
 	}
-	if misses := ts.srv.pruneMisses.Value(); misses != 1 {
-		t.Fatalf("prune cache misses = %d, want 1", misses)
+	var one ClassifyResponse
+	if code, raw := postJSON(t, ts.URL+"/v1/classify", ClassifyRequest{Domains: []string{"c2.evil1.net"}}, &one); code != http.StatusOK {
+		t.Fatalf("labeled name by classify: %d %s", code, raw)
 	}
+	scans := graph.FullGraphScans()
+	classifyAllOK(t, ts)
+	if after := graph.FullGraphScans(); after != scans {
+		t.Fatalf("the pass over a snapshot a lookup prepared ran %d full-graph scans", after-scans)
+	}
+	memo("a pass over a snapshot a lookup prepared", 1, 4)
 }
 
-// pruneStream is the pruneGraphParts fixture behind a deltaSource: step
-// applies a mutation and publishes the next labeled snapshot with its
-// exact dirty set.
+// pruneStream is the pruneGraphParts fixture behind a stepSource: step
+// applies a mutation and publishes the next labeled snapshot.
 type pruneStream struct {
 	b   *graph.Builder
 	src graph.LabelSources
-	gs  *deltaSource
+	gs  *stepSource
 }
 
 func newPruneStream() (*pruneStream, *graph.Graph) {
 	b, src := pruneGraphParts(42)
 	g := b.Snapshot()
 	g.ApplyLabels(src)
-	return &pruneStream{b: b, src: src, gs: &deltaSource{g: g, version: 1}}, g
+	return &pruneStream{b: b, src: src, gs: &stepSource{g: g, version: 1}}, g
 }
 
 func (ps *pruneStream) step(t *testing.T, mutate func(b *graph.Builder)) {
@@ -309,120 +296,85 @@ func (ps *pruneStream) step(t *testing.T, mutate func(b *graph.Builder)) {
 	mutate(ps.b)
 	g := ps.b.Snapshot()
 	g.ApplyLabels(ps.src)
-	dirty, exact := g.DirtyDomains()
-	if !exact {
-		t.Fatal("fixture: inexact dirty set")
-	}
-	ps.gs.advance(g, dirty, true)
+	ps.gs.advance(g)
 }
 
-// TestPruneShiftForcesFullPass: a delta pass whose prune plan resolves to
-// other global thresholds than the ones the previous rows were scored
-// under cannot keep those rows — the pruning fate of untouched domains
-// may have moved — so it is served as a full pass: every row re-versioned,
-// prune=shifted on the abandoned delta span. That holds when the pass
-// itself recomputes the plan, and when a lookup that fell through to the
-// live graph in between already did; a lookup the last pass answers
-// touches neither the graph nor the session.
-func TestPruneShiftForcesFullPass(t *testing.T) {
+// TestPassesMatchColdClassify: whatever a step changes — an address, new
+// edges between known nodes, a new domain, an e2LD pushed past R4's
+// machine-count threshold by a sibling, new machines that move that
+// threshold — the pass after it serves exactly what a fresh session's
+// classify of the pass's snapshot returns: every row, score, verdict and
+// missing name, at the snapshot's version. None of these steps grows the
+// graph by more than a few nodes, so a prune plan frozen within a drift
+// bound would have gone on serving the earlier decisions.
+func TestPassesMatchColdClassify(t *testing.T) {
 	ps, g1 := newPruneStream()
-	tr := obs.NewTracer(obs.TracerConfig{RingSize: 16})
-	ts := newPruneServer(t, g1, ps.gs, func(cfg *Config) { cfg.Tracer = tr })
-
-	// passAttrs classifies all and returns the reply plus the attributes
-	// of the pass's classify spans, in order.
-	passAttrs := func() (ClassifyResponse, []map[string]string) {
+	ts := newPruneServer(t, g1, ps.gs, nil)
+	det := ts.srv.model().det
+	requireCold := func(when string) ClassifyResponse {
 		t.Helper()
 		resp := classifyAllOK(t, ts)
-		trace := tr.Dump().Recent[0]
-		if trace.Root != "http.classify" {
-			t.Fatalf("newest trace is %q, want the classify request", trace.Root)
+		g, version := ps.gs.Snapshot()
+		dets, report, err := det.NewSession().Classify(core.ClassifyInput{
+			Graph: g, Activity: ts.srv.cfg.Activity, Abuse: ts.srv.cfg.Abuse,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var attrs []map[string]string
-		for _, sp := range trace.Spans {
-			if sp.Name == obs.StageClassify {
-				attrs = append(attrs, sp.Attrs)
+		if resp.GraphVersion != version || resp.Classified != len(dets) || len(resp.Detections) != len(dets) ||
+			!slices.Equal(resp.Missing, report.Missing) {
+			t.Fatalf("%s: pass at version %d with %d rows, missing %v; cold classify at %d: %d rows, missing %v",
+				when, resp.GraphVersion, len(resp.Detections), resp.Missing, version, len(dets), report.Missing)
+		}
+		for i, d := range dets {
+			row := resp.Detections[i]
+			if row.Domain != d.Domain || row.Score != d.Score || row.Detected != (d.Score >= det.Threshold()) || row.ScoreVersion != version {
+				t.Fatalf("%s: row %d is %s %v (detected %v) at %d; cold classify: %s %v",
+					when, i, row.Domain, row.Score, row.Detected, row.ScoreVersion, d.Domain, d.Score)
 			}
 		}
-		return resp, attrs
+		return resp
 	}
-	requireShiftedFullPass := func(when string) {
-		t.Helper()
-		resp, attrs := passAttrs()
-		if len(attrs) != 2 || attrs[0]["mode"] != "delta" || attrs[0]["prune"] != "shifted" || attrs[1]["mode"] != "full" {
-			t.Fatalf("%s: classify spans = %v, want a delta span with prune=shifted, then a full one", when, attrs)
-		}
-		if len(resp.Detections) != 4 {
-			t.Fatalf("%s: %d detections, want 4", when, len(resp.Detections))
-		}
-		for _, d := range resp.Detections {
-			if d.ScoreVersion != resp.GraphVersion {
-				t.Fatalf("%s: %s kept scoreVersion %d at graph version %d", when, d.Domain, d.ScoreVersion, resp.GraphVersion)
-			}
-		}
-	}
-	// growMachines adds n machines: thetaM is a third of the machine
-	// count, so three more always move it.
+
+	requireCold("first pass")
 	machines := 0
-	growMachines := func(b *graph.Builder) {
-		for i := 0; i < 3; i++ {
-			b.AddQuery(fmt.Sprintf("new%02d", machines), "unk.gray0.org")
-			machines++
+	for _, st := range []struct {
+		name   string
+		mutate func(b *graph.Builder)
+		// dropped, when set, is a domain the step's pass must no longer
+		// score: the step changed the fate of a domain it did not touch.
+		dropped string
+	}{
+		{"a new address", func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) }, ""},
+		{"new edges between known nodes", func(b *graph.Builder) {
+			b.AddQuery("inf07", "unk.gray1.org")
+			b.AddQuery("clean03", "unk.gray2.org")
+		}, ""},
+		{"a new domain", func(b *graph.Builder) {
+			for m := 0; m < 3; m++ {
+				b.AddQuery(fmt.Sprintf("inf%02d", 8+m), "new.gray7.org")
+			}
+		}, ""},
+		{"a sibling pushes an e2LD past R4", func(b *graph.Builder) {
+			// Machines that R1 and R2 keep with one more domain.
+			for _, m := range []string{"clean04", "clean05", "clean06", "clean20", "clean21", "clean22", "inf00", "inf08", "inf09", "inf10", "inf11"} {
+				b.AddQuery(m, "cdn.gray1.org")
+			}
+		}, "unk.gray1.org"},
+		{"new machines move R4's threshold", func(b *graph.Builder) {
+			for i := 0; i < 3; i++ {
+				b.AddQuery(fmt.Sprintf("new%02d", machines), "unk.gray3.org")
+				machines++
+			}
+		}, ""},
+	} {
+		ps.step(t, st.mutate)
+		resp := requireCold(st.name)
+		for _, d := range resp.Detections {
+			if st.dropped != "" && d.Domain == st.dropped {
+				t.Fatalf("fixture: %s: %s is still scored", st.name, st.dropped)
+			}
 		}
-	}
-
-	passAttrs()
-	// A change that moves no threshold stays a delta pass.
-	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0000)) })
-	if _, attrs := passAttrs(); len(attrs) != 1 || attrs[0]["mode"] != "delta" || attrs[0]["prune"] != "cached" {
-		t.Fatalf("threshold-neutral delta: classify spans = %v, want one cached delta span", attrs)
-	}
-
-	ps.step(t, growMachines)
-	requireShiftedFullPass("plan recomputed by the pass")
-
-	// A lookup the last pass can answer builds nothing and leaves the
-	// session alone: after a threshold-neutral step it runs no graph scan,
-	// answers at the pass's version, and the pass after it is still a
-	// cached delta.
-	passVersion := ps.gs.Version()
-	ps.step(t, func(b *graph.Builder) { b.AddResolution("unk.gray0.org", dnsutil.IPv4(0x0cff0001)) })
-	scans := graph.FullGraphScans()
-	var dom DomainResponse
-	if code, raw := getJSON(t, ts.URL+"/v1/domains/unk.gray1.org", &dom); code != http.StatusOK {
-		t.Fatalf("lookup: %d %s", code, raw)
-	}
-	if dom.Score == nil || dom.GraphVersion != passVersion || dom.LiveVersion != passVersion+1 {
-		t.Fatalf("lookup beside a moved graph: score %v at version %d (live %d), want the pass's score at %d (live %d)",
-			dom.Score, dom.GraphVersion, dom.LiveVersion, passVersion, passVersion+1)
-	}
-	if after := graph.FullGraphScans(); after != scans {
-		t.Fatalf("a lookup the pass answers ran %d full-graph scans", after-scans)
-	}
-	if _, attrs := passAttrs(); len(attrs) != 1 || attrs[0]["mode"] != "delta" || attrs[0]["prune"] != "cached" {
-		t.Fatalf("pass after a pass-served lookup: classify spans = %v, want one cached delta span", attrs)
-	}
-
-	// The same growth again, but a lookup reaches the session first — of a
-	// name younger than the last pass, which falls through to the live
-	// graph — and recomputes the plan: the pass then finds a plan that is
-	// valid for its snapshot, and must still notice that it is not the one
-	// its previous rows were scored under.
-	ps.step(t, func(b *graph.Builder) {
-		growMachines(b)
-		b.AddQuery("inf00", "young.gray9.org")
-	})
-	scans = graph.FullGraphScans()
-	if code, raw := getJSON(t, ts.URL+"/v1/domains/young.gray9.org", nil); code != http.StatusOK {
-		t.Fatalf("lookup: %d %s", code, raw)
-	}
-	if graph.FullGraphScans() == scans {
-		t.Fatal("fixture: the lookup did not recompute the prune plan")
-	}
-	scans = graph.FullGraphScans()
-	requireShiftedFullPass("plan recomputed by a lookup")
-	if after := graph.FullGraphScans(); after != scans {
-		t.Fatalf("the pass ran %d full-graph scans: the lookup's plan should have served it", after-scans)
 	}
 }
 
@@ -595,7 +547,7 @@ func TestLookupFallsThrough(t *testing.T) {
 	b.AddQuery("inf00", lonelyName)
 	g := b.Snapshot()
 	g.ApplyLabels(src)
-	ps := &pruneStream{b: b, src: src, gs: &deltaSource{g: g, version: 1}}
+	ps := &pruneStream{b: b, src: src, gs: &stepSource{g: g, version: 1}}
 	ts := newPruneServer(t, g, ps.gs, nil)
 	classifyAllOK(t, ts)
 	lookup := func(name string, wantCode int) DomainResponse {
@@ -650,7 +602,7 @@ func TestLookupFallsThrough(t *testing.T) {
 	b2, src2 := pruneGraphParts(43)
 	g2 := b2.Snapshot()
 	g2.ApplyLabels(src2)
-	ps.gs.advance(g2, nil, false)
+	ps.gs.advance(g2)
 	if dom := lookup("unk.gray0.org", http.StatusOK); dom.Day != 43 || dom.GraphVersion != 3 || dom.Score == nil {
 		t.Fatalf("after a rotation: day %d version %d score %v, want the new day's live graph", dom.Day, dom.GraphVersion, dom.Score)
 	}

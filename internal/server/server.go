@@ -48,15 +48,10 @@ type GraphSource interface {
 	// Snapshot returns a labeled, immutable graph plus a version counter
 	// that moves whenever the underlying graph changes.
 	Snapshot() (*graph.Graph, uint64)
-	// SnapshotSince returns the current snapshot plus the delta of
-	// domains whose adjacency, labels, or resolved IPs changed since the
-	// given version. An inexact delta means the span could not be
-	// reconstructed (first snapshot, rotation, history evicted) and the
-	// caller must treat every domain as dirty. An exact delta also says the
-	// returned graph continues the builder lineage of the snapshot at
-	// since: node ids are stable (the session's frozen prune plan and the
-	// pass's by-id index are both keyed on them). The pass reads the
-	// delta's IDs, not its Domains.
+	// SnapshotSince returns the snapshot the next pass classifies, given
+	// the version of the last pass that completed: the current one, or —
+	// after a rotation, until a pass over it completes — the finished
+	// day's last graph. The pass ignores the Delta.
 	SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta)
 	// Day returns the current observation day.
 	Day() int
@@ -211,8 +206,6 @@ type Server struct {
 	domainLat   *metrics.Histogram
 	reloads     *metrics.Counter
 	reloadFails *metrics.Counter
-	cacheHits   *metrics.Counter
-	cacheMisses *metrics.Counter
 	pruneHits   *metrics.Counter
 	pruneMisses *metrics.Counter
 	// lookups counts by-name requests by the snapshot that answered.
@@ -273,12 +266,8 @@ func New(cfg Config) *Server {
 		"Successful detector reloads.", "")
 	s.reloadFails = r.NewCounter("segugiod_detector_reload_failures_total",
 		"Failed detector reloads (previous detector kept).", "")
-	s.cacheHits = r.NewCounter("segugiod_classify_cache_hits_total",
-		"Classify-all domain scores served from the delta cache without re-extraction.", "")
-	s.cacheMisses = r.NewCounter("segugiod_classify_cache_misses_total",
-		"Classify-all domain scores that required feature re-extraction.", "")
 	s.pruneHits = r.NewCounter("segugiod_classify_prune_cache_hits_total",
-		"Classify-all passes that reused the memoized prune pipeline (prober filter, prune plan, extractor).", "")
+		"Classify-all passes that reused the memoized prune pipeline (prober filter, prune plan, extractor) of their snapshot.", "")
 	s.pruneMisses = r.NewCounter("segugiod_classify_prune_cache_misses_total",
 		"Classify-all passes that had to recompute the prune pipeline with a full graph scan.", "")
 	lookups := func(source string) *metrics.Counter {
@@ -487,9 +476,8 @@ type ClassifyRequest struct {
 }
 
 // ClassifyDetection is one scored domain. ScoreVersion is the graph
-// version the score was computed at: on the cached classify-all path it
-// can lag the response's GraphVersion for domains whose evidence did not
-// change between the two snapshots.
+// version the score was computed at, the GraphVersion of the reply: every
+// score is the cold classify of the snapshot the reply describes.
 type ClassifyDetection struct {
 	Domain   string  `json:"domain"`
 	Score    float64 `json:"score"`
@@ -551,8 +539,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var resp ClassifyResponse
 	var rows []ClassifyDetection
 	if len(req.Domains) == 0 {
-		// Classify-all is the pass: only domains whose evidence changed
-		// since the previous one are re-extracted.
+		// Classify-all is the pass: the cold classify of a fresh snapshot.
 		p, stale, err := s.classifyAll(r.Context(), m)
 		if errors.Is(err, errNotLabeled) {
 			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -574,7 +561,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			Day:          p.graph.Day(),
 			GraphVersion: p.version,
 			Classified:   len(p.rows),
-			Missing:      p.missingNames(),
 			Stale:        stale,
 		}
 	} else if g, version, p, ids := s.readSnapshot(r.Context(), m, req.Domains, true); p != nil {
@@ -592,14 +578,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		resp = ClassifyResponse{Day: g.Day(), GraphVersion: version, Classified: len(rows), Missing: missing}
 	} else {
 		// No pass can answer: an ad-hoc query against the fresh snapshot,
-		// scored through the same session as the passes (the frozen prune
-		// plan is reused while it holds).
+		// scored through the same session as the passes (its preparation
+		// is reused when the pass left one for this snapshot).
 		if !g.Labeled() {
 			s.writeError(w, http.StatusServiceUnavailable, "%v", errNotLabeled)
 			return
 		}
 		_, clsSpan := s.cfg.Tracer.StartSpan(r.Context(), obs.StageClassify)
-		dets, report, err := m.session.ClassifyDelta(core.ClassifyInput{
+		dets, report, err := m.session.Classify(core.ClassifyInput{
 			Ctx:      r.Context(),
 			Graph:    g,
 			Activity: s.cfg.Activity,
@@ -668,9 +654,8 @@ type DomainResponse struct {
 	E2LD        string   `json:"e2ld"`
 	Score       *float64 `json:"score,omitempty"`
 	Detected    *bool    `json:"detected,omitempty"`
-	// ScoreVersion is the graph version the score was computed at; it can
-	// lag GraphVersion when the score came from the classify-all cache and
-	// this domain's evidence has not changed since.
+	// ScoreVersion is the graph version the score was computed at, which
+	// is GraphVersion.
 	ScoreVersion uint64 `json:"scoreVersion,omitempty"`
 	// Pruned marks an unknown-labeled domain without a score: the prune
 	// rules (R1-R4) removed it from the graph classification runs on.
@@ -696,7 +681,7 @@ const maxMachinesInResponse = 25
 // readSnapshot picks the snapshot a by-name request is answered on. The
 // published pass's own — then p is that pass, ids are the names' node ids
 // in its graph, and the request builds nothing: no snapshot, no prune
-// plan, no view — when the pass was scored by the loaded model m, is of
+// plan, no session call — when the pass was scored by the loaded model m, is of
 // the source's current day, and holds every name (with unknownOnly: as an
 // unknown-labeled domain, the only kind a pass scores). Otherwise a fresh
 // snapshot with p nil: no pass yet for this model (start-up, reload) or
@@ -803,7 +788,7 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 // through the session the passes use. Not ok when the domain has no score
 // (pruned away).
 func (s *Server) scoreDomain(ctx context.Context, m *loadedModel, g *graph.Graph, version uint64, name string) (ClassifyDetection, bool) {
-	dets, _, err := m.session.ClassifyDelta(core.ClassifyInput{
+	dets, _, err := m.session.Classify(core.ClassifyInput{
 		Ctx:      ctx,
 		Graph:    g,
 		Activity: s.cfg.Activity,

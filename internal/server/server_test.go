@@ -35,12 +35,7 @@ func (s *staticSource) Snapshot() (*graph.Graph, uint64) { return s.g, s.version
 func (s *staticSource) Day() int                         { return s.g.Day() }
 func (s *staticSource) Version() uint64                  { return s.version }
 
-// SnapshotSince reports an exact empty delta when asked about the current
-// version and an inexact one otherwise, like the real ingester.
-func (s *staticSource) SnapshotSince(since uint64) (*graph.Graph, uint64, graph.Delta) {
-	if since == s.version {
-		return s.g, s.version, graph.Delta{Exact: true}
-	}
+func (s *staticSource) SnapshotSince(uint64) (*graph.Graph, uint64, graph.Delta) {
 	return s.g, s.version, graph.Delta{}
 }
 

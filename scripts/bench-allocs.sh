@@ -1,16 +1,12 @@
 #!/usr/bin/env bash
-# bench-allocs.sh — allocation budget gate for the delta classify path.
+# bench-allocs.sh — allocation and speed gates for the classify pass, the
+# read path and the ingest layers.
 #
-# The whole point of the memoized classify session is that a steady-state
-# delta pass is O(dirty), not O(graph): a fixed, small number of
-# allocations per pass regardless of graph size. This script runs
-# BenchmarkClassifyAllDelta (100k-domain fixture, 10 dirty domains per
-# pass) and fails if allocs/op exceeds the budget below, so an accidental
-# re-introduction of a full-graph rebuild shows up in CI as a hard error
-# rather than a silent slowdown. It holds the read path to "a lookup the
-# last pass answers builds nothing" and the cold full pass to its id-keyed
-# prepare (see the read-path and full-pass gates). It also gates the segb1
-# wire format:
+# Every classify-all pass is the cold classify of its snapshot: O(graph),
+# prepared by node and e2LD id into pre-sized slabs. This script holds
+# that pass to a fixed allocation count and byte budget on the 100k-domain
+# fixture (see the full-pass gates), and the read path to "a lookup the
+# last pass answers builds nothing". It also gates the segb1 wire format:
 # decode allocation budget, binary-vs-text parse speedup, and the ingest
 # frontend events/s floor (see the wire-format section below), and holds
 # the graph-apply events/s floor, the symbol-path-over-string-path apply
@@ -20,12 +16,6 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-# Measured steady state is ~70 allocs/op; the budget leaves headroom for
-# benign churn while still catching a fall-back to the full pass, which
-# prepares by id into pre-sized slabs and is itself only ~315 allocs/op on
-# the same fixture (its O(graph) cost is gated in bytes, below).
-BUDGET=${BENCH_ALLOC_BUDGET:-200}
 
 # The embedded tsdb self-scrapes the whole metrics registry every few
 # seconds for the daemon's lifetime, so a scrape must not allocate in
@@ -62,15 +52,6 @@ metric() {
         '$0 ~ b {for (i = 2; i <= NF; i++) if ($i == u) print $(i-1)}' | head -n1
 }
 
-gate BenchmarkClassifyAllDelta ./internal/server "$BUDGET"
-# The sharded backend's merged snapshots must keep the same O(dirty)
-# contract: the per-shard delta merge may not reintroduce per-pass
-# O(graph) allocation. Its delta arrives as node ids, so the pass resolves
-# no names; measured 64 allocs/op, and the budget leaves room for benign
-# churn but not for a per-pass name index or string set coming back.
-SHARDED_BUDGET=${BENCH_SHARDED_ALLOC_BUDGET:-96}
-gate BenchmarkClassifyAllDeltaSharded ./internal/server "$SHARDED_BUDGET"
-
 # --- Read-path and full-pass gates ----------------------------------------
 #
 # A by-name lookup beside a live stream is answered from the last pass and
@@ -98,11 +79,18 @@ done
 # the 82.4 MB/op the string-keyed prepare allocated on the same fixture
 # (measured ~35 MB/op); rebuilding a name map per pass alone adds ~40 MB.
 FULL_PASS_BYTES_BUDGET=${BENCH_FULL_PASS_BYTES_BUDGET:-49400000}
-full_out=$(go test -run '^$' -bench 'BenchmarkClassifyAllFull$' -benchmem -benchtime 10x ./internal/server)
+# The same pass in allocations: measured 315 allocs/op on the 100k-domain
+# fixture, a count that does not grow with the graph (slabs, not
+# per-domain objects). The budget is that + 25 %: a per-domain or
+# per-chunk allocation coming back shows up as hundreds to thousands more.
+FULL_PASS_ALLOC_BUDGET=${BENCH_FULL_PASS_ALLOC_BUDGET:-400}
+full_bench="BenchmarkClassifyAllFull/unknown=100k"
+full_out=$(go test -run '^$' -bench "${full_bench}\$" -benchmem -benchtime 10x ./internal/server)
 echo "$full_out"
-full_bytes=$(metric "$full_out" "BenchmarkClassifyAllFull-" B/op)
-if [ -z "$full_bytes" ]; then
-    echo "bench-allocs: could not parse B/op from BenchmarkClassifyAllFull output" >&2
+full_bytes=$(metric "$full_out" "${full_bench}-" B/op)
+full_allocs=$(metric "$full_out" "${full_bench}-" allocs/op)
+if [ -z "$full_bytes" ] || [ -z "$full_allocs" ]; then
+    echo "bench-allocs: could not parse B/op and allocs/op from $full_bench output" >&2
     exit 1
 fi
 if [ "$full_bytes" -gt "$FULL_PASS_BYTES_BUDGET" ]; then
@@ -110,6 +98,11 @@ if [ "$full_bytes" -gt "$FULL_PASS_BYTES_BUDGET" ]; then
     exit 1
 fi
 echo "bench-allocs: full classify pass: $full_bytes B/op within budget $FULL_PASS_BYTES_BUDGET"
+if [ "$full_allocs" -gt "$FULL_PASS_ALLOC_BUDGET" ]; then
+    echo "bench-allocs: a full classify pass allocated $full_allocs allocs/op, budget is $FULL_PASS_ALLOC_BUDGET" >&2
+    exit 1
+fi
+echo "bench-allocs: full classify pass: $full_allocs allocs/op within budget $FULL_PASS_ALLOC_BUDGET"
 
 gate BenchmarkScrape ./internal/tsdb "$TSDB_SCRAPE_BUDGET"
 # E2LD runs once per interned name in every builder, in snapshot decode
