@@ -5,7 +5,7 @@ GO ?= go
 # Ceilings for loc-check: total non-test Go lines under internal/ + cmd/
 # and the number of segugiod flags. A PR that must grow either one raises
 # its number here, in its diff.
-LOC_MAX = 22630
+LOC_MAX = 22628
 FLAGS_MAX = 29
 
 build:
