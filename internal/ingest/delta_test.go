@@ -126,10 +126,7 @@ func TestSnapshotSinceHandsOverFinishedDay(t *testing.T) {
 	feedLines(1, "q\t1\tm1\ta.example.com\n")
 	in.Snapshot()
 	feedLines(2, "q\t2\tm1\tb.example.com\n") // rotates; no SnapshotSince so far
-	in.finishedMu.Lock()
-	kept := in.finished
-	in.finishedMu.Unlock()
-	if kept != nil {
+	if kept := in.finished.Load(); kept != nil {
 		t.Fatal("a finished day is kept although nobody calls SnapshotSince")
 	}
 

@@ -266,7 +266,7 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 			return nil, nil, err
 		}
 		in.startDurability(&dc)
-		info.Day = in.day
+		info.Day = in.Day()
 		return in, info, nil
 	}
 
@@ -284,9 +284,9 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 	// has seen its domains' first queries already: re-mark its day for
 	// every one of them, or a restart would forget the day — unless the
 	// replay rotated past it.
-	if act := cfg.Activity; act != nil && restored != nil && in.builder == restored {
+	if act := cfg.Activity; act != nil && restored != nil && in.ep.Load().builder == restored {
 		restored.EachQueriedDomain(func(domain, e2ld string) {
-			markActive(act, in.day, domain, e2ld)
+			markActive(act, restored.Day(), domain, e2ld)
 		})
 	}
 
@@ -305,9 +305,8 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 	}
 	in.startDurability(&dc)
 	in.publishGauges()
-	info.Day = in.day
-	info.Machines = in.builder.NumMachines()
-	info.Domains = in.builder.NumDomains()
+	b := in.ep.Load().builder
+	info.Day, info.Machines, info.Domains = b.Day(), b.NumMachines(), b.NumDomains()
 	return in, info, nil
 }
 
@@ -494,14 +493,16 @@ func readCheckpoint(path string, cfg Config, stripes int) (*graph.Builder, uint6
 
 // replayStripes opens the n stripes of the current generation and
 // re-applies every intact record from each one's position, a goroutine
-// per stripe, through the live apply path: stripe s stages into shard
-// s mod Workers and the epoch rotates as it would live. WAL appends are
-// off (no stripe is attached yet) and OnRotate is not re-fired, so its
-// delivery is at-most-once across crashes (DESIGN §8). Records that fail
-// to parse despite an intact CRC are counted and skipped. A stripe that
-// cannot be opened or read fails the replay, every stripe closed: its
-// unread records are acknowledged, and a shorter prefix would lose them.
+// per stripe, through the live apply path under the replay rules
+// (epoch.replay): stripe s stages into shard s mod Workers, the epoch
+// rotates as it would live, and OnRotate is not re-fired, so its delivery
+// is at-most-once across crashes (DESIGN §8). WAL appends are off (no
+// stripe is attached yet). Intact records that fail to parse are counted
+// and skipped. A stripe that cannot be opened or read fails the replay,
+// every stripe closed: a shorter prefix would lose acknowledged records.
 func (in *Ingester) replayStripes(dc *DurableConfig, n int, pos []wal.Pos, info *RecoveryInfo) ([]*wal.Log, error) {
+	in.ep.Load().replay = true
+	defer func() { in.ep.Load().replay = false }()
 	type stripe struct {
 		log            *wal.Log
 		events, failed int
@@ -529,7 +530,7 @@ func (in *Ingester) replayStripes(dc *DurableConfig, n int, pos []wal.Pos, info 
 					inc(dc.m.ReplayErrors)
 				}
 				if len(batch) > 0 {
-					in.applyEvents(batch, &nodes, s%len(in.shards), nil, true)
+					in.applyEvents(batch, &nodes, s%len(in.shards), nil)
 					st.events += len(batch)
 					addN(dc.m.ReplayedEvents, int64(len(batch)))
 				}
@@ -680,9 +681,7 @@ func (in *Ingester) checkpoint(dc *DurableConfig) error {
 		inc(dc.m.CheckpointFailures)
 	} else {
 		inc(dc.m.Checkpoints)
-		if dc.m.LastCheckpointUnix != nil {
-			dc.m.LastCheckpointUnix.SetInt(time.Now().Unix())
-		}
+		setGauge(dc.m.LastCheckpointUnix, time.Now().Unix())
 	}
 	return err
 }

@@ -19,6 +19,7 @@ import (
 	"segugio/internal/faultinject"
 	"segugio/internal/graph"
 	"segugio/internal/logio"
+	"segugio/internal/metrics"
 	"segugio/internal/wal"
 )
 
@@ -157,6 +158,57 @@ func TestDurableConcurrentRecovery(t *testing.T) {
 		requireActivityEquivalent(t, wantAct, gotAct, suffixes, slices.Concat(head, replayed), 0, 10)
 		got.Shutdown()
 	}
+}
+
+// TestDurableRecoveryRules pins what WAL replay does differently from
+// the live stream. Both stripes of a two-stripe WAL span days 5 and 6, so
+// replay rotates once and, when one stripe crosses the day before the
+// other finishes day 5, meets day-5 events older than the epoch. Recovery
+// must count nothing — no rotation, no stale event, no event applied in
+// total or per shard — call no OnRotate, and leave the activity of every
+// replayed query on its own day, as a reference that marks each one.
+func TestDurableRecoveryRules(t *testing.T) {
+	dir := t.TempDir()
+	suffixes := dnsutil.DefaultSuffixList()
+	open := func(act *activity.Log, onRotate func(int, *graph.Graph)) (*Ingester, *Metrics, *RecoveryInfo) {
+		m, r := newMetrics()
+		m.ShardEvents = []*metrics.Counter{r.NewCounter("shard0_events", "", ""), r.NewCounter("shard1_events", "", "")}
+		cfg, dc := durableCfg(dir, m, newDurableMetrics())
+		cfg.Workers, cfg.Suffixes, cfg.Activity, cfg.OnRotate = 2, suffixes, act, onRotate
+		in, info, err := OpenDurable(cfg, dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in, m, info
+	}
+	in, m, _ := open(activity.NewLog(), nil)
+	day5, day6 := genEquivEvents(5), genDurableEvents(6, 300)
+	feed(t, in, m, day5)
+	feed(t, in, m, day6)
+	// Unclean death before any checkpoint: both stripes replay whole.
+
+	var rotated atomic.Int32
+	act := activity.NewLog()
+	in2, m2, info := open(act, func(int, *graph.Graph) { rotated.Add(1) })
+	defer in2.Shutdown()
+	all := slices.Concat(day5, day6)
+	if info.CheckpointLoaded || info.ReplayedEvents != len(all) || info.Day != 6 {
+		t.Fatalf("recovery info = %+v, want %d replayed events ending on day 6", info, len(all))
+	}
+	if r, s, n := m2.Rotations.Value(), m2.EventsStale.Value(), m2.EventsIngested.Value(); r != 0 || s != 0 || n != 0 {
+		t.Fatalf("replay counted %d rotations, %d stale and %d ingested events, want none", r, s, n)
+	}
+	for s, c := range m2.ShardEvents {
+		if c.Value() != 0 {
+			t.Fatalf("replay counted %d events on shard %d, want none", c.Value(), s)
+		}
+	}
+	if n := rotated.Load(); n != 0 {
+		t.Fatalf("replay called OnRotate %d times, want none", n)
+	}
+	wantAct := activity.NewLog()
+	markEveryQuery(wantAct, suffixes, all)
+	requireActivityEquivalent(t, wantAct, act, suffixes, all, 5, 6)
 }
 
 // crashedStripes leaves dir holding a 4-stripe state that died uncleanly

@@ -297,7 +297,7 @@ func TestSymbolTablesRebindAcrossRotation(t *testing.T) {
 	// must hold day 6's ids, bound to day 6.
 	filled := 0
 	in.epochMu.RLock()
-	nm := in.builder.NumMachines()
+	nm := in.ep.Load().builder.NumMachines()
 	in.epochMu.RUnlock()
 	for s := range in.shardRings {
 		in.shards[s].mu.Lock()

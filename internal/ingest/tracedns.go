@@ -1,8 +1,8 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -130,8 +130,8 @@ func parseTraceDNSAddresses(raw json.RawMessage) ([]dnsutil.IPv4, error) {
 }
 
 // ConsumeTraceDNS ingests trace_dns JSONL from r until EOF or
-// shutdown. Malformed lines are counted as parse errors and skipped;
-// only scanner-level failures (I/O errors, an over-long line) abort.
+// shutdown, through the Tailer's line loop: malformed and over-long lines
+// are counted as parse errors and skipped; only an I/O error aborts.
 func (in *Ingester) ConsumeTraceDNS(r io.Reader) error {
 	in.consumers.Add(1)
 	defer in.consumers.Done()
@@ -140,36 +140,14 @@ func (in *Ingester) ConsumeTraceDNS(r io.Reader) error {
 		return ErrShuttingDown
 	default:
 	}
-	src := in.newSource("tracedns")
-	defer src.close()
-	p := &traceDNSParser{in: in}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), logio.MaxLineBytes)
-	for sc.Scan() {
-		select {
-		case <-in.closing:
-			return ErrShuttingDown
-		default:
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		e, ok, err := p.parse(line)
-		if err != nil {
-			inc(in.m.ParseErrors)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		src.dispatch(e)
-	}
-	if err := sc.Err(); err != nil {
+	t := &Tailer{in: in, src: in.newSource("tracedns"), parse: (&traceDNSParser{in: in}).parse}
+	defer t.src.close()
+	err := t.consume(r)
+	if err != nil && !errors.Is(err, ErrShuttingDown) {
 		inc(in.m.ParseErrors)
 		return fmt.Errorf("ingest: tracedns stream: %w", err)
 	}
-	return nil
+	return err
 }
 
 // NewTraceDNSTailer builds a Tailer that follows a trace_dns JSONL
@@ -177,7 +155,6 @@ func (in *Ingester) ConsumeTraceDNS(r io.Reader) error {
 // rotation semantics.
 func (in *Ingester) NewTraceDNSTailer(path string, interval time.Duration) *Tailer {
 	t := in.NewTailer(path, interval)
-	p := &traceDNSParser{in: in}
-	t.parse = p.parse
+	t.parse = (&traceDNSParser{in: in}).parse
 	return t
 }

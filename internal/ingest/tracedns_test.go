@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"segugio/internal/logio"
 )
 
 func TestTraceDNSParse(t *testing.T) {
@@ -130,6 +132,31 @@ garbage line that is not json
 	}
 	if len(g.DomainIPs(d)) != 1 {
 		t.Fatalf("domain ips = %v, want the one A answer", g.DomainIPs(d))
+	}
+}
+
+// TestConsumeTraceDNSSkipsOverlongLine: a line longer than
+// logio.MaxLineBytes between two valid records is one parse error, not
+// the end of the tap — the record after it still arrives.
+func TestConsumeTraceDNSSkipsOverlongLine(t *testing.T) {
+	m, _ := newMetrics()
+	in := New(Config{Network: "net", StartDay: 2, Workers: 1, Metrics: m})
+	defer in.Shutdown()
+	jsonl := `{"qr":"Q","name":"first.example.","src":{"addr":"10.0.0.1"},"timestamp_raw":1000}` + "\n" +
+		`{"qr":"Q","name":"` + strings.Repeat("a", logio.MaxLineBytes) + `.example.","src":{"addr":"10.0.0.3"}}` + "\n" +
+		`{"qr":"Q","name":"second.example.","src":{"addr":"10.0.0.2"},"timestamp_raw":2000}` + "\n"
+	if err := in.ConsumeTraceDNS(strings.NewReader(jsonl)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both records applied", func() bool { return m.EventsIngested.Value() == 2 })
+	if m.ParseErrors.Value() != 1 {
+		t.Fatalf("parse errors = %d, want 1", m.ParseErrors.Value())
+	}
+	g, _ := in.Snapshot()
+	for _, name := range []string{"first.example", "second.example"} {
+		if _, ok := g.DomainIndex(name); !ok {
+			t.Fatalf("%s missing from the graph", name)
+		}
 	}
 }
 
