@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +22,7 @@ import (
 	"segugio/internal/core"
 	"segugio/internal/dnsutil"
 	"segugio/internal/graph"
+	"segugio/internal/health"
 	"segugio/internal/intel"
 	"segugio/internal/logio"
 	"segugio/internal/ml"
@@ -548,9 +551,42 @@ func TestParseFlagsRejectsExtraArgs(t *testing.T) {
 		{"-graph-shards", "2"}, {"-wal-binary"}, {"-window", "7"},
 		{"-lbp-threshold", "0.8"}, {"-shed-policy", "sample"}, {"-shed-policy", "drop"},
 		{"-detectors", "forest"}, {"-detector-config", "x.json"},
+		{"-slow-trace", "1s"}, {"-trace-ring", "8"}, {"-audit-ring", "8"},
+		{"-stats-retention", "1h"}, {"-mem-watermark-mb", "64"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Fatalf("parseFlags(%v) succeeded, want an error", args)
 		}
 	}
+}
+
+// TestMemorySignalAtGoMemoryLimit: with no Go memory limit set the memory
+// check does not run; with one set, memory in use below it asserts
+// nothing and memory at or above it asserts the overloaded memory signal.
+// The process's limit is restored on cleanup.
+func TestMemorySignalAtGoMemoryLimit(t *testing.T) {
+	old := debug.SetMemoryLimit(-1)
+	t.Cleanup(func() { debug.SetMemoryLimit(old) })
+	d := &daemon{health: health.New(health.Config{})}
+
+	debug.SetMemoryLimit(math.MaxInt64)
+	if d.checkMemory() {
+		t.Fatal("the memory check ran with no memory limit set")
+	}
+	debug.SetMemoryLimit(1 << 50)
+	if !d.checkMemory() || d.health.State() != health.Healthy {
+		t.Fatalf("far below the limit: state %v, want a check and no signal", d.health.State())
+	}
+	debug.SetMemoryLimit(1 << 20) // below what the test process already holds
+	ran := d.checkMemory()
+	debug.SetMemoryLimit(old)
+	if !ran || !d.health.Overloaded() {
+		t.Fatalf("at the limit: ran %v, state %v; want the memory signal overloaded", ran, d.health.State())
+	}
+	for _, sig := range d.health.Signals() {
+		if sig.Name == "memory" && strings.Contains(sig.Reason, "GOMEMLIMIT") {
+			return
+		}
+	}
+	t.Fatalf("signals %+v carry no memory signal naming GOMEMLIMIT", d.health.Signals())
 }

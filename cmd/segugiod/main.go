@@ -36,12 +36,14 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
+	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -101,12 +103,11 @@ type options struct {
 	pprof         bool
 
 	// Overload-resilience knobs: the classify-pass deadline, the ingest
-	// shed policy, the per-endpoint admission cap, and the heap
-	// watermark that trips the overloaded state. Zero disables each.
-	passDeadline   time.Duration
-	shedPolicy     string
-	maxInflight    int
-	memWatermarkMB int
+	// shed policy, and the per-endpoint admission cap. Zero disables
+	// each.
+	passDeadline time.Duration
+	shedPolicy   string
+	maxInflight  int
 
 	// Test seams (not flags): passHook stalls classify passes, applyHook
 	// stalls graph apply batches, and walHooks injects WAL faults — the
@@ -115,21 +116,26 @@ type options struct {
 	applyHook func()
 	walHooks  *wal.Hooks
 
-	// Observability knobs: structured-log shape, flight-recorder sizing,
-	// and the slow-trace alert threshold.
+	// Observability knobs: structured-log shape.
 	logFormat string
 	logLevel  string
-	slowTrace time.Duration
-	traceRing int
-	auditRing int
 
 	// Freshness-telemetry knobs: the embedded stats store's scrape
-	// cadence and retention, and an optional SLO objectives file whose
-	// burn-rate evaluator feeds the health state machine.
-	statsInterval  time.Duration
-	statsRetention time.Duration
-	sloConfig      string
+	// cadence, and an optional SLO objectives file whose burn-rate
+	// evaluator feeds the health state machine.
+	statsInterval time.Duration
+	sloConfig     string
 }
+
+// Observability sizing the daemon fixes rather than exposes: the slow-trace
+// log threshold, each flight-recorder ring's length, the in-memory audit
+// ring, and how far back the embedded stats store holds samples.
+const (
+	slowTraceThreshold = time.Second
+	traceRingSize      = 32
+	auditRingSize      = 1024
+	statsRetention     = time.Hour
+)
 
 func parseFlags(args []string) (options, error) {
 	var opts options
@@ -153,15 +159,10 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&opts.passDeadline, "pass-deadline", 0, "cancel a classify/tracker pass running longer than this and serve last-good cached scores stale-marked (0 = unbounded)")
 	fs.StringVar(&opts.shedPolicy, "shed-policy", "block", `full ingest shard policy: "block" (backpressure), "drop-oldest" (block, and shed only while overloaded)`)
 	fs.IntVar(&opts.maxInflight, "max-inflight", 0, "per-endpoint concurrent request cap; excess requests get 429/503 with Retry-After (0 = unlimited)")
-	fs.IntVar(&opts.memWatermarkMB, "mem-watermark-mb", 0, "heap-in-use megabytes above which the daemon reports overloaded (0 = disabled)")
 	fs.BoolVar(&opts.pprof, "pprof", true, "serve net/http/pprof under /debug/pprof/ on the API listener")
 	fs.StringVar(&opts.logFormat, "log-format", obs.FormatText, `log output format: "text" or "json"`)
 	fs.StringVar(&opts.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
-	fs.DurationVar(&opts.slowTrace, "slow-trace", time.Second, "log pipeline traces slower than this (0 = never)")
-	fs.IntVar(&opts.traceRing, "trace-ring", 32, "traces kept in each flight-recorder ring (most recent and slowest)")
-	fs.IntVar(&opts.auditRing, "audit-ring", 1024, "detection audit records kept in memory for /v1/audit")
 	fs.DurationVar(&opts.statsInterval, "stats-interval", 5*time.Second, "self-scrape cadence of the embedded time-series store behind /v1/stats/query")
-	fs.DurationVar(&opts.statsRetention, "stats-retention", time.Hour, "how far back the embedded time-series store holds samples")
 	fs.StringVar(&opts.sloConfig, "slo-config", "", "JSON SLO objectives file; burn-rate breaches feed the health state machine (empty: disabled)")
 	if err := fs.Parse(args); err != nil {
 		return opts, err
@@ -274,35 +275,17 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 	d.restarts = d.reg.NewCounter("segugiod_source_restarts_total",
 		"Supervised event-source restarts after a failure.", "")
 
-	// One latency histogram per pipeline stage; the tracer feeds them
-	// through OnStage so internal/obs stays metrics-agnostic. Span names
-	// outside the stage set (http.* roots) are recorded in traces only.
-	stageHist := make(map[string]*metrics.Histogram, len(obs.Stages()))
-	for _, stage := range obs.Stages() {
-		stageHist[stage] = d.reg.NewHistogram("segugiod_stage_seconds",
-			"Pipeline stage latency in seconds, by stage.",
-			metrics.Labels("stage", stage), nil)
-	}
+	// The tracer registers one latency histogram per pipeline stage
+	// (segugiod_stage_seconds); span names outside the stage set (http.*
+	// roots) are recorded in traces only.
 	d.tracer = obs.NewTracer(obs.TracerConfig{
-		RingSize:      opts.traceRing,
-		SlowThreshold: opts.slowTrace,
+		RingSize:      traceRingSize,
+		SlowThreshold: slowTraceThreshold,
+		Registry:      d.reg,
 		Logger:        obs.Component(logger, "trace"),
-		OnStage: func(stage string, seconds float64) {
-			if h := stageHist[stage]; h != nil {
-				h.Observe(seconds)
-			}
-		},
-		// The sampled parse meter books whole line/record groups in one
-		// call; ObserveN keeps the histogram's count exact without one
-		// Observe per line.
-		OnStageN: func(stage string, seconds float64, n int) {
-			if h := stageHist[stage]; h != nil {
-				h.ObserveN(seconds, int64(n))
-			}
-		},
 	})
 
-	auditCfg := obs.AuditConfig{RingSize: opts.auditRing}
+	auditCfg := obs.AuditConfig{RingSize: auditRingSize}
 	if opts.stateDir != "" {
 		auditCfg.Dir = filepath.Join(opts.stateDir, "audit")
 	}
@@ -313,9 +296,10 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 	}
 
 	// The health state machine aggregates overload signals from every
-	// stage (ingest queues, WAL latency, classify-pass overruns, the heap
-	// watermark). Transitions are logged and land in the audit trail so a
-	// post-mortem can line up detections with degradation windows.
+	// stage (ingest queues, WAL latency, classify-pass overruns, memory at
+	// the Go memory limit). Transitions are logged and land in the audit
+	// trail so a post-mortem can line up detections with degradation
+	// windows.
 	healthLog := obs.Component(logger, "health")
 	d.health = health.New(health.Config{
 		OnTransition: func(tr health.Transition) {
@@ -529,7 +513,7 @@ func newDaemon(opts options, logger *slog.Logger) (*daemon, error) {
 	d.stats = tsdb.New(tsdb.Config{
 		Registry:  d.reg,
 		Interval:  opts.statsInterval,
-		Retention: opts.statsRetention,
+		Retention: statsRetention,
 	})
 	if opts.sloConfig != "" {
 		sloCfg, err := slo.Load(opts.sloConfig)
@@ -792,11 +776,9 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 		}()
 	}
 
-	// Heap watermark sampler: crossing -mem-watermark-mb asserts the
-	// memory signal as overloaded with a short decay, so the state falls
-	// back on its own once the heap shrinks below the line.
-	if d.opts.memWatermarkMB > 0 {
-		watermark := uint64(d.opts.memWatermarkMB) << 20
+	// Memory sampler: with a Go memory limit set (GOMEMLIMIT), see
+	// checkMemory. Without one, no sampler runs.
+	if d.checkMemory() {
 		sources.Add(1)
 		go func() {
 			defer sources.Done()
@@ -808,14 +790,7 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 					return
 				case <-tick.C:
 				}
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				if ms.HeapInuse >= watermark {
-					d.health.SetFor("memory", health.Overloaded,
-						fmt.Sprintf("heap in use %d MiB >= watermark %d MiB",
-							ms.HeapInuse>>20, d.opts.memWatermarkMB),
-						3*time.Second)
-				}
+				d.checkMemory()
 			}
 		}()
 	}
@@ -917,6 +892,30 @@ func (d *daemon) run(ctx context.Context, stdin io.Reader) error {
 	}
 	d.log.Info("shut down cleanly")
 	return serveErr
+}
+
+// checkMemory asserts the memory signal as overloaded, with a short
+// decay so the state falls back on its own, while memory in use is at or
+// above the Go runtime's memory limit (GOMEMLIMIT). Memory in use is what
+// the runtime has mapped minus the heap it released to the OS, read from
+// runtime/metrics without stopping the world. It reports false when no
+// limit is set.
+func (d *daemon) checkMemory() bool {
+	limit := debug.SetMemoryLimit(-1)
+	if limit == math.MaxInt64 {
+		return false
+	}
+	s := []rtmetrics.Sample{
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	rtmetrics.Read(s)
+	if inUse := s[0].Value.Uint64() - s[1].Value.Uint64(); inUse >= uint64(limit) {
+		d.health.SetFor("memory", health.Overloaded,
+			fmt.Sprintf("memory in use %d MiB >= GOMEMLIMIT %d MiB", inUse>>20, limit>>20),
+			3*time.Second)
+	}
+	return true
 }
 
 // trackerTick is one beat of -classify-every: one classify-all pass, fold

@@ -1,6 +1,6 @@
 // Package health is segugiod's overload state machine. Every pipeline
 // stage feeds named signals (ingest queue depth, WAL fsync latency,
-// classify-pass deadline overruns, memory watermark) into a Tracker;
+// classify-pass deadline overruns, memory at the Go memory limit) into a Tracker;
 // the daemon's overall state is the worst live signal, ordered
 //
 //	healthy → degraded → overloaded
@@ -31,11 +31,11 @@ const (
 	// Healthy: every stage within its budget.
 	Healthy State = iota
 	// Degraded: some stage is over budget (slow fsyncs, classify passes
-	// blowing their deadline, memory above the soft watermark) but the
+	// blowing their deadline) but the
 	// daemon is keeping up. Serving continues; operators should look.
 	Degraded
 	// Overloaded: a stage can no longer keep up (ingest queues full,
-	// memory above the hard watermark). Shedding and admission-control
+	// memory at the Go memory limit). Shedding and admission-control
 	// policies that are armed only under pressure engage in this state.
 	Overloaded
 )

@@ -35,11 +35,11 @@ import (
 // before them. Recovery decodes the newest intact checkpoint (falling back
 // to the previous one, which works because stripes are only reclaimed up
 // to the positions one checkpoint back) and replays every stripe from its
-// position, in parallel, through the live apply path. A -workers change,
-// or a format-1 manifest (a checkpoint pair per shard), is followed by a
-// new generation at the requested count, written before the old one is
-// deleted; the manifest flip is the commit, and generation directories it
-// does not name are orphans swept at the next open.
+// position, in parallel, through the live apply path. A -workers change
+// is followed by a new generation at the requested count, written before
+// the old one is deleted; the manifest flip is the commit, and generation
+// directories it does not name are orphans swept at the next open. Older
+// layouts are refused, untouched: the pre-manifest one and format 1.
 
 // State-directory layout names: the manifest at the root names the live
 // per-generation directory.
@@ -51,14 +51,13 @@ const (
 	checkpointPrevFile = "checkpoint.prev.gob"
 )
 
-// CheckpointFormatVersion is the current checkpoint file format: the day
-// builder's snapshot plus every stripe's position. Format 1 held one
-// shard's snapshot and its stripe's position.
+// CheckpointFormatVersion is the checkpoint file format: the day
+// builder's snapshot plus every stripe's position.
 const CheckpointFormatVersion = 2
 
-// ManifestFormatVersion is the current MANIFEST.json format: one
-// checkpoint pair per generation. Format 1 (a pair per shard) is read
-// once, at the open that migrates it.
+// ManifestFormatVersion is the MANIFEST.json format: one checkpoint pair
+// per generation. Format 1 (a pair per shard) is refused; see
+// readManifest.
 const ManifestFormatVersion = 2
 
 // ErrNotDurable is returned by Checkpoint on an ingester built with New
@@ -71,10 +70,7 @@ type checkpointWire struct {
 	Version      int
 	GraphVersion uint64
 	Day          int
-	// WALSegment/WALOffset are format 1's one stripe position.
-	WALSegment uint64
-	WALOffset  int64
-	// Stripes is format 2's position of every stripe, in stripe order.
+	// Stripes is the position of every stripe, in stripe order.
 	Stripes []wal.Pos
 	// CRC is the Castagnoli checksum of Snapshot; gob's self-describing
 	// framing catches structural damage, the CRC catches flipped bits
@@ -93,16 +89,6 @@ type manifestWire struct {
 
 func genDirName(gen uint64) string {
 	return fmt.Sprintf("%s%06d", genDirPrefix, gen)
-}
-
-// shardCheckpointFile and shardCheckpointPrevFile name format 1's
-// per-shard pair.
-func shardCheckpointFile(s int) string {
-	return fmt.Sprintf("checkpoint-%04d.gob", s)
-}
-
-func shardCheckpointPrevFile(s int) string {
-	return fmt.Sprintf("checkpoint-%04d.prev.gob", s)
 }
 
 func shardWALDir(s int) string {
@@ -207,12 +193,12 @@ func (ri *RecoveryInfo) String() string {
 // recovers the newest intact checkpoint from dc.Dir, replays every WAL
 // stripe's tail on top, and returns an ingester that logs every applied
 // event to its shard's stripe and checkpoints periodically. If the
-// on-disk shard count differs from cfg.Workers, or the manifest is of
-// format 1, the recovered state is written as a new generation at
-// cfg.Workers first. The RecoveryInfo describes what was rebuilt (a fresh
-// start on an empty directory is not an error). A directory holding the
-// pre-manifest layout is refused with an error naming the files,
-// untouched.
+// on-disk shard count differs from cfg.Workers, the recovered state is
+// written as a new generation at cfg.Workers first. The RecoveryInfo
+// describes what was rebuilt (a fresh start on an empty directory is not
+// an error). A directory holding the pre-manifest layout is refused with
+// an error naming the files, and one holding a format-1 manifest with an
+// error naming the format; either is left untouched.
 func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error) {
 	if dc.Dir == "" {
 		return nil, nil, errors.New("ingest: DurableConfig.Dir is required")
@@ -271,7 +257,7 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 	}
 
 	dc.genDir = filepath.Join(dc.Dir, genDirName(man.Gen))
-	restored, version, pos := loadCheckpoints(&dc, cfg, man, info)
+	restored, version, pos := loadCheckpoints(&dc, cfg, man.Shards, info)
 	cfg.restored, cfg.restoredVersion = restored, version
 	in := New(cfg)
 	stripes, err := in.replayStripes(&dc, man.Shards, pos, info)
@@ -290,7 +276,7 @@ func OpenDurable(cfg Config, dc DurableConfig) (*Ingester, *RecoveryInfo, error)
 		})
 	}
 
-	if man.Format == ManifestFormatVersion && man.Shards == cfg.Workers {
+	if man.Shards == cfg.Workers {
 		// Same layout: the replayed stripes stay open for new appends.
 		in.attachStripes(stripes)
 		dc.lastPos = pos
@@ -323,8 +309,12 @@ func readManifest(dir string) (*manifestWire, error) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return nil, fmt.Errorf("ingest: parse %s: %w", manifestFile, err)
 	}
-	if man.Format != 1 && man.Format != ManifestFormatVersion {
-		return nil, fmt.Errorf("ingest: manifest format %d, this build reads 1 and %d", man.Format, ManifestFormatVersion)
+	if man.Format == 1 {
+		return nil, fmt.Errorf("ingest: %s holds a format-1 state layout (a checkpoint pair per shard) this build does not read; open it once with a build from commit 276fcfa through 999d962, which migrates it to format %d, or move it aside",
+			dir, ManifestFormatVersion)
+	}
+	if man.Format != ManifestFormatVersion {
+		return nil, fmt.Errorf("ingest: manifest format %d, this build reads %d", man.Format, ManifestFormatVersion)
 	}
 	if man.Shards <= 0 || man.Gen == 0 {
 		return nil, fmt.Errorf("ingest: manifest names %d shards, generation %d", man.Shards, man.Gen)
@@ -371,76 +361,19 @@ func preManifestLayout(dir string) []string {
 	return found
 }
 
-// loadCheckpoints recovers the day builder a generation's checkpoints
-// hold, the graph version they were written at, and each stripe's replay
-// start. A nil builder means a fresh start: every stripe replays from its
-// beginning. Format 1's per-shard checkpoints are folded into one
-// builder: those of the newest day, by name — older days are finished
-// epochs, dropped as live rotation would have dropped them.
-func loadCheckpoints(dc *DurableConfig, cfg Config, man *manifestWire, info *RecoveryInfo) (*graph.Builder, uint64, []wal.Pos) {
-	if man.Format == ManifestFormatVersion {
-		b, version, pos := loadCheckpointPair(
-			filepath.Join(dc.genDir, checkpointFile),
-			filepath.Join(dc.genDir, checkpointPrevFile),
-			dc, cfg, info, man.Shards)
-		if b == nil {
-			pos = make([]wal.Pos, man.Shards)
-		}
-		return b, version, pos
-	}
-	shards := make([]*graph.Builder, man.Shards)
-	pos := make([]wal.Pos, man.Shards)
-	var version uint64
-	for s := range shards {
-		b, v, p := loadCheckpointPair(
-			filepath.Join(dc.genDir, shardCheckpointFile(s)),
-			filepath.Join(dc.genDir, shardCheckpointPrevFile(s)),
-			dc, cfg, info, 1)
-		if b != nil {
-			shards[s], pos[s], version = b, p[0], max(version, v)
-		}
-	}
-	var day *graph.Builder
-	for _, sb := range shards {
-		if sb != nil && (day == nil || sb.Day() > day.Day()) {
-			day = graph.NewBuilder(cfg.Network, sb.Day(), cfg.Suffixes)
-		}
-	}
-	if day == nil {
-		return nil, 0, pos
-	}
-	for _, sb := range shards {
-		if sb == nil || sb.Day() != day.Day() {
-			continue
-		}
-		g := sb.Build()
-		for m := int32(0); m < int32(g.NumMachines()); m++ {
-			for _, d := range g.DomainsOf(m) {
-				day.AddQuery(g.MachineID(m), g.DomainName(d))
-			}
-		}
-		for d := int32(0); d < int32(g.NumDomains()); d++ {
-			day.SetDomainIPs(g.DomainName(d), g.DomainIPs(d))
-		}
-	}
-	// A snapshot folds the edges and flags their domains queried, which
-	// the activity re-mark reads.
-	day.Snapshot()
-	return day, version, pos
-}
-
-// loadCheckpointPair tries the current then the previous checkpoint
-// file, returning the restored builder, its graph version, and the
-// stripes' replay positions (stripes of them). A nil builder means no
-// checkpoint could be read.
-func loadCheckpointPair(cur, prev string, dc *DurableConfig, cfg Config, info *RecoveryInfo, stripes int) (*graph.Builder, uint64, []wal.Pos) {
+// loadCheckpoints recovers the day builder the generation's checkpoint
+// pair holds — the current file, else the previous one — with the graph
+// version it was written at and the replay start of each of its stripes.
+// A nil builder means a fresh start: every stripe replays from its
+// beginning.
+func loadCheckpoints(dc *DurableConfig, cfg Config, stripes int, info *RecoveryInfo) (*graph.Builder, uint64, []wal.Pos) {
+	cur := filepath.Join(dc.genDir, checkpointFile)
 	b, version, pos, err := readCheckpoint(cur, cfg, stripes)
 	if err == nil {
 		info.CheckpointLoaded = true
 		return b, version, pos
 	}
-	discarded := !errors.Is(err, os.ErrNotExist)
-	if discarded {
+	if !errors.Is(err, os.ErrNotExist) {
 		// The newest checkpoint existed but was torn or corrupt. Delete
 		// it so the next checkpointOnce does not rotate a known-bad file
 		// over the previous generation — that rename would destroy the
@@ -451,16 +384,16 @@ func loadCheckpointPair(cur, prev string, dc *DurableConfig, cfg Config, info *R
 		os.Remove(cur)
 		info.UsedFallback = true
 	}
-	b, version, pos, err = readCheckpoint(prev, cfg, stripes)
+	b, version, pos, err = readCheckpoint(filepath.Join(dc.genDir, checkpointPrevFile), cfg, stripes)
 	if err != nil {
-		return nil, 0, nil
+		return nil, 0, make([]wal.Pos, stripes)
 	}
 	info.CheckpointLoaded = true
 	return b, version, pos
 }
 
 // readCheckpoint decodes and validates one checkpoint file holding the
-// positions of stripes stripes (format 1: one).
+// positions of stripes stripes.
 func readCheckpoint(path string, cfg Config, stripes int) (*graph.Builder, uint64, []wal.Pos, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -472,10 +405,8 @@ func readCheckpoint(path string, cfg Config, stripes int) (*graph.Builder, uint6
 		return nil, 0, nil, fmt.Errorf("ingest: decode checkpoint %s: %w", path, err)
 	}
 	pos := wire.Stripes
-	if wire.Version == 1 {
-		pos = []wal.Pos{{Segment: wire.WALSegment, Offset: wire.WALOffset}}
-	} else if wire.Version != CheckpointFormatVersion {
-		return nil, 0, nil, fmt.Errorf("ingest: checkpoint %s: version %d, this build reads 1 and %d",
+	if wire.Version != CheckpointFormatVersion {
+		return nil, 0, nil, fmt.Errorf("ingest: checkpoint %s: version %d, this build reads %d",
 			path, wire.Version, CheckpointFormatVersion)
 	}
 	if len(pos) != stripes {

@@ -55,11 +55,14 @@ type Metrics struct {
 	// EventsStale counts events discarded for belonging to an already
 	// rotated-out day.
 	EventsStale *metrics.Counter
-	// ParseErrors counts malformed input. The tail and trace_dns sources
-	// count a bad or over-long line and skip it, since they must survive
-	// whatever lands in a live log or tap; a bad line ends a text event
-	// stream (stdin, TCP) with a line-numbered error. A segb1 stream skips
-	// a bad frame and aborts only when it cannot resync.
+	// ParseErrors counts malformed input. Every line source runs one
+	// line loop, and its kind sets the rule: tail and trace_dns count a
+	// bad or over-long line and skip it, since they must survive whatever
+	// lands in a live log or tap; a text event stream (stdin, TCP) ends at
+	// the first one with a line-numbered error, counted once. A segb1
+	// stream skips a bad frame and aborts only when it cannot resync. An
+	// I/O error that ends a stream (text, segb1 or trace_dns on stdin)
+	// counts once too.
 	ParseErrors *metrics.Counter
 	// Rotations counts epoch rotations.
 	Rotations *metrics.Counter

@@ -1,7 +1,7 @@
 package ingest
 
 import (
-	"encoding/json"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"io/fs"
@@ -45,23 +45,24 @@ func copyTree(t testing.TB, src, dst string) {
 	}
 }
 
-// dirListing is every path under dir with its size (-1 for directories).
-func dirListing(t *testing.T, dir string) map[string]int64 {
+// dirListing is every path under dir with its size and content digest
+// ("dir" for directories).
+func dirListing(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	out := make(map[string]int64)
+	out := make(map[string]string)
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		size := int64(-1)
-		if !d.IsDir() {
-			fi, err := d.Info()
-			if err != nil {
-				return err
-			}
-			size = fi.Size()
+		if d.IsDir() {
+			out[path] = "dir"
+			return nil
 		}
-		out[path] = size
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out[path] = fmt.Sprintf("%d bytes, sha256 %x", len(raw), sha256.Sum256(raw))
 		return nil
 	})
 	if err != nil {
@@ -418,94 +419,34 @@ func TestDurableCheckpointBesideConsumersRecoversAcknowledged(t *testing.T) {
 	requireActivityEquivalent(t, wantAct, act, suffixes, all, 5, 5)
 }
 
-// TestDurableReadsShardCheckpointLayout opens a state directory the
-// previous layout wrote (testdata/shard-checkpoints-v1: manifest format 1,
-// four shards with a checkpoint pair each, and WAL tails past the
-// checkpoints that cross from day 5 into day 6 on some stripes; the
-// process died without a final checkpoint). The recovered graph, activity
-// marks and version must be the ones that layout's own recovery produced
-// (expect.json), and the directory must be left as a format-2 generation:
-// one checkpoint pair, and the same graph again on the next open.
-func TestDurableReadsShardCheckpointLayout(t *testing.T) {
-	const fixture = "testdata/shard-checkpoints-v1"
-	raw, err := os.ReadFile(filepath.Join(fixture, "expect.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want struct {
-		Version uint64
-		Graph   []string
-		Marks   []string
-		Domains int
-	}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+// TestDurableFormat1ManifestRefused plants a format-1 state directory (a
+// manifest naming four shards, each with its own checkpoint pair and WAL
+// stripe in generation 1) beside an orphan generation that a sweep would
+// delete: OpenDurable must refuse it with an error naming the format,
+// before anything is swept, and leave every byte as it was.
+func TestDurableFormat1ManifestRefused(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join(fixture, "state"), dir)
-
-	open := func(act *activity.Log) (*Ingester, *RecoveryInfo) {
-		t.Helper()
-		m, _ := newMetrics()
-		cfg, dc := durableCfg(dir, m, newDurableMetrics())
-		cfg.Network, cfg.Workers, cfg.Activity = "legacy", 4, act
-		in, info, err := OpenDurable(cfg, dc)
-		if err != nil {
+	if err := writeManifest(dir, manifestWire{Format: 1, Shards: 4, Gen: 1}); err != nil {
+		t.Fatal(err)
+	}
+	planted := []string{filepath.Join(genDirName(2), checkpointFile)}
+	for s := 0; s < 4; s++ {
+		for _, name := range []string{
+			fmt.Sprintf("checkpoint-%04d.gob", s),
+			fmt.Sprintf("checkpoint-%04d.prev.gob", s),
+			filepath.Join(shardWALDir(s), "wal-00000001.seg"),
+		} {
+			planted = append(planted, filepath.Join(genDirName(1), name))
+		}
+	}
+	for _, name := range planted {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		return in, info
-	}
-	act := activity.NewLog()
-	in, info := open(act)
-	g, v := in.Snapshot()
-	in.Shutdown()
-	if !info.CheckpointLoaded || info.ReplayedEvents == 0 || info.Day != 6 {
-		t.Fatalf("recovery info = %+v, want the shard checkpoints plus replayed tails ending on day 6", info)
-	}
-	if v != want.Version {
-		t.Fatalf("version %d, the previous layout recovered %d", v, want.Version)
-	}
-	if got := graphContent(g); !slices.Equal(got, want.Graph) {
-		t.Fatalf("recovered graph:\n%v\nthe previous layout recovered:\n%v", got, want.Graph)
-	}
-	if got := activityMarks(act, want.Marks); !slices.Equal(got, want.Marks) || act.Domains() != want.Domains {
-		t.Fatalf("activity marks (%d domains):\n%v\nthe previous layout recovered (%d domains):\n%v", act.Domains(), got, want.Domains, want.Marks)
-	}
-
-	man, err := readManifest(dir)
-	if err != nil || man.Format != ManifestFormatVersion || man.Shards != 4 || man.Gen != 2 {
-		t.Fatalf("manifest after the migration = %+v, %v; want format %d, 4 shards, generation 2", man, err, ManifestFormatVersion)
-	}
-	ckpts, _ := filepath.Glob(filepath.Join(dir, genDirName(2), "checkpoint*.gob"))
-	if old, _ := filepath.Glob(filepath.Join(dir, genDirName(1))); len(old) != 0 || len(ckpts) == 0 || len(ckpts) > 2 {
-		t.Fatalf("after the migration: old generation %v, checkpoints %v; want one pair and no generation 1", old, ckpts)
-	}
-	in2, info2 := open(activity.NewLog())
-	defer in2.Shutdown()
-	g2, _ := in2.Snapshot()
-	if !info2.CheckpointLoaded || info2.ReplayedEvents != 0 || !slices.Equal(graphContent(g2), want.Graph) {
-		t.Fatalf("reopened format-2 state: info %+v, %d entries; want the same graph from its checkpoint alone", info2, len(graphContent(g2)))
-	}
-}
-
-// activityMarks lists, sorted, the per-day domain ("d") and e2LD ("e")
-// marks act holds for the names in marks, over days 3 to 8.
-func activityMarks(act *activity.Log, marks []string) []string {
-	var out []string
-	for _, mk := range marks {
-		var kind, name string
-		var day int
-		fmt.Sscanf(mk, "%s %d %s", &kind, &day, &name)
-		for d := 3; d <= 8; d++ {
-			on := act.DomainActiveDays(name, d, d) == 1
-			if kind == "e" {
-				on = act.E2LDActiveDays(name, d, d) == 1
-			}
-			if on {
-				out = append(out, fmt.Sprintf("%s %d %s", kind, d, name))
-			}
+		if err := os.WriteFile(path, []byte("format-1 "+name), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	requireRefusedIntact(t, dir, "format-1 state layout", func(*DurableConfig) {})
 }

@@ -2,13 +2,14 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"segugio/internal/graph"
@@ -43,6 +44,10 @@ type eventSource struct {
 	// wm is the source's watermark frontier (nil when watermarks are
 	// off); advanced on every dispatch.
 	wm *obs.SourceMark
+	// waited is the time awaitRoom has spent waiting for ring room since
+	// the segb1 loop last reset it, which that loop's parse clock leaves
+	// out.
+	waited time.Duration
 }
 
 // newSource attaches a fresh source to every shard. name labels the
@@ -99,20 +104,33 @@ func (in *Ingester) retireRings(shard int) {
 
 // parseChunkLines is how many parsed lines one "parse" flight-recorder
 // trace accumulates before flushing. Per-line traces would flood the
-// recorder; per-line durations still feed the stage histogram
-// individually.
+// recorder; the stage histogram still counts every line.
 const parseChunkLines = 256
 
-// parseMeter folds per-line parse timings into the tracer: every line
-// feeds the parse stage histogram, and each chunk of parseChunkLines
-// lines becomes one single-span trace in the flight recorder. A nil
-// *parseMeter (tracing disabled) no-ops.
+// parseSampleEvery is the line sampler's interval: a line source times 1
+// line in parseSampleEvery and books that timing for the whole group it
+// covers, so the clock costs two time.Now() calls per group, not per line.
+const parseSampleEvery = 32
+
+// parseMeter is every source's parse clock: it books parse time into the
+// parse stage histogram, and each chunk of parseChunkLines lines becomes
+// one single-span trace in the flight recorder. A line source brackets
+// each parse with lineStart/lineDone (the sampler); segb1 books each
+// frame's decode time through observe. A nil *parseMeter (tracing
+// disabled) no-ops.
 type parseMeter struct {
 	tr     *obs.Tracer
 	source string
 	start  time.Time
 	total  time.Duration
 	lines  int
+
+	// Line sampler: skip counts the lines left before the next timed
+	// one, lastD is the newest timed line's parse time, and pending the
+	// parsed lines not yet booked.
+	skip    int
+	lastD   time.Duration
+	pending int
 }
 
 func newParseMeter(tr *obs.Tracer, source string) *parseMeter {
@@ -122,9 +140,40 @@ func newParseMeter(tr *obs.Tracer, source string) *parseMeter {
 	return &parseMeter{tr: tr, source: source}
 }
 
-// observe books lines parsed lines at a representative per-line
-// duration d — the sampled form logio.ReadEventsObserved and the frame
-// decoder deliver (one timing stands in for the group it covers).
+// lineStart opens one line's parse: it returns the start time of a line
+// the sampler times (the first line, then 1 in parseSampleEvery), or the
+// zero time for a line it skips.
+func (m *parseMeter) lineStart() time.Time {
+	switch {
+	case m == nil:
+		return time.Time{}
+	case m.skip > 0:
+		m.skip--
+		return time.Time{}
+	}
+	m.skip = parseSampleEvery - 1
+	return time.Now()
+}
+
+// lineDone closes the parse lineStart opened. A parsed line (one that
+// yielded an event) joins the pending group; a timed line refreshes the
+// sample and books the group at it.
+func (m *parseMeter) lineDone(t0 time.Time, parsed bool) {
+	if m == nil {
+		return
+	}
+	if parsed {
+		m.pending++
+	}
+	if !t0.IsZero() {
+		m.lastD = time.Since(t0)
+		m.observe(m.lastD, m.pending)
+		m.pending = 0
+	}
+}
+
+// observe books lines parsed lines at a representative per-line duration
+// d: the line sampler's timing, or a segb1 frame's mean per record.
 func (m *parseMeter) observe(d time.Duration, lines int) {
 	if lines <= 0 {
 		return
@@ -137,13 +186,24 @@ func (m *parseMeter) observe(d time.Duration, lines int) {
 	m.total += est
 	m.lines += lines
 	if m.lines >= parseChunkLines {
-		m.flush()
+		m.ship()
 	}
 }
 
-// flush ships the accumulated chunk as one completed trace.
+// flush books the lines parsed since the last sample at that sample, then
+// ships the open chunk; a source calls it when its stream ends.
 func (m *parseMeter) flush() {
-	if m == nil || m.lines == 0 {
+	if m == nil {
+		return
+	}
+	m.observe(m.lastD, m.pending)
+	m.pending = 0
+	m.ship()
+}
+
+// ship files the accumulated chunk as one completed trace.
+func (m *parseMeter) ship() {
+	if m.lines == 0 {
 		return
 	}
 	m.tr.RecordRoot(obs.StageParse, m.start, m.total, map[string]string{
@@ -161,7 +221,9 @@ func (m *parseMeter) flush() {
 //
 // The stream format is auto-detected: input starting with the segb1
 // magic decodes as binary frames (malformed frames are counted as
-// parse errors and skipped), anything else parses as text lines.
+// parse errors and skipped), anything else runs through the Tailer's
+// line loop under the stream rule: the first malformed or over-long line
+// ends the stream.
 func (in *Ingester) Consume(r io.Reader) error {
 	in.consumers.Add(1)
 	defer in.consumers.Done()
@@ -179,30 +241,17 @@ func (in *Ingester) Consume(r io.Reader) error {
 	if sniff, _ := br.Peek(len(logio.BinaryMagic)); string(sniff) == logio.BinaryMagic {
 		src := in.newSource("binary")
 		defer src.close()
-		return in.consumeBinary(br, src)
+		return in.endStream(in.consumeBinary(br, src))
 	}
-	src := in.newSource("stream")
-	defer src.close()
-	return in.consumeText(br, src)
+	t := in.newLineSource("stream", parseEventLine)
+	t.strict = true
+	defer t.src.close()
+	return in.endStream(t.consume(br))
 }
 
-// consumeText runs the text line protocol for one source.
-func (in *Ingester) consumeText(r io.Reader, src *eventSource) error {
-	meter := newParseMeter(in.cfg.Tracer, "stream")
-	var observe func(time.Duration, int)
-	if meter != nil {
-		observe = meter.observe
-	}
-	err := logio.ReadEventsObserved(r, func(e logio.Event) error {
-		select {
-		case <-in.closing:
-			return ErrShuttingDown
-		default:
-		}
-		src.dispatch(e)
-		return nil
-	}, observe)
-	meter.flush()
+// endStream counts the error that ends a stream source, whatever it is
+// short of shutdown, as one parse error, and passes it on.
+func (in *Ingester) endStream(err error) error {
 	if err != nil && !errors.Is(err, ErrShuttingDown) {
 		inc(in.m.ParseErrors)
 	}
@@ -213,14 +262,19 @@ func (in *Ingester) consumeText(r io.Reader, src *eventSource) error {
 // are staged into per-shard pending buffers and batch-published at
 // frame boundaries, so the ring's atomics are paid per batch instead of
 // per event. Frame-granular decode failures count as parse errors and
-// the stream continues; only a desynced or failing stream aborts.
+// the stream continues; only a desynced or failing stream aborts. A
+// frame's parse time is its decode time less what its mid-frame flushes
+// spent waiting for ring room.
 func (in *Ingester) consumeBinary(r io.Reader, src *eventSource) error {
 	meter := newParseMeter(in.cfg.Tracer, "binary")
+	defer meter.flush()
 	dec := logio.NewEventDecoder(r)
 	defer dec.Release()
 	dec.OnFrameError = func(error) { inc(in.m.ParseErrors) }
 	dec.AfterFrame = func(records int, took time.Duration) {
+		took -= src.waited
 		src.flushAll()
+		src.waited = 0
 		if meter != nil && records > 0 {
 			meter.observe(took/time.Duration(records), records)
 		}
@@ -237,10 +291,6 @@ func (in *Ingester) consumeBinary(r io.Reader, src *eventSource) error {
 	// Flush whatever the aborted frame staged, so every decoded event is
 	// accounted for (published, shed, or dropped) exactly once.
 	src.flushAll()
-	meter.flush()
-	if err != nil && !errors.Is(err, ErrShuttingDown) {
-		inc(in.m.ParseErrors)
-	}
 	return err
 }
 
@@ -342,6 +392,8 @@ func (s *eventSource) flushShard(shard int) {
 // is.
 func (s *eventSource) awaitRoom(shard, n int) bool {
 	in, r := s.in, s.rings[shard]
+	t0 := time.Now()
+	defer func() { s.waited += time.Since(t0) }()
 	if h := in.cfg.Health; h != nil {
 		h.SetFor(healthSignalQueue, health.Overloaded, "shard queue full", queuePressureTTL)
 	}
@@ -372,15 +424,18 @@ func (s *eventSource) awaitRoom(shard, n int) bool {
 	return true
 }
 
-// Tailer follows one event file at line granularity and remembers how
-// far it got: the byte offset just past the last fully read line, plus
-// the identity of the file that offset belongs to. The state survives
-// across Run calls, so a supervisor that restarts a failed tail source
-// resumes exactly where the previous run stopped instead of re-ingesting
-// — and double-counting — everything the file already delivered.
-// Malformed lines are counted and skipped rather than aborting the
-// stream, so one bad line cannot put a supervised tail into an infinite
-// restart/re-ingest loop. A Tailer is not safe for concurrent Run calls.
+// Tailer is the line loop every line-framed source runs: a text stream
+// (Consume), trace_dns JSONL (ConsumeTraceDNS) and a tailed file. Built
+// by NewTailer or NewTraceDNSTailer, it follows one file and remembers
+// how far it got: the byte offset just past the last fully read line,
+// plus the identity of the file that offset belongs to. The state
+// survives across Run calls, so a supervisor that restarts a failed tail
+// source resumes exactly where the previous run stopped instead of
+// re-ingesting — and double-counting — everything the file already
+// delivered. A tail or trace_dns source counts and skips a malformed or
+// over-long line, so one bad line cannot put a supervised tail into an
+// infinite restart/re-ingest loop; a text stream is strict and ends at
+// the first one. A Tailer is not safe for concurrent Run calls.
 type Tailer struct {
 	in       *Ingester
 	src      *eventSource
@@ -391,18 +446,21 @@ type Tailer struct {
 	// error skips the line silently. parseEventLine, or the trace_dns
 	// adapter's JSONL mapping.
 	parse func(line string) (e logio.Event, ok bool, err error)
-
-	// Parse-metering sampler state: 1 line in logio.ParseSampleEvery is
-	// timed and stands in for the pending lines it covers.
-	lastD   time.Duration
-	haveD   bool
-	pending int
+	// strict ends the stream at the first malformed or over-long line
+	// with a line-numbered error: the text stream's rule.
+	strict bool
 
 	// offset is the resume point: every line before it was fully read
 	// (dispatched or deliberately skipped). fi identifies the file the
 	// offset belongs to; nil means start from scratch.
 	offset int64
 	fi     os.FileInfo
+}
+
+// newLineSource attaches a line source of kind source (which labels its
+// watermark frontier and parse traces) parsing lines with parse.
+func (in *Ingester) newLineSource(source string, parse func(string) (logio.Event, bool, error)) *Tailer {
+	return &Tailer{in: in, src: in.newSource(source), meter: newParseMeter(in.cfg.Tracer, source), parse: parse}
 }
 
 // NewTailer builds a Tailer for path polling at interval (default
@@ -414,7 +472,9 @@ func (in *Ingester) NewTailer(path string, interval time.Duration) *Tailer {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
-	return &Tailer{in: in, src: in.newSource("tail"), path: path, interval: interval, meter: newParseMeter(in.cfg.Tracer, "tail"), parse: parseEventLine}
+	t := in.newLineSource("tail", parseEventLine)
+	t.path, t.interval = path, interval
+	return t
 }
 
 // parseEventLine is a Tailer's parse for native event lines.
@@ -427,6 +487,9 @@ func parseEventLine(line string) (logio.Event, bool, error) {
 // truncated in place: the current file generation is exhausted and the
 // tail must reopen from offset zero.
 var errFileChanged = errors.New("ingest: tailed file rotated or truncated")
+
+// errLineTooLong is the parse error of a line over logio.MaxLineBytes.
+var errLineTooLong = fmt.Errorf("line longer than %d bytes", logio.MaxLineBytes)
 
 // Run tails the file until ctx is canceled or the ingester shuts down
 // (both return nil) or an I/O error occurs (returned, so a supervisor
@@ -452,13 +515,15 @@ func (t *Tailer) Run(ctx context.Context) error {
 // remembered offset when the file on disk is still the one the offset
 // was measured against (same inode, not shrunk below it).
 func (t *Tailer) runFile(ctx context.Context) error {
+	t.in.consumers.Add(1)
+	defer t.in.consumers.Done()
 	f, err := os.Open(t.path)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return err
 	}
 	start := int64(0)
@@ -467,63 +532,62 @@ func (t *Tailer) runFile(ctx context.Context) error {
 	}
 	if start > 0 {
 		if _, err := f.Seek(start, io.SeekStart); err != nil {
-			f.Close()
 			return err
 		}
 	}
 	t.fi, t.offset = fi, start
 	r := &followReader{ctx: ctx, closing: t.in.closing, path: t.path, f: f, fi: fi, offset: start, interval: t.interval}
-	defer f.Close()
-	return t.consume(r)
+	return t.consume(bufio.NewReaderSize(r, 64<<10))
 }
 
 // errTailStopped is how a followReader reports that its context ended or
 // the ingester began shutting down.
 var errTailStopped = errors.New("ingest: tail stopped")
 
-// consume reads line-delimited events from r, dispatching each one and
+// consume reads line-delimited events from br, dispatching each one and
 // advancing t.offset past every fully read line — the offset therefore
-// always names a line boundary that is safe to resume from. Lines that
-// fail to parse, and lines longer than logio.MaxLineBytes, are counted
-// as parse errors and skipped. r is a followReader, or any reader whose
-// EOF ends the stream (trace_dns on stdin).
-func (t *Tailer) consume(r io.Reader) error {
-	in := t.in
-	in.consumers.Add(1)
-	defer in.consumers.Done()
-	defer t.flushMeter()
-	br := bufio.NewReaderSize(r, 64<<10)
-	var line []byte
-	discarding := false // inside an over-long line, dropping until '\n'
-	var lineBytes int64 // bytes of the line accumulated so far
+// always names a line boundary that is safe to resume from. br reads a
+// followReader, or any reader whose EOF ends the stream (a text stream,
+// trace_dns on stdin); an unterminated final line counts as complete.
+func (t *Tailer) consume(br *bufio.Reader) error {
+	defer t.meter.flush()
+	var (
+		buf        []byte // a line assembled across buffer refills
+		discarding bool   // inside an over-long line, dropping until '\n'
+		lineBytes  int64  // bytes of the line read so far
+		lineNo     int
+	)
 	for {
 		chunk, rerr := br.ReadSlice('\n')
 		lineBytes += int64(len(chunk))
-		if !discarding {
-			line = append(line, chunk...)
-			if len(line) > logio.MaxLineBytes {
-				discarding, line = true, line[:0]
+		line := chunk // a line read whole is parsed in place
+		if discarding || len(buf) > 0 || rerr != nil || len(chunk) > logio.MaxLineBytes {
+			if !discarding {
+				buf = append(buf, chunk...)
+				if len(buf) > logio.MaxLineBytes {
+					discarding, buf = true, buf[:0]
+				}
 			}
+			line = buf
 		}
 		switch {
 		case rerr == nil:
-			if !discarding {
-				t.processLine(line)
-			} else {
-				inc(in.m.ParseErrors)
+			lineNo++
+			if err := t.finishLine(lineNo, line, discarding); err != nil {
+				return err
 			}
 			t.offset += lineBytes
-			line, discarding, lineBytes = line[:0], false, 0
+			buf, discarding, lineBytes = buf[:0], false, 0
 		case errors.Is(rerr, bufio.ErrBufferFull):
 			continue
 		case errors.Is(rerr, errFileChanged), errors.Is(rerr, io.EOF):
 			// The file was swapped or truncated underneath us (the caller
 			// reopens the new generation from offset zero, resetting
-			// t.offset), or a plain reader's stream ended. Treat an
-			// unterminated final line as complete, as scanners treat EOF
-			// without a trailing newline.
-			if !discarding && len(line) > 0 {
-				t.processLine(line)
+			// t.offset), or a plain reader's stream ended.
+			if discarding || len(line) > 0 {
+				if err := t.finishLine(lineNo+1, line, discarding); err != nil {
+					return err
+				}
 			}
 			if errors.Is(rerr, errFileChanged) {
 				return errFileChanged
@@ -537,57 +601,48 @@ func (t *Tailer) consume(r io.Reader) error {
 			return rerr
 		}
 		select {
-		case <-in.closing:
+		case <-t.in.closing:
 			return ErrShuttingDown
 		default:
 		}
 	}
 }
 
-// processLine parses one event line and dispatches it; blank lines and
-// comments are ignored, malformed lines counted and dropped. Parse
-// metering is sampled: 1 line in logio.ParseSampleEvery is timed (the
-// first always), and the measurement is booked for the whole group.
-func (t *Tailer) processLine(raw []byte) {
-	line := strings.TrimSpace(string(raw))
-	if line == "" || strings.HasPrefix(line, "#") {
-		return
+// finishLine handles line lineNo, complete: it parses and dispatches the
+// line, or meets its parse error (an over-long line arrives as tooLong).
+// A strict source returns that error, numbered; the others count it as a
+// parse error and go on.
+func (t *Tailer) finishLine(lineNo int, line []byte, tooLong bool) error {
+	err := errLineTooLong
+	if !tooLong {
+		err = t.processLine(line)
 	}
-	sample := t.meter != nil && (!t.haveD || t.pending+1 >= logio.ParseSampleEvery)
-	var t0 time.Time
-	if sample {
-		t0 = time.Now()
+	if err == nil {
+		return nil
 	}
-	e, ok, err := t.parse(line)
-	if sample {
-		t.lastD = time.Since(t0)
-		t.haveD = true
+	if t.strict {
+		return fmt.Errorf("ingest: line %d: %w", lineNo, err)
 	}
-	if err != nil {
-		inc(t.in.m.ParseErrors)
-		return
-	}
-	if !ok {
-		return
-	}
-	if t.meter != nil {
-		t.pending++
-		if sample {
-			t.meter.observe(t.lastD, t.pending)
-			t.pending = 0
-		}
-	}
-	t.src.dispatch(e)
+	inc(t.in.m.ParseErrors)
+	return nil
 }
 
-// flushMeter books lines parsed since the last sample, then ships the
-// meter's open chunk.
-func (t *Tailer) flushMeter() {
-	if t.pending > 0 && t.haveD {
-		t.meter.observe(t.lastD, t.pending)
-		t.pending = 0
+// processLine parses one line and dispatches its event; blank lines and
+// comments are ignored, and a malformed line returns its parse error.
+// The parse meter times 1 line in parseSampleEvery.
+func (t *Tailer) processLine(raw []byte) error {
+	raw = bytes.TrimSpace(raw)
+	if len(raw) == 0 || raw[0] == '#' {
+		return nil
 	}
-	t.meter.flush()
+	line := string(raw)
+	t0 := t.meter.lineStart()
+	e, ok, err := t.parse(line)
+	t.meter.lineDone(t0, ok)
+	if ok {
+		t.src.dispatch(e)
+	}
+	return err
 }
 
 // followReader blocks at EOF, polling for appended bytes until its

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,11 +141,10 @@ func (in *Ingester) ConsumeTraceDNS(r io.Reader) error {
 		return ErrShuttingDown
 	default:
 	}
-	t := &Tailer{in: in, src: in.newSource("tracedns"), parse: (&traceDNSParser{in: in}).parse}
+	t := in.newLineSource("tracedns", (&traceDNSParser{in: in}).parse)
 	defer t.src.close()
-	err := t.consume(r)
+	err := in.endStream(t.consume(bufio.NewReaderSize(r, 64<<10)))
 	if err != nil && !errors.Is(err, ErrShuttingDown) {
-		inc(in.m.ParseErrors)
 		return fmt.Errorf("ingest: tracedns stream: %w", err)
 	}
 	return err

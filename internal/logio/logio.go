@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"segugio/internal/activity"
 	"segugio/internal/dnsutil"
@@ -426,79 +425,27 @@ type Event struct {
 }
 
 // ReadEvents streams event records into fn until EOF, a malformed line,
-// or a non-nil error from fn (which is returned verbatim, so consumers
-// can abort on shutdown). Format:
+// or a non-nil error from fn (which is returned verbatim). WAL replay
+// reads its records with it; live sources frame lines themselves (see
+// ParseEvent). Format:
 //
 //	q<TAB>day<TAB>machine<TAB>domain
 //	r<TAB>day<TAB>domain<TAB>ip[,ip...]
 func ReadEvents(r io.Reader, fn func(Event) error) error {
-	return ReadEventsObserved(r, fn, nil)
-}
-
-// ParseSampleEvery is the parse-metering sampling interval: with a
-// non-nil observe callback, ReadEventsObserved times 1 line in every
-// ParseSampleEvery and books the measurement for the whole group it
-// covers, so the observability seam costs two time.Now() calls per
-// group instead of per line.
-const ParseSampleEvery = 32
-
-// ReadEventsObserved is ReadEvents plus a sampled parse-time callback:
-// observe (when non-nil) receives a representative per-line parse
-// duration d together with the number of successfully parsed lines it
-// stands for. The first line is always timed (seeding the estimate),
-// then 1 in every ParseSampleEvery; at EOF the remaining untimed lines
-// are flushed with the last measurement, so the line counts delivered
-// through observe are exact. A nil observe skips the timing entirely,
-// so the default path pays nothing.
-func ReadEventsObserved(r io.Reader, fn func(Event) error, observe func(d time.Duration, lines int)) error {
-	if observe == nil {
-		return scanLines(r, func(lineNo int, line string) error {
-			e, err := ParseEvent(line)
-			if err != nil {
-				return fmt.Errorf("logio: event line %d: %w", lineNo, err)
-			}
-			return fn(e)
-		})
-	}
-	var (
-		lastD   time.Duration
-		haveD   bool
-		pending int
-	)
-	err := scanLines(r, func(lineNo int, line string) error {
-		pending++
-		sample := !haveD || pending >= ParseSampleEvery
-		var t0 time.Time
-		if sample {
-			t0 = time.Now()
-		}
-		e, perr := ParseEvent(line)
-		if sample {
-			lastD = time.Since(t0)
-			haveD = true
-		}
-		if perr != nil {
-			// The malformed line aborts the stream and is not booked as
-			// a parsed line; earlier untimed lines flush below.
-			pending--
-			return fmt.Errorf("logio: event line %d: %w", lineNo, perr)
-		}
-		if sample {
-			observe(lastD, pending)
-			pending = 0
+	return scanLines(r, func(lineNo int, line string) error {
+		e, err := ParseEvent(line)
+		if err != nil {
+			return fmt.Errorf("logio: event line %d: %w", lineNo, err)
 		}
 		return fn(e)
 	})
-	if pending > 0 && haveD {
-		observe(lastD, pending)
-	}
-	return err
 }
 
 // ParseEvent parses one event-stream line (already stripped of its
 // newline, leading/trailing space, and comment filtering). Exported for
-// consumers that frame lines themselves — the ingest tailer skips
-// malformed lines instead of aborting, so it needs per-line parsing.
+// consumers that frame lines themselves: ingest's line loop, which times
+// the parse and decides per source whether a malformed line ends the
+// stream or is skipped.
 func ParseEvent(line string) (Event, error) {
 	kind, rest, ok := strings.Cut(line, "\t")
 	if !ok {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"segugio/internal/dnsutil"
@@ -132,55 +131,5 @@ func TestReadEventsLongLine(t *testing.T) {
 	}
 	if events[2].Machine != "m2" {
 		t.Fatalf("event after the long line = %+v", events[2])
-	}
-}
-
-// TestReadEventsObservedSampling: the sampled meter must still account
-// for every line exactly once (the observability tests depend on exact
-// line counts), while calling the clock only ~1/ParseSampleEvery times.
-func TestReadEventsObservedSampling(t *testing.T) {
-	for _, n := range []int{1, 2, ParseSampleEvery - 1, ParseSampleEvery, ParseSampleEvery + 1, 3*ParseSampleEvery + 5} {
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, "q\t1\tm%d\ta.example.com\n", i)
-		}
-		var totalLines, calls, parsed int
-		err := ReadEventsObserved(strings.NewReader(b.String()), func(Event) error {
-			parsed++
-			return nil
-		}, func(d time.Duration, lines int) {
-			if d < 0 || lines <= 0 {
-				t.Fatalf("observe(%v, %d)", d, lines)
-			}
-			totalLines += lines
-			calls++
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parsed != n || totalLines != n {
-			t.Fatalf("n=%d: parsed=%d, observed lines=%d — every line must be booked exactly once", n, parsed, totalLines)
-		}
-		wantMax := n/ParseSampleEvery + 2
-		if calls > wantMax {
-			t.Fatalf("n=%d: %d observe calls, want <= %d (sampling broken)", n, calls, wantMax)
-		}
-	}
-
-	// A parse error must not book the failing line.
-	var totalLines int
-	err := ReadEventsObserved(strings.NewReader("q\t1\tm1\ta.example.com\nBROKEN\n"), func(Event) error { return nil },
-		func(d time.Duration, lines int) { totalLines += lines })
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 error, got %v", err)
-	}
-	if totalLines > 1 {
-		t.Fatalf("booked %d lines past a line-2 parse error", totalLines)
-	}
-
-	// Nil observe must behave exactly like ReadEvents.
-	seen := 0
-	if err := ReadEventsObserved(strings.NewReader("q\t1\tm1\ta.example.com\n"), func(Event) error { seen++; return nil }, nil); err != nil || seen != 1 {
-		t.Fatalf("nil observe: seen=%d err=%v", seen, err)
 	}
 }

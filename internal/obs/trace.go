@@ -7,12 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"segugio/internal/metrics"
 )
 
 // Pipeline stage names. Spans carrying one of these names feed the
-// per-stage latency histograms (segugiod_stage_seconds{stage=...}); the
-// set is exported so the daemon can pre-register one histogram per
-// stage at startup.
+// per-stage latency histograms (segugiod_stage_seconds{stage=...}) the
+// tracer registers at construction; other span names are recorded in
+// traces only.
 const (
 	StageParse          = "parse"
 	StageWALAppend      = "wal_append"
@@ -61,27 +63,25 @@ type TracerConfig struct {
 	// SlowThreshold logs any trace whose root span exceeds it through
 	// Logger at Warn level. Zero disables slow-trace logging.
 	SlowThreshold time.Duration
-	// OnStage, when non-nil, receives every completed span's name and
-	// duration in seconds — the hook the daemon feeds its
-	// segugiod_stage_seconds histograms from.
-	OnStage func(stage string, seconds float64)
-	// OnStageN, when non-nil, receives batched stage observations: n
-	// samples of seconds each, booked in one call. Sampled
-	// instrumentation (the ingest parse meter times 1-in-N lines) uses
-	// this so a single timing can stand in for the lines it covers.
-	// When nil, ObserveStageN falls back to calling OnStage n times.
-	OnStageN func(stage string, seconds float64, n int)
+	// Registry, when non-nil, gets one segugiod_stage_seconds histogram
+	// per pipeline stage (Stages), fed by every completed span and
+	// ObserveStageN call of that stage. Nil keeps the flight recorder
+	// alone.
+	Registry *metrics.Registry
 	// Logger receives slow-trace warnings; nil discards them.
 	Logger *slog.Logger
 }
 
 // Tracer records spans into bounded in-memory rings (the flight
-// recorder) and feeds the per-stage observer. A nil *Tracer is a valid
+// recorder) and feeds the per-stage histograms. A nil *Tracer is a valid
 // no-op: StartSpan returns a nil span whose methods all no-op, so
 // instrumented code never branches on whether tracing is enabled.
 type Tracer struct {
 	cfg    TracerConfig
 	nextID atomic.Uint64
+	// stages maps a stage name to its histogram; nil without a
+	// Registry, read-only after NewTracer.
+	stages map[string]*metrics.Histogram
 
 	mu        sync.Mutex
 	recent    []TraceRecord // ring, recentPos is the next write slot
@@ -95,11 +95,17 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 32
 	}
-	return &Tracer{cfg: cfg, recent: make([]TraceRecord, cfg.RingSize)}
+	t := &Tracer{cfg: cfg, recent: make([]TraceRecord, cfg.RingSize)}
+	if cfg.Registry != nil {
+		t.stages = make(map[string]*metrics.Histogram, len(Stages()))
+		for _, stage := range Stages() {
+			t.stages[stage] = cfg.Registry.NewHistogram("segugiod_stage_seconds",
+				"Pipeline stage latency in seconds, by stage.",
+				metrics.Labels("stage", stage), nil)
+		}
+	}
+	return t
 }
-
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // activeTrace accumulates spans until its root ends.
 type activeTrace struct {
@@ -193,14 +199,14 @@ func (s *Span) RecordChild(name string, d time.Duration) {
 		tr.spans = append(tr.spans, rec)
 	}
 	tr.mu.Unlock()
-	s.tracer.observeStage(name, d)
+	s.tracer.ObserveStageN(name, d, 1)
 }
 
 // End finishes the span. Ending the root span completes the trace:
 // it is pushed into the recent ring, competes for the slowest ring, and
 // is logged when it exceeds the slow threshold. Spans that end after
 // their root are dropped from the record (the trace has already
-// shipped), but still feed the stage observer.
+// shipped), but still feed their stage histogram.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -231,7 +237,7 @@ func (s *Span) End() {
 		}
 	}
 	tr.mu.Unlock()
-	s.tracer.observeStage(s.name, d)
+	s.tracer.ObserveStageN(s.name, d, 1)
 	if done != nil {
 		s.tracer.record(*done, d)
 	}
@@ -251,38 +257,15 @@ func (t *Tracer) RecordRoot(name string, start time.Time, d time.Duration, attrs
 	t.record(tr, d)
 }
 
-// ObserveStage feeds the per-stage observer without recording a trace —
-// for per-item measurements too fine-grained to each become a span.
-func (t *Tracer) ObserveStage(stage string, d time.Duration) {
-	t.observeStage(stage, d)
-}
-
-func (t *Tracer) observeStage(stage string, d time.Duration) {
-	if t == nil || t.cfg.OnStage == nil {
-		return
-	}
-	t.cfg.OnStage(stage, d.Seconds())
-}
-
-// ObserveStageN feeds the per-stage observer with n samples of d each —
-// the scaled form sampled hot paths use (one measured line standing in
-// for the n lines it covers). Prefers OnStageN; falls back to repeated
-// OnStage calls so observers that only wired the per-sample hook still
-// see exact sample counts.
+// ObserveStageN books n samples of d each into stage's histogram — the
+// scaled form sampled hot paths use (one measured line standing in for
+// the n lines it covers). Names outside Stages are not booked.
 func (t *Tracer) ObserveStageN(stage string, d time.Duration, n int) {
-	if t == nil || n <= 0 {
+	if t == nil {
 		return
 	}
-	if t.cfg.OnStageN != nil {
-		t.cfg.OnStageN(stage, d.Seconds(), n)
-		return
-	}
-	if t.cfg.OnStage == nil {
-		return
-	}
-	sec := d.Seconds()
-	for i := 0; i < n; i++ {
-		t.cfg.OnStage(stage, sec)
+	if h := t.stages[stage]; h != nil {
+		h.ObserveN(d.Seconds(), int64(n))
 	}
 }
 

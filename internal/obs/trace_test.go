@@ -6,22 +6,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"segugio/internal/metrics"
 )
+
+// stageCounts reads the observation count of every stage histogram the
+// tracer registered in reg.
+func stageCounts(reg *metrics.Registry) map[string]int64 {
+	out := map[string]int64{}
+	for _, s := range reg.AppendSamples(nil) {
+		if s.Name == "segugiod_stage_seconds" && s.Suffix == "_count" {
+			stage := strings.TrimSuffix(strings.TrimPrefix(s.Labels, `{stage="`), `"}`)
+			out[stage] = int64(s.Value)
+		}
+	}
+	return out
+}
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	ctx, span := tr.StartSpan(context.Background(), "noop")
 	span.SetAttr("k", 1)
 	span.RecordChild("child", time.Millisecond)
 	span.End()
 	tr.RecordRoot("manual", time.Now(), time.Millisecond, nil)
-	tr.ObserveStage("parse", time.Millisecond)
+	tr.ObserveStageN(StageParse, time.Millisecond, 1)
 	d := tr.Dump()
 	if len(d.Recent) != 0 || len(d.Slowest) != 0 {
 		t.Fatalf("nil tracer dump = %+v", d)
@@ -32,15 +45,10 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 func TestSpanTreeAndDump(t *testing.T) {
-	var stages []string
-	tr := NewTracer(TracerConfig{RingSize: 8, OnStage: func(s string, sec float64) {
-		if sec < 0 {
-			t.Errorf("negative stage seconds for %s", s)
-		}
-		stages = append(stages, s)
-	}})
+	reg := metrics.NewRegistry()
+	tr := NewTracer(TracerConfig{RingSize: 8, Registry: reg})
 
-	ctx, root := tr.StartSpan(context.Background(), "classify_pass")
+	ctx, root := tr.StartSpan(context.Background(), StageTrackerPass)
 	root.SetAttr("domains", 4)
 	_, snap := tr.StartSpan(ctx, StageSnapshot)
 	snap.End()
@@ -55,14 +63,14 @@ func TestSpanTreeAndDump(t *testing.T) {
 		t.Fatalf("recent traces = %d, want 1", len(d.Recent))
 	}
 	trace := d.Recent[0]
-	if trace.Root != "classify_pass" || len(trace.Spans) != 4 {
+	if trace.Root != StageTrackerPass || len(trace.Spans) != 4 {
 		t.Fatalf("trace = %+v", trace)
 	}
 	byName := map[string]SpanRecord{}
 	for _, s := range trace.Spans {
 		byName[s.Name] = s
 	}
-	rootRec := byName["classify_pass"]
+	rootRec := byName[StageTrackerPass]
 	if rootRec.Parent != -1 {
 		t.Fatalf("root parent = %d", rootRec.Parent)
 	}
@@ -79,12 +87,11 @@ func TestSpanTreeAndDump(t *testing.T) {
 		t.Fatalf("RecordChild duration = %v ms", byName[StageFeatureExtract].DurMS)
 	}
 
-	want := map[string]bool{StageSnapshot: true, StageClassify: true, StageFeatureExtract: true, "classify_pass": true}
-	for _, s := range stages {
-		delete(want, s)
-	}
-	if len(want) != 0 {
-		t.Fatalf("stages not observed: %v (got %v)", want, stages)
+	counts := stageCounts(reg)
+	for _, s := range []string{StageSnapshot, StageClassify, StageFeatureExtract, StageTrackerPass} {
+		if counts[s] != 1 {
+			t.Fatalf("stage %s observed %d times, want 1 (counts %v)", s, counts[s], counts)
+		}
 	}
 
 	// The dump must serialize cleanly (it backs an HTTP endpoint).
@@ -145,15 +152,10 @@ func TestSlowTraceLogged(t *testing.T) {
 }
 
 func TestLateChildDropsButStillObserves(t *testing.T) {
-	var mu sync.Mutex
-	count := 0
-	tr := NewTracer(TracerConfig{RingSize: 2, OnStage: func(string, float64) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}})
-	ctx, root := tr.StartSpan(context.Background(), "root")
-	_, child := tr.StartSpan(ctx, "late")
+	reg := metrics.NewRegistry()
+	tr := NewTracer(TracerConfig{RingSize: 2, Registry: reg})
+	ctx, root := tr.StartSpan(context.Background(), StageTrackerPass)
+	_, child := tr.StartSpan(ctx, StageClassify)
 	root.End() // completes the trace before the child finishes
 	child.End()
 
@@ -161,23 +163,23 @@ func TestLateChildDropsButStillObserves(t *testing.T) {
 	if len(d.Recent) != 1 || len(d.Recent[0].Spans) != 1 {
 		t.Fatalf("late child must not join the shipped trace: %+v", d.Recent)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 2 {
-		t.Fatalf("stage observer calls = %d, want 2 (root + late child)", count)
+	counts := stageCounts(reg)
+	if count := counts[StageTrackerPass] + counts[StageClassify]; count != 2 {
+		t.Fatalf("stage observations = %d, want 2 (root + late child)", count)
 	}
 }
 
 func TestTracerConcurrency(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingSize: 16, OnStage: func(string, float64) {}})
+	reg := metrics.NewRegistry()
+	tr := NewTracer(TracerConfig{RingSize: 16, Registry: reg})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				ctx, root := tr.StartSpan(context.Background(), "root")
-				_, c := tr.StartSpan(ctx, "child")
+				ctx, root := tr.StartSpan(context.Background(), StageTrackerPass)
+				_, c := tr.StartSpan(ctx, StageClassify)
 				c.SetAttr("i", i)
 				c.End()
 				root.End()
@@ -189,38 +191,29 @@ func TestTracerConcurrency(t *testing.T) {
 	if d := tr.Dump(); len(d.Recent) != 16 {
 		t.Fatalf("recent = %d, want full ring", len(d.Recent))
 	}
+	if counts := stageCounts(reg); counts[StageTrackerPass] != 400 || counts[StageClassify] != 400 {
+		t.Fatalf("stage counts = %v, want 400 roots and 400 children", counts)
+	}
 }
 
 // TestObserveStageN covers the batched stage-observation path sampled
-// instrumentation uses: with OnStageN wired, one call books the whole
-// group; without it, the tracer falls back to n OnStage calls.
+// instrumentation uses: one call books the whole group into the stage's
+// histogram; a non-positive n, a name outside the stage set, a tracer
+// without a registry and a nil tracer book nothing.
 func TestObserveStageN(t *testing.T) {
-	var calls, samples int
-	tr := NewTracer(TracerConfig{OnStageN: func(stage string, sec float64, n int) {
-		if stage != "parse" || sec <= 0 {
-			t.Errorf("OnStageN(%q, %v, %d)", stage, sec, n)
-		}
-		calls++
-		samples += n
-	}})
-	tr.ObserveStageN("parse", time.Millisecond, 32)
-	tr.ObserveStageN("parse", time.Millisecond, 1)
-	tr.ObserveStageN("parse", time.Millisecond, 0)  // no-op
-	tr.ObserveStageN("parse", time.Millisecond, -3) // no-op
-	if calls != 2 || samples != 33 {
-		t.Fatalf("OnStageN calls = %d, samples = %d; want 2, 33", calls, samples)
+	reg := metrics.NewRegistry()
+	tr := NewTracer(TracerConfig{Registry: reg})
+	tr.ObserveStageN(StageParse, time.Millisecond, 32)
+	tr.ObserveStageN(StageParse, time.Millisecond, 1)
+	tr.ObserveStageN(StageParse, time.Millisecond, 0)  // no-op
+	tr.ObserveStageN(StageParse, time.Millisecond, -3) // no-op
+	tr.ObserveStageN("http.classify", time.Millisecond, 4)
+	counts := stageCounts(reg)
+	if counts[StageParse] != 33 || len(counts) != len(Stages()) {
+		t.Fatalf("stage counts = %v; want 33 parse samples and one histogram per stage", counts)
 	}
 
-	// Fallback: only OnStage wired, each sample becomes one call.
-	var fallback int
-	tr2 := NewTracer(TracerConfig{OnStage: func(stage string, sec float64) { fallback++ }})
-	tr2.ObserveStageN("parse", time.Millisecond, 5)
-	if fallback != 5 {
-		t.Fatalf("fallback OnStage calls = %d, want 5", fallback)
-	}
-
-	// Neither hook, and a nil tracer, are inert.
-	NewTracer(TracerConfig{}).ObserveStageN("parse", time.Millisecond, 4)
+	NewTracer(TracerConfig{}).ObserveStageN(StageParse, time.Millisecond, 4)
 	var nilTr *Tracer
-	nilTr.ObserveStageN("parse", time.Millisecond, 4)
+	nilTr.ObserveStageN(StageParse, time.Millisecond, 4)
 }

@@ -137,14 +137,8 @@ func (idx *AbuseIndex) UnknownIPExcluding(ip dnsutil.IPv4, exclude string) bool 
 	return idx.unknownIPs[ip].excluding(exclude)
 }
 
-// UnknownPrefix reports whether ip's /24 was used by a still-unknown
-// domain.
-func (idx *AbuseIndex) UnknownPrefix(ip dnsutil.IPv4) bool {
-	return idx.unknownPrefixes[dnsutil.Prefix24Of(ip)].count > 0
-}
-
-// UnknownPrefixExcluding is UnknownPrefix ignoring the excluded domain's
-// own contributions.
+// UnknownPrefixExcluding reports whether ip's /24 was used by a
+// still-unknown domain other than exclude.
 func (idx *AbuseIndex) UnknownPrefixExcluding(ip dnsutil.IPv4, exclude string) bool {
 	return idx.unknownPrefixes[dnsutil.Prefix24Of(ip)].excluding(exclude)
 }

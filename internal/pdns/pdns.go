@@ -21,13 +21,6 @@ import (
 	"segugio/internal/dnsutil"
 )
 
-// Record is a single observed resolution: domain pointed to IP on Day.
-type Record struct {
-	Day    int
-	Domain string
-	IP     dnsutil.IPv4
-}
-
 // Observation is one entry of a domain's history: it resolved to IP on Day.
 type Observation struct {
 	Day int
@@ -69,9 +62,6 @@ func (db *DB) AddRun(domain string, run []Observation) {
 		db.maxDay = max(db.maxDay, o.Day)
 	}
 }
-
-// AddRecord is a convenience wrapper around Add.
-func (db *DB) AddRecord(r Record) { db.Add(r.Day, r.Domain, r.IP) }
 
 // Len reports the total number of stored resolution records.
 func (db *DB) Len() int {

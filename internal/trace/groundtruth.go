@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"segugio/internal/activity"
@@ -304,25 +303,4 @@ func (c *Catalog) MarkActivity(log *activity.Log, suffixes *dnsutil.SuffixList, 
 			log.MarkE2LD(day, e2ldCache[id])
 		}
 	}
-}
-
-// SampleObservationDays picks n well-separated observation days late
-// enough in the timeline to leave historyDays of passive-DNS look-back,
-// mirroring the paper's random sampling of evaluation days from one month.
-func (c *Catalog) SampleObservationDays(n, historyDays int, rng *rand.Rand) []int {
-	lo := historyDays
-	hi := c.cfg.TimelineDays - 1
-	if lo >= hi {
-		lo = hi - 1
-	}
-	days := make(map[int]struct{}, n)
-	for len(days) < n {
-		days[lo+rng.Intn(hi-lo+1)] = struct{}{}
-	}
-	out := make([]int, 0, n)
-	for d := range days {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }
