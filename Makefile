@@ -5,7 +5,7 @@ GO ?= go
 # Ceilings for loc-check: total non-test Go lines under internal/ + cmd/
 # and the number of segugiod flags. A PR that must grow either one raises
 # its number here, in its diff.
-LOC_MAX = 22501
+LOC_MAX = 22630
 FLAGS_MAX = 24
 
 build:
@@ -32,7 +32,8 @@ check: vet race loc-check
 # curve, the activity/pdns history loaders beside their per-line
 # references, the 4-stripe BenchmarkIngestRecover, and the 4-shard
 # BenchmarkSnapshotSinceSharded pass refresh) as BENCH_ingest.json, the classify pipeline suite (the
-# cold classify-all pass at 100k and 400k unknown domains, the by-name
+# cold classify-all pass at 100k and 400k unknown domains, the daemon-shaped
+# BenchmarkPassSteady with its snapshot and classify halves, the by-name
 # lookup beside ingest, batch scoring) as BENCH_classify.json, and the
 # batch belief propagation baseline
 # (one cold full pass) as BENCH_lbp.json. It is
@@ -45,7 +46,7 @@ bench:
 	$(GO) test -bench 'BenchmarkParseEventText|BenchmarkDecodeEventsBinary|BenchmarkEncodeEventsBinary|BenchmarkWriteEventText|BenchmarkReadActivity|BenchmarkReadPDNS|BenchmarkIngest|BenchmarkSnapshotSinceSharded' \
 		-benchmem -count=5 -run '^$$' ./internal/logio ./internal/ingest \
 		| $(GO) run ./cmd/benchjson -o BENCH_ingest.json
-	$(GO) test -bench 'BenchmarkClassifyAll|BenchmarkScore' -benchmem -count=5 -run '^$$' \
+	$(GO) test -bench 'BenchmarkClassifyAll|BenchmarkPassSteady|BenchmarkScore' -benchmem -count=5 -run '^$$' \
 		./internal/server ./internal/ml \
 		| $(GO) run ./cmd/benchjson -o BENCH_classify.json
 	$(GO) test -bench 'BenchmarkLBP' -benchmem -count=5 -run '^$$' ./internal/belief \

@@ -426,7 +426,7 @@ func cmdClassify(ctx context.Context, args []string) error {
 		fmt.Printf("  %.4f  %s\n", d.Score, d.Domain)
 	}
 	if *showMachines {
-		machines := core.InfectedMachines(report.PrunedGraph, detected)
+		machines := core.InfectedMachines(report.PrunedGraph(), detected)
 		fmt.Printf("machines querying detected domains: %d\n", len(machines))
 		for i, m := range machines {
 			if i >= *top {
@@ -437,11 +437,11 @@ func cmdClassify(ctx context.Context, args []string) error {
 		}
 	}
 	if *reportPath != "" {
-		ex, err := features.NewExtractor(report.PrunedGraph, env.activity, env.abuse, 14)
+		ex, err := features.NewExtractor(report.PrunedGraph(), env.activity, env.abuse, 14)
 		if err != nil {
 			return err
 		}
-		rep := reportpkg.Build(report.PrunedGraph, ex, det, dets, report.Classified)
+		rep := reportpkg.Build(report.PrunedGraph(), ex, det, dets, report.Classified)
 		f, err := os.Create(*reportPath)
 		if err != nil {
 			return err
@@ -503,7 +503,7 @@ func cmdTrack(ctx context.Context, args []string) error {
 			return err
 		}
 		detected := det.Detected(dets)
-		diff := track.Observe(day, detected, report.PrunedGraph)
+		diff := track.Observe(day, detected, report.PrunedGraph())
 		fmt.Printf("day %d: %d detections — %d new, %d recurring, %d dormant\n",
 			day, len(detected), len(diff.New), len(diff.Recurring), len(diff.Dormant))
 		for _, d := range diff.New {

@@ -56,16 +56,16 @@ func main() {
 			log.Fatal(err)
 		}
 		detected := detector.Detected(detections)
-		diff := track.Observe(day, detected, classifyReport.PrunedGraph)
+		diff := track.Observe(day, detected, classifyReport.PrunedGraph())
 		fmt.Printf("day %d: %d detections — %d new, %d recurring, %d went dormant\n",
 			day, len(detected), len(diff.New), len(diff.Recurring), len(diff.Dormant))
 
 		// The last day's evidence report, for the vetting queue.
-		ex, err := features.NewExtractor(classifyReport.PrunedGraph, dd.Activity, abuse, 14)
+		ex, err := features.NewExtractor(classifyReport.PrunedGraph(), dd.Activity, abuse, 14)
 		if err != nil {
 			log.Fatal(err)
 		}
-		lastReport = report.Build(classifyReport.PrunedGraph, ex, detector,
+		lastReport = report.Build(classifyReport.PrunedGraph(), ex, detector,
 			detections, classifyReport.Classified)
 	}
 

@@ -91,7 +91,7 @@ func main() {
 		fmt.Printf("  %.3f  %-26s (%s)\n", d.Score, d.Domain, truth)
 	}
 
-	machines := core.InfectedMachines(classifyReport.PrunedGraph, detected)
+	machines := core.InfectedMachines(classifyReport.PrunedGraph(), detected)
 	fmt.Printf("\n%d machines query the detected domains (first 5):\n", len(machines))
 	for i, m := range machines {
 		if i == 5 {

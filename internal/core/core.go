@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"segugio/internal/activity"
@@ -136,32 +137,18 @@ func Train(cfg Config, in TrainInput) (*Detector, *TrainReport, error) {
 	}
 	report := &TrainReport{}
 
-	g := in.Graph
-	if cfg.ProberFilter != nil {
-		filtered, removed, err := graph.FilterProbers(g, *cfg.ProberFilter)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: prober filter: %w", err)
-		}
-		g = filtered
-		report.ProbersRemoved = removed
-	}
-	if !cfg.DisablePruning {
-		t0 := time.Now()
-		pruned, stats, err := graph.Prune(g, cfg.Prune)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: prune: %w", err)
-		}
-		g = pruned
-		report.Prune = stats
-		report.Timing.Prune = time.Since(t0)
-	}
-
-	ex, err := features.NewExtractor(g, in.Activity, in.Abuse, cfg.ActivityWindow)
+	// Training measures its vectors through the same prune plan and
+	// extractor a classify pass uses.
+	prep, err := prepare(cfg, in.Graph, in.Activity, in.Abuse)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: extractor: %w", err)
+		return nil, nil, err
 	}
+	report.Prune = prep.stats
+	report.ProbersRemoved = prep.probersRemoved
+	report.Timing.Prune = prep.pruneTime
+
 	t0 := time.Now()
-	ds := features.TrainingSet(ex, in.Exclude)
+	ds := features.TrainingSet(prep.ex, in.Exclude)
 	report.Timing.Extract = time.Since(t0)
 	if ds.Len() == 0 {
 		return nil, nil, ErrNoTraining
@@ -196,8 +183,7 @@ func (d *Detector) Threshold() float64 { return d.threshold }
 func (d *Detector) ActivityWindow() int { return d.cfg.ActivityWindow }
 
 // Detection is one scored domain. ID is the domain's node id in the graph
-// the caller passed in (ClassifyInput.Graph), not in the pruned graph the
-// score was measured on.
+// the caller passed in (ClassifyInput.Graph).
 type Detection struct {
 	Domain string
 	Score  float64
@@ -239,62 +225,81 @@ type ClassifyReport struct {
 	// filter, when enabled.
 	ProbersRemoved []string
 	Timing         Timing
-	// PrunedGraph is the graph classification ran on, kept so callers can
-	// enumerate the machines behind each detection.
-	PrunedGraph *graph.Graph
 	// PrunedCached reports whether the prober-filter + prune pipeline was
 	// served from a memoized session instead of rescanning the graph.
 	PrunedCached bool
+
+	prep *prepared
 }
 
+// PrunedGraph returns the pruned graph classification measured, so
+// callers can enumerate the machines behind each detection. The pass
+// itself reads the snapshot through its prune plan; the pruned graph is
+// built on the first call and shared by every report of the snapshot.
+func (r *ClassifyReport) PrunedGraph() *graph.Graph { return r.prep.prunedGraph() }
+
 // prepared is the memoizable per-snapshot preprocessing of a classify
-// pass: the combined prober-filter + prune plan, the materialized pruned
-// graph, and the feature extractor over it. It is immutable once built,
-// so concurrent passes may share one.
+// pass: the combined prober-filter + prune plan and the feature
+// extractor over it. It is immutable once built (the pruned graph is
+// built once, on request), so concurrent passes may share one.
 type prepared struct {
 	src      *graph.Graph
 	activity *activity.Log
 	abuse    *pdns.AbuseIndex
-	// pruned is src itself when the detector has no prober filter and
-	// pruning disabled.
-	pruned         *graph.Graph
+	// plan is nil when the detector has no prober filter and pruning
+	// disabled: the extractor then measures src itself.
+	plan           *graph.PrunePlan
 	stats          graph.PruneStats
 	probersRemoved []string
 	ex             *features.Extractor
 	pruneTime      time.Duration
+
+	prunedOnce sync.Once
+	pruned     *graph.Graph
 }
 
 // prepare runs the O(graph) half of a classify pass once: one combined
-// prober-filter + prune scan, materialization, and extractor setup.
-func (d *Detector) prepare(g *graph.Graph, act *activity.Log, abuse *pdns.AbuseIndex) (*prepared, error) {
+// prober-filter + prune scan and extractor setup. Nothing is copied: the
+// extractor reads the snapshot through the plan.
+func prepare(cfg Config, g *graph.Graph, act *activity.Log, abuse *pdns.AbuseIndex) (*prepared, error) {
 	p := &prepared{src: g, activity: act, abuse: abuse}
-	if d.cfg.ProberFilter != nil || !d.cfg.DisablePruning {
+	var err error
+	if cfg.ProberFilter != nil || !cfg.DisablePruning {
 		t0 := time.Now()
-		plan, err := graph.NewPrunePlan(g, d.cfg.ProberFilter, d.cfg.Prune, d.cfg.DisablePruning)
+		p.plan, err = graph.NewPrunePlan(g, cfg.ProberFilter, cfg.Prune, cfg.DisablePruning)
 		if err != nil {
 			return nil, fmt.Errorf("core: prune: %w", err)
 		}
-		p.pruned = plan.Materialize()
-		p.stats = plan.Stats()
-		p.probersRemoved = plan.ProbersRemoved()
+		p.stats = p.plan.Stats()
+		p.probersRemoved = p.plan.ProbersRemoved()
 		p.pruneTime = time.Since(t0)
+		p.ex, err = features.NewPlanExtractor(p.plan, act, abuse, cfg.ActivityWindow)
 	} else {
-		p.pruned = g
+		p.ex, err = features.NewExtractor(g, act, abuse, cfg.ActivityWindow)
 	}
-	ex, err := features.NewExtractor(p.pruned, act, abuse, d.cfg.ActivityWindow)
 	if err != nil {
 		return nil, fmt.Errorf("core: extractor: %w", err)
 	}
-	p.ex = ex
 	return p, nil
+}
+
+// prunedGraph materializes the plan once; without a plan it is src.
+func (p *prepared) prunedGraph() *graph.Graph {
+	p.prunedOnce.Do(func() {
+		p.pruned = p.src
+		if p.plan != nil {
+			p.pruned = p.plan.Materialize()
+		}
+	})
+	return p.pruned
 }
 
 // fillReport copies the prepared pass's prune outcome into the report.
 func (p *prepared) fillReport(report *ClassifyReport, cached bool) {
 	report.Prune = p.stats
 	report.ProbersRemoved = p.probersRemoved
-	report.PrunedGraph = p.pruned
 	report.PrunedCached = cached
+	report.prep = p
 	if !cached {
 		report.Timing.Prune = p.pruneTime
 	}
@@ -318,8 +323,7 @@ const scoreChunk = 4096
 // and scores them in scoreChunk-sized sweeps with a context check between
 // each, so a pass over a large graph can be abandoned mid-sweep. Scoring
 // is per row, so the chunked order is bit-identical to one batch and to a
-// serial per-domain loop. A Detection.ID is the target's id in the graph
-// the pruned one was derived from.
+// serial per-domain loop. A Detection.ID is the target's node id.
 func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, targets []int32, report *ClassifyReport) ([]Detection, error) {
 	g := ex.Graph()
 	dets := make([]Detection, 0, len(targets))
@@ -338,7 +342,7 @@ func (d *Detector) scoreTargets(ctx context.Context, ex *features.Extractor, tar
 			rows = ml.SelectColumns(rows, d.cfg.FeatureColumns)
 		}
 		for i, score := range ml.ScoreAll(d.model, rows) {
-			dets = append(dets, Detection{Domain: g.DomainName(chunk[i]), Score: score, ID: g.DomainOrigin(chunk[i])})
+			dets = append(dets, Detection{Domain: g.DomainName(chunk[i]), Score: score, ID: chunk[i]})
 		}
 		report.Timing.Score += time.Since(t0)
 	}

@@ -199,7 +199,7 @@ func TestTrainAndClassifyEndToEnd(t *testing.T) {
 	if len(detected) == 0 {
 		t.Fatal("no detections above threshold")
 	}
-	machines := InfectedMachines(classifyReport.PrunedGraph, detected)
+	machines := InfectedMachines(classifyReport.PrunedGraph(), detected)
 	if len(machines) == 0 {
 		t.Fatal("detected domains must implicate machines")
 	}
@@ -225,11 +225,11 @@ func TestClassifyAllUnknownWhenDomainsNil(t *testing.T) {
 	}
 	// Every returned domain was unknown-labeled in the pruned graph.
 	for _, d := range dets[:min(50, len(dets))] {
-		di, ok := report.PrunedGraph.DomainIndex(d.Domain)
+		di, ok := report.PrunedGraph().DomainIndex(d.Domain)
 		if !ok {
 			t.Fatalf("detection %s not in pruned graph", d.Domain)
 		}
-		if report.PrunedGraph.DomainLabel(di) != graph.LabelUnknown {
+		if report.PrunedGraph().DomainLabel(di) != graph.LabelUnknown {
 			t.Fatalf("detection %s is not unknown-labeled", d.Domain)
 		}
 	}

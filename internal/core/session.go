@@ -3,12 +3,12 @@ package core
 import (
 	"sync"
 
-	"segugio/internal/graph"
+	"segugio/internal/features"
 )
 
 // ClassifySession memoizes the O(graph) half of classification — the
-// combined prober-filter + prune plan, the materialized pruned graph,
-// and the feature extractor — for one snapshot, so every classify of
+// combined prober-filter + prune plan and the feature extractor that
+// reads the snapshot through it — for one snapshot, so every classify of
 // that snapshot (a pass, then the by-name lookups it cannot answer)
 // prepares it once.
 //
@@ -65,7 +65,7 @@ func (s *ClassifySession) Classify(in ClassifyInput) ([]Detection, *ClassifyRepo
 	cached := prep != nil && prep.src == in.Graph && prep.activity == in.Activity && prep.abuse == in.Abuse
 	if !cached {
 		var err error
-		prep, err = s.det.prepare(in.Graph, in.Activity, in.Abuse)
+		prep, err = prepare(s.det.cfg, in.Graph, in.Activity, in.Abuse)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -77,15 +77,16 @@ func (s *ClassifySession) Classify(in ClassifyInput) ([]Detection, *ClassifyRepo
 		return nil, nil, err
 	}
 
-	// Targets as node ids of the pruned graph: every unknown domain, or the
-	// requested names that resolve (the rest are missing, in input order).
+	// Targets as node ids of the snapshot: every unknown domain the plan
+	// keeps, or the requested names that resolve to a kept domain (the
+	// rest are missing, in input order).
 	var targets []int32
 	if in.Domains == nil {
-		targets = prep.pruned.DomainsWithLabel(graph.LabelUnknown)
+		targets = features.UnknownNodes(prep.ex)
 	} else {
 		targets = make([]int32, 0, len(in.Domains))
 		for _, name := range in.Domains {
-			if d, ok := prep.pruned.DomainIndex(name); ok {
+			if d, ok := in.Graph.DomainIndex(name); ok && prep.ex.Kept(d) {
 				targets = append(targets, d)
 			} else {
 				report.Missing = append(report.Missing, name)

@@ -215,12 +215,12 @@ func TestClassifyMatchesSerialReference(t *testing.T) {
 	if len(dets) == 0 {
 		t.Fatal("nothing classified")
 	}
-	ex, err := features.NewExtractor(rep.PrunedGraph, nil, nil, det.cfg.ActivityWindow)
+	ex, err := features.NewExtractor(rep.PrunedGraph(), nil, nil, det.cfg.ActivityWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range dets {
-		di, ok := rep.PrunedGraph.DomainIndex(d.Domain)
+		di, ok := rep.PrunedGraph().DomainIndex(d.Domain)
 		if !ok {
 			t.Fatalf("%s not in pruned graph", d.Domain)
 		}
@@ -302,10 +302,10 @@ func TestSessionConcurrentPasses(t *testing.T) {
 }
 
 // TestDetectionIDs: a Detection's ID is the domain's node id in the graph
-// the caller passed in — not in the pruned graph the score was measured on
-// — whichever path scored it: a full pass over the materialized pruned
-// graph, explicit targets on the same snapshot, explicit targets on a
-// later snapshot, or a detector with no prune pipeline at all.
+// the caller passed in — not in the pruned graph — whichever path scored
+// it: a full pass, explicit targets on the same snapshot, explicit
+// targets on a later snapshot, or a detector with no prune pipeline at
+// all.
 func TestDetectionIDs(t *testing.T) {
 	b, src := sessionGraphParts(42)
 	// A single-machine domain between the targets: R3 prunes it, so the
@@ -335,7 +335,7 @@ func TestDetectionIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PrunedGraph.NumDomains() == g1.NumDomains() {
+	if rep.PrunedGraph().NumDomains() == g1.NumDomains() {
 		t.Fatal("fixture: nothing was pruned, ids would match by accident")
 	}
 	requireIDs("full pass", g1, full, 5)

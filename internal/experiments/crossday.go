@@ -112,7 +112,7 @@ func RunCross(trainNet *Network, trainDay int, testNet *Network, testDay int, op
 		Hidden:              split.Hidden,
 		Domains:             split.Domains,
 		Labels:              split.Labels,
-		PrunedTestGraph:     classifyReport.PrunedGraph,
+		PrunedTestGraph:     classifyReport.PrunedGraph(),
 		TrainingSetExamples: trainReport.TrainBenign + trainReport.TrainMalware,
 	}
 

@@ -314,7 +314,7 @@ func TestDiagFig12Features(t *testing.T) {
 	for _, d := range dets {
 		score[d.Domain] = d.Score
 	}
-	g := crep.PrunedGraph
+	g := crep.PrunedGraph()
 	ex, err := featuresExtractor(n, testDay, g)
 	if err != nil {
 		t.Fatal(err)

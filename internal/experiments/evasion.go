@@ -70,7 +70,7 @@ func RunEvasion(n *Network, trainDay, testDay int, seed int64) (*EvasionResult, 
 			res.WhitelistShadowed++
 			continue
 		}
-		if _, inPruned := report.PrunedGraph.DomainIndex(name); !inPruned {
+		if _, inPruned := report.PrunedGraph().DomainIndex(name); !inPruned {
 			res.Pruned++
 			continue
 		}

@@ -39,6 +39,9 @@ func TrainingSet(e *Extractor, exclude map[string]struct{}) *Dataset {
 	var nodes []int32
 	var labels []int
 	for d := int32(0); d < int32(g.NumDomains()); d++ {
+		if !e.Kept(d) {
+			continue
+		}
 		var y int
 		switch g.DomainLabel(d) {
 		case graph.LabelMalware:
@@ -77,7 +80,7 @@ func VectorsFor(e *Extractor, domains []string) ([][]float64, []bool) {
 	backing := make([]float64, len(domains)*NumFeatures)
 	parallelFor(len(domains), func(i int) {
 		d, found := g.DomainIndex(domains[i])
-		if !found {
+		if !found || !e.Kept(d) {
 			return
 		}
 		row := backing[i*NumFeatures : (i+1)*NumFeatures : (i+1)*NumFeatures]
@@ -100,27 +103,28 @@ func VectorsOf(e *Extractor, nodes []int32) [][]float64 {
 	return X
 }
 
-// UnknownDomains lists the unknown-labeled domains of the extractor's
-// graph — the classification targets at deployment time. A counting
-// pass pre-sizes the result so million-domain graphs pay one allocation.
+// UnknownDomains lists the unknown-labeled domains the extractor
+// measures — the classification targets at deployment time.
 func UnknownDomains(e *Extractor) []string {
 	g := e.Graph()
-	n := 0
-	for d := int32(0); d < int32(g.NumDomains()); d++ {
-		if g.DomainLabel(d) == graph.LabelUnknown {
-			n++
-		}
-	}
-	if n == 0 {
+	nodes := UnknownNodes(e)
+	if len(nodes) == 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
-	for d := int32(0); d < int32(g.NumDomains()); d++ {
-		if g.DomainLabel(d) == graph.LabelUnknown {
-			out = append(out, g.DomainName(d))
-		}
+	out := make([]string, len(nodes))
+	for i, d := range nodes {
+		out[i] = g.DomainName(d)
 	}
 	return out
+}
+
+// UnknownNodes is UnknownDomains as node ids of the extractor's graph,
+// in node order.
+func UnknownNodes(e *Extractor) []int32 {
+	if e.plan != nil {
+		return e.plan.DomainsWithLabel(graph.LabelUnknown)
+	}
+	return e.g.DomainsWithLabel(graph.LabelUnknown)
 }
 
 // parallelFor runs fn(i) for i in [0, n) across GOMAXPROCS workers.

@@ -110,9 +110,13 @@ func ColumnsExcluding(g Group) []int {
 }
 
 // Extractor measures feature vectors for domains of one labeled graph.
-// It is safe for concurrent Vector calls.
+// An extractor built over a prune plan measures the pruned graph the plan
+// describes without building it: node ids are the snapshot's, and only the
+// domains and machines the plan keeps take part. It is safe for
+// concurrent Vector calls.
 type Extractor struct {
 	g      *graph.Graph
+	plan   *graph.PrunePlan
 	log    *activity.Log
 	abuse  *pdns.AbuseIndex
 	window int
@@ -136,8 +140,26 @@ func NewExtractor(g *graph.Graph, log *activity.Log, abuse *pdns.AbuseIndex, win
 	return &Extractor{g: g, log: log, abuse: abuse, window: window}, nil
 }
 
-// Graph returns the graph the extractor measures.
+// NewPlanExtractor builds an extractor over the pruned graph plan
+// describes, reading plan's snapshot through its keep masks: every vector
+// equals, bit for bit, the one NewExtractor(plan.Materialize(), ...)
+// measures for the same domain.
+func NewPlanExtractor(plan *graph.PrunePlan, log *activity.Log, abuse *pdns.AbuseIndex, window int) (*Extractor, error) {
+	e, err := NewExtractor(plan.Graph(), log, abuse, window)
+	if err != nil {
+		return nil, err
+	}
+	e.plan = plan
+	return e, nil
+}
+
+// Graph returns the graph the extractor measures: the plan's snapshot for
+// a plan extractor, whose node ids every target and result use.
 func (e *Extractor) Graph() *graph.Graph { return e.g }
+
+// Kept reports whether domain node d is one the extractor measures: any
+// node of a plain extractor's graph, a kept one of a plan extractor's.
+func (e *Extractor) Kept(d int32) bool { return e.plan == nil || e.plan.KeepsDomain(d) }
 
 // Vector measures the 11 features of domain node d with d's own label and
 // history hidden.
@@ -181,17 +203,28 @@ func (e *Extractor) VectorInto(d int32, v []float64) {
 
 	// F1: machine behavior, with d's label hidden when re-deriving the
 	// label of each machine that queries d.
-	machines := g.MachinesOf(d)
-	if n := len(machines); n > 0 {
-		infected, unknown := 0, 0
-		for _, m := range machines {
-			switch g.MachineLabelHiding(m, d) {
-			case graph.LabelMalware:
-				infected++
-			case graph.LabelUnknown:
-				unknown++
-			}
+	// A plan extractor counts only the machines its plan keeps, with their
+	// labels as the pruned graph derives them.
+	n, infected, unknown := 0, 0, 0
+	for _, m := range g.MachinesOf(d) {
+		var label graph.Label
+		switch {
+		case e.plan == nil:
+			label = g.MachineLabelHiding(m, d)
+		case e.plan.KeepsMachine(m):
+			label = e.plan.MachineLabelHiding(m, d)
+		default:
+			continue
 		}
+		n++
+		switch label {
+		case graph.LabelMalware:
+			infected++
+		case graph.LabelUnknown:
+			unknown++
+		}
+	}
+	if n > 0 {
 		v[FInfectedFraction] = float64(infected) / float64(n)
 		v[FUnknownFraction] = float64(unknown) / float64(n)
 		v[FTotalMachines] = float64(n)

@@ -99,6 +99,9 @@ type Builder struct {
 	ovMAdj, ovDAdj [][]int32
 	ovEdges        int
 	ovMut, ipMut   uint64
+	// csrStale is set when base holds edges neither the CSR nor the
+	// overlay has; the next snapshot compacts.
+	csrStale bool
 
 	// freshLog records, in order, every edge that survived deduplication,
 	// for relabeling against the last labeled snapshot. Positions are
@@ -506,10 +509,8 @@ func (b *Builder) snapshot(forceCompact bool) *Graph {
 	fresh := b.mergePending()
 	b.markQueried(fresh)
 	b.freshLog = append(b.freshLog, fresh...)
-	if forceCompact || b.csrMOff == nil || b.ovEdges+len(fresh) > len(b.base)/4+overlaySlackMin {
+	if forceCompact || b.csrMOff == nil || b.csrStale {
 		b.compact()
-	} else if len(fresh) > 0 {
-		b.applyOverlay(fresh)
 	}
 	// Pending holds a pass's worth of raw edges: let it go between passes.
 	b.pending = nil
@@ -528,9 +529,12 @@ func (b *Builder) markQueried(fresh []edge) {
 }
 
 // mergePending sorts and deduplicates the pending buffer, drops edges
-// already present in base, merges the survivors into base (kept sorted),
-// and returns the fresh edges. The returned slice aliases the pending
-// buffer and is only valid until the next append.
+// already present in base, merges the survivors into base (kept sorted)
+// and into the overlay, and returns the fresh edges. When the overlay
+// would pass a quarter of the base run, or there is no base CSR yet, the
+// overlay is skipped and the CSR marked stale for the snapshot to
+// rebuild. The returned slice aliases the pending buffer and is only
+// valid until the next append.
 func (b *Builder) mergePending() []edge {
 	if len(b.pending) == 0 {
 		return nil
@@ -549,7 +553,25 @@ func (b *Builder) mergePending() []edge {
 		}
 		fresh = append(fresh, e)
 	}
+	if len(fresh) == 0 {
+		return fresh
+	}
+	if b.csrMOff == nil || b.ovEdges+len(fresh) > (len(b.base)+len(fresh))/4+overlaySlackMin {
+		b.mergeIntoBase(fresh)
+		b.csrStale = true
+		return fresh
+	}
+	// The base merge and the overlay's machine and domain sides write
+	// disjoint state and only read fresh, so they run at once.
+	b.ensureOverlay()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); b.overlayMachines(fresh) }()
+	go func() { defer wg.Done(); b.overlayDomains(fresh) }()
 	b.mergeIntoBase(fresh)
+	wg.Wait()
+	b.ovEdges += len(fresh)
+	b.ovMut++
 	return fresh
 }
 
@@ -657,16 +679,43 @@ func (b *Builder) mergeIntoBase(fresh []edge) {
 	}
 }
 
-// applyOverlay folds fresh edges into the per-node overlay adjacency,
-// materializing a node's base CSR row on first touch.
-func (b *Builder) applyOverlay(fresh []edge) {
-	b.ensureOverlay()
+// overlayMachines folds fresh edges into the machine side of the per-node
+// overlay adjacency, materializing a machine's base CSR row on first
+// touch; overlayDomains is the same for the domain side.
+func (b *Builder) overlayMachines(fresh []edge) {
 	for _, e := range fresh {
-		b.overlayAddM(e.m(), e.d())
-		b.overlayAddD(e.d(), e.m())
+		m := e.m()
+		slot := b.ovM[m]
+		if slot < 0 {
+			var adj []int32
+			if int(m) < b.csrNM {
+				row := b.csrMAdj[b.csrMOff[m]:b.csrMOff[m+1]]
+				adj = append(make([]int32, 0, len(row)+4), row...)
+			}
+			slot = int32(len(b.ovMAdj))
+			b.ovMAdj = append(b.ovMAdj, adj)
+			b.ovM[m] = slot
+		}
+		b.ovMAdj[slot] = append(b.ovMAdj[slot], e.d())
 	}
-	b.ovEdges += len(fresh)
-	b.ovMut++
+}
+
+func (b *Builder) overlayDomains(fresh []edge) {
+	for _, e := range fresh {
+		d := e.d()
+		slot := b.ovD[d]
+		if slot < 0 {
+			var adj []int32
+			if int(d) < b.csrND {
+				row := b.csrDAdj[b.csrDOff[d]:b.csrDOff[d+1]]
+				adj = append(make([]int32, 0, len(row)+4), row...)
+			}
+			slot = int32(len(b.ovDAdj))
+			b.ovDAdj = append(b.ovDAdj, adj)
+			b.ovD[d] = slot
+		}
+		b.ovDAdj[slot] = append(b.ovDAdj[slot], e.m())
+	}
 }
 
 func (b *Builder) ensureOverlay() {
@@ -689,36 +738,6 @@ func filledMinusOne(n int) []int32 {
 		s[i] = -1
 	}
 	return s
-}
-
-func (b *Builder) overlayAddM(m, d int32) {
-	slot := b.ovM[m]
-	if slot < 0 {
-		var adj []int32
-		if int(m) < b.csrNM {
-			row := b.csrMAdj[b.csrMOff[m]:b.csrMOff[m+1]]
-			adj = append(make([]int32, 0, len(row)+4), row...)
-		}
-		slot = int32(len(b.ovMAdj))
-		b.ovMAdj = append(b.ovMAdj, adj)
-		b.ovM[m] = slot
-	}
-	b.ovMAdj[slot] = append(b.ovMAdj[slot], d)
-}
-
-func (b *Builder) overlayAddD(d, m int32) {
-	slot := b.ovD[d]
-	if slot < 0 {
-		var adj []int32
-		if int(d) < b.csrND {
-			row := b.csrDAdj[b.csrDOff[d]:b.csrDOff[d+1]]
-			adj = append(make([]int32, 0, len(row)+4), row...)
-		}
-		slot = int32(len(b.ovDAdj))
-		b.ovDAdj = append(b.ovDAdj, adj)
-		b.ovD[d] = slot
-	}
-	b.ovDAdj[slot] = append(b.ovDAdj[slot], m)
 }
 
 // compact rebuilds both CSR directions from the sorted base run and drops
@@ -757,6 +776,7 @@ func (b *Builder) compact() {
 	b.csrNM, b.csrND = nm, nd
 	b.ovM, b.ovD, b.ovMAdj, b.ovDAdj = nil, nil, nil, nil
 	b.ovEdges = 0
+	b.csrStale = false
 	b.ovMut++
 }
 

@@ -117,11 +117,9 @@ type Graph struct {
 	// A graph derived from another (Prune, FilterProbers,
 	// PrunePlan.Materialize) has no index of its own: a name resolves
 	// through derivedFrom's, then through the remap tables (source id ->
-	// id here, -1 for a dropped node). domainOrigin is the inverse of
-	// domainRemap. All nil for a Builder's graphs.
+	// id here, -1 for a dropped node). All nil for a Builder's graphs.
 	derivedFrom               *Graph
 	machineRemap, domainRemap []int32
-	domainOrigin              []int32
 
 	labeledAsOf   int
 	labelsApplied bool
@@ -196,16 +194,6 @@ func (g *Graph) MachineIndex(id string) (int32, bool) {
 		i, ok = g.machineExtra[id]
 	}
 	return i, ok && int(i) < len(g.machineIDs)
-}
-
-// DomainOrigin returns the id domain node d has in the graph this one was
-// derived from (Prune, FilterProbers, PrunePlan.Materialize); d itself on
-// a graph that was not derived.
-func (g *Graph) DomainOrigin(d int32) int32 {
-	if g.domainOrigin == nil {
-		return d
-	}
-	return g.domainOrigin[d]
 }
 
 // DomainsOf returns the domain nodes queried by machine m. The returned

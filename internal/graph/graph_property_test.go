@@ -11,27 +11,54 @@ import (
 )
 
 // randomGraph builds a random labeled bipartite graph from a seed.
-func randomGraph(seed int64) *Graph {
+func randomGraph(seed int64) *Graph { return randomGraphIn(seed, 0) }
+
+// randomGraphIn is randomGraph with the domains spread over zones shared
+// e2LDs when zones > 0 (the whitelist then lists zones). Such a graph is
+// the second of two incremental snapshots, so part of its adjacency sits
+// in the overlay.
+func randomGraphIn(seed int64, zones int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	nm := 5 + rng.Intn(30)
 	nd := 5 + rng.Intn(40)
+	domain := func(d int) string {
+		if zones > 0 {
+			return fmt.Sprintf("d%03d.z%d.com", d, d%zones)
+		}
+		return fmt.Sprintf("d%03d.com", d)
+	}
 	b := NewBuilder("Q", 1, dnsutil.DefaultSuffixList())
 	for m := 0; m < nm; m++ {
 		id := fmt.Sprintf("m%03d", m)
 		edges := 1 + rng.Intn(8)
 		for e := 0; e < edges; e++ {
-			b.AddQuery(id, fmt.Sprintf("d%03d.com", rng.Intn(nd)))
+			b.AddQuery(id, domain(rng.Intn(nd)))
+		}
+		if zones > 0 && m == nm/2 {
+			b.Snapshot()
 		}
 	}
-	g := b.Build()
+	var g *Graph
+	if zones > 0 {
+		g = b.Snapshot()
+	} else {
+		g = b.Build()
+	}
 	bl := intel.NewBlacklist()
 	wl := []string{}
 	for d := 0; d < nd; d++ {
 		switch rng.Intn(4) {
 		case 0:
-			bl.Add(intel.BlacklistEntry{Domain: fmt.Sprintf("d%03d.com", d)})
+			bl.Add(intel.BlacklistEntry{Domain: domain(d)})
 		case 1:
-			wl = append(wl, fmt.Sprintf("d%03d.com", d))
+			if zones == 0 {
+				wl = append(wl, domain(d))
+			}
+		}
+	}
+	for z := 0; z < zones; z++ {
+		if rng.Intn(4) == 0 {
+			wl = append(wl, fmt.Sprintf("z%d.com", z))
 		}
 	}
 	g.ApplyLabels(LabelSources{Blacklist: bl, Whitelist: intel.NewWhitelist(wl), AsOf: 1})

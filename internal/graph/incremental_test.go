@@ -184,3 +184,54 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatalf("snapshot grew: %d machines, %d domains", snap.NumMachines(), snap.NumDomains())
 	}
 }
+
+// TestSnapshotOverlayFoldMatchesBuild drives folds that run the base
+// merge and the overlay's two sides on three goroutines: after each one
+// the snapshot equals a batch build of the same queries, and the
+// snapshots taken before it are unchanged (run under -race).
+func TestSnapshotOverlayFoldMatchesBuild(t *testing.T) {
+	sl := dnsutil.DefaultSuffixList()
+	rng := rand.New(rand.NewSource(51))
+	var queries [][2]string
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			queries = append(queries, [2]string{fmt.Sprintf("m%03d", rng.Intn(600)), fmt.Sprintf("h%d.z%d.org", rng.Intn(3000), rng.Intn(40))})
+		}
+	}
+	build := func(qs [][2]string) *Graph {
+		b := NewBuilder("net", 3, sl)
+		for _, q := range qs {
+			b.AddQuery(q[0], q[1])
+		}
+		return b.Build()
+	}
+
+	inc := NewBuilder("net", 3, sl)
+	fed := 0
+	feed := func() *Graph {
+		for _, q := range queries[fed:] {
+			inc.AddQuery(q[0], q[1])
+		}
+		fed = len(queries)
+		return inc.Snapshot()
+	}
+	add(10000)
+	snaps := []*Graph{feed()}
+	builds := []*Graph{build(queries)}
+	overlaid := 0
+	for round := 0; round < 3; round++ {
+		add(1500)
+		before := inc.ovEdges
+		snaps = append(snaps, feed())
+		builds = append(builds, build(queries))
+		if inc.ovEdges > before {
+			overlaid++
+		}
+		for i := range snaps {
+			graphsEqual(t, builds[i], snaps[i])
+		}
+	}
+	if overlaid < 2 {
+		t.Fatalf("fixture: %d of 3 folds went through the overlay concurrently, want at least 2", overlaid)
+	}
+}

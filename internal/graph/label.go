@@ -227,9 +227,13 @@ func (g *Graph) recomputeMachineLabels() {
 //   - benign: every queried domain except d is benign-labeled;
 //   - unknown: otherwise.
 func (g *Graph) MachineLabelHiding(m, d int32) Label {
-	mal := g.cntMalware[m]
-	nonBenign := g.cntNonBenign[m]
-	switch g.domainLabel[d] {
+	return labelHiding(g.cntMalware[m], g.cntNonBenign[m], g.domainLabel[d])
+}
+
+// labelHiding derives a machine's label from its malware and non-benign
+// domain counts with one queried domain, labeled hidden, withheld.
+func labelHiding(mal, nonBenign int32, hidden Label) Label {
+	switch hidden {
 	case LabelMalware:
 		mal--
 		nonBenign--
@@ -249,10 +253,15 @@ func (g *Graph) MachineLabelHiding(m, d int32) Label {
 // DomainsWithLabel returns the indexes of domains carrying the label.
 // A counting pass pre-sizes the result so million-domain graphs pay one
 // allocation instead of log-many reallocations.
-func (g *Graph) DomainsWithLabel(l Label) []int32 {
+func (g *Graph) DomainsWithLabel(l Label) []int32 { return g.domainsWithLabel(l, nil) }
+
+// domainsWithLabel is DomainsWithLabel over the domains with keep[d]
+// set; nil keeps every domain.
+func (g *Graph) domainsWithLabel(l Label, keep []bool) []int32 {
+	match := func(d int) bool { return (keep == nil || keep[d]) && g.DomainLabel(int32(d)) == l }
 	n := 0
 	for d := range g.domains {
-		if g.DomainLabel(int32(d)) == l {
+		if match(d) {
 			n++
 		}
 	}
@@ -261,7 +270,7 @@ func (g *Graph) DomainsWithLabel(l Label) []int32 {
 	}
 	out := make([]int32, 0, n)
 	for d := range g.domains {
-		if g.DomainLabel(int32(d)) == l {
+		if match(d) {
 			out = append(out, int32(d))
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -108,18 +109,24 @@ func Prune(g *Graph, cfg PruneConfig) (*Graph, PruneStats, error) {
 
 // PrunePlan holds the prober-filter and R1-R4 keep decisions for one
 // graph snapshot without materializing the pruned subgraph: per-node keep
-// bits, the resolved global thresholds (thetaD, thetaM), and the
-// per-e2LD surviving-machine counts R4 reads. A plan is the memoizable
-// half of the prune pipeline: Materialize turns it into the pruned graph
-// a classify pass runs on.
+// bits, the resolved global thresholds (thetaD, thetaM), the complete
+// prune statistics, and each kept machine's label counts over the kept
+// domains. Together these answer every question the pruned graph would
+// (which nodes it holds, a kept machine's label with one domain hidden),
+// so a classify pass measures features on the snapshot through the plan.
+// Materialize builds the pruned graph for callers that want one.
 type PrunePlan struct {
 	base         *Graph
 	disablePrune bool
 
-	keepM, keepD   []bool
-	probers        []int32
-	probersRemoved []string
-	stats          PruneStats
+	keepM, keepD []bool
+	// cntMalware/cntNonBenign[m] are kept machine m's malware and
+	// non-benign queried domains among the kept ones: its label counts in
+	// the pruned graph. They alias base's counts when no domain is dropped.
+	cntMalware, cntNonBenign []int32
+	probers                  []int32
+	probersRemoved           []string
+	stats                    PruneStats
 }
 
 // NewPrunePlan computes keep decisions for g in one combined pass:
@@ -168,9 +175,11 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 	}
 
 	if disablePrune {
+		// Every domain stays, so a machine's counts are the graph's own.
 		for d := range p.keepD {
 			p.keepD[d] = true
 		}
+		p.cntMalware, p.cntNonBenign = g.cntMalware, g.cntNonBenign
 		return p, nil
 	}
 
@@ -215,30 +224,27 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 		stats.DroppedR2 += s.r2
 		stats.EdgesBefore += s.edges
 	}
+	stats.MachinesAfter = stats.MachinesBefore - stats.DroppedR1 - stats.DroppedR2
 
 	// Domain rules run against the machine-filtered graph, so R3's
 	// "queried by only one machine" means one *surviving* machine — the
 	// pruned graph never contains non-malware domains with a single
 	// querying machine.
-	e2ldMachines := g.e2ldMachineCounts(p.keepM)
-	type dShard struct{ r3, r4 int }
+	deg := p.keptDegrees()
+	popular := p.popularE2LDs(deg, thetaM)
+	type dShard struct{ r3, r4, kept int }
 	dRes := make([]dShard, shardCount(nd))
 	parallelShards(nd, func(shard, lo, hi int) {
 		var s dShard
 		for d := lo; d < hi; d++ {
-			deg := 0
-			for _, m := range g.MachinesOf(int32(d)) {
-				if p.keepM[m] {
-					deg++
-				}
-			}
 			switch {
-			case int(e2ldMachines[g.domainE2LDID[d]]) >= thetaM:
+			case popular[g.domainE2LDID[d]]:
 				s.r4++ // R4: too popular to be malware control
-			case deg < cfg.MinDomainMachines && g.domainLabel[d] != LabelMalware:
+			case int(deg[d]) < cfg.MinDomainMachines && g.domainLabel[d] != LabelMalware:
 				s.r3++ // R3: single-machine domain (exception: known malware stays)
 			default:
 				p.keepD[d] = true
+				s.kept++
 			}
 		}
 		dRes[shard] = s
@@ -246,9 +252,103 @@ func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 	for _, s := range dRes {
 		stats.DroppedR3 += s.r3
 		stats.DroppedR4 += s.r4
+		stats.DomainsAfter += s.kept
 	}
+	stats.EdgesAfter = p.countKeptLabels(deg)
 	p.stats = stats
 	return p, nil
+}
+
+// keptDegrees returns, per domain, how many kept machines query it (R3's
+// degree): its degree, less the dropped machines that query it. Dropped
+// machines are the inactive, the proxies and the probers, whose rows are
+// a sliver of the graph's edges.
+func (p *PrunePlan) keptDegrees() []int32 {
+	g := p.base
+	deg := make([]int32, g.NumDomains())
+	parallelFor(len(deg), func(lo, hi int) {
+		for d := lo; d < hi; d++ {
+			deg[d] = int32(g.DomainDegree(int32(d)))
+		}
+	})
+	for m, keep := range p.keepM {
+		if !keep {
+			for _, d := range g.DomainsOf(int32(m)) {
+				deg[d]--
+			}
+		}
+	}
+	return deg
+}
+
+// popularE2LDs marks the e2LDs R4 drops: those queried by at least
+// thetaM distinct kept machines. The sum of an e2LD's domains' kept
+// degrees bounds that count from above, so only the e2LDs whose sum
+// reaches thetaM are counted exactly — a handful of popular zones (≈ 29 %
+// of an isp-50k day's edges under 14 of 34k e2LDs) — by walking their
+// domains' machine rows with a stamp per machine.
+func (p *PrunePlan) popularE2LDs(deg []int32, thetaM int) []bool {
+	g := p.base
+	bound := make([]int, g.numE2LDs)
+	for d, e := range g.domainE2LDID {
+		bound[e] += int(deg[d])
+	}
+	members := map[int32][]int32{}
+	for d, e := range g.domainE2LDID {
+		if bound[e] >= thetaM {
+			members[e] = append(members[e], int32(d))
+		}
+	}
+	popular := make([]bool, g.numE2LDs)
+	stamp := make([]int32, g.NumMachines())
+	cur := int32(0)
+	for e, domains := range members {
+		cur++
+		n := 0
+		for _, d := range domains {
+			for _, m := range g.MachinesOf(d) {
+				if p.keepM[m] && stamp[m] != cur {
+					stamp[m] = cur
+					n++
+				}
+			}
+		}
+		popular[e] = n >= thetaM
+	}
+	return popular
+}
+
+// countKeptLabels fills each kept machine's label counts over the kept
+// domains — the graph's own counts, less what the dropped malware- and
+// unknown-labeled domains contribute — and returns the kept edge count:
+// the kept machines' degrees, less the dropped domains' kept degrees.
+// Only dropped non-benign domains' rows are read.
+func (p *PrunePlan) countKeptLabels(deg []int32) int {
+	g := p.base
+	p.cntMalware, p.cntNonBenign = slices.Clone(g.cntMalware), slices.Clone(g.cntNonBenign)
+	edges := 0
+	for m, keep := range p.keepM {
+		if keep {
+			edges += g.MachineDegree(int32(m))
+		}
+	}
+	for d, keep := range p.keepD {
+		if keep {
+			continue
+		}
+		edges -= int(deg[d])
+		label := g.domainLabel[d]
+		if label == LabelBenign {
+			continue
+		}
+		for _, m := range g.MachinesOf(int32(d)) {
+			if label == LabelMalware {
+				p.cntMalware[m]--
+			}
+			p.cntNonBenign[m]--
+		}
+	}
+	return edges
 }
 
 // maskOrNil returns nil when every machine is eligible, letting the
@@ -276,21 +376,37 @@ func (p *PrunePlan) Materialize() *Graph {
 	if p.disablePrune && len(p.probers) == 0 {
 		return p.base
 	}
-	pruned := materialize(p.base, p.keepM, p.keepD)
-	p.stats.MachinesAfter = pruned.NumMachines()
-	p.stats.DomainsAfter = pruned.NumDomains()
-	p.stats.EdgesAfter = pruned.NumEdges()
-	return pruned
+	return materialize(p.base, p.keepM, p.keepD)
 }
 
-// Stats returns the plan's prune statistics. After/edge counts are
-// filled in by Materialize; a plan that was never materialized reports
-// only the before/threshold/drop numbers.
+// Graph returns the snapshot the plan was computed on.
+func (p *PrunePlan) Graph() *Graph { return p.base }
+
+// Stats returns the plan's prune statistics; a plan with pruning
+// disabled reports none.
 func (p *PrunePlan) Stats() PruneStats { return p.stats }
 
 // ProbersRemoved lists the machine identifiers the prober filter
 // removed, in node order.
 func (p *PrunePlan) ProbersRemoved() []string { return p.probersRemoved }
+
+// KeepsMachine reports whether machine node m survives the plan.
+func (p *PrunePlan) KeepsMachine(m int32) bool { return p.keepM[m] }
+
+// KeepsDomain reports whether domain node d survives the plan.
+func (p *PrunePlan) KeepsDomain(d int32) bool { return p.keepD[d] }
+
+// MachineLabelHiding is Graph.MachineLabelHiding on the pruned graph:
+// kept machine m's label with domain d's withheld, derived from its
+// queried domains that survive the plan. m must be a kept machine that
+// queries the kept domain d.
+func (p *PrunePlan) MachineLabelHiding(m, d int32) Label {
+	return labelHiding(p.cntMalware[m], p.cntNonBenign[m], p.base.domainLabel[d])
+}
+
+// DomainsWithLabel returns the kept domains carrying the label, in node
+// order: Graph.DomainsWithLabel on the pruned graph, as base node ids.
+func (p *PrunePlan) DomainsWithLabel(l Label) []int32 { return p.base.domainsWithLabel(l, p.keepD) }
 
 // degHistCap bounds the degree histogram the percentile scan uses;
 // degrees at or above it (rare proxies) fall into a sorted overflow
@@ -364,50 +480,6 @@ func degreePercentileMasked(g *Graph, pct float64, include []bool) int {
 	return overflow[rank-seen-1]
 }
 
-// e2ldMachineCounts counts, per effective 2LD id, the distinct surviving
-// machines that query any domain under it. Domains are grouped by a
-// counting sort on their e2LD id; a per-machine stamp keeps the scan
-// O(edges); e2LD groups are sharded across workers, each with its own
-// stamp array. keepM may be nil to count every machine.
-func (g *Graph) e2ldMachineCounts(keepM []bool) []int32 {
-	ne := g.numE2LDs
-	off := make([]int32, ne+1)
-	for _, e := range g.domainE2LDID {
-		off[e+1]++
-	}
-	for e := 0; e < ne; e++ {
-		off[e+1] += off[e]
-	}
-	members := make([]int32, len(g.domainE2LDID))
-	cursor := make([]int32, ne)
-	copy(cursor, off[:ne])
-	for d, e := range g.domainE2LDID {
-		members[cursor[e]] = int32(d)
-		cursor[e]++
-	}
-	// Each shard owns a disjoint range of e2LDs and a private stamp array.
-	counts := make([]int32, ne)
-	parallelShards(ne, func(_, lo, hi int) {
-		stamp := make([]int32, g.NumMachines())
-		for e := lo; e < hi; e++ {
-			n, cur := int32(0), int32(e-lo+1)
-			for _, d := range members[off[e]:off[e+1]] {
-				for _, m := range g.MachinesOf(d) {
-					if keepM != nil && !keepM[m] {
-						continue
-					}
-					if stamp[m] != cur {
-						stamp[m] = cur
-						n++
-					}
-				}
-			}
-			counts[e] = n
-		}
-	})
-	return counts
-}
-
 // materialize builds the subgraph induced by the kept nodes, carrying over
 // labels and annotations and re-deriving machine labels. Names resolve
 // through g's index and the remap tables (see Graph.derivedFrom), and
@@ -440,7 +512,6 @@ func materialize(g *Graph, keepM, keepD []bool) *Graph {
 	out.domainE2LDID = make([]int32, 0, nd)
 	out.domainIPs = make([][]dnsutil.IPv4, 0, nd)
 	out.domainLabel = make([]Label, 0, nd)
-	out.domainOrigin = make([]int32, 0, nd)
 	for d := range keepD {
 		dMap[d] = -1
 		if !keepD[d] {
@@ -452,7 +523,6 @@ func materialize(g *Graph, keepM, keepD []bool) *Graph {
 		out.domainE2LDID = append(out.domainE2LDID, g.domainE2LDID[d])
 		out.domainIPs = append(out.domainIPs, g.domainIPs[d])
 		out.domainLabel = append(out.domainLabel, g.domainLabel[d])
-		out.domainOrigin = append(out.domainOrigin, int32(d))
 	}
 	out.machineRemap, out.domainRemap = mMap, dMap
 

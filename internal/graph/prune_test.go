@@ -380,9 +380,47 @@ func TestPrunedGraphIndexSharesBase(t *testing.T) {
 			t.Fatal("an unknown machine resolved")
 		}
 	}
-	for d := int32(0); d < int32(pruned.NumDomains()); d++ {
-		if o := pruned.DomainOrigin(d); g.DomainName(o) != pruned.DomainName(d) {
-			t.Fatalf("DomainOrigin(%d) = %d: %s in the base, %s here", d, o, g.DomainName(o), pruned.DomainName(d))
+}
+
+// TestPruneR4CountsDistinctKeptMachines: R4 counts the distinct kept
+// machines under an e2LD, not its domains' summed degrees and not the
+// machines other rules dropped. pop.com's four domains sum to 12 kept
+// queriers but only three distinct machines, below thetaM = 4, so they
+// stay; hot.com's two domains reach four distinct machines and go. The
+// proxy queries every domain, but R2 drops it first.
+func TestPruneR4CountsDistinctKeptMachines(t *testing.T) {
+	b := NewBuilder("net", 10, dnsutil.DefaultSuffixList())
+	for m := 0; m < 9; m++ {
+		b.AddQuery(fmt.Sprintf("m%d", m), fmt.Sprintf("own%d.org", m))
+	}
+	for _, sub := range []string{"a", "b", "c", "d"} {
+		for m := 0; m < 3; m++ {
+			b.AddQuery(fmt.Sprintf("m%d", m), sub+".pop.com")
+		}
+		b.AddQuery("proxy", sub+".pop.com")
+	}
+	for m, name := range []string{"x.hot.com", "x.hot.com", "y.hot.com", "y.hot.com"} {
+		b.AddQuery(fmt.Sprintf("m%d", m), name)
+		b.AddQuery("proxy", name)
+	}
+	for i := 0; i < 20; i++ {
+		b.AddQuery("proxy", fmt.Sprintf("p%d.proxied.net", i))
+	}
+	g := b.Build()
+	g.ApplyLabels(LabelSources{AsOf: 10})
+
+	cfg := PruneConfig{MaxInactiveDegree: 0, ProxyPercentile: 100, MinDomainMachines: 2, MaxE2LDMachineFraction: 1.0 / 3.0}
+	plan, err := NewPrunePlan(g, nil, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := plan.Stats(); st.DroppedR2 != 1 || st.ThetaM != 4 || st.DroppedR4 != 2 {
+		t.Fatalf("stats %+v: want the proxy dropped by R2, thetaM 4 and hot.com's two domains by R4", st)
+	}
+	for name, kept := range map[string]bool{"a.pop.com": true, "d.pop.com": true, "x.hot.com": false, "y.hot.com": false} {
+		d, _ := g.DomainIndex(name)
+		if plan.KeepsDomain(d) != kept {
+			t.Fatalf("%s kept = %v, want %v", name, !kept, kept)
 		}
 	}
 }

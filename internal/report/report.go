@@ -58,7 +58,7 @@ type Report struct {
 const MaxMachinesPerDomain = 25
 
 // Build assembles a report from the classification outcome. g must be the
-// pruned graph classification ran on (ClassifyReport.PrunedGraph) and ex
+// pruned graph classification ran on (ClassifyReport.PrunedGraph()) and ex
 // an extractor over it.
 func Build(g *graph.Graph, ex *features.Extractor, detector *core.Detector,
 	detections []core.Detection, classified int) *Report {

@@ -7,9 +7,10 @@
 # that pass to a fixed allocation count and byte budget on the 100k-domain
 # fixture (see the full-pass gates), and the read path to "a lookup the
 # last pass answers builds nothing". It also gates the segb1 wire format:
-# decode allocation budget, binary-vs-text parse speedup, and the ingest
-# frontend events/s floor, plus the text frontend's allocation budget (see
-# the wire-format section below), and holds
+# decode allocation budget, binary-vs-text parse speedup, the ingest
+# frontend events/s floors (with the shard worker applying beside it, and
+# held off so only the frontend runs), plus the text frontend's
+# allocation budget (see the wire-format section below), and holds
 # the graph-apply events/s floor, the symbol-path-over-string-path apply
 # ratio, the 0-alloc E2LD budget, the bulk-over-per-line activity
 # preload ratio, the radix-over-comparison edge sort ratio and the live
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 # steady state (series columns are preallocated at first sight; the
 # measured steady state is 0 allocs/op). A blown budget means per-scrape
 # garbage on a hot background loop.
-TSDB_SCRAPE_BUDGET=${BENCH_TSDB_SCRAPE_ALLOC_BUDGET:-64}
+TSDB_SCRAPE_BUDGET=64
 
 gate() {
     local bench=$1 pkg=$2 budget=$3
@@ -59,7 +60,7 @@ metric() {
 # builds nothing: ~40 allocs/op for the request, the evidence and the JSON,
 # whether the name is scored, pruned or listed. A snapshot, a prune plan or
 # a view on the request path shows up as thousands.
-LOOKUP_ALLOC_BUDGET=${BENCH_LOOKUP_ALLOC_BUDGET:-200}
+LOOKUP_ALLOC_BUDGET=200
 lookup_out=$(go test -run '^$' -bench 'BenchmarkDomainLookupBesideIngest$' -benchmem -benchtime 1000x ./internal/server)
 echo "$lookup_out"
 for kind in scored pruned listed; do
@@ -75,16 +76,17 @@ for kind in scored pruned listed; do
     echo "bench-allocs: $kind lookup beside ingest: $allocs allocs/op within budget $LOOKUP_ALLOC_BUDGET"
 done
 
-# The cold full pass prepares by node and e2LD id: no per-pass name index,
-# no string-keyed e2LD counter, slabs sized up front. The ceiling is 60 % of
-# the 82.4 MB/op the string-keyed prepare allocated on the same fixture
-# (measured ~35 MB/op); rebuilding a name map per pass alone adds ~40 MB.
-FULL_PASS_BYTES_BUDGET=${BENCH_FULL_PASS_BYTES_BUDGET:-49400000}
+# The cold full pass measures features on the snapshot through its prune
+# plan: no pruned copy, no per-pass name index, no string-keyed e2LD
+# counter, slabs sized up front. Measured 21.1 MB/op on the 2-vCPU bench
+# host (31.7 MB/op while every pass materialized the pruned graph); the
+# ceiling is that + 15 %, so a copy of the graph coming back fails here.
+FULL_PASS_BYTES_BUDGET=24300000
 # The same pass in allocations: measured 315 allocs/op on the 100k-domain
 # fixture, a count that does not grow with the graph (slabs, not
 # per-domain objects). The budget is that + 25 %: a per-domain or
 # per-chunk allocation coming back shows up as hundreds to thousands more.
-FULL_PASS_ALLOC_BUDGET=${BENCH_FULL_PASS_ALLOC_BUDGET:-400}
+FULL_PASS_ALLOC_BUDGET=400
 full_bench="BenchmarkClassifyAllFull/unknown=100k"
 full_out=$(go test -run '^$' -bench "${full_bench}\$" -benchmem -benchtime 10x ./internal/server)
 echo "$full_out"
@@ -129,7 +131,7 @@ gate BenchmarkE2LD ./internal/dnsutil 0
 # host; measured 2.0–2.4x on the 2-vCPU bench host). Below that the tables
 # are not being hit — a stale bind, a per-event clear, a lookup that fell
 # back to strings.
-APPLY_EVENTS_FLOOR=${BENCH_APPLY_EVENTS_FLOOR:-1500000}
+APPLY_EVENTS_FLOOR=1500000
 APPLY_SYMBOLS_SPEEDUP_FLOOR=1.5
 apply_out=$(go test -run '^$' -bench 'BenchmarkIngestApply(Symbols)?$' -benchmem -benchtime 2s ./internal/ingest)
 echo "$apply_out"
@@ -160,7 +162,7 @@ echo "bench-allocs: symbol-path graph apply $(awk -v s="$symbols_rate" -v r="$ap
 # serialize on the core, the ratio is meaningless, and the gate is
 # skipped with a note (the full shards=1/2/4/8 curve is still archived
 # by `make bench` into BENCH_ingest.json on every host).
-APPLY_SCALING_FLOOR=${BENCH_APPLY_SCALING_FLOOR:-2.5}
+APPLY_SCALING_FLOOR=2.5
 ncpu=$(nproc 2>/dev/null || echo 1)
 if [ "$ncpu" -ge 4 ]; then
     scale_out=$(go test -run '^$' -bench 'BenchmarkIngestApplyShards/shards=(1|4)$' \
@@ -203,14 +205,23 @@ fi
 #  3. Frontend throughput floor. BenchmarkIngestBinaryThroughput runs
 #     segb1 frames through auto-detection, decode, sharding, and ring
 #     publish on a fresh ingester; it must sustain >=1M events/s.
-#  4. Text frontend allocation budget. BenchmarkIngestTextThroughput runs
+#  4. Producer-only floors. The throughput benchmark above lets the shard
+#     worker apply on the other CPU while Consume runs, so on a 2-vCPU host
+#     it times the scheduler too (12 runs of one binary spread 1.86-2.53M
+#     text events/s). BenchmarkIngest{Binary,Text}Producer hold the worker
+#     in an ApplyHook until Consume returns. Two sets of ten runs, an hour
+#     apart, on the shared 2-vCPU bench host read 3.35-7.45M binary and
+#     1.34-2.99M text events/s; each floor is its lowest run - 15 %.
+#  5. Text frontend allocation budget. BenchmarkIngestTextThroughput runs
 #     the same 200k events as text lines through the line loop every line
 #     source shares (text stream, tailed file, trace_dns): ~1.3 allocs per
 #     event, measured 259.5k allocs/op on the 2-vCPU bench host. The budget
 #     is that + 25 %: a per-line buffer or copy coming back costs 200k more.
-DECODE_ALLOC_BUDGET=${BENCH_DECODE_ALLOC_BUDGET:-100000}
-DECODE_SPEEDUP_FLOOR=${BENCH_DECODE_SPEEDUP_FLOOR:-5}
-INGEST_EVENTS_FLOOR=${BENCH_INGEST_EVENTS_FLOOR:-1000000}
+DECODE_ALLOC_BUDGET=100000
+DECODE_SPEEDUP_FLOOR=5
+INGEST_EVENTS_FLOOR=1000000
+BINARY_PRODUCER_FLOOR=2850000
+TEXT_PRODUCER_FLOOR=1130000
 
 wire_out=$(go test -run '^$' -bench 'BenchmarkParseEventText|BenchmarkDecodeEventsBinary' \
     -benchmem -benchtime 10x ./internal/logio)
@@ -248,6 +259,23 @@ if ! awk -v r="$ingest_rate" -v f="$INGEST_EVENTS_FLOOR" 'BEGIN { exit !(r >= f)
 fi
 echo "bench-allocs: binary ingest frontend $ingest_rate events/s (floor $INGEST_EVENTS_FLOOR)"
 
+prod_out=$(go test -run '^$' -bench 'BenchmarkIngest(Binary|Text)Producer$' \
+    -benchmem -benchtime 10x ./internal/ingest)
+echo "$prod_out"
+for kind in Binary Text; do
+    rate=$(metric "$prod_out" "BenchmarkIngest${kind}Producer-" events/s)
+    if [ "$kind" = Binary ]; then floor=$BINARY_PRODUCER_FLOOR; else floor=$TEXT_PRODUCER_FLOOR; fi
+    if [ -z "$rate" ]; then
+        echo "bench-allocs: could not parse events/s from BenchmarkIngest${kind}Producer output" >&2
+        exit 1
+    fi
+    if ! awk -v r="$rate" -v f="$floor" 'BEGIN { exit !(r >= f) }'; then
+        echo "bench-allocs: $kind ingest frontend alone sustained $rate events/s, floor is $floor" >&2
+        exit 1
+    fi
+    echo "bench-allocs: $kind ingest frontend alone $rate events/s (floor $floor)"
+done
+
 gate BenchmarkIngestTextThroughput ./internal/ingest 324400
 
 # --- History-preload gate ---------------------------------------------
@@ -261,7 +289,7 @@ gate BenchmarkIngestTextThroughput ./internal/ingest 324400
 # the same run on the same fixture, best of three samples each (measured
 # 2.1–2.8x on the 2-vCPU bench host). Below that the loader is paying per
 # line again.
-ACTIVITY_SPEEDUP_FLOOR=${BENCH_ACTIVITY_SPEEDUP_FLOOR:-2}
+ACTIVITY_SPEEDUP_FLOOR=2
 hist_out=$(go test -run '^$' -bench 'BenchmarkReadActivity/(bulk|perline)$' -benchmem -benchtime 50x -count 3 ./internal/logio)
 echo "$hist_out"
 best_ns() {
@@ -289,7 +317,7 @@ echo "bench-allocs: bulk activity load $(awk -v b="$bulk_ns" -v p="$perline_ns" 
 # SORT_SPEEDUP_FLOOR x faster than slices.Sort in the same run, best of
 # three samples each (measured 5.1–5.4x on the 2-vCPU bench host). Below
 # that the sort is running extra passes or fell back to comparisons.
-SORT_SPEEDUP_FLOOR=${BENCH_SORT_SPEEDUP_FLOOR:-3}
+SORT_SPEEDUP_FLOOR=3
 sort_out=$(go test -run '^$' -bench 'BenchmarkSortEdges/(radix|slices)$' -benchmem -benchtime 20x -count 3 ./internal/graph)
 echo "$sort_out"
 best_sort_ns() {
@@ -318,7 +346,7 @@ echo "bench-allocs: radix edge sort $(awk -v r="$radix_ns" -v s="$slices_ns" 'BE
 # 2-vCPU bench host, against 201–206 MB while every shard kept its own
 # builder; the ceiling is that + 15 %). Above it, a second copy of the
 # day is back.
-DAY_HEAP_CEILING_MB=${BENCH_DAY_HEAP_CEILING_MB:-113}
+DAY_HEAP_CEILING_MB=113
 heap_out=$(go test -run '^$' -bench 'BenchmarkIngestDayHeap$' -benchtime 1x -count 3 ./internal/ingest)
 echo "$heap_out"
 heap_mb=$(echo "$heap_out" | awk '/^BenchmarkIngestDayHeap-/ {for (i = 2; i <= NF; i++) if ($i == "live-MB" && (m == "" || $(i-1) < m)) m = $(i-1)} END {print m}')
