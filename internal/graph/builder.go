@@ -103,22 +103,12 @@ type Builder struct {
 	// overlay has; the next snapshot compacts.
 	csrStale bool
 
-	// freshLog records, in order, every edge that survived deduplication,
-	// for relabeling against the last labeled snapshot. Positions are
-	// absolute (offset by freshBase) so the log can be trimmed once that
-	// baseline no longer needs the prefix.
-	freshLog  []edge
-	freshBase int
-	// machineSet collects a relabel's machines; it resets in O(1).
-	machineSet idSet
-
 	// domainQueried flags the domains queried at least once this window;
 	// numE2LDs counts the e2LD ids of the domains the fold side covers.
 	domainQueried []bool
 	numE2LDs      int
 
-	lastSnap    *Graph
-	lastLabeled *Graph
+	lastSnap *Graph
 
 	frozenNM, frozenND       int
 	frozenOvMut, frozenIPMut uint64
@@ -141,41 +131,6 @@ func newEdge(m, d int32) edge { return edge(uint64(uint32(m))<<32 | uint64(uint3
 func (e edge) m() int32 { return int32(e >> 32) }
 func (e edge) d() int32 { return int32(uint32(e)) }
 
-// idSet is a reusable set of non-negative ids (node ids): a
-// generation-stamped slice, so emptying it is one increment and
-// membership costs no hashing. The zero value is an empty set.
-type idSet struct {
-	stamp []uint32
-	gen   uint32
-}
-
-// Reset empties the set and sizes it for ids below n.
-func (s *idSet) Reset(n int) {
-	s.grow(n)
-	s.gen++
-	if s.gen == 0 { // wrapped: stale stamps could alias the new generation
-		clear(s.stamp)
-		s.gen = 1
-	}
-}
-
-func (s *idSet) grow(n int) {
-	if len(s.stamp) < n {
-		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
-	}
-}
-
-// Add inserts id, growing the set past the size Reset gave it if
-// needed, and reports whether id was absent.
-func (s *idSet) Add(id int32) bool {
-	s.grow(int(id) + 1)
-	if s.stamp[id] == s.gen {
-		return false
-	}
-	s.stamp[id] = s.gen
-	return true
-}
-
 const (
 	// ipSetThreshold is the per-domain address count past which
 	// AddAddress switches from a linear scan to a hash set. Fast-flux
@@ -188,8 +143,6 @@ const (
 	// overlaySlackMin bounds how many overlay edges may accumulate before
 	// a compaction is considered.
 	overlaySlackMin = 1024
-	// logTrimMin is the minimum consumed log prefix worth compacting.
-	logTrimMin = 4096
 )
 
 // NewBuilder starts a graph for the named network and observation day.
@@ -330,20 +283,6 @@ func (b *Builder) Fold(stages []Stage) {
 			b.AddAddress(a.m(), dnsutil.IPv4(uint32(a)))
 		}
 		stages[i] = Stage{}
-	}
-}
-
-// MarkLabeled tells the Builder that g — one of its snapshots — has had
-// ApplyLabels run with the daemon's standing label sources. Subsequent
-// snapshots use the most recent labeled snapshot as the baseline for
-// incremental relabeling, so ApplyLabels touches only nodes that changed
-// since. Callers must serialize MarkLabeled with the fold side.
-func (b *Builder) MarkLabeled(g *Graph) {
-	if g == nil || !g.labelsApplied || g.day != b.day || g.name != b.name {
-		return
-	}
-	if b.lastLabeled == nil || g.snapFreshPos >= b.lastLabeled.snapFreshPos {
-		b.lastLabeled = g
 	}
 }
 
@@ -508,7 +447,6 @@ func (b *Builder) snapshot(forceCompact bool) *Graph {
 	b.growDomains(b.nd)
 	fresh := b.mergePending()
 	b.markQueried(fresh)
-	b.freshLog = append(b.freshLog, fresh...)
 	if forceCompact || b.csrMOff == nil || b.csrStale {
 		b.compact()
 	}
@@ -516,7 +454,6 @@ func (b *Builder) snapshot(forceCompact bool) *Graph {
 	b.pending = nil
 
 	g := b.freeze()
-	b.computeLabelDelta(g)
 	b.finishSnapshot(g)
 	return g
 }
@@ -854,7 +791,6 @@ func (b *Builder) freeze() *Graph {
 		domainIndex:  pub.domain,
 		machineExtra: mExtra,
 		domainExtra:  dExtra,
-		snapFreshPos: b.freshBase + len(b.freshLog),
 	}
 }
 
@@ -887,49 +823,19 @@ func frozenSlots(src []int32, n int) []int32 {
 	return out
 }
 
-// computeLabelDelta records the machines ApplyLabels must recompute when
-// relabeling incrementally against the last labeled snapshot: machines
-// with fresh edges since that snapshot, plus machines interned since.
-func (b *Builder) computeLabelDelta(g *Graph) {
-	base := b.lastLabeled
-	if base == nil {
-		return
-	}
-	g.labelBase = base
-	b.machineSet.Reset(b.nm)
-	dirty := []int32{}
-	for _, e := range b.freshLog[base.snapFreshPos-b.freshBase:] {
-		if b.machineSet.Add(e.m()) {
-			dirty = append(dirty, e.m())
-		}
-	}
-	for m := base.NumMachines(); m < b.nm; m++ {
-		if b.machineSet.Add(int32(m)) {
-			dirty = append(dirty, int32(m))
-		}
-	}
-	slices.Sort(dirty)
-	g.labelDirtyMachines = dirty
-}
-
+// finishSnapshot stamps g with its label base — the previous snapshot
+// if it is labeled by now, else that snapshot's base, so an unlabeled
+// one (a checkpoint's fold) is skipped — and records g as the one the
+// next freeze reuses. The builder keeps no other snapshot: a labeled
+// one has let go of its base.
 func (b *Builder) finishSnapshot(g *Graph) {
+	if base := b.lastSnap; base != nil {
+		if !base.Labeled() {
+			base = base.labelBase.Load()
+		}
+		g.labelBase.Store(base)
+	}
 	b.lastSnap = g
 	b.frozenNM, b.frozenND = b.nm, b.nd
 	b.frozenOvMut, b.frozenIPMut = b.ovMut, b.ipMut
-	b.trimLog()
-}
-
-// trimLog drops the freshLog prefix the relabel baseline, the last
-// labeled snapshot, can no longer reference; without one no snapshot
-// relabels incrementally and the whole log goes.
-func (b *Builder) trimLog() {
-	keep := b.freshBase + len(b.freshLog)
-	if b.lastLabeled != nil {
-		keep = b.lastLabeled.snapFreshPos
-	}
-	if cut := keep - b.freshBase; cut >= logTrimMin && cut > len(b.freshLog)/2 {
-		rest := copy(b.freshLog, b.freshLog[cut:])
-		b.freshLog = b.freshLog[:rest]
-		b.freshBase += cut
-	}
 }

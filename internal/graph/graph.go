@@ -15,6 +15,8 @@
 package graph
 
 import (
+	"sync/atomic"
+
 	"segugio/internal/dnsutil"
 )
 
@@ -121,15 +123,15 @@ type Graph struct {
 	derivedFrom               *Graph
 	machineRemap, domainRemap []int32
 
-	labeledAsOf   int
-	labelsApplied bool
-	labelSrc      LabelSources
-	stats         LabelStats
-
-	// Relabel metadata stamped by Builder.snapshot.
-	labelBase          *Graph
-	labelDirtyMachines []int32
-	snapFreshPos       int
+	// labelSrc is what ApplyLabels last labeled the graph from; labeled
+	// is stored last by ApplyLabels, so a Builder that reads it set may
+	// use the graph as a later snapshot's labelBase.
+	labelSrc LabelSources
+	labeled  atomic.Bool
+	stats    LabelStats
+	// labelBase is the Builder's newest labeled snapshot when this one
+	// froze, held only until ApplyLabels takes it.
+	labelBase atomic.Pointer[Graph]
 }
 
 // Name returns the network name the graph was observed in.
@@ -265,13 +267,7 @@ func (g *Graph) MachineNonBenignCount(m int32) int {
 }
 
 // LabeledAsOf returns the ground-truth cutoff day passed to ApplyLabels.
-func (g *Graph) LabeledAsOf() int { return g.labeledAsOf }
+func (g *Graph) LabeledAsOf() int { return g.labelSrc.AsOf }
 
 // Labeled reports whether ApplyLabels has run.
-func (g *Graph) Labeled() bool { return g.labelsApplied }
-
-// RelabelMachines returns the machines ApplyLabels recomputes against the
-// graph's label baseline (the newest snapshot its Builder was told is
-// labeled), sorted, and whether there is such a baseline; without one
-// ApplyLabels relabels every machine.
-func (g *Graph) RelabelMachines() ([]int32, bool) { return g.labelDirtyMachines, g.labelBase != nil }
+func (g *Graph) Labeled() bool { return g.labeled.Load() }

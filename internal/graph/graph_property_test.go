@@ -18,6 +18,34 @@ func randomGraph(seed int64) *Graph { return randomGraphIn(seed, 0) }
 // the second of two incremental snapshots, so part of its adjacency sits
 // in the overlay.
 func randomGraphIn(seed int64, zones int) *Graph {
+	day := randomDayIn(seed, zones)
+	b := NewBuilder("Q", 1, dnsutil.DefaultSuffixList())
+	for i, q := range day.queries {
+		if zones > 0 && i == day.half {
+			b.Snapshot()
+		}
+		b.AddQuery(q[0], q[1])
+	}
+	var g *Graph
+	if zones > 0 {
+		g = b.Snapshot()
+	} else {
+		g = b.Build()
+	}
+	g.ApplyLabels(day.src)
+	return g
+}
+
+// randomDay is what randomGraphIn builds its graph from: the queries as
+// (machine, domain) names in machine order, the query index of the
+// intermediate snapshot, and the ground truth that labels them.
+type randomDay struct {
+	queries [][2]string
+	half    int
+	src     LabelSources
+}
+
+func randomDayIn(seed int64, zones int) randomDay {
 	rng := rand.New(rand.NewSource(seed))
 	nm := 5 + rng.Intn(30)
 	nd := 5 + rng.Intn(40)
@@ -27,22 +55,16 @@ func randomGraphIn(seed int64, zones int) *Graph {
 		}
 		return fmt.Sprintf("d%03d.com", d)
 	}
-	b := NewBuilder("Q", 1, dnsutil.DefaultSuffixList())
+	var day randomDay
 	for m := 0; m < nm; m++ {
 		id := fmt.Sprintf("m%03d", m)
 		edges := 1 + rng.Intn(8)
 		for e := 0; e < edges; e++ {
-			b.AddQuery(id, domain(rng.Intn(nd)))
+			day.queries = append(day.queries, [2]string{id, domain(rng.Intn(nd))})
 		}
-		if zones > 0 && m == nm/2 {
-			b.Snapshot()
+		if m == nm/2 {
+			day.half = len(day.queries)
 		}
-	}
-	var g *Graph
-	if zones > 0 {
-		g = b.Snapshot()
-	} else {
-		g = b.Build()
 	}
 	bl := intel.NewBlacklist()
 	wl := []string{}
@@ -61,8 +83,8 @@ func randomGraphIn(seed int64, zones int) *Graph {
 			wl = append(wl, fmt.Sprintf("z%d.com", z))
 		}
 	}
-	g.ApplyLabels(LabelSources{Blacklist: bl, Whitelist: intel.NewWhitelist(wl), AsOf: 1})
-	return g
+	day.src = LabelSources{Blacklist: bl, Whitelist: intel.NewWhitelist(wl), AsOf: 1}
+	return day
 }
 
 // TestGraphInvariants checks structural invariants on random graphs:

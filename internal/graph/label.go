@@ -38,33 +38,29 @@ type LabelStats struct {
 // derives machine labels: a machine is malware when it queries at least
 // one malware-labeled domain, benign when every queried domain is
 // benign-labeled, unknown otherwise. It may be called again to relabel
-// (e.g. with a different Hidden set).
+// (e.g. with a different Hidden set); every call allocates fresh label
+// and count arrays, so labels a reader holds never change under it.
 //
-// On a streaming snapshot whose Builder was told (via MarkLabeled) that
-// an earlier snapshot is labeled with the same sources, labels are
-// relabeled incrementally: prior label state is copied and only domains
-// interned since and machines with fresh edges are recomputed.
+// A Builder's snapshot starts from its base — the newest of the
+// Builder's snapshots already labeled when it froze — when both are
+// labeled with the same source objects and cutoff and neither hides
+// domains; otherwise every node is labeled afresh.
 func (g *Graph) ApplyLabels(src LabelSources) LabelStats {
-	base := g.labelBase
-	g.labelBase = nil
-	if base != nil && g.canRelabelIncrementally(base, src) {
-		g.relabelDelta(base, src)
-	} else {
-		g.relabelFull(src)
+	base := g.labelBase.Swap(nil)
+	if base != nil && !canRelabelIncrementally(base, src) {
+		base = nil
 	}
-	g.labeledAsOf = src.AsOf
-	g.labelsApplied = true
+	g.relabel(base, src)
 	g.labelSrc = src
+	g.labeled.Store(true)
 	return g.stats
 }
 
 // canRelabelIncrementally reports whether base's labels are reusable as a
 // starting point: same source objects and cutoff, no hidden sets (the
-// hidden set is experiment machinery, not a daemon path), same day.
-func (g *Graph) canRelabelIncrementally(base *Graph, src LabelSources) bool {
-	return base.labelsApplied &&
-		base.day == g.day &&
-		src.Hidden == nil && base.labelSrc.Hidden == nil &&
+// hidden set is experiment machinery, not a daemon path).
+func canRelabelIncrementally(base *Graph, src LabelSources) bool {
+	return src.Hidden == nil && base.labelSrc.Hidden == nil &&
 		src.Blacklist == base.labelSrc.Blacklist &&
 		src.Whitelist == base.labelSrc.Whitelist &&
 		src.AsOf == base.labelSrc.AsOf
@@ -90,113 +86,54 @@ func (g *Graph) labelFor(d int, src LabelSources, stats *LabelStats) Label {
 	return label
 }
 
-func (g *Graph) relabelFull(src LabelSources) {
-	nd, nm := len(g.domains), len(g.machineIDs)
-	if len(g.domainLabel) != nd {
-		g.domainLabel = make([]Label, nd)
-	}
-	if len(g.machineLabel) != nm {
-		g.machineLabel = make([]Label, nm)
-		g.cntMalware = make([]int32, nm)
-		g.cntNonBenign = make([]int32, nm)
-	}
+// relabel labels g's domains from src and derives its machines' labels.
+// With a base (nil: none) it copies base's domain labels and looks up
+// only the domains interned since, and labelMachines recounts only the
+// machines that changed since base.
+func (g *Graph) relabel(base *Graph, src LabelSources) {
 	var stats LabelStats
-	for d := range g.domains {
-		g.domainLabel[d] = g.labelFor(d, src, &stats)
+	dl := make([]Label, len(g.domains))
+	from := 0
+	if base != nil {
+		from = copy(dl, base.domainLabel)
+		stats = base.stats
+		stats.MalwareMachine, stats.BenignMachine, stats.UnknownMachine = 0, 0, 0
 	}
-	g.recomputeMachineLabels()
-	for m := range g.machineIDs {
-		switch g.machineLabel[m] {
-		case LabelMalware:
-			stats.MalwareMachine++
-		case LabelBenign:
-			stats.BenignMachine++
-		default:
-			stats.UnknownMachine++
-		}
-	}
-	g.stats = stats
-}
-
-// relabelDelta copies base's label state and recomputes only the domains
-// interned since base and the machines the Builder recorded as dirty
-// (fresh edges or newly interned). LabelStats are carried forward and
-// adjusted for exactly the recomputed nodes.
-func (g *Graph) relabelDelta(base *Graph, src LabelSources) {
-	nd, nm := len(g.domains), len(g.machineIDs)
-	baseND, baseNM := len(base.domains), len(base.machineIDs)
-	stats := base.stats
-
-	dl := make([]Label, nd)
-	copy(dl, base.domainLabel)
-	ml := make([]Label, nm)
-	copy(ml, base.machineLabel)
-	cm := make([]int32, nm)
-	copy(cm, base.cntMalware)
-	cnb := make([]int32, nm)
-	copy(cnb, base.cntNonBenign)
-	g.domainLabel, g.machineLabel, g.cntMalware, g.cntNonBenign = dl, ml, cm, cnb
-
-	for d := baseND; d < nd; d++ {
+	for d := from; d < len(dl); d++ {
 		dl[d] = g.labelFor(d, src, &stats)
 	}
-
-	for _, m := range g.labelDirtyMachines {
-		old := LabelUnknown
-		counted := int(m) < baseNM
-		if counted {
-			old = base.machineLabel[m]
-		}
-		var mal, nonBenign int32
-		adj := g.DomainsOf(m)
-		for _, d := range adj {
-			switch dl[d] {
-			case LabelMalware:
-				mal++
-				nonBenign++
-			case LabelUnknown:
-				nonBenign++
-			}
-		}
-		cm[m], cnb[m] = mal, nonBenign
-		label := LabelUnknown
-		switch {
-		case mal > 0:
-			label = LabelMalware
-		case nonBenign == 0 && len(adj) > 0:
-			label = LabelBenign
-		}
-		ml[m] = label
-		if counted {
-			switch old {
-			case LabelMalware:
-				stats.MalwareMachine--
-			case LabelBenign:
-				stats.BenignMachine--
-			default:
-				stats.UnknownMachine--
-			}
-		}
-		switch label {
-		case LabelMalware:
-			stats.MalwareMachine++
-		case LabelBenign:
-			stats.BenignMachine++
-		default:
-			stats.UnknownMachine++
-		}
+	g.domainLabel = dl
+	g.labelMachines(base)
+	var machines [LabelMalware + 1]int
+	for _, l := range g.machineLabel {
+		machines[l]++
 	}
+	stats.MalwareMachine, stats.BenignMachine, stats.UnknownMachine =
+		machines[LabelMalware], machines[LabelBenign], machines[LabelUnknown]
 	g.stats = stats
 }
 
-// recomputeMachineLabels rebuilds the per-machine counts and labels from
-// the current domain labels. Machines are independent, so the scan is
-// sharded across workers.
-func (g *Graph) recomputeMachineLabels() {
-	parallelFor(len(g.machineIDs), func(lo, hi int) {
+// labelMachines derives every machine's malware and non-benign domain
+// counts and its label from g's domain labels, on parallelFor workers.
+// A machine base (nil: none) has at the same degree keeps base's counts
+// and label: within a day a machine's row only grows, so its row is
+// unchanged, and every domain in it predates base and kept its label.
+func (g *Graph) labelMachines(base *Graph) {
+	nm, baseNM := len(g.machineIDs), 0
+	ml, cm, cnb := make([]Label, nm), make([]int32, nm), make([]int32, nm)
+	if base != nil {
+		baseNM = copy(ml, base.machineLabel)
+		copy(cm, base.cntMalware)
+		copy(cnb, base.cntNonBenign)
+	}
+	parallelFor(nm, func(lo, hi int) {
 		for m := lo; m < hi; m++ {
+			adj := g.DomainsOf(int32(m))
+			if m < baseNM && len(adj) == base.MachineDegree(int32(m)) {
+				continue
+			}
 			var mal, nonBenign int32
-			for _, d := range g.DomainsOf(int32(m)) {
+			for _, d := range adj {
 				switch g.domainLabel[d] {
 				case LabelMalware:
 					mal++
@@ -205,18 +142,18 @@ func (g *Graph) recomputeMachineLabels() {
 					nonBenign++
 				}
 			}
-			g.cntMalware[m] = mal
-			g.cntNonBenign[m] = nonBenign
+			cm[m], cnb[m] = mal, nonBenign
 			switch {
 			case mal > 0:
-				g.machineLabel[m] = LabelMalware
-			case nonBenign == 0 && g.MachineDegree(int32(m)) > 0:
-				g.machineLabel[m] = LabelBenign
+				ml[m] = LabelMalware
+			case nonBenign == 0 && len(adj) > 0:
+				ml[m] = LabelBenign
 			default:
-				g.machineLabel[m] = LabelUnknown
+				ml[m] = LabelUnknown
 			}
 		}
 	})
+	g.machineLabel, g.cntMalware, g.cntNonBenign = ml, cm, cnb
 }
 
 // MachineLabelHiding returns machine m's label as derived when domain d's

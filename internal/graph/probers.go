@@ -53,7 +53,7 @@ func machineIsProber(g *Graph, m int32, cfg ProberConfig) bool {
 // order. The graph must be labeled (the heuristic reads known-malware
 // query counts). The scan is sharded across GOMAXPROCS workers.
 func FindProbers(g *Graph, cfg ProberConfig) ([]int32, error) {
-	if !g.labelsApplied {
+	if !g.Labeled() {
 		return nil, ErrNotLabeled
 	}
 	fullScans.Add(1)

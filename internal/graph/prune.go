@@ -140,7 +140,7 @@ func NewPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune 
 }
 
 func newPrunePlan(g *Graph, prober *ProberConfig, cfg PruneConfig, disablePrune bool) (*PrunePlan, error) {
-	if !g.labelsApplied {
+	if !g.Labeled() {
 		return nil, ErrNotLabeled
 	}
 	p := &PrunePlan{base: g, disablePrune: disablePrune}
@@ -487,13 +487,13 @@ func degreePercentileMasked(g *Graph, pct float64, include []bool) int {
 // the label recomputation are sharded.
 func materialize(g *Graph, keepM, keepD []bool) *Graph {
 	out := &Graph{
-		name:          g.name,
-		day:           g.day,
-		labeledAsOf:   g.labeledAsOf,
-		labelsApplied: g.labelsApplied,
-		numE2LDs:      g.numE2LDs,
-		derivedFrom:   g,
+		name:        g.name,
+		day:         g.day,
+		labelSrc:    g.labelSrc,
+		numE2LDs:    g.numE2LDs,
+		derivedFrom: g,
 	}
+	out.labeled.Store(g.Labeled())
 
 	nm, nd := countTrue(keepM), countTrue(keepD)
 	mMap := make([]int32, len(keepM))
@@ -525,10 +525,6 @@ func materialize(g *Graph, keepM, keepD []bool) *Graph {
 		out.domainLabel = append(out.domainLabel, g.domainLabel[d])
 	}
 	out.machineRemap, out.domainRemap = mMap, dMap
-
-	out.machineLabel = make([]Label, nm)
-	out.cntMalware = make([]int32, nm)
-	out.cntNonBenign = make([]int32, nm)
 
 	// Machine-side CSR over surviving edges. Counting and filling are
 	// parallel over source machines: after the prefix sum each machine
@@ -586,7 +582,7 @@ func materialize(g *Graph, keepM, keepD []bool) *Graph {
 	}
 
 	out.numEdges = len(out.mAdj)
-	out.recomputeMachineLabels()
+	out.labelMachines(nil)
 	return out
 }
 

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -369,5 +370,89 @@ func TestConcurrentIngestAndClassify(t *testing.T) {
 	}
 	if final.NumEdges() < earlyEdges {
 		t.Fatalf("final snapshot lost edges: %d < %d", final.NumEdges(), earlyEdges)
+	}
+}
+
+// TestRotationWhileLabelingLabelsTheFinishedDay parks PrepareSnapshot on
+// a served snapshot and rotates the day meanwhile: Snapshot releases the
+// epoch lock before it labels, so the rotation folds the day's final
+// graph while that snapshot, the newest the day builder froze, is still
+// being labeled. The final graph must carry the labels a batch build of
+// the whole day gets, whichever snapshot it started its labels from.
+func TestRotationWhileLabelingLabelsTheFinishedDay(t *testing.T) {
+	src, _, _ := equivLabelSources()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	m, _ := newMetrics()
+	in := New(Config{Network: "net", StartDay: 1, Workers: 2, Metrics: m,
+		PrepareSnapshot: func(g *graph.Graph) {
+			if calls.Add(1) == 1 {
+				close(parked)
+				<-release
+			}
+			g.ApplyLabels(src(g.Day()))
+		}})
+	defer in.Shutdown()
+
+	rng := rand.New(rand.NewSource(52))
+	day := func(n int) []logio.Event {
+		evs := make([]logio.Event, n)
+		for i := range evs {
+			domain := fmt.Sprintf("h%d.other%d.org", rng.Intn(40), rng.Intn(10))
+			switch rng.Intn(5) {
+			case 0:
+				domain = fmt.Sprintf("c2.evil%d.net", rng.Intn(10))
+			case 1, 2:
+				domain = fmt.Sprintf("www.good%d.com", rng.Intn(20))
+			}
+			evs[i] = logio.Event{Kind: logio.EventQuery, Day: 1, Machine: fmt.Sprintf("m%d", rng.Intn(60)), Domain: domain}
+		}
+		return evs
+	}
+	early, late := day(400), day(400)
+	feed(t, in, m, early)
+	served := make(chan uint64)
+	go func() {
+		_, v, _ := in.SnapshotSince(0)
+		served <- v
+	}()
+	<-parked
+	feed(t, in, m, late)
+	if err := in.Consume(strings.NewReader("q\t2\tm1\tnext.example.com\n")); err != nil {
+		t.Fatal(err)
+	}
+	close(release) // the served snapshot is labeled while the rotation folds
+	since := <-served
+	waitFor(t, "rotation", func() bool { return m.Rotations.Value() == 1 })
+
+	final, _, _ := in.SnapshotSince(since)
+	if final.Day() != 1 || !final.Labeled() {
+		t.Fatalf("handed day %d (labeled %v), want the finished day 1 labeled", final.Day(), final.Labeled())
+	}
+	ref := graph.NewBuilder("net", 1, dnsutil.DefaultSuffixList())
+	for _, e := range append(early, late...) {
+		ref.AddQuery(e.Machine, e.Domain)
+	}
+	want := ref.Build()
+	want.ApplyLabels(src(1))
+	if final.NumMachines() != want.NumMachines() || final.NumDomains() != want.NumDomains() {
+		t.Fatalf("final graph has %d machines / %d domains, batch %d / %d",
+			final.NumMachines(), final.NumDomains(), want.NumMachines(), want.NumDomains())
+	}
+	for d := int32(0); int(d) < want.NumDomains(); d++ {
+		fd, _ := final.DomainIndex(want.DomainName(d))
+		if final.DomainLabel(fd) != want.DomainLabel(d) {
+			t.Fatalf("domain %s labeled %v, batch %v", want.DomainName(d), final.DomainLabel(fd), want.DomainLabel(d))
+		}
+	}
+	for wm := int32(0); int(wm) < want.NumMachines(); wm++ {
+		fm, _ := final.MachineIndex(want.MachineID(wm))
+		if final.MachineLabel(fm) != want.MachineLabel(wm) ||
+			final.MachineMalwareCount(fm) != want.MachineMalwareCount(wm) ||
+			final.MachineNonBenignCount(fm) != want.MachineNonBenignCount(wm) {
+			t.Fatalf("machine %s is %v (%d malware, %d non-benign), batch %v (%d, %d)", want.MachineID(wm),
+				final.MachineLabel(fm), final.MachineMalwareCount(fm), final.MachineNonBenignCount(fm),
+				want.MachineLabel(wm), want.MachineMalwareCount(wm), want.MachineNonBenignCount(wm))
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 type epoch struct {
 	// builder is the day's one graph, and builder.Day() the only stored
 	// day. Workers intern into its name table under their shard locks; its
-	// fold side (Fold, Snapshot, MarkLabeled) is guarded by snapMu plus
+	// fold side (Fold, Snapshot) is guarded by snapMu plus
 	// epochMu.R, or by epochMu.W (rotation).
 	builder *graph.Builder
 	// queried[s] has a bit per day-builder domain id shard s has seen
@@ -167,12 +167,6 @@ func (in *Ingester) Snapshot() (*graph.Graph, uint64) {
 
 	if in.cfg.PrepareSnapshot != nil {
 		in.cfg.PrepareSnapshot(g)
-		// Tell the day builder this snapshot is labeled so the next one
-		// can relabel incrementally against it. After a rotation the call
-		// lands on the retired builder, which nothing reads again.
-		in.epochMu.RLock()
-		e.builder.MarkLabeled(g)
-		in.epochMu.RUnlock()
 	}
 	if in.m.SnapshotSeconds != nil {
 		in.m.SnapshotSeconds.Observe(time.Since(start).Seconds())

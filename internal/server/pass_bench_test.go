@@ -20,15 +20,16 @@ import (
 // BenchmarkPassSteady prices the pass as segugiod runs it: one day of a
 // synthetic ISP (20k machines, every edge sent twice in shuffled order)
 // is fed to a graph.Builder in passSteps batches, and after each batch
-// classifyAll takes the snapshot (fold, incremental relabel) and scores
-// every unknown domain the prune plan keeps, with the default random
-// forest, a 14-day activity log and a passive-DNS abuse index. One op is
-// one day on a fresh builder; feeding the batches is off the clock.
-// snapshot-ms and classify-ms are the mean per pass of the two halves.
+// classifyAll takes the snapshot, labels it and scores every unknown
+// domain the prune plan keeps, with the default random forest, a 14-day
+// activity log and a passive-DNS abuse index. One op is one day on a
+// fresh builder; feeding the batches is off the clock. snapshot-ms,
+// label-ms and classify-ms are the mean per pass of the fold and
+// snapshot, the labelling and the rest.
 func BenchmarkPassSteady(b *testing.B) {
 	fx := passFixture(b)
 	ctx := context.Background()
-	var snap, total time.Duration
+	var snap, label, total time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,10 +52,12 @@ func BenchmarkPassSteady(b *testing.B) {
 			}
 		}
 		snap += src.snapTime
+		label += src.labelTime
 	}
 	passes := float64(b.N * len(fx.steps))
 	b.ReportMetric(snap.Seconds()*1e3/passes, "snapshot-ms")
-	b.ReportMetric((total-snap).Seconds()*1e3/passes, "classify-ms")
+	b.ReportMetric(label.Seconds()*1e3/passes, "label-ms")
+	b.ReportMetric((total-snap-label).Seconds()*1e3/passes, "classify-ms")
 }
 
 const (
@@ -64,14 +67,14 @@ const (
 )
 
 // builderSource is a GraphSource over one graph.Builder that labels each
-// snapshot as segugiod's PrepareSnapshot does, incrementally against the
-// last labeled one, and times both.
+// snapshot as segugiod's PrepareSnapshot does, and times the snapshot
+// and the labelling apart.
 type builderSource struct {
-	b        *graph.Builder
-	labels   graph.LabelSources
-	g        *graph.Graph
-	version  uint64
-	snapTime time.Duration
+	b                   *graph.Builder
+	labels              graph.LabelSources
+	g                   *graph.Graph
+	version             uint64
+	snapTime, labelTime time.Duration
 }
 
 func (s *builderSource) Snapshot() (*graph.Graph, uint64) { return s.g, s.version }
@@ -81,9 +84,10 @@ func (s *builderSource) Version() uint64                  { return s.version }
 func (s *builderSource) SnapshotSince(uint64) (*graph.Graph, uint64, graph.Delta) {
 	t0 := time.Now()
 	g := s.b.Snapshot()
+	t1 := time.Now()
 	g.ApplyLabels(s.labels)
-	s.b.MarkLabeled(g)
-	s.snapTime += time.Since(t0)
+	s.snapTime += t1.Sub(t0)
+	s.labelTime += time.Since(t1)
 	s.g = g
 	s.version++
 	return g, s.version, graph.Delta{}
